@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """The 2-D time/band-limiting operator for box-shaped subbands.
 
-Applies the operator two ways (kernel sandwich vs dense matrix on the
-vectorized input), confirms the trace identity sum(lambda) = M N |bands|,
-and shows that a single box factorizes: its eigenvalues are products of
+Applies the operator two ways (FFT apply of its difference table vs dense
+matrix on the vectorized input), confirms the trace identity
+sum(lambda) = M N |bands|, and shows that a single box factorizes: its eigenvalues are products of
 two 1-D DPSS eigenvalue sequences.
 """
 
@@ -20,11 +20,11 @@ spec = OperatorSpec(grid=SamplingGrid((M, N)), bands=bands)
 rng = np.random.default_rng(0)
 y = rng.standard_normal((M, N)) + 1j * rng.standard_normal((M, N))
 
-out_sandwich = apply_cubic(spec, y)
+out_fft = apply_cubic(spec, y)
 cov = materialize_cubic(spec)
 out_dense = cov.matrix @ vec(y)
-agree = np.linalg.norm(vec(out_sandwich) - out_dense) / np.linalg.norm(out_dense)
-print(f"sandwich vs dense action, relative difference: {agree:.2e}")
+agree = np.linalg.norm(vec(out_fft) - out_dense) / np.linalg.norm(out_dense)
+print(f"FFT apply vs dense action, relative difference: {agree:.2e}")
 
 sp = spectrum(cov)
 print(f"sum of eigenvalues : {sp.eigenvalues.sum():.6f}")

@@ -8,8 +8,7 @@ from the leading eigen-tensors or their cheap modulated-DPSS surrogates.
 
 from .bands import (BandConfig, BandError, ConfigError, CubicBandUnion,
                     NyquistError, ParallelepipedBand, SamplingGrid, Violation,
-                    load_band_config, measure_cubic, measure_parallelepiped,
-                    scale_analog, validate)
+                    load_band_config, scale_analog, validate)
 from .dictionary import (Atom, Dictionary, SubspaceBasis, approx_mse, build_phi,
                          build_psi, cross_band_gram_violations, orthonormalize,
                          project, pseudo_eigen_residuals, sample_signal,
@@ -22,8 +21,7 @@ from .operator import (DenseCovariance, OperatorSpec, SizeCapError, SpectrumND,
 from .parallelepiped import (PPOperatorSpec, pp_center_invariance, pp_entry,
                              pp_materialize)
 from .prolate import (ClusterCounts, Spectrum1D, cluster_counts, decompose,
-                      dpss, modulate, modulation_phases, multiband_kernel,
-                      sinc_kernel)
+                      dpss, modulate, multiband_kernel, sinc_kernel)
 from .verify import default_config, verify_config
 
 __version__ = "0.1.0"
@@ -31,7 +29,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BandConfig", "BandError", "ConfigError", "CubicBandUnion", "NyquistError",
     "ParallelepipedBand", "SamplingGrid", "Violation", "load_band_config",
-    "measure_cubic", "measure_parallelepiped", "scale_analog", "validate",
+    "scale_analog", "validate",
     "Atom", "Dictionary", "SubspaceBasis", "approx_mse", "build_phi",
     "build_psi", "cross_band_gram_violations", "orthonormalize", "project",
     "pseudo_eigen_residuals", "sample_signal", "subspace_cos_theta",
@@ -41,6 +39,6 @@ __all__ = [
     "spectrum_values", "trace_frobenius_gap", "transition_count", "vec",
     "PPOperatorSpec", "pp_center_invariance", "pp_entry", "pp_materialize",
     "ClusterCounts", "Spectrum1D", "cluster_counts", "decompose", "dpss",
-    "modulate", "modulation_phases", "multiband_kernel", "sinc_kernel",
+    "modulate", "multiband_kernel", "sinc_kernel",
     "default_config", "verify_config",
 ]

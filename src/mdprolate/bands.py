@@ -37,8 +37,6 @@ __all__ = [
     "cubic_violations",
     "parallelepiped_violations",
     "validate",
-    "measure_cubic",
-    "measure_parallelepiped",
     "scale_analog",
     "load_band_config",
 ]
@@ -225,14 +223,6 @@ class ParallelepipedBand:
                                   (self.center[0] + delta[0], self.center[1] + delta[1]))
 
 
-def measure_cubic(u: CubicBandUnion) -> float:
-    return u.measure()
-
-
-def measure_parallelepiped(b: ParallelepipedBand) -> float:
-    return b.measure()
-
-
 # ---------------------------------------------------------------------------
 # validation
 
@@ -241,15 +231,20 @@ def cubic_violations(centers, half_widths, *, analog: bool = False,
                      tol: float = TOUCH_TOL) -> list[Violation]:
     """All violated invariants of a cubic union given raw arrays.
 
-    Checks positivity of half-widths, containment in the Nyquist box
-    (unless ``analog``), and pairwise open-interior disjointness (per-axis
-    interval intersection on all axes).
+    Checks that centers and half-widths are finite, positivity of
+    half-widths, containment in the Nyquist box (unless ``analog``), and
+    pairwise open-interior disjointness (per-axis interval intersection on
+    all axes).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     half_widths = np.atleast_2d(np.asarray(half_widths, dtype=float))
     out: list[Violation] = []
     J = centers.shape[0]
     for i in range(J):
+        if not np.isfinite([*centers[i], *half_widths[i]]).all():
+            out.append(Violation("finite", (i,),
+                                 f"band {i}: centers and half-widths must be finite"))
+            continue
         if np.any(half_widths[i] <= 0):
             out.append(Violation("half_width", (i,),
                                  f"band {i}: half-widths must be strictly positive"))
@@ -274,6 +269,10 @@ def _pp_band_violations(idx, a, b, c, d, half_widths, center,
                         tol: float = TOUCH_TOL) -> list[Violation]:
     out: list[Violation] = []
     w0, w1 = float(half_widths[0]), float(half_widths[1])
+    if not np.isfinite([a, b, c, d, w0, w1, *center]).all():
+        return [Violation("finite", (idx,),
+                          f"band {idx}: a, b, c, d, half-widths and center "
+                          "must be finite")]
     if w0 <= 0 or w1 <= 0:
         out.append(Violation("half_width", (idx,),
                              f"band {idx}: half-widths must be strictly positive"))

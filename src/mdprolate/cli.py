@@ -29,8 +29,9 @@ import numpy as np
 
 from . import dictionary as dct
 from .bands import (BandConfig, BandError, ConfigError, SamplingGrid,
-                    load_band_config, parallelepiped_violations, validate)
-from .operator import (OperatorSpec, materialize_cubic, spectrum,
+                    load_band_config)
+from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
+                       materialize_cubic, spectrum, spectrum_values,
                        transition_count)
 from .parallelepiped import PPOperatorSpec, pp_materialize
 from .prolate import cluster_counts, decompose, multiband_kernel
@@ -84,7 +85,10 @@ def _resolve(args, *, need_config: bool) -> RunConfig:
                            parallelepiped=bands.parallelepiped)
     q = None
     if args.q is not None:
-        q = tuple(int(piece) for piece in args.q.split(","))
+        try:
+            q = tuple(int(piece) for piece in args.q.split(","))
+        except ValueError as exc:
+            raise ConfigError(f"bad --q {args.q!r}: {exc}") from None
     return RunConfig(bands=bands, out=Path(args.out), fmt=args.format,
                      seed=args.seed, eps=args.eps, trials=args.trials,
                      p=args.p, q=q)
@@ -99,13 +103,13 @@ def _write_report(rows: list[ReportRow], cfg: RunConfig, name: str) -> Path:
     return path
 
 
-def _summary(name: str, matrix: np.ndarray, lam: np.ndarray, eps: float) -> dict:
+def _summary(name: str, cov: DenseCovariance, lam: np.ndarray, eps: float) -> dict:
     counts = cluster_counts(lam, eps)
     return {
         "operator": name,
         "size": int(lam.size),
-        "trace": float(np.trace(matrix).real),
-        "frobenius_sq": float(np.vdot(matrix, matrix).real),
+        "trace": cov.trace(),
+        "frobenius_sq": cov.frobenius_sq(),
         "eps": eps,
         "near_one": counts.near_one,
         "middle": counts.middle,
@@ -114,45 +118,50 @@ def _summary(name: str, matrix: np.ndarray, lam: np.ndarray, eps: float) -> dict
     }
 
 
-def _spectrum_jobs(cfg: RunConfig):
+def _spectrum_jobs(cfg: RunConfig, vectors: bool):
+    """One job per operator, each returning (name, covariance, descending
+    eigenvalues, eigenvectors or None); only 1-D jobs compute vectors, and
+    only when asked."""
     jobs = []
     bands = cfg.bands
     if bands.cubic is not None and bands.grid.dim == 1:
         def oned():
-            kernel = multiband_kernel(bands.grid.dims[0], bands.cubic)
-            sp = decompose(kernel)
-            return "multiband1d", kernel, sp.eigenvalues, sp.eigenvectors
+            n = bands.grid.dims[0]
+            cov = DenseCovariance(matrix=multiband_kernel(n, bands.cubic), dims=(n,),
+                                  spec=OperatorSpec(grid=bands.grid, bands=bands.cubic))
+            if vectors:
+                sp = decompose(cov.matrix)
+                return "multiband1d", cov, sp.eigenvalues, sp.eigenvectors
+            return "multiband1d", cov, spectrum_values(cov), None
         jobs.append(oned)
     elif bands.cubic is not None:
         def cubic():
             cov = materialize_cubic(OperatorSpec(grid=bands.grid, bands=bands.cubic))
-            sp = spectrum(cov)
-            return "cubic", cov.matrix, sp.eigenvalues, None
+            return "cubic", cov, spectrum_values(cov), None
         jobs.append(cubic)
     if bands.parallelepiped:
         def ppjob():
             cov = pp_materialize(PPOperatorSpec(grid=bands.grid,
                                                 bands=bands.parallelepiped))
-            lam = np.linalg.eigvalsh(cov.matrix)[::-1]
-            return "parallelepiped", cov.matrix, lam, None
+            return "parallelepiped", cov, spectrum_values(cov), None
         jobs.append(ppjob)
     return jobs
 
 
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args, need_config=True)
-    jobs = _spectrum_jobs(cfg)
+    jobs = _spectrum_jobs(cfg, args.vectors)
     results = []
     if len(jobs) == 1:
         results.append(jobs[0]())
     else:
         with ThreadPoolExecutor(max_workers=min(max_workers(), len(jobs))) as pool:
             results.extend(pool.map(lambda f: f(), jobs))
-    for name, matrix, lam, vectors in sorted(results, key=lambda r: r[0]):
+    for name, cov, lam, vectors in sorted(results, key=lambda r: r[0]):
         write_spectrum_csv(cfg.out / f"{name}_eigenvalues.csv", lam)
         write_json(cfg.out / f"{name}_summary.json",
-                   _summary(name, matrix, lam, cfg.eps))
-        if args.vectors and vectors is not None:
+                   _summary(name, cov, lam, cfg.eps))
+        if vectors is not None:
             write_eigenvectors_csv(cfg.out / f"{name}_eigenvectors.csv", vectors)
         print(f"{name}: {lam.size} eigenvalues -> {cfg.out}")
     return 0
@@ -188,6 +197,8 @@ def cmd_dict(args) -> int:
     cfg = _resolve(args, need_config=True)
     if cfg.bands.cubic is None:
         raise ConfigError("dict requires cubic bands")
+    if cfg.bands.grid.dim != 2:
+        raise ConfigError(f"dict requires a 2-D grid, got {cfg.bands.grid.dim}-D")
     p, q = _dict_sizing(cfg)
     spec = OperatorSpec(grid=cfg.bands.grid, bands=cfg.bands.cubic)
     sp = spectrum(materialize_cubic(spec))
@@ -275,18 +286,9 @@ def cmd_bands_validate(args) -> int:
     if args.config is None:
         raise ConfigError("--config is required for this command")
     try:
-        config = load_band_config(args.config)
+        load_band_config(args.config)  # constructors reject every violation
     except BandError as exc:
         for v in exc.violations:
-            print(f"[FAIL] {v.code} bands={list(v.bands)}: {v.message}")
-        return 1
-    problems = []
-    if config.cubic is not None:
-        problems.extend(validate(config.cubic))
-    if config.parallelepiped:
-        problems.extend(parallelepiped_violations(config.parallelepiped))
-    if problems:
-        for v in problems:
             print(f"[FAIL] {v.code} bands={list(v.bands)}: {v.message}")
         return 1
     print("ok")
@@ -346,7 +348,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, BandError) as exc:
+    except (ConfigError, BandError, SizeCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -23,6 +23,7 @@ Inner products are Frobenius: ``<A, B> = trace(B^H A)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -276,21 +277,11 @@ def _spectrum_of(spec, size_cap: int) -> SpectrumND:
     raise TypeError(f"cannot sample from {type(spec).__name__}")
 
 
-class ApproxReport(tuple):
-    """(empirical_mean, analytic_tail) residual energies."""
+class ApproxReport(NamedTuple):
+    """Empirical mean and analytic tail of the residual energy."""
 
-    __slots__ = ()
-
-    def __new__(cls, empirical_mean: float, analytic_tail: float):
-        return super().__new__(cls, (float(empirical_mean), float(analytic_tail)))
-
-    @property
-    def empirical_mean(self) -> float:
-        return self[0]
-
-    @property
-    def analytic_tail(self) -> float:
-        return self[1]
+    empirical_mean: float
+    analytic_tail: float
 
 
 def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,

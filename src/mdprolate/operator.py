@@ -1,16 +1,19 @@
-"""Time- and band-limiting operator for cubic (box) subbands.
+"""Time- and band-limiting operator for cubic (box) subbands, any d.
 
-In 2-D the operator acts on an M x N matrix Y as a sum of kernel
-sandwiches, one per band::
+The operator is the Hermitian MN x MN matrix ``sum_i kron(B_N_i, B_M_i)``
+(in d axes, one 1-D sinc factor per axis) acting on the column-major
+vectorization of an M x N tensor Y (first axis fastest, so that
+``vec(u v^T) = kron(v, u)``).  That matrix is the covariance of the sampled
+process whose power spectrum is the indicator of the band union, so its
+eigenvalues lie in [0, 1], sum to ``M N ||bands||``, and cluster sharply
+near 1 and 0.
 
-    apply(Y) = sum_i  B_M(f_i[0], W_i[0]) @ Y @ B_N(f_i[1], W_i[1]).T
-
-Equivalently it is the Hermitian MN x MN matrix
-``sum_i kron(B_N_i, B_M_i)`` acting on the column-major vectorization of Y
-(first axis fastest, so that ``vec(u v^T) = kron(v, u)``).  That matrix is
-the covariance of the sampled process whose power spectrum is the indicator
-of the band union, so its eigenvalues lie in [0, 1], sum to
-``M N ||bands||``, and cluster sharply near 1 and 0.
+Every entry depends only on the index difference, so the operator is built
+once as a difference table (see :mod:`mdprolate.prolate`): a band-sum of
+outer products of per-axis 1-D sinc tables.  :func:`materialize_cubic`
+gathers the table into the dense matrix; :func:`apply_cubic` applies it to
+a tensor of any dimension by FFT circulant embedding, without forming the
+matrix.
 
 The dense route is intentionally exact-over-fast: matrices are materialized
 up to a configurable size cap (default 4096 total samples) and decomposed
@@ -25,8 +28,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .prolate import (EigensolverError, _fix_phases, _hermitize,
-                      _raw_band_kernel, dpss, modulate)
+from .prolate import (EigensolverError, _apply, _cubic_table, _fix_phases,
+                      _gather, dpss, modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -129,31 +132,16 @@ class SpectrumND:
         return self.tensors.shape[1:]
 
 
-def _band_kernels_2d(spec: OperatorSpec, i: int) -> tuple[np.ndarray, np.ndarray]:
-    m, n = spec.grid.dims
-    f = spec.bands.centers[i]
-    w = spec.bands.half_widths[i]
-    b0 = _hermitize(_raw_band_kernel(m, f[0], w[0]))
-    b1 = _hermitize(_raw_band_kernel(n, f[1], w[1]))
-    return b0, b1
-
-
 def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
-    """Apply the 2-D operator to a matrix without materializing it.
+    """Apply the operator to a tensor shaped like the grid, any dimension,
+    without materializing it.
 
-    The right factor enters through a plain (non-conjugating) transpose,
-    which is what makes the action match ``kron(B_N, B_M)`` on ``vec(y)``.
+    Matches ``materialize_cubic(spec).matrix @ vec(y)`` under :func:`vec`.
     """
-    if spec.grid.dim != 2:
-        raise ValueError("apply_cubic handles d = 2; use materialize_cubic otherwise")
     y = np.asarray(y)
     if y.shape != spec.grid.dims:
         raise ValueError(f"input shape {y.shape} does not match grid {spec.grid.dims}")
-    out = np.zeros(spec.grid.dims, dtype=complex)
-    for i in range(spec.bands.num_bands):
-        b0, b1 = _band_kernels_2d(spec, i)
-        out += b0 @ y @ b1.T
-    return out
+    return _apply(_cubic_table(spec.grid.dims, spec.bands), y)
 
 
 def materialize_cubic(spec: OperatorSpec,
@@ -164,23 +152,14 @@ def materialize_cubic(spec: OperatorSpec,
     ``kron(B_{N_{d-1}}, ..., B_{N_0})``, consistent with the first-axis-
     fastest vectorization.  Total sample count must not exceed ``size_cap``.
     """
-    dims = spec.grid.dims
     total = spec.grid.size
     if total > size_cap:
         raise SizeCapError(
             f"grid of {total} samples exceeds the cap {size_cap}; "
             "use apply_cubic for operator action instead")
-    acc = np.zeros((total, total), dtype=complex)
-    for i in range(spec.bands.num_bands):
-        factors = [_hermitize(_raw_band_kernel(dims[ax],
-                                               spec.bands.centers[i, ax],
-                                               spec.bands.half_widths[i, ax]))
-                   for ax in range(len(dims))]
-        term = factors[-1]
-        for fac in factors[-2::-1]:
-            term = np.kron(term, fac)
-        acc += term
-    return DenseCovariance(matrix=_hermitize(acc), dims=dims, spec=spec)
+    dims = spec.grid.dims
+    return DenseCovariance(matrix=_gather(_cubic_table(dims, spec.bands)),
+                           dims=dims, spec=spec)
 
 
 def spectrum(cov: DenseCovariance) -> SpectrumND:

@@ -25,8 +25,9 @@ import numpy as np
 
 from .bands import (BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
-from .operator import DEFAULT_SIZE_CAP, DenseCovariance, SizeCapError
-from .prolate import _hermitize, _sin_ratio
+from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, SizeCapError,
+                       spectrum_values)
+from .prolate import _gather, _hermitian, _sin_ratio
 
 __all__ = [
     "PPOperatorSpec",
@@ -77,12 +78,15 @@ def pp_entry(band: ParallelepipedBand, m, n, p, q) -> np.ndarray:
     return np.exp(2j * np.pi * c0 * t) * np.exp(2j * np.pi * c1 * s) * value
 
 
-def _difference_table(band: ParallelepipedBand, m: int, n: int) -> np.ndarray:
-    """Kernel values for every index difference (t, s), t in [1-m, m-1],
-    s in [1-n, n-1], as a (2m-1, 2n-1) lookup table."""
+def _pp_table(spec: PPOperatorSpec) -> np.ndarray:
+    """Band-sum difference table, (2M-1, 2N-1), of the operator's matrix."""
+    m, n = spec.grid.dims
     t = np.arange(1 - m, m)[:, None]
     s = np.arange(1 - n, n)[None, :]
-    return pp_entry(band, t, s, 0, 0)
+    acc = np.zeros((2 * m - 1, 2 * n - 1), dtype=complex)
+    for band in spec.bands:
+        acc += pp_entry(band, t, s, 0, 0)
+    return _hermitian(acc)
 
 
 def pp_materialize(spec: PPOperatorSpec,
@@ -92,18 +96,11 @@ def pp_materialize(spec: PPOperatorSpec,
     Same vec ordering as the cubic materialization (first axis fastest);
     trace equals ``M N`` times the total band area.
     """
-    m, n = spec.grid.dims
     total = spec.grid.size
     if total > size_cap:
         raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}")
-    t_idx = np.arange(m)[:, None] - np.arange(m)[None, :] + (m - 1)
-    s_idx = np.arange(n)[:, None] - np.arange(n)[None, :] + (n - 1)
-    acc = np.zeros((n, m, n, m), dtype=complex)
-    for band in spec.bands:
-        table = _difference_table(band, m, n)
-        acc += table[t_idx[None, :, None, :], s_idx[:, None, :, None]]
-    matrix = _hermitize(acc.reshape(total, total))
-    return DenseCovariance(matrix=matrix, dims=(m, n), spec=spec)
+    return DenseCovariance(matrix=_gather(_pp_table(spec)), dims=spec.grid.dims,
+                           spec=spec)
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
@@ -120,6 +117,6 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
                 and a.half_widths == b.half_widths)
         if not same:
             raise ValueError(f"band {i} differs in shape, not only in center")
-    lam = np.linalg.eigvalsh(pp_materialize(spec).matrix)
-    lam_shift = np.linalg.eigvalsh(pp_materialize(shifted).matrix)
+    lam = spectrum_values(pp_materialize(spec))
+    lam_shift = spectrum_values(pp_materialize(shifted))
     return float(np.max(np.abs(lam - lam_shift)))

@@ -1,4 +1,5 @@
-"""One-dimensional concentration kernels and their eigendecompositions.
+"""One-dimensional concentration kernels, and the difference-table core
+every operator in the package is built from.
 
 The covariance of a unit-power multiband process sampled at n points is a
 dense Hermitian matrix whose (m, n) entry is a sum of modulated sinc terms,
@@ -6,8 +7,9 @@ one per band.  Its eigenvectors for a single baseband interval are the
 discrete prolate spheroidal sequences (DPSS); eigenvalues cluster sharply
 near 1 and 0 with about ``2 n W`` values near 1 per band of half-width W.
 
-Everything here is desk-scale (n up to a few thousand): kernels are built
-densely and decomposed by a dense Hermitian eigensolver.
+Everything here is desk-scale (n up to a few thousand): kernels are
+gathered densely from their difference tables and decomposed by a dense
+Hermitian eigensolver.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ __all__ = [
     "multiband_kernel",
     "dpss",
     "decompose",
-    "modulation_phases",
     "modulate",
     "cluster_counts",
     "ClusterCounts",
@@ -62,13 +63,64 @@ def _check_band(f_c: float, half_width: float) -> None:
             f"band [{f_c - half_width}, {f_c + half_width}] exceeds [-1/2, 1/2]")
 
 
-def _raw_band_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    base = 2.0 * half_width * _sin_ratio(2.0 * np.pi * half_width * diff)
+# ---------------------------------------------------------------------------
+# difference tables
+#
+# Every operator here is multilevel Toeplitz: entry (i, j) of its matrix
+# depends only on the index difference i - j.  A table holds the values for
+# every difference, shape (2 n_0 - 1, ..., 2 n_{d-1} - 1) with the zero
+# difference at index n - 1 on each axis.  It is built once per operator,
+# then gathered into the dense matrix or applied by FFT.
+
+
+def _axis_table(n: int, f_c: float, half_width: float) -> np.ndarray:
+    """1-D band kernel at differences 1-n..n-1 (real when f_c = 0)."""
+    t = np.arange(1 - n, n)
+    base = 2.0 * half_width * _sin_ratio(2.0 * np.pi * half_width * t)
     if f_c == 0.0:
-        return base.astype(complex)
-    return np.exp(2j * np.pi * f_c * diff) * base
+        return base
+    return np.exp(2j * np.pi * f_c * t) * base
+
+
+def _hermitian(table: np.ndarray) -> np.ndarray:
+    """Table of the Hermitian part ``(A + A^H) / 2`` of its matrix."""
+    flipped = table[(slice(None, None, -1),) * table.ndim]
+    return (table + flipped.conj()) / 2.0
+
+
+def _cubic_table(dims: tuple[int, ...], union: CubicBandUnion) -> np.ndarray:
+    """Band-sum of outer products of per-axis tables, multiplied from the
+    last axis to the first (the ``kron(B_{N_{d-1}}, ..., B_{N_0})`` order)."""
+    acc = np.zeros(tuple(2 * n - 1 for n in dims), dtype=complex)
+    for c, w in zip(union.centers, union.half_widths):
+        factors = [_hermitian(_axis_table(n, c[ax], w[ax]).astype(complex))
+                   for ax, n in enumerate(dims)]
+        term = factors[-1]
+        for fac in factors[-2::-1]:
+            term = np.multiply.outer(term, fac)
+        acc += term.T  # outer products run last axis first
+    return _hermitian(acc)
+
+
+def _gather(table: np.ndarray) -> np.ndarray:
+    """Dense matrix of a table, rows and columns in first-axis-fastest order."""
+    dims = tuple((s + 1) // 2 for s in table.shape)
+    center = table[tuple(slice(n - 1, None) for n in dims)]
+    strides = center.strides[::-1]
+    view = np.lib.stride_tricks.as_strided(
+        center, shape=dims[::-1] * 2,
+        strides=strides + tuple(-s for s in strides), writeable=False)
+    total = int(np.prod(dims))
+    return view.reshape(total, total)
+
+
+def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Matrix-free product of a table's matrix with a tensor y, through a
+    circulant embedding of size ``table.shape`` (any d)."""
+    transfer = np.fft.fftn(np.fft.ifftshift(table))
+    padded = np.fft.fftn(y, s=table.shape, axes=tuple(range(y.ndim)))
+    full = np.fft.ifftn(transfer * padded)
+    return full[tuple(slice(0, n) for n in y.shape)]
 
 
 def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
@@ -81,7 +133,7 @@ def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
     if n < 1:
         raise ValueError("kernel size must be positive")
     _check_band(f_c, half_width)
-    return _hermitize(_raw_band_kernel(n, f_c, half_width))
+    return _gather(_hermitian(_axis_table(n, f_c, half_width).astype(complex)))
 
 
 def multiband_kernel(n: int, union: CubicBandUnion) -> np.ndarray:
@@ -89,10 +141,7 @@ def multiband_kernel(n: int, union: CubicBandUnion) -> np.ndarray:
     modulated sinc kernels.  Trace equals ``n * union.measure()``."""
     if union.dim != 1:
         raise ValueError(f"expected a 1-D band union, got dim {union.dim}")
-    acc = np.zeros((n, n), dtype=complex)
-    for i in range(union.num_bands):
-        acc += _raw_band_kernel(n, union.centers[i, 0], union.half_widths[i, 0])
-    return _hermitize(acc)
+    return _gather(_cubic_table((n,), union))
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -153,10 +202,7 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
     if n < 1:
         raise ValueError("sequence length must be positive")
     _check_band(0.0, half_width)
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    kernel = 2.0 * half_width * _sin_ratio(2.0 * np.pi * half_width * diff)
-    kernel = (kernel + kernel.T) / 2.0
+    kernel = _gather(_hermitian(_axis_table(n, 0.0, half_width)))
     try:
         vals, vecs = np.linalg.eigh(kernel)
     except np.linalg.LinAlgError as exc:
@@ -166,11 +212,6 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
     return Spectrum1D(vals, _fix_phases(vecs))
 
 
-def modulation_phases(n: int, f_c: float) -> np.ndarray:
-    """Unimodular diagonal ``exp(2j pi f_c m)``, m = 0..n-1."""
-    return np.exp(2j * np.pi * f_c * np.arange(n))
-
-
 def modulate(v: np.ndarray, f_c: float) -> np.ndarray:
     """Frequency-shift a vector (or the columns of a matrix) by f_c.
 
@@ -178,7 +219,7 @@ def modulate(v: np.ndarray, f_c: float) -> np.ndarray:
     eigenvectors of the band-pass kernel at the same eigenvalues.
     """
     v = np.asarray(v)
-    phases = modulation_phases(v.shape[0], f_c)
+    phases = np.exp(2j * np.pi * f_c * np.arange(v.shape[0]))
     if v.ndim == 1:
         return phases * v
     return phases[:, None] * v

@@ -2,12 +2,17 @@
 
 Every check emits :class:`~mdprolate.reports.ReportRow` records with an
 explicit pass/fail, so a caller can render the whole suite and exit
-nonzero when anything fails.  Checks cover the identities the operator
-construction guarantees: trace = samples x measure, eigenvalue range,
-dense-vs-functional consistency, separable factorization for single boxes,
-the logarithmic bound on ``trace - ||.||_F^2``, residual and coherence
-bounds on modulated-DPSS dictionaries, and eigenvalue invariance under
-band translation.
+nonzero when anything fails.
+
+Each geometry (1-D multiband, cubic on two or more axes, parallelogram)
+materializes its operator from its difference table and runs one shared
+block of rows on the eigenvalues alone: trace = samples x measure,
+eigenvalues in [0, 1], and ``trace - ||.||_F^2 = sum lambda (1 - lambda)``.
+Each geometry then adds its own rows: FFT apply against the dense product,
+separable factorization for a single box and residual/coherence bounds on
+modulated-DPSS dictionaries (2-D cubic); the logarithmic gap bound (1-D
+and 2-D cubic); modulation invariance (1-D); Hermitian symmetry and
+eigenvalue invariance under band translation (parallelogram).
 
 Independent checks run in a small thread pool; ``MDPROLATE_THREADS`` caps
 the worker count.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs one
@@ -22,13 +27,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .bands import BandConfig, CubicBandUnion, ParallelepipedBand, SamplingGrid
+from .bands import (BandConfig, ConfigError, CubicBandUnion, ParallelepipedBand,
+                    SamplingGrid)
 from .dictionary import (build_psi, cross_band_gram_violations,
                          pseudo_eigen_residuals)
-from .operator import (OperatorSpec, apply_cubic, gap_bound, materialize_cubic,
-                       separable_eigenvalues, spectrum, transition_count, vec)
+from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
+                       materialize_cubic, separable_eigenvalues, spectrum_values,
+                       transition_count, vec)
 from .parallelepiped import PPOperatorSpec, pp_entry, pp_materialize
-from .prolate import decompose, multiband_kernel, sinc_kernel
+from .prolate import multiband_kernel, sinc_kernel
 from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
@@ -44,7 +51,8 @@ def max_workers() -> int:
         try:
             value = int(raw)
         except ValueError:
-            raise ValueError(f"{THREADS_ENV} must be an integer, got {raw!r}")
+            raise ConfigError(
+                f"{THREADS_ENV} must be an integer, got {raw!r}") from None
         if value >= 1:
             return value
     return os.cpu_count() or 1
@@ -64,29 +72,49 @@ def _row(experiment, params, metric, value, tolerance, passed) -> ReportRow:
                      value=float(value), tolerance=tolerance, passed=bool(passed))
 
 
+def _params(grid: SamplingGrid, num_bands: int, eps: float) -> str:
+    return f"grid={'x'.join(map(str, grid.dims))};J={num_bands};eps={eps:g}"
+
+
 def _corrupt_requested() -> bool:
     return os.environ.get(CORRUPT_ENV, "") not in ("", "0")
 
 
+def _operator_rows(experiment: str, params: str, cov: DenseCovariance,
+                   measure: float, *, identity: bool = True):
+    """Rows every geometry shares: trace = samples x measure, eigenvalues in
+    [0, 1] and (unless ``identity`` is off) ``trace - ||.||_F^2 =
+    sum lambda (1 - lambda)``.
+
+    Returns the rows, the descending eigenvalues and the trace-Frobenius gap
+    so a geometry can add its own rows.
+    """
+    lam = spectrum_values(cov)
+    expected = cov.size * measure
+    err = abs(lam.sum() - expected) / expected
+    in_range = float(max(-lam.min(), lam.max() - 1.0))
+    gap = cov.trace() - cov.frobenius_sq()
+    rows = [
+        _row(experiment, params, "trace_rel_err", err, 1e-9, err <= 1e-9),
+        _row(experiment, params, "eigenvalue_range_excess", in_range, 1e-10,
+             in_range <= 1e-10),
+    ]
+    if identity:
+        ident = abs(gap - float(np.sum(lam * (1.0 - lam))))
+        rows.append(_row(experiment, params, "gap_identity_abs_err", ident, 1e-8,
+                         ident <= 1e-8))
+    return rows, lam, gap
+
+
 def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
                 eps: float, seed: int) -> list[ReportRow]:
-    rows: list[ReportRow] = []
     spec = OperatorSpec(grid=grid, bands=bands)
-    params = f"grid={'x'.join(map(str, grid.dims))};J={bands.num_bands};eps={eps:g}"
+    params = _params(grid, bands.num_bands, eps)
     cov = materialize_cubic(spec)
     if _corrupt_requested():
         cov.matrix[0, 0] += 0.37  # test hook: force the trace identity to fail
-    sp = spectrum(cov)
-    lam = sp.eigenvalues
+    rows, lam, gap = _operator_rows("cubic", params, cov, bands.measure())
     total = grid.size
-
-    expected = total * bands.measure()
-    err = abs(lam.sum() - expected) / expected
-    rows.append(_row("cubic", params, "trace_rel_err", err, 1e-9, err <= 1e-9))
-
-    in_range = float(max(-lam.min(), lam.max() - 1.0))
-    rows.append(_row("cubic", params, "eigenvalue_range_excess", in_range, 1e-10,
-                     in_range <= 1e-10))
 
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -100,21 +128,15 @@ def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
                      worst <= 1e-10))
 
     sep = separable_eigenvalues(grid.dims[0], grid.dims[1], bands.band(0))
-    dense_one = spectrum(materialize_cubic(
-        OperatorSpec(grid=grid, bands=bands.band(0)))).eigenvalues
+    dense_one = spectrum_values(materialize_cubic(
+        OperatorSpec(grid=grid, bands=bands.band(0))))
     sep_err = float(np.max(np.abs(sep - dense_one)))
     rows.append(_row("cubic", params, "separable_vs_dense_max_err", sep_err, 1e-9,
                      sep_err <= 1e-9))
 
-    tr = float(np.trace(cov.matrix).real)
-    fsq = float(np.vdot(cov.matrix, cov.matrix).real)
-    gap = tr - fsq
     bound = gap_bound(grid.dims, bands.num_bands)
     rows.append(_row("cubic", params, "gap_log_bound_ratio", gap / bound, 1.0,
                      gap <= bound))
-    ident = abs(gap - float(np.sum(lam * (1.0 - lam))))
-    rows.append(_row("cubic", params, "gap_identity_abs_err", ident, 1e-8,
-                     ident <= 1e-8))
 
     trans = transition_count(lam, 0.05)
     limit = total - int(np.floor(total * bands.measure()))
@@ -131,26 +153,11 @@ def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
 
 def _cubic_nd_rows(grid: SamplingGrid, bands: CubicBandUnion,
                    eps: float) -> list[ReportRow]:
-    """Reduced suite for 3-axis-or-higher grids (no sandwich form, no
+    """Shared rows only for 3-axis-or-higher grids (no separable route, no
     closed-form gap bound)."""
-    rows: list[ReportRow] = []
-    spec = OperatorSpec(grid=grid, bands=bands)
-    params = f"grid={'x'.join(map(str, grid.dims))};J={bands.num_bands};eps={eps:g}"
-    cov = materialize_cubic(spec)
-    lam = np.linalg.eigvalsh(cov.matrix)[::-1]
-    total = grid.size
-
-    expected = total * bands.measure()
-    err = abs(lam.sum() - expected) / expected
-    rows.append(_row("cubic", params, "trace_rel_err", err, 1e-9, err <= 1e-9))
-    in_range = float(max(-lam.min(), lam.max() - 1.0))
-    rows.append(_row("cubic", params, "eigenvalue_range_excess", in_range, 1e-10,
-                     in_range <= 1e-10))
-    gap = float(np.trace(cov.matrix).real - np.vdot(cov.matrix, cov.matrix).real)
-    ident = abs(gap - float(np.sum(lam * (1.0 - lam))))
-    rows.append(_row("cubic", params, "gap_identity_abs_err", ident, 1e-8,
-                     ident <= 1e-8))
-    return rows
+    cov = materialize_cubic(OperatorSpec(grid=grid, bands=bands))
+    return _operator_rows("cubic", _params(grid, bands.num_bands, eps), cov,
+                          bands.measure())[0]
 
 
 def _dictionary_rows(grid: SamplingGrid, bands: CubicBandUnion,
@@ -158,7 +165,7 @@ def _dictionary_rows(grid: SamplingGrid, bands: CubicBandUnion,
     rows: list[ReportRow] = []
     spec = OperatorSpec(grid=grid, bands=bands)
     total = grid.size
-    params = f"grid={'x'.join(map(str, grid.dims))};J={bands.num_bands};eps={eps:g}"
+    params = _params(grid, bands.num_bands, eps)
     q = [max(1, int(np.floor(total * spec.bands.band(i).measure() * (1.0 - eps))))
          for i in range(bands.num_bands)]
     psi = build_psi(spec, q, check_gram=False)
@@ -176,28 +183,10 @@ def _dictionary_rows(grid: SamplingGrid, bands: CubicBandUnion,
 
 def _parallelepiped_rows(grid: SamplingGrid, bands: tuple[ParallelepipedBand, ...],
                          eps: float) -> list[ReportRow]:
-    rows: list[ReportRow] = []
     spec = PPOperatorSpec(grid=grid, bands=bands)
-    params = f"grid={'x'.join(map(str, grid.dims))};J={len(bands)};eps={eps:g}"
-    cov = pp_materialize(spec)
-    lam = np.linalg.eigvalsh(cov.matrix)[::-1]
-    total = grid.size
-
-    expected = total * spec.measure()
-    err = abs(lam.sum() - expected) / expected
-    rows.append(_row("parallelepiped", params, "trace_rel_err", err, 1e-9,
-                     err <= 1e-9))
-
-    in_range = float(max(-lam.min(), lam.max() - 1.0))
-    rows.append(_row("parallelepiped", params, "eigenvalue_range_excess", in_range,
-                     1e-10, in_range <= 1e-10))
-
-    tr = float(np.trace(cov.matrix).real)
-    fsq = float(np.vdot(cov.matrix, cov.matrix).real)
-    gap = tr - fsq
-    ident = abs(gap - float(np.sum(lam * (1.0 - lam))))
-    rows.append(_row("parallelepiped", params, "gap_identity_abs_err", ident, 1e-8,
-                     ident <= 1e-8))
+    params = _params(grid, len(bands), eps)
+    rows, lam, gap = _operator_rows("parallelepiped", params, pp_materialize(spec),
+                                    spec.measure())
     # Informational: same-order comparison against the cubic-form log bound.
     rows.append(_row("parallelepiped", params, "gap_vs_cubic_bound_ratio",
                      gap / gap_bound(grid.dims, len(bands)), None, True))
@@ -215,8 +204,7 @@ def _parallelepiped_rows(grid: SamplingGrid, bands: tuple[ParallelepipedBand, ..
     delta = _safe_shift(bands)
     shifted = PPOperatorSpec(grid=grid,
                              bands=tuple(b.shifted(delta) for b in bands))
-    dev = float(np.max(np.abs(lam[::-1] - np.linalg.eigvalsh(
-        pp_materialize(shifted).matrix))))
+    dev = float(np.max(np.abs(lam - spectrum_values(pp_materialize(shifted)))))
     rows.append(_row("parallelepiped", params, "center_shift_max_dev", dev, 1e-9,
                      dev <= 1e-9))
     return rows
@@ -230,23 +218,19 @@ def _safe_shift(bands) -> tuple[float, float]:
     return (step, -step)
 
 
-def _oned_rows(n: int, bands: CubicBandUnion, eps: float) -> list[ReportRow]:
-    rows: list[ReportRow] = []
+def _kernel_cov(kernel: np.ndarray) -> DenseCovariance:
+    """A 1-D kernel as a covariance; 1-D kernels carry no size cap."""
+    return DenseCovariance(matrix=kernel, dims=kernel.shape[:1], spec=None)
+
+
+def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
+               eps: float) -> list[ReportRow]:
+    n = grid.dims[0]
     params = f"n={n};J={bands.num_bands};eps={eps:g}"
-    kernel = multiband_kernel(n, bands)
-    lam = decompose(kernel).eigenvalues
+    rows, _, gap = _operator_rows("multiband1d", params,
+                                  _kernel_cov(multiband_kernel(n, bands)),
+                                  bands.measure(), identity=False)
 
-    expected = n * bands.measure()
-    err = abs(lam.sum() - expected) / expected
-    rows.append(_row("multiband1d", params, "trace_rel_err", err, 1e-9, err <= 1e-9))
-
-    in_range = float(max(-lam.min(), lam.max() - 1.0))
-    rows.append(_row("multiband1d", params, "eigenvalue_range_excess", in_range,
-                     1e-10, in_range <= 1e-10))
-
-    tr = float(np.trace(kernel).real)
-    fsq = float(np.vdot(kernel, kernel).real)
-    gap = tr - fsq
     bound = gap_bound((n,), bands.num_bands)
     rows.append(_row("multiband1d", params, "gap_log_bound_ratio", gap / bound, 1.0,
                      gap <= bound))
@@ -256,10 +240,9 @@ def _oned_rows(n: int, bands: CubicBandUnion, eps: float) -> list[ReportRow]:
                      None, True))
 
     worst = 0.0
-    for i in range(bands.num_bands):
-        f, w = bands.centers[i, 0], bands.half_widths[i, 0]
-        shifted = decompose(sinc_kernel(n, f, w)).eigenvalues
-        base = decompose(sinc_kernel(n, 0.0, w)).eigenvalues
+    for f, w in zip(bands.centers[:, 0], bands.half_widths[:, 0]):
+        shifted = spectrum_values(_kernel_cov(sinc_kernel(n, f, w)))
+        base = spectrum_values(_kernel_cov(sinc_kernel(n, 0.0, w)))
         worst = max(worst, float(np.max(np.abs(shifted - base))))
     rows.append(_row("multiband1d", params, "modulation_invariance_max_err", worst,
                      1e-9, worst <= 1e-9))
@@ -276,7 +259,7 @@ def verify_config(config: BandConfig, *, eps: float = 0.2,
     jobs = []
     if config.cubic is not None:
         if config.grid.dim == 1:
-            jobs.append(lambda: _oned_rows(config.grid.dims[0], config.cubic, eps))
+            jobs.append(lambda: _oned_rows(config.grid, config.cubic, eps))
         elif config.grid.dim == 2:
             jobs.append(lambda: _cubic_rows(config.grid, config.cubic, eps, seed))
             jobs.append(lambda: _dictionary_rows(config.grid, config.cubic, eps))

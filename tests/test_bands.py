@@ -175,3 +175,31 @@ def test_load_band_config_invalid_json(tmp_path):
 def test_band_arrays_immutable(ref_intervals):
     with pytest.raises(ValueError):
         ref_intervals.centers[0, 0] = 0.3
+
+
+@pytest.mark.parametrize("center, half_width", [
+    ((float("nan"), 0.1), (0.05, 0.05)),
+    ((0.1, 0.1), (float("inf"), 0.05)),
+    ((-float("inf"), 0.0), (0.05, 0.05)),
+])
+def test_cubic_non_finite_reported(center, half_width):
+    bad = cubic_violations([center, (0.3, 0.3)], [half_width, (0.05, 0.05)])
+    assert [(v.code, v.bands) for v in bad] == [("finite", (0,))]
+    assert [v.code for v in cubic_violations([center], [half_width], analog=True)] \
+        == ["finite"]
+    with pytest.raises(BandError, match="finite"):
+        CubicBandUnion(centers=[center], half_widths=[half_width])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("a", float("nan")), ("b", float("inf")), ("c", float("nan")),
+    ("d", -float("inf")), ("half_widths", (float("nan"), 0.1)),
+    ("center", (0.0, float("inf"))),
+])
+def test_pp_non_finite_reported(field, value):
+    raw = {"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0, "half_widths": (0.1, 0.1),
+           "center": (0.0, 0.0), field: value}
+    bad = parallelepiped_violations([raw])
+    assert [(v.code, v.bands) for v in bad] == [("finite", (0,))]
+    with pytest.raises(BandError, match="finite"):
+        ParallelepipedBand(**raw)

@@ -243,3 +243,42 @@ def test_spectrum_combined_config(tmp_path):
     assert (out / "parallelepiped_eigenvalues.csv").exists()
     pp_summary = json.loads((out / "parallelepiped_summary.json").read_text())
     assert pp_summary["trace"] == pytest.approx(144 * 0.04, rel=1e-9)
+
+
+ONED_DOC = {"dim": 1, "cubic": [{"center": [0.1], "half_widths": [0.05]}],
+            "grid": [64]}
+TWOD_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1], "half_widths": [0.05, 0.05]}],
+            "grid": [8, 8]}
+
+
+@pytest.mark.parametrize("argv, env", [
+    (["spectrum", "--config", "{twod}", "--grid", "100x100"], None),
+    (["verify", "--grid", "100x100"], None),
+    (["dict", "--config", "{twod}", "--q", "a,b"], None),
+    (["dict", "--config", "{oned}"], None),
+    (["verify"], "abc"),
+], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
+        "bad-threads"])
+def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
+                                            capsys):
+    if env is not None:
+        monkeypatch.setenv("MDPROLATE_THREADS", env)
+    paths = {"twod": write_config(tmp_path, TWOD_DOC, "twod.json"),
+             "oned": write_config(tmp_path, ONED_DOC, "oned.json")}
+    argv = [a.format(**paths) for a in argv]
+    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("band", [
+    {"cubic": [{"center": [float("nan"), 0.0], "half_widths": [0.1, 0.1]}]},
+    {"cubic": [{"center": [0.0, 0.0], "half_widths": [0.1, float("inf")]}]},
+    {"parallelepiped": [{"a": float("nan"), "b": 0.0, "c": 0.0, "d": 1.0,
+                         "half_widths": [0.1, 0.1]}]},
+], ids=["cubic-nan-center", "cubic-inf-width", "pp-nan-a"])
+def test_non_finite_band_rejected(band, tmp_path, capsys):
+    cfg = write_config(tmp_path, {"dim": 2, "grid": [8, 8], **band})
+    assert main(["bands", "validate", "--config", cfg]) == 1
+    assert "[FAIL] finite" in capsys.readouterr().out
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"]
