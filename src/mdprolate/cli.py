@@ -10,10 +10,11 @@ verify          run the invariant property suite, exit 1 on any failure
 bands validate  report band-geometry violations without building anything
 
 Shared flags: ``--config <path>``, ``--out <dir>``, ``--format csv|json``,
-``--seed <u64>``, ``--eps <f>``, ``--grid MxN``.  ``MDPROLATE_THREADS``
-caps parallelism.  Identical config and seed produce byte-identical output
-files.  Exit codes: 0 success, 1 verification failure, 2 configuration or
-input error.
+``--seed <u64>``, ``--eps <f>``, ``--grid MxN``.  Operators run one after
+another; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once in a pool.
+Identical config and seed produce byte-identical output files on the same
+machine and BLAS thread setting.  Exit codes: 0 success, 1 verification
+failure, 2 configuration or input error.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
                        materialize_cubic, spectrum, spectrum_values,
                        transition_count)
 from .parallelepiped import PPOperatorSpec, pp_materialize
-from .prolate import cluster_counts, decompose, multiband_kernel
+from .prolate import cluster_counts, decompose
 from .reports import (ReportRow, export_dictionary, report_rows_csv,
                       report_rows_json, write_eigenvectors_csv, write_json,
                       write_spectrum_csv)
@@ -126,9 +127,7 @@ def _spectrum_jobs(cfg: RunConfig, vectors: bool):
     bands = cfg.bands
     if bands.cubic is not None and bands.grid.dim == 1:
         def oned():
-            n = bands.grid.dims[0]
-            cov = DenseCovariance(matrix=multiband_kernel(n, bands.cubic), dims=(n,),
-                                  spec=OperatorSpec(grid=bands.grid, bands=bands.cubic))
+            cov = materialize_cubic(OperatorSpec(grid=bands.grid, bands=bands.cubic))
             if vectors:
                 sp = decompose(cov.matrix)
                 return "multiband1d", cov, sp.eigenvalues, sp.eigenvectors
@@ -151,12 +150,12 @@ def _spectrum_jobs(cfg: RunConfig, vectors: bool):
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args, need_config=True)
     jobs = _spectrum_jobs(cfg, args.vectors)
-    results = []
-    if len(jobs) == 1:
-        results.append(jobs[0]())
+    workers = min(max_workers(), len(jobs))
+    if workers <= 1:
+        results = [job() for job in jobs]
     else:
-        with ThreadPoolExecutor(max_workers=min(max_workers(), len(jobs))) as pool:
-            results.extend(pool.map(lambda f: f(), jobs))
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(lambda f: f(), jobs))
     for name, cov, lam, vectors in sorted(results, key=lambda r: r[0]):
         write_spectrum_csv(cfg.out / f"{name}_eigenvalues.csv", lam)
         write_json(cfg.out / f"{name}_summary.json",

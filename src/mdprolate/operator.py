@@ -16,8 +16,10 @@ a tensor of any dimension by FFT circulant embedding, without forming the
 matrix.
 
 The dense route is intentionally exact-over-fast: matrices are materialized
-up to a configurable size cap (default 4096 total samples) and decomposed
-with a dense Hermitian eigensolver.
+up to a configurable size cap (default 4096 total samples), which also
+holds for 1-D grids, and decomposed through ``prolate._eigh``: a dense
+real symmetric eigensolve of the same size, exact up to roundoff, because
+every gathered operator is centro-Hermitian.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .prolate import (EigensolverError, _apply, _cubic_table, _fix_phases,
-                      _gather, dpss, modulate)
+from .prolate import (_apply, _cubic_table, _eigh, _fix_phases, _gather, dpss,
+                      modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -168,11 +170,7 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     Eigenvectors are reshaped to eigen-tensors with the same vec ordering
     used by the materialization, phase-fixed for determinism.
     """
-    try:
-        vals, vecs = np.linalg.eigh(cov.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigendecomposition failed for size {cov.size}: {exc}") from exc
+    vals, vecs = _eigh(cov.matrix, True)
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]
     vecs = _fix_phases(vecs[:, order])
@@ -182,12 +180,7 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
 
 def spectrum_values(cov: DenseCovariance) -> np.ndarray:
     """Descending eigenvalues only (cheaper than :func:`spectrum`)."""
-    try:
-        vals = np.linalg.eigvalsh(cov.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigendecomposition failed for size {cov.size}: {exc}") from exc
-    return vals[::-1]
+    return _eigh(cov.matrix, False)[0][::-1]
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

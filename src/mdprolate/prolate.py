@@ -9,7 +9,10 @@ near 1 and 0 with about ``2 n W`` values near 1 per band of half-width W.
 
 Everything here is desk-scale (n up to a few thousand): kernels are
 gathered densely from their difference tables and decomposed by a dense
-Hermitian eigensolver.
+eigensolver.  Every gathered matrix is centro-Hermitian (``J A J =
+conj(A)``, J the index reversal), so :func:`_eigh`, the one solver entry
+point, reduces it to a real symmetric matrix of the same size before
+solving; input without that structure takes the dense complex solve.
 """
 
 from __future__ import annotations
@@ -158,6 +161,74 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs * scale
 
 
+def _centro_hermitian(a: np.ndarray) -> bool:
+    """Whether ``J a J == conj(a)`` holds exactly, J the full index reversal.
+
+    Compares each block of top rows with its mirrored bottom rows, so no
+    full-size copy is made.
+    """
+    n = a.shape[0]
+    half = (n + 1) // 2
+    step = max(1, 65536 // n)
+    for lo in range(0, half, step):
+        hi = min(lo + step, half)
+        top, mirror = a[lo:hi], a[n - hi:n - lo][::-1, ::-1]
+        if not (np.array_equal(mirror.real, top.real)
+                and np.array_equal(mirror.imag, -top.imag)):
+            return False
+    return True
+
+
+def _eigh(a: np.ndarray, vectors: bool):
+    """Ascending eigenvalues (and eigenvectors when ``vectors``) of a
+    Hermitian matrix; the one place the package calls a dense eigensolver.
+
+    A complex matrix with ``J a J == conj(a)``, which every gathered table
+    satisfies exactly, is unitarily similar to the real symmetric
+    ``R = Q^H a Q`` with ``Q = [[I, iI], [J, -iJ]] / sqrt 2`` (plus the
+    middle unit vector when n is odd).  R is written block by block from
+    slices of ``a`` and decomposed in float64; eigenvectors map back through
+    Q.  Real input and complex input without that structure go to the
+    solver unchanged.
+    """
+    n = a.shape[0]
+    reduce = np.iscomplexobj(a) and _centro_hermitian(a)
+    if reduce:
+        k, odd = n // 2, n % 2
+        a11, a12j = a[:k, :k], a[:k, k + odd:][:, ::-1]
+        top, bot = slice(0, k), slice(k + odd, n)
+        r = np.empty((n, n))
+        np.add(a11.real, a12j.real, out=r[top, top])
+        np.subtract(a12j.imag, a11.imag, out=r[top, bot])
+        np.subtract(a11.real, a12j.real, out=r[bot, bot])
+        r[bot, top] = r[top, bot].T
+        if odd:
+            np.multiply(np.sqrt(2.0), a[:k, k].real, out=r[top, k])
+            np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[bot, k])
+            r[k, top], r[k, bot] = r[top, k], r[bot, k]
+            r[k, k] = a[k, k].real
+        a = r
+    try:
+        if not vectors:
+            return np.linalg.eigvalsh(a), None
+        vals, w = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(
+            f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc
+    if not reduce:
+        return vals, w
+    scale = 1.0 / np.sqrt(2.0)
+    v = np.empty((n, n), dtype=complex)
+    w_top, w_bot = w[top], w[bot]
+    np.multiply(w_top, scale, out=v.real[top])
+    np.multiply(w_bot, scale, out=v.imag[top])
+    np.multiply(w_top[::-1], scale, out=v.real[bot])
+    np.multiply(w_bot[::-1], -scale, out=v.imag[bot])
+    if odd:
+        v.real[k], v.imag[k] = w[k], 0.0
+    return vals, v
+
+
 def _descending(vals: np.ndarray, vecs: np.ndarray):
     # Stable sort preserves eigensolver order among machine-precision ties.
     order = np.argsort(-vals, kind="stable")
@@ -181,14 +252,7 @@ class Spectrum1D:
 
 def decompose(kernel: np.ndarray) -> Spectrum1D:
     """Full dense Hermitian eigendecomposition, descending order."""
-    kernel = _hermitize(np.asarray(kernel))
-    try:
-        vals, vecs = np.linalg.eigh(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(
-            f"eigendecomposition failed for {kernel.shape[0]}x{kernel.shape[0]} "
-            f"kernel: {exc}") from exc
-    vals, vecs = _descending(vals, vecs)
+    vals, vecs = _descending(*_eigh(_hermitize(np.asarray(kernel)), True))
     return Spectrum1D(vals, _fix_phases(vecs))
 
 
@@ -203,12 +267,7 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
         raise ValueError("sequence length must be positive")
     _check_band(0.0, half_width)
     kernel = _gather(_hermitian(_axis_table(n, 0.0, half_width)))
-    try:
-        vals, vecs = np.linalg.eigh(kernel)
-    except np.linalg.LinAlgError as exc:
-        raise EigensolverError(f"DPSS eigenproblem failed for (n={n}, W={half_width}):"
-                               f" {exc}") from exc
-    vals, vecs = _descending(vals, vecs)
+    vals, vecs = _descending(*_eigh(kernel, True))
     return Spectrum1D(vals, _fix_phases(vecs))
 
 

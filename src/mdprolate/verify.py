@@ -14,8 +14,9 @@ modulated-DPSS dictionaries (2-D cubic); the logarithmic gap bound (1-D
 and 2-D cubic); modulation invariance (1-D); Hermitian symmetry and
 eigenvalue invariance under band translation (parallelogram).
 
-Independent checks run in a small thread pool; ``MDPROLATE_THREADS`` caps
-the worker count.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs one
+Independent checks run one after another, each dense solve using every
+core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
+in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs one
 materialized kernel on purpose, which is how the failure path is exercised
 end to end.
 """
@@ -35,7 +36,7 @@ from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
 from .parallelepiped import PPOperatorSpec, pp_entry, pp_materialize
-from .prolate import multiband_kernel, sinc_kernel
+from .prolate import sinc_kernel
 from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
@@ -45,7 +46,8 @@ THREADS_ENV = "MDPROLATE_THREADS"
 
 
 def max_workers() -> int:
-    """Worker cap for parallel jobs, from MDPROLATE_THREADS (default: cores)."""
+    """Worker cap for parallel jobs, from MDPROLATE_THREADS (default 1: jobs
+    run inline, each dense solve already uses every core through BLAS)."""
     raw = os.environ.get(THREADS_ENV, "").strip()
     if raw:
         try:
@@ -55,7 +57,7 @@ def max_workers() -> int:
                 f"{THREADS_ENV} must be an integer, got {raw!r}") from None
         if value >= 1:
             return value
-    return os.cpu_count() or 1
+    return 1
 
 
 def default_config() -> BandConfig:
@@ -219,7 +221,7 @@ def _safe_shift(bands) -> tuple[float, float]:
 
 
 def _kernel_cov(kernel: np.ndarray) -> DenseCovariance:
-    """A 1-D kernel as a covariance; 1-D kernels carry no size cap."""
+    """A 1-D kernel as a covariance (its size was capped by the caller)."""
     return DenseCovariance(matrix=kernel, dims=kernel.shape[:1], spec=None)
 
 
@@ -227,9 +229,9 @@ def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
                eps: float) -> list[ReportRow]:
     n = grid.dims[0]
     params = f"n={n};J={bands.num_bands};eps={eps:g}"
-    rows, _, gap = _operator_rows("multiband1d", params,
-                                  _kernel_cov(multiband_kernel(n, bands)),
-                                  bands.measure(), identity=False)
+    rows, _, gap = _operator_rows(
+        "multiband1d", params, materialize_cubic(OperatorSpec(grid=grid, bands=bands)),
+        bands.measure(), identity=False)
 
     bound = gap_bound((n,), bands.num_bands)
     rows.append(_row("multiband1d", params, "gap_log_bound_ratio", gap / bound, 1.0,
@@ -268,11 +270,10 @@ def verify_config(config: BandConfig, *, eps: float = 0.2,
     if config.parallelepiped:
         jobs.append(lambda: _parallelepiped_rows(config.grid, config.parallelepiped,
                                                  eps))
-    rows: list[ReportRow] = []
-    if len(jobs) == 1:
-        rows.extend(jobs[0]())
-    elif jobs:
-        with ThreadPoolExecutor(max_workers=min(max_workers(), len(jobs))) as pool:
-            for chunk in pool.map(lambda f: f(), jobs):
-                rows.extend(chunk)
-    return sorted(rows, key=ReportRow.key)
+    workers = min(max_workers(), len(jobs))
+    if workers <= 1:
+        chunks = [job() for job in jobs]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(lambda f: f(), jobs))
+    return sorted((row for chunk in chunks for row in chunk), key=ReportRow.key)

@@ -257,8 +257,10 @@ TWOD_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1], "half_widths": [0.05, 0.0
     (["dict", "--config", "{twod}", "--q", "a,b"], None),
     (["dict", "--config", "{oned}"], None),
     (["verify"], "abc"),
+    (["spectrum", "--config", "{oned}", "--grid", "4097"], None),
+    (["verify", "--config", "{oned}", "--grid", "4097"], None),
 ], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
-        "bad-threads"])
+        "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap"])
 def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
                                             capsys):
     if env is not None:

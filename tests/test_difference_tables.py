@@ -4,18 +4,21 @@ The references assemble every matrix the long way: per-axis kernels as full
 n x n matrices, Kronecker products for cubic bands, ``pp_entry`` evaluated
 entry by entry for parallelograms, each followed by the same Hermitian
 averaging.  The gathered tables must match them bit for bit; the FFT
-apply must match the dense product to 1e-12.
+apply must match the dense product to 1e-12.  Every gathered matrix is
+centro-Hermitian, so the eigensolver reduces it to a real symmetric one;
+its spectra and eigenpairs must match the complex dense solve.
 """
 
 import numpy as np
 import pytest
 
-from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
-                       PPOperatorSpec, SamplingGrid, apply_cubic, dpss,
-                       materialize_cubic, multiband_kernel, pp_entry,
-                       pp_materialize, sinc_kernel, vec)
+from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
+                       ParallelepipedBand, PPOperatorSpec, SamplingGrid,
+                       apply_cubic, decompose, dpss, materialize_cubic,
+                       multiband_kernel, pp_entry, pp_materialize, sinc_kernel,
+                       spectrum, spectrum_values, vec)
 from mdprolate.parallelepiped import _pp_table
-from mdprolate.prolate import _apply
+from mdprolate.prolate import _apply, _centro_hermitian, _fix_phases
 
 import pinned
 
@@ -138,3 +141,69 @@ def test_pp_apply_matches_dense():
     for _ in range(5):
         y = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
         assert _rel_err(vec(_apply(table, y)), matrix @ vec(y)) <= 1e-12
+
+
+REDUCED = {
+    "readme-8x8": lambda: materialize_cubic(
+        OperatorSpec(grid=SamplingGrid((8, 8)), bands=README)),
+    "readme-5x7": lambda: materialize_cubic(
+        OperatorSpec(grid=SamplingGrid((5, 7)), bands=README)),
+    "box-4x5x6": lambda: materialize_cubic(
+        OperatorSpec(grid=SamplingGrid((4, 5, 6)), bands=BOX_3D)),
+    "pp-9x7": lambda: pp_materialize(
+        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)),
+    "two-band-n65": lambda: materialize_cubic(OperatorSpec(
+        grid=SamplingGrid((65,)),
+        bands=CubicBandUnion.from_intervals(pinned.REF_INTERVALS))),
+    "sinc-n64": lambda: DenseCovariance(matrix=sinc_kernel(64, 0.2, 0.05),
+                                        dims=(64,), spec=None),
+}
+
+
+def _pair_errors(a, vals, vecs):
+    """Largest entries of ``A V - V diag(vals)`` and ``V^H V - I``."""
+    resid = np.max(np.abs(a @ vecs - vecs * vals))
+    ortho = np.max(np.abs(vecs.conj().T @ vecs - np.eye(vecs.shape[1])))
+    return resid, ortho
+
+
+@pytest.mark.parametrize("name", list(REDUCED))
+def test_reduced_eigenvalues_match_complex_solve(name):
+    cov = REDUCED[name]()
+    assert _centro_hermitian(cov.matrix)
+    expected = np.linalg.eigvalsh(cov.matrix)[::-1]
+    assert np.max(np.abs(spectrum_values(cov) - expected)) <= 1e-13
+
+
+@pytest.mark.parametrize("name", list(REDUCED))
+def test_reduced_eigenpairs_are_orthonormal_eigenpairs(name):
+    cov = REDUCED[name]()
+    sp = spectrum(cov)
+    one = decompose(cov.matrix)
+    for vals, v in ((sp.eigenvalues, np.stack([vec(t) for t in sp.tensors], axis=1)),
+                    (one.eigenvalues, one.eigenvectors)):
+        resid, ortho = _pair_errors(cov.matrix, vals, v)
+        assert resid <= 1e-12 and ortho <= 1e-12
+
+
+def test_non_centro_hermitian_input_takes_the_complex_solve():
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal((40, 40)) + 1j * rng.standard_normal((40, 40))
+    a = x + x.conj().T
+    assert not _centro_hermitian(a)
+    vals, vecs = np.linalg.eigh(a)
+    sp = decompose(a)
+    assert np.array_equal(sp.eigenvalues, vals[::-1])
+    assert np.array_equal(sp.eigenvectors, _fix_phases(vecs[:, ::-1]))
+
+
+@pytest.mark.parametrize("name", list(REDUCED))
+@pytest.mark.parametrize("where", ["corner", "middle"])
+def test_one_entry_perturbation_breaks_the_structure(name, where):
+    a = REDUCED[name]().matrix.copy()
+    n = a.shape[0]
+    if where == "corner":
+        a[n - 1, 0] += 1e-12
+    else:
+        a[n // 2, n // 2] += 1e-12j
+    assert not _centro_hermitian(a)

@@ -1,6 +1,6 @@
 import pytest
 
-from mdprolate import default_config, verify_config
+from mdprolate import default_config, verify, verify_config
 from mdprolate.verify import CORRUPT_ENV, THREADS_ENV, max_workers
 
 
@@ -47,3 +47,17 @@ def test_max_workers_env(monkeypatch):
         max_workers()
     monkeypatch.delenv(THREADS_ENV)
     assert max_workers() >= 1
+
+
+def test_jobs_run_inline_by_default(monkeypatch):
+    monkeypatch.setenv(THREADS_ENV, "2")
+    pooled = verify_config(default_config())
+
+    class NoPool:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("verify started a thread pool")
+
+    monkeypatch.delenv(THREADS_ENV)
+    monkeypatch.setattr(verify, "ThreadPoolExecutor", NoPool)
+    assert max_workers() == 1
+    assert verify_config(default_config()) == pooled
