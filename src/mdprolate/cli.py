@@ -210,9 +210,11 @@ def cmd_dict(args) -> int:
     cos_theta = dct.subspace_cos_theta(phi, psi)
     gram = np.abs(psi.gram())
     np.fill_diagonal(gram, 0.0)
-    resid = max(
-        float(np.linalg.norm(a.tensor - dct.project(phi_basis, a.tensor)) ** 2)
-        for a in psi.atoms)
+    # Residuals x - P x of every psi atom at once, formed in place so the
+    # only full-size temporaries are one product and one conjugate.
+    atoms, basis = psi.stacked(), phi_basis.q
+    atoms -= basis @ (basis.T @ atoms.conj()).conj()
+    resid = float(np.max(np.einsum("ij,ij->j", atoms.conj(), atoms).real))
     params = (f"grid={'x'.join(map(str, cfg.bands.grid.dims))};"
               f"eps={cfg.eps:g};p={p};q={','.join(map(str, q))}")
     rows = [

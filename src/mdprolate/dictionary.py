@@ -29,10 +29,10 @@ import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .operator import (DEFAULT_SIZE_CAP, OperatorSpec, SpectrumND,
-                       VerificationError, apply_cubic, ivec, materialize_cubic,
-                       spectrum, vec)
+                       VerificationError, ivec, materialize_cubic, spectrum,
+                       vec)
 from .parallelepiped import PPOperatorSpec, pp_materialize
-from .prolate import dpss, modulate
+from .prolate import _apply, _cubic_table, dpss, modulate
 
 __all__ = [
     "Atom",
@@ -56,6 +56,16 @@ __all__ = [
 GRAM_CHECK_MIN_SIZE = 128
 
 RANK_TOL = 1e-10
+
+# approx_mse draws and projects this many trials per pair of GEMMs, which
+# bounds its buffers at three (_TRIAL_BLOCK, M N)-sized complex arrays.
+_TRIAL_BLOCK = 128
+
+# pseudo_eigen_residuals applies the operator to as many atoms at once as fit
+# in this many bytes of padded (2M - 1, 2N - 1) FFT buffer.  Larger batches
+# are no faster at 32 x 32 and leave a fragmented heap that raises the peak
+# RSS of later, larger solves.
+_APPLY_BLOCK_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -173,20 +183,18 @@ def build_psi(spec: OperatorSpec, q, *, check_gram: bool = True) -> Dictionary:
 def cross_band_gram_violations(d: Dictionary, *, slack: float = 1e-12) -> list:
     """Cross-band atom pairs violating ``|<a, b>| <= 3 sqrt(1 - min lam)``.
 
-    Returns (i, j, |gram|, bound) tuples; empty when the coherence bound
-    holds for every pair of atoms from different bands.
+    Returns (i, j, |gram|, bound) tuples, i < j in row-major order; empty
+    when the coherence bound holds for every pair of atoms from different
+    bands.
     """
     gram = np.abs(d.gram())
-    out = []
-    for i, ai in enumerate(d.atoms):
-        for j in range(i + 1, len(d.atoms)):
-            aj = d.atoms[j]
-            if ai.band == aj.band:
-                continue
-            bound = 3.0 * np.sqrt(max(1.0 - min(ai.eigenvalue, aj.eigenvalue), 0.0))
-            if gram[i, j] > bound + slack:
-                out.append((i, j, float(gram[i, j]), float(bound)))
-    return out
+    bands = np.array([a.band for a in d.atoms], dtype=object)
+    lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
+    bound = 3.0 * np.sqrt(np.maximum(1.0 - np.minimum.outer(lam, lam), 0.0))
+    bad = (np.triu(bands[:, None] != bands[None, :], k=1)
+           & (gram > bound + slack))
+    return [(int(i), int(j), float(gram[i, j]), float(bound[i, j]))
+            for i, j in zip(*np.nonzero(bad))]
 
 
 def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
@@ -194,14 +202,22 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
 
     residual^2 = ||B(psi) - lam psi||_F^2 where B is the full multiband
     operator and lam the atom's per-band eigenvalue product; the bound
-    ``1 - lam^2`` holds exactly at every size.
+    ``1 - lam^2`` holds exactly at every size.  The operator's table is
+    built once and applied to blocks of stacked atoms by batched FFT.
     """
+    dims = spec.grid.dims
+    table = _cubic_table(dims, spec.bands)
+    lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
-    for idx, atom in enumerate(d.atoms):
-        lam = atom.eigenvalue
-        resid = apply_cubic(spec, atom.tensor) - lam * atom.tensor
-        rows[idx, 0] = np.linalg.norm(resid) ** 2
-        rows[idx, 1] = 1.0 - lam * lam
+    rows[:, 1] = 1.0 - lam * lam
+    block = max(1, _APPLY_BLOCK_BYTES // (16 * table.size))
+    for start in range(0, len(d.atoms), block):
+        y = np.stack([a.tensor for a in d.atoms[start:start + block]])
+        if y.shape[1:] != dims:
+            raise ValueError(f"input shape {y.shape[1:]} does not match grid {dims}")
+        scale = lam[start:start + len(y)].reshape((-1,) + (1,) * len(dims))
+        resid = (_apply(table, y) - scale * y).reshape(len(y), -1)
+        rows[start:start + len(y), 0] = np.linalg.norm(resid, axis=1) ** 2
     return rows
 
 
@@ -253,6 +269,15 @@ def subspace_cos_theta(a, b) -> float:
     return float(np.clip(sv[-1], 0.0, 1.0))
 
 
+def _weights(eigenvalues: np.ndarray, seed: int) -> np.ndarray:
+    """Coefficients ``sqrt(lambda_k) g_k`` of one draw, with independent
+    circular complex standard Gaussians ``g_k`` from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    n = eigenvalues.size
+    g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+    return np.sqrt(np.clip(eigenvalues, 0.0, None)) * g
+
+
 def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
                   size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     """One random tensor with the operator as its covariance.
@@ -263,10 +288,7 @@ def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
     specs; pass ``spec_spectrum`` to amortize the decomposition.
     """
     sp = spec_spectrum or _spectrum_of(spec, size_cap)
-    rng = np.random.default_rng(seed)
-    g = (rng.standard_normal(sp.size) + 1j * rng.standard_normal(sp.size)) / np.sqrt(2)
-    weights = np.sqrt(np.clip(sp.eigenvalues, 0.0, None)) * g
-    return np.tensordot(weights, sp.tensors, axes=(0, 0))
+    return np.tensordot(_weights(sp.eigenvalues, seed), sp.tensors, axes=(0, 0))
 
 
 def _spectrum_of(spec, size_cap: int) -> SpectrumND:
@@ -289,16 +311,39 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     """Mean squared residual of random signals against a phi basis.
 
     Empirical mean of ``||x - P x||_F^2`` over ``trials`` draws (trial t
-    uses seed ``seed + t``) next to its analytic value, the eigenvalue tail
+    uses seed ``seed + t`` and is the signal ``sample_signal`` returns for
+    that seed) next to its analytic value, the eigenvalue tail
     ``sum_{k >= p} lambda_k`` for a basis of the p leading eigen-tensors.
+
+    Trials run in blocks of ``_TRIAL_BLOCK``: one GEMM forms a block's
+    signals from the eigen-tensor stack and one GEMM pair projects them,
+    so the residual stays an explicit, empirical one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     sp = spec_spectrum or _spectrum_of(spec, DEFAULT_SIZE_CAP)
+    if tuple(basis.dims) != sp.dims:
+        raise ValueError(f"input shape {sp.dims} does not match basis dims "
+                         f"{basis.dims}")
     tail = float(np.sum(sp.eigenvalues[basis.rank:]))
+    tensors = sp.tensors.reshape(sp.size, -1)  # rows in C order, a view
+    # basis rows follow vec (first axis fastest); reorder them to C order.
+    q = basis.q[np.arange(tensors.shape[1]).reshape(sp.dims, order="F").ravel()]
+    q_conj = q.conj()
+    # Buffers are allocated once and reused by every block: fresh
+    # block-sized arrays per block fragment the heap and raise the peak RSS
+    # of later calls.
+    block = min(trials, _TRIAL_BLOCK)
+    w = np.empty((block, sp.size), dtype=complex)
+    x = np.empty((block, tensors.shape[1]), dtype=complex)
+    px = np.empty_like(x)
     total = 0.0
-    for t in range(trials):
-        x = sample_signal(spec, seed + t, spec_spectrum=sp)
-        r = x - project(basis, x)
-        total += float(np.linalg.norm(r) ** 2)
+    for start in range(0, trials, block):
+        b = min(block, trials - start)
+        for i in range(b):
+            w[i] = _weights(sp.eigenvalues, seed + start + i)
+        np.matmul(w[:b], tensors, out=x[:b])
+        np.matmul(x[:b] @ q_conj, q.T, out=px[:b])
+        x[:b] -= px[:b]
+        total += float(np.vdot(x[:b], x[:b]).real)
     return ApproxReport(total / trials, tail)

@@ -119,11 +119,16 @@ def _gather(table: np.ndarray) -> np.ndarray:
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix-free product of a table's matrix with a tensor y, through a
-    circulant embedding of size ``table.shape`` (any d)."""
+    circulant embedding of size ``table.shape`` (any d).
+
+    Axes of y before its last ``table.ndim`` are batch axes: every tensor
+    in the batch is multiplied by the same matrix, in one batched FFT.
+    """
+    axes = tuple(range(y.ndim - table.ndim, y.ndim))
     transfer = np.fft.fftn(np.fft.ifftshift(table))
-    padded = np.fft.fftn(y, s=table.shape, axes=tuple(range(y.ndim)))
-    full = np.fft.ifftn(transfer * padded)
-    return full[tuple(slice(0, n) for n in y.shape)]
+    padded = np.fft.fftn(y, s=table.shape, axes=axes)
+    full = np.fft.ifftn(transfer * padded, axes=axes)
+    return full[(...,) + tuple(slice(0, n) for n in y.shape[-table.ndim:])]
 
 
 def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:

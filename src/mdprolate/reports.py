@@ -139,36 +139,36 @@ def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
               [(i, v) for i, v in enumerate(np.asarray(eigenvalues, float))])
 
 
+def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
+                index: bool = False) -> None:
+    """One CSV row per matrix row: an optional index column, then a
+    ``<prefix><j>_re, <prefix><j>_im`` column pair per matrix column.
+
+    Every cell goes through one ``%.17g`` format per file, which renders
+    exactly as :func:`format_float` (and an integral index as ``str``).
+    """
+    a = np.asarray(a)
+    n, k = a.shape
+    header = ["index"] if index else []
+    for j in range(k):
+        header += [f"{prefix}{j:03d}_re", f"{prefix}{j:03d}_im"]
+    values = np.empty((n, index + 2 * k))
+    if index:
+        values[:, 0] = np.arange(n)
+    values[:, index::2] = a.real
+    values[:, index + 1::2] = a.imag
+    bad = ~np.isfinite(values)
+    if bad.any():
+        x = float(values.flat[np.argmax(bad)])
+        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+    row = ",".join(["%.17g"] * len(header)) + "\n"
+    write_text_atomic(path, ",".join(header) + "\n"
+                      + (row * n) % tuple(values.ravel().tolist()))
+
+
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:
     """Eigenvector matrix (columns are vectors) with re/im column pairs."""
-    vectors = np.asarray(vectors)
-    n, k = vectors.shape
-    header = ["index"]
-    for j in range(k):
-        header += [f"v{j:03d}_re", f"v{j:03d}_im"]
-    rows = []
-    for i in range(n):
-        row: list = [i]
-        for j in range(k):
-            z = complex(vectors[i, j])
-            row += [z.real, z.imag]
-        rows.append(row)
-    write_csv(path, header, rows)
-
-
-def _matrix_csv(path, a: np.ndarray) -> None:
-    a = np.asarray(a)
-    header = []
-    for j in range(a.shape[1]):
-        header += [f"c{j:03d}_re", f"c{j:03d}_im"]
-    rows = []
-    for i in range(a.shape[0]):
-        row: list = []
-        for j in range(a.shape[1]):
-            z = complex(a[i, j])
-            row += [z.real, z.imag]
-        rows.append(row)
-    write_csv(path, header, rows)
+    _matrix_csv(path, vectors, prefix="v", index=True)
 
 
 def export_dictionary(d, directory) -> Path:
