@@ -207,7 +207,7 @@ def cmd_dict(args) -> int:
     export_dictionary(psi, cfg.out / "psi")
 
     phi_basis = dct.orthonormalize(phi)
-    cos_theta = dct.subspace_cos_theta(phi, psi)
+    cos_theta = dct.subspace_cos_theta(phi_basis, psi)
     gram = np.abs(psi.gram())
     np.fill_diagonal(gram, 0.0)
     # Residuals x - P x of every psi atom at once, formed in place so the

@@ -12,7 +12,10 @@ gathered densely from their difference tables and decomposed by a dense
 eigensolver.  Every gathered matrix is centro-Hermitian (``J A J =
 conj(A)``, J the index reversal), so :func:`_eigh`, the one solver entry
 point, reduces it to a real symmetric matrix of the same size before
-solving; input without that structure takes the dense complex solve.
+solving; input without that structure takes the dense complex solve.  When
+the band set is point-symmetric the difference table is real, the reduced
+matrix falls apart into an even and an odd block, and each is solved at
+half the size (Cantoni & Butler 1976).
 """
 
 from __future__ import annotations
@@ -195,33 +198,67 @@ def _eigh(a: np.ndarray, vectors: bool):
     slices of ``a`` and decomposed in float64; eigenvectors map back through
     Q.  Real input and complex input without that structure go to the
     solver unchanged.
+
+    R couples its even rows (the top half and the middle index) to its odd
+    rows (the bottom half) only through ``Im(A12 J) - Im(A11)`` and, for
+    odd n, the imaginary part of the middle column.  When that coupling is
+    exactly zero, as for every point-symmetric band set (real difference
+    table), R is block diagonal: the even block (size ``k + n % 2``) and
+    the odd block (size ``k``) are filled as two half-size arrays and
+    solved separately, without allocating R.  Their eigenvalues merge
+    ascending by a stable sort, and eigenvectors come back even (``J v =
+    v``) or odd (``J v = -v``).
     """
     n = a.shape[0]
     reduce = np.iscomplexobj(a) and _centro_hermitian(a)
+    blocks = [a]
     if reduce:
         k, odd = n // 2, n % 2
-        a11, a12j = a[:k, :k], a[:k, k + odd:][:, ::-1]
-        top, bot = slice(0, k), slice(k + odd, n)
-        r = np.empty((n, n))
-        np.add(a11.real, a12j.real, out=r[top, top])
-        np.subtract(a12j.imag, a11.imag, out=r[top, bot])
-        np.subtract(a11.real, a12j.real, out=r[bot, bot])
-        r[bot, top] = r[top, bot].T
+        h = k + odd
+        a11, a12j = a[:k, :k], a[:k, h:][:, ::-1]
+        # The coupling is exactly zero when these imaginary parts are equal.
+        split = (np.array_equal(a12j.imag, a11.imag)
+                 and not (odd and a[:k, k].imag.any()))
+        if split:
+            even_rows, odd_rows = np.empty((h, h)), np.empty((k, k))
+            blocks = [even_rows, odd_rows]
+        else:
+            r = np.empty((n, n))
+            even_rows, odd_rows = r[:h, :h], r[h:, h:]
+            np.subtract(a12j.imag, a11.imag, out=r[:k, h:])
+            r[h:, :k] = r[:k, h:].T
+            if odd:
+                np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[h:, k])
+                r[k, h:] = r[h:, k]
+            blocks = [r]
+        np.add(a11.real, a12j.real, out=even_rows[:k, :k])
+        np.subtract(a11.real, a12j.real, out=odd_rows)
         if odd:
-            np.multiply(np.sqrt(2.0), a[:k, k].real, out=r[top, k])
-            np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[bot, k])
-            r[k, top], r[k, bot] = r[top, k], r[bot, k]
-            r[k, k] = a[k, k].real
-        a = r
+            np.multiply(np.sqrt(2.0), a[:k, k].real, out=even_rows[:k, k])
+            even_rows[k, :k] = even_rows[:k, k]
+            even_rows[k, k] = a[k, k].real
     try:
-        if not vectors:
-            return np.linalg.eigvalsh(a), None
-        vals, w = np.linalg.eigh(a)
+        if vectors:
+            parts = [np.linalg.eigh(b) for b in blocks]
+        else:
+            parts = [(np.linalg.eigvalsh(b), None) for b in blocks]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc
-    if not reduce:
+    if len(parts) == 1:
+        vals, w = parts[0]
+    else:
+        vals = np.concatenate([parts[0][0], parts[1][0]])
+        order = np.argsort(vals, kind="stable")
+        vals, w = vals[order], None
+        if vectors:
+            from_even = order < h
+            w = np.zeros((n, n))
+            w[:h, from_even] = parts[0][1][:, order[from_even]]
+            w[h:, ~from_even] = parts[1][1][:, order[~from_even] - h]
+    if not vectors or not reduce:
         return vals, w
+    top, bot = slice(0, k), slice(h, n)
     scale = 1.0 / np.sqrt(2.0)
     v = np.empty((n, n), dtype=complex)
     w_top, w_bot = w[top], w[bot]

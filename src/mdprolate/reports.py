@@ -133,10 +133,24 @@ def report_rows_json(path, rows: Sequence[ReportRow]) -> None:
         for r in _sorted_rows(rows)])
 
 
+def _check_finite(values: np.ndarray) -> None:
+    bad = ~np.isfinite(values)
+    if bad.any():
+        x = float(values.flat[np.argmax(bad)])
+        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+
+
 def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
-    """Two columns: index, eigenvalue (descending order as given)."""
-    write_csv(path, ("index", "eigenvalue"),
-              [(i, v) for i, v in enumerate(np.asarray(eigenvalues, float))])
+    """Two columns: index, eigenvalue (descending order as given).
+
+    Rendered with one ``%d,%.17g`` row format per file, which matches
+    :func:`write_csv` cell for cell.
+    """
+    values = np.asarray(eigenvalues, float)
+    _check_finite(values)
+    rows = [x for pair in enumerate(values.tolist()) for x in pair]
+    write_text_atomic(path, "index,eigenvalue\n"
+                      + ("%d,%.17g\n" * values.size) % tuple(rows))
 
 
 def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
@@ -157,10 +171,7 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
         values[:, 0] = np.arange(n)
     values[:, index::2] = a.real
     values[:, index + 1::2] = a.imag
-    bad = ~np.isfinite(values)
-    if bad.any():
-        x = float(values.flat[np.argmax(bad)])
-        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+    _check_finite(values)
     row = ",".join(["%.17g"] * len(header)) + "\n"
     write_text_atomic(path, ",".join(header) + "\n"
                       + (row * n) % tuple(values.ravel().tolist()))
