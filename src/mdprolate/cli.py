@@ -150,16 +150,22 @@ def _spectrum_jobs(cfg: RunConfig, vectors: bool):
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args, need_config=True)
     jobs = _spectrum_jobs(cfg, args.vectors)
+
+    def run(job):
+        # Summarize inside the job so its n x n covariance is freed before
+        # the next job materializes another.
+        name, cov, lam, vectors = job()
+        return name, _summary(name, cov, lam, cfg.eps), lam, vectors
+
     workers = min(max_workers(), len(jobs))
     if workers <= 1:
-        results = [job() for job in jobs]
+        results = [run(job) for job in jobs]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda f: f(), jobs))
-    for name, cov, lam, vectors in sorted(results, key=lambda r: r[0]):
+            results = list(pool.map(run, jobs))
+    for name, summary, lam, vectors in sorted(results, key=lambda r: r[0]):
         write_spectrum_csv(cfg.out / f"{name}_eigenvalues.csv", lam)
-        write_json(cfg.out / f"{name}_summary.json",
-                   _summary(name, cov, lam, cfg.eps))
+        write_json(cfg.out / f"{name}_summary.json", summary)
         if vectors is not None:
             write_eigenvectors_csv(cfg.out / f"{name}_eigenvectors.csv", vectors)
         print(f"{name}: {lam.size} eigenvalues -> {cfg.out}")

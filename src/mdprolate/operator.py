@@ -19,19 +19,23 @@ The dense route is intentionally exact-over-fast: matrices are materialized
 up to a configurable size cap (default 4096 total samples), which also
 holds for 1-D grids, and decomposed through ``prolate._eigh``: a dense
 real symmetric eigensolve of the same size, exact up to roundoff, because
-every gathered operator is centro-Hermitian.
+every gathered operator is centro-Hermitian.  When the boxes pair up as
+mirrors about one centre, the materialization also keeps the operator's
+real table demodulated to that centre, and :func:`spectrum` and
+:func:`spectrum_values` solve two half-size real blocks filled straight
+from it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .prolate import (_apply, _cubic_table, _eigh, _fix_phases, _gather, dpss,
-                      modulate)
+from .prolate import (_apply, _cubic_demodulated, _cubic_table, _Demodulated,
+                      _eigh, _fix_phases, _gather, dpss, modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -96,11 +100,17 @@ class DenseCovariance:
 
     ``spec`` is the :class:`OperatorSpec` (or the parallelepiped analogue)
     the matrix came from; ``dims`` fixes the vec/ivec tensor shape.
+    ``demodulated`` is set by the materializers for point-symmetric band
+    sets: the real table of the same operator shifted to the centre, which
+    the eigensolver reads in place of ``matrix``.  Hand-built covariances
+    leave it unset and are decomposed from ``matrix``.
     """
 
     matrix: np.ndarray
     dims: tuple[int, ...]
     spec: object
+    demodulated: _Demodulated | None = field(default=None, repr=False,
+                                             compare=False)
 
     @property
     def size(self) -> int:
@@ -153,6 +163,7 @@ def materialize_cubic(spec: OperatorSpec,
     The matrix is the band-sum of Kronecker products
     ``kron(B_{N_{d-1}}, ..., B_{N_0})``, consistent with the first-axis-
     fastest vectorization.  Total sample count must not exceed ``size_cap``.
+    The matrix is read-only.
     """
     total = spec.grid.size
     if total > size_cap:
@@ -161,26 +172,31 @@ def materialize_cubic(spec: OperatorSpec,
             "use apply_cubic for operator action instead")
     dims = spec.grid.dims
     return DenseCovariance(matrix=_gather(_cubic_table(dims, spec.bands)),
-                           dims=dims, spec=spec)
+                           dims=dims, spec=spec,
+                           demodulated=_cubic_demodulated(dims, spec.bands))
 
 
 def spectrum(cov: DenseCovariance) -> SpectrumND:
     """Full eigendecomposition of a materialized operator.
 
     Eigenvectors are reshaped to eigen-tensors with the same vec ordering
-    used by the materialization, phase-fixed for determinism.
+    used by the materialization, phase-fixed for determinism.  A
+    point-symmetric band set is solved as an even and an odd real block
+    from its demodulated table; everything else from ``cov.matrix``.
     """
-    vals, vecs = _eigh(cov.matrix, True)
+    vals, vecs = _eigh(cov.matrix, True, cov.demodulated)
     order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = _fix_phases(vecs[:, order])
+    # Rebinding before the phase fix frees the solver's vectors first, so
+    # at most two n x n complex arrays are alive at once.
+    vals, vecs = vals[order], vecs[:, order]
+    vecs = _fix_phases(vecs)
     tensors = np.stack([ivec(vecs[:, k], cov.dims) for k in range(cov.size)])
     return SpectrumND(eigenvalues=vals, tensors=tensors)
 
 
 def spectrum_values(cov: DenseCovariance) -> np.ndarray:
     """Descending eigenvalues only (cheaper than :func:`spectrum`)."""
-    return _eigh(cov.matrix, False)[0][::-1]
+    return _eigh(cov.matrix, False, cov.demodulated)[0][::-1]
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

@@ -12,9 +12,11 @@ s (axis 1),
 
 where ``sinr(x) = sin(x)/x``.  Off-origin bands pick up the plain phase
 factor ``exp(2j pi (c0 t + c1 s))``, which shifts no eigenvalue because it
-amounts to a unitary diagonal conjugation.  The removable singularities lie
-along two lattice lines (t d = s c and s a = t b), not only the diagonal;
-``sinr`` handles them uniformly.
+amounts to a unitary diagonal conjugation; a band set that is
+point-symmetric about some centre is therefore decomposed from its real
+table demodulated to that centre (see ``prolate._demodulate``).  The
+removable singularities lie along two lattice lines (t d = s c and
+s a = t b), not only the diagonal; ``sinr`` handles them uniformly.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from .bands import (BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, SizeCapError,
                        spectrum_values)
-from .prolate import _gather, _hermitian, _sin_ratio
+from .prolate import _demodulate, _gather, _hermitian, _sin_ratio
 
 __all__ = [
     "PPOperatorSpec",
@@ -65,8 +67,12 @@ def pp_entry(band: ParallelepipedBand, m, n, p, q) -> np.ndarray:
     at once.  The diagonal value (m = p, n = q) is the band area
     ``4 W0 W1 / |V|``.
     """
-    t = np.asarray(m) - np.asarray(p)
-    s = np.asarray(n) - np.asarray(q)
+    return _pp_term(band, np.asarray(m) - np.asarray(p),
+                    np.asarray(n) - np.asarray(q), band.center)
+
+
+def _pp_term(band: ParallelepipedBand, t, s, center) -> np.ndarray:
+    """One band's kernel at index differences (t, s), moved to ``center``."""
     w0, w1 = band.half_widths
     v = band.det
     alpha = t * band.d - s * band.c
@@ -74,19 +80,31 @@ def pp_entry(band: ParallelepipedBand, m, n, p, q) -> np.ndarray:
     value = (4.0 * w0 * w1 / abs(v)
              * _sin_ratio(2.0 * np.pi * w0 * alpha / v)
              * _sin_ratio(2.0 * np.pi * w1 * beta / v))
-    c0, c1 = band.center
+    c0, c1 = center
     return np.exp(2j * np.pi * c0 * t) * np.exp(2j * np.pi * c1 * s) * value
+
+
+def _differences(spec: PPOperatorSpec):
+    m, n = spec.grid.dims
+    return np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
 
 
 def _pp_table(spec: PPOperatorSpec) -> np.ndarray:
     """Band-sum difference table, (2M-1, 2N-1), of the operator's matrix."""
-    m, n = spec.grid.dims
-    t = np.arange(1 - m, m)[:, None]
-    s = np.arange(1 - n, n)[None, :]
-    acc = np.zeros((2 * m - 1, 2 * n - 1), dtype=complex)
+    t, s = _differences(spec)
+    acc = np.zeros((t.size, s.size), dtype=complex)
     for band in spec.bands:
-        acc += pp_entry(band, t, s, 0, 0)
+        acc += _pp_term(band, t, s, band.center)
     return _hermitian(acc)
+
+
+def _pp_demodulated(spec: PPOperatorSpec):
+    """``prolate._demodulate`` for a parallelogram set (shape: the
+    transform and the half-widths)."""
+    t, s = _differences(spec)
+    return _demodulate([b.center for b in spec.bands],
+                       [(b.a, b.b, b.c, b.d) + b.half_widths for b in spec.bands],
+                       lambda i, offset: _pp_term(spec.bands[i], t, s, offset))
 
 
 def pp_materialize(spec: PPOperatorSpec,
@@ -94,13 +112,14 @@ def pp_materialize(spec: PPOperatorSpec,
     """Dense Hermitian covariance of the parallelepiped operator.
 
     Same vec ordering as the cubic materialization (first axis fastest);
-    trace equals ``M N`` times the total band area.
+    trace equals ``M N`` times the total band area.  The matrix is
+    read-only.
     """
     total = spec.grid.size
     if total > size_cap:
         raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}")
     return DenseCovariance(matrix=_gather(_pp_table(spec)), dims=spec.grid.dims,
-                           spec=spec)
+                           spec=spec, demodulated=_pp_demodulated(spec))
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
@@ -109,6 +128,9 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
 
     Band locations do not move eigenvalues (the center phase is a unitary
     diagonal conjugation), so the return value is a pure numerical residual.
+    Both specs demodulate to the same real table, so the shifted operator is
+    decomposed from its dense matrix instead: the value cross-checks the
+    table route against the matrix route.
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
@@ -118,5 +140,7 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
         if not same:
             raise ValueError(f"band {i} differs in shape, not only in center")
     lam = spectrum_values(pp_materialize(spec))
-    lam_shift = spectrum_values(pp_materialize(shifted))
+    cov = pp_materialize(shifted)
+    lam_shift = spectrum_values(DenseCovariance(matrix=cov.matrix, dims=cov.dims,
+                                                spec=None))
     return float(np.max(np.abs(lam - lam_shift)))

@@ -12,10 +12,15 @@ gathered densely from their difference tables and decomposed by a dense
 eigensolver.  Every gathered matrix is centro-Hermitian (``J A J =
 conj(A)``, J the index reversal), so :func:`_eigh`, the one solver entry
 point, reduces it to a real symmetric matrix of the same size before
-solving; input without that structure takes the dense complex solve.  When
-the band set is point-symmetric the difference table is real, the reduced
-matrix falls apart into an even and an odd block, and each is solved at
-half the size (Cantoni & Butler 1976).
+solving; input without that structure takes the dense complex solve.
+
+Modulating every band by a common ``exp(2 pi i c . x)`` moves no
+eigenvalue.  So when the bands pair up as mirrors about some centre c
+(a band at c pairs with itself), :func:`_demodulate` builds the table of
+the operator shifted to c as an exactly real array.  Its reduced matrix
+falls apart into an even and an odd block, which :func:`_eigh` fills
+straight from that table and solves at half the size (Cantoni & Butler
+1976); eigenvectors come back multiplied by the centre phase.
 """
 
 from __future__ import annotations
@@ -94,22 +99,97 @@ def _hermitian(table: np.ndarray) -> np.ndarray:
     return (table + flipped.conj()) / 2.0
 
 
+def _box_term(dims: tuple[int, ...], center, half_width) -> np.ndarray:
+    """Table of one box: the outer product of its per-axis tables,
+    multiplied from the last axis to the first (the ``kron(B_{N_{d-1}},
+    ..., B_{N_0})`` order)."""
+    factors = [_hermitian(_axis_table(n, center[ax], half_width[ax]).astype(complex))
+               for ax, n in enumerate(dims)]
+    term = factors[-1]
+    for fac in factors[-2::-1]:
+        term = np.multiply.outer(term, fac)
+    return term.T  # outer products run last axis first
+
+
 def _cubic_table(dims: tuple[int, ...], union: CubicBandUnion) -> np.ndarray:
-    """Band-sum of outer products of per-axis tables, multiplied from the
-    last axis to the first (the ``kron(B_{N_{d-1}}, ..., B_{N_0})`` order)."""
+    """Band-sum of the box tables, in list order."""
     acc = np.zeros(tuple(2 * n - 1 for n in dims), dtype=complex)
     for c, w in zip(union.centers, union.half_widths):
-        factors = [_hermitian(_axis_table(n, c[ax], w[ax]).astype(complex))
-                   for ax, n in enumerate(dims)]
-        term = factors[-1]
-        for fac in factors[-2::-1]:
-            term = np.multiply.outer(term, fac)
-        acc += term.T  # outer products run last axis first
+        acc += _box_term(dims, c, w)
     return _hermitian(acc)
 
 
+# Mirror bands must agree in shape and cancel in offset from the centre to
+# within this absolute constant, a few ulp of the unit-sized values
+# involved.  Decimal inputs rarely give bitwise mirrors: the 1-D reference
+# union [-0.15, -0.05] u [0.15, 0.25] has half-widths one ulp apart.
+_MIRROR_TOL = 4.0 * np.finfo(float).eps
+
+
+class _Demodulated(NamedTuple):
+    """Real table of an operator whose bands are point-symmetric about
+    ``center``, shifted to that centre: the operator's matrix is ``D T D^H``
+    with T the table's matrix and ``D = diag(exp(2 pi i center . x))`` over
+    the sample coordinates x in vec order."""
+
+    center: np.ndarray
+    table: np.ndarray
+
+
+def _demodulate(centers, shapes, term) -> _Demodulated | None:
+    """Demodulated table of a band set, or None when it is not
+    point-symmetric.
+
+    ``centers`` is (J, d), ``shapes[i]`` a tuple of floats fixing band i's
+    kernel up to its location, and ``term(i, offset)`` the complex table of
+    band i moved to ``offset``.  The centre is the midpoint of the extreme
+    band centres.  Each band must pair with a mirror, or with itself when
+    its offset is zero, both within :data:`_MIRROR_TOL`.  A pair adds
+    ``2 Re(term)`` at the larger of its two offsets (``Re(term)`` at offset
+    zero for a band paired with itself), and pairs are summed in ascending
+    order of that offset, so the table does not depend on the list order.
+    """
+    centers = np.asarray(centers, dtype=float)
+    center = (centers.min(axis=0) + centers.max(axis=0)) / 2.0
+    offsets = centers - center
+    free = list(range(len(centers)))
+    pairs = []
+    while free:
+        i = free.pop(0)
+        mate = next((j for j in [i] + free
+                     if np.max(np.abs(np.subtract(shapes[i], shapes[j]))) <= _MIRROR_TOL
+                     and np.max(np.abs(offsets[i] + offsets[j])) <= _MIRROR_TOL), None)
+        if mate is None:
+            return None
+        if mate == i:
+            pairs.append(((0.0,) * centers.shape[1], i, 1.0))
+        else:
+            free.remove(mate)
+            rep = max(i, mate, key=lambda b: tuple(offsets[b]))
+            pairs.append((tuple(offsets[rep]), rep, 2.0))
+    acc = 0.0
+    for offset, i, weight in sorted(pairs):
+        acc = acc + weight * term(i, np.array(offset)).real
+    return _Demodulated(center, _hermitian(acc))
+
+
+def _cubic_demodulated(dims: tuple[int, ...],
+                       union: CubicBandUnion) -> _Demodulated | None:
+    """:func:`_demodulate` for a union of boxes (shape: the half-widths)."""
+    return _demodulate(union.centers, [tuple(w) for w in union.half_widths],
+                       lambda i, offset: _box_term(dims, offset, union.half_widths[i]))
+
+
+def _phase(dims: tuple[int, ...], center: np.ndarray) -> np.ndarray:
+    """``exp(2 pi i center . x)`` over the sample coordinates x, vec order."""
+    coords = np.unravel_index(np.arange(int(np.prod(dims))), dims, order="F")
+    return np.exp(2j * np.pi * sum(c * x for c, x in zip(center, coords)))
+
+
 def _gather(table: np.ndarray) -> np.ndarray:
-    """Dense matrix of a table, rows and columns in first-axis-fastest order."""
+    """Dense read-only matrix of a table, rows and columns in first-axis-
+    fastest order.  Read-only so it cannot drift from the table, which the
+    solver may read in its place."""
     dims = tuple((s + 1) // 2 for s in table.shape)
     center = table[tuple(slice(n - 1, None) for n in dims)]
     strides = center.strides[::-1]
@@ -117,7 +197,9 @@ def _gather(table: np.ndarray) -> np.ndarray:
         center, shape=dims[::-1] * 2,
         strides=strides + tuple(-s for s in strides), writeable=False)
     total = int(np.prod(dims))
-    return view.reshape(total, total)
+    matrix = view.reshape(total, total)
+    matrix.flags.writeable = False
+    return matrix
 
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -187,7 +269,85 @@ def _centro_hermitian(a: np.ndarray) -> bool:
     return True
 
 
-def _eigh(a: np.ndarray, vectors: bool):
+def _hermitian_exactly(a: np.ndarray) -> bool:
+    """Whether ``a == a^H`` holds exactly, compared a block of rows at a
+    time so no full-size copy is made."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        return False
+    n = a.shape[0]
+    step = max(1, 65536 // max(n, 1))
+    for lo in range(0, n, step):
+        if not np.array_equal(a[lo:lo + step], a[:, lo:lo + step].T.conj()):
+            return False
+    return True
+
+
+def _matrix_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The reduced matrix R of a centro-Hermitian ``a`` (see :func:`_eigh`),
+    written from slices of ``a``: ``[even, odd]`` when its even/odd
+    coupling is exactly zero, else ``[R]``."""
+    n = a.shape[0]
+    k, odd = n // 2, n % 2
+    h = k + odd
+    a11, a12j = a[:k, :k], a[:k, h:][:, ::-1]
+    # The coupling is exactly zero when these imaginary parts are equal.
+    if (np.array_equal(a12j.imag, a11.imag)
+            and not (odd and a[:k, k].imag.any())):
+        even_rows, odd_rows = np.empty((h, h)), np.empty((k, k))
+        blocks = [even_rows, odd_rows]
+    else:
+        r = np.empty((n, n))
+        even_rows, odd_rows = r[:h, :h], r[h:, h:]
+        np.subtract(a12j.imag, a11.imag, out=r[:k, h:])
+        r[h:, :k] = r[:k, h:].T
+        if odd:
+            np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[h:, k])
+            r[k, h:] = r[h:, k]
+        blocks = [r]
+    np.add(a11.real, a12j.real, out=even_rows[:k, :k])
+    np.subtract(a11.real, a12j.real, out=odd_rows)
+    if odd:
+        np.multiply(np.sqrt(2.0), a[:k, k].real, out=even_rows[:k, k])
+        even_rows[k, :k] = even_rows[:k, k]
+        even_rows[k, k] = a[k, k].real
+    return blocks
+
+
+def _table_blocks(table: np.ndarray) -> list[np.ndarray]:
+    """``[even, odd]`` blocks of the reduced matrix of a real, point-
+    symmetric table's matrix A, read from the table by index arithmetic.
+
+    With ``o_i`` the table offset of sample i's coordinates and ``z`` that
+    of the zero difference, ``A[i, j] = T[z + o_i - o_j]`` and the mirror
+    entry ``A[i, n-1-j] = T[o_i + o_j]``.  Rows are filled a block at a
+    time, so no n x n array is allocated.  The values equal the slices
+    :func:`_matrix_blocks` takes from the gathered matrix.
+    """
+    dims = tuple((s + 1) // 2 for s in table.shape)
+    n = int(np.prod(dims))
+    k, odd = n // 2, n % 2
+    flat = table.ravel()
+    steps = np.cumprod((1,) + table.shape[:0:-1])[::-1]
+    coords = np.unravel_index(np.arange(k), dims, order="F")
+    off = sum(c * st for c, st in zip(coords, steps))
+    zero = int(sum((m - 1) * st for m, st in zip(dims, steps)))
+    even_rows, odd_rows = np.empty((k + odd, k + odd)), np.empty((k, k))
+    step = max(1, 65536 // max(k, 1))
+    for lo in range(0, k, step):
+        hi = min(lo + step, k)
+        rows = off[lo:hi, None]
+        a11, a12j = flat[zero + rows - off], flat[rows + off]
+        np.add(a11, a12j, out=even_rows[lo:hi, :k])
+        np.subtract(a11, a12j, out=odd_rows[lo:hi])
+    if odd:
+        # The middle sample sits at half the zero-difference offset.
+        np.multiply(np.sqrt(2.0), flat[off + zero // 2], out=even_rows[:k, k])
+        even_rows[k, :k] = even_rows[:k, k]
+        even_rows[k, k] = flat[zero]
+    return [even_rows, odd_rows]
+
+
+def _eigh(a: np.ndarray, vectors: bool, demodulated: _Demodulated | None = None):
     """Ascending eigenvalues (and eigenvectors when ``vectors``) of a
     Hermitian matrix; the one place the package calls a dense eigensolver.
 
@@ -202,41 +362,25 @@ def _eigh(a: np.ndarray, vectors: bool):
     R couples its even rows (the top half and the middle index) to its odd
     rows (the bottom half) only through ``Im(A12 J) - Im(A11)`` and, for
     odd n, the imaginary part of the middle column.  When that coupling is
-    exactly zero, as for every point-symmetric band set (real difference
-    table), R is block diagonal: the even block (size ``k + n % 2``) and
-    the odd block (size ``k``) are filled as two half-size arrays and
-    solved separately, without allocating R.  Their eigenvalues merge
-    ascending by a stable sort, and eigenvectors come back even (``J v =
-    v``) or odd (``J v = -v``).
+    exactly zero (a real table), R is block diagonal: the even block (size
+    ``k + n % 2``) and the odd block (size ``k``) are filled as two
+    half-size arrays and solved separately, without allocating R.  Their
+    eigenvalues merge ascending by a stable sort, and eigenvectors come
+    back even (``J v = v``) or odd (``J v = -v``).
+
+    ``demodulated``, the real table of the same operator shifted to the
+    centre of its point-symmetric band set, makes the two blocks come
+    straight from that table (``a`` then only fixes the size), and
+    eigenvectors are multiplied by the centre phase ``D``: ``K v = +-v``
+    with ``K = D J D^H``.
     """
     n = a.shape[0]
-    reduce = np.iscomplexobj(a) and _centro_hermitian(a)
-    blocks = [a]
-    if reduce:
-        k, odd = n // 2, n % 2
-        h = k + odd
-        a11, a12j = a[:k, :k], a[:k, h:][:, ::-1]
-        # The coupling is exactly zero when these imaginary parts are equal.
-        split = (np.array_equal(a12j.imag, a11.imag)
-                 and not (odd and a[:k, k].imag.any()))
-        if split:
-            even_rows, odd_rows = np.empty((h, h)), np.empty((k, k))
-            blocks = [even_rows, odd_rows]
-        else:
-            r = np.empty((n, n))
-            even_rows, odd_rows = r[:h, :h], r[h:, h:]
-            np.subtract(a12j.imag, a11.imag, out=r[:k, h:])
-            r[h:, :k] = r[:k, h:].T
-            if odd:
-                np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[h:, k])
-                r[k, h:] = r[h:, k]
-            blocks = [r]
-        np.add(a11.real, a12j.real, out=even_rows[:k, :k])
-        np.subtract(a11.real, a12j.real, out=odd_rows)
-        if odd:
-            np.multiply(np.sqrt(2.0), a[:k, k].real, out=even_rows[:k, k])
-            even_rows[k, :k] = even_rows[:k, k]
-            even_rows[k, k] = a[k, k].real
+    if demodulated is not None:
+        blocks = _table_blocks(demodulated.table)
+    elif np.iscomplexobj(a) and _centro_hermitian(a):
+        blocks = _matrix_blocks(a)
+    else:
+        blocks = [a]
     try:
         if vectors:
             parts = [np.linalg.eigh(b) for b in blocks]
@@ -245,6 +389,8 @@ def _eigh(a: np.ndarray, vectors: bool):
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc
+    k, odd = n // 2, n % 2
+    h = k + odd
     if len(parts) == 1:
         vals, w = parts[0]
     else:
@@ -256,7 +402,7 @@ def _eigh(a: np.ndarray, vectors: bool):
             w = np.zeros((n, n))
             w[:h, from_even] = parts[0][1][:, order[from_even]]
             w[h:, ~from_even] = parts[1][1][:, order[~from_even] - h]
-    if not vectors or not reduce:
+    if not vectors or blocks[0] is a:
         return vals, w
     top, bot = slice(0, k), slice(h, n)
     scale = 1.0 / np.sqrt(2.0)
@@ -268,6 +414,9 @@ def _eigh(a: np.ndarray, vectors: bool):
     np.multiply(w_bot[::-1], -scale, out=v.imag[bot])
     if odd:
         v.real[k], v.imag[k] = w[k], 0.0
+    if demodulated is not None:
+        dims = tuple((s + 1) // 2 for s in demodulated.table.shape)
+        v *= _phase(dims, demodulated.center)[:, None]
     return vals, v
 
 
@@ -293,8 +442,16 @@ class Spectrum1D:
 
 
 def decompose(kernel: np.ndarray) -> Spectrum1D:
-    """Full dense Hermitian eigendecomposition, descending order."""
-    vals, vecs = _descending(*_eigh(_hermitize(np.asarray(kernel)), True))
+    """Full dense Hermitian eigendecomposition, descending order.
+
+    Input that is not exactly Hermitian is replaced by its Hermitian part
+    first; exactly Hermitian input, such as any gathered kernel, is used
+    as it is, which gives the same result without the copy.
+    """
+    kernel = np.asarray(kernel)
+    if not _hermitian_exactly(kernel):
+        kernel = _hermitize(kernel)
+    vals, vecs = _descending(*_eigh(kernel, True))
     return Spectrum1D(vals, _fix_phases(vecs))
 
 

@@ -12,13 +12,16 @@ Each geometry then adds its own rows: FFT apply against the dense product,
 separable factorization for a single box and residual/coherence bounds on
 modulated-DPSS dictionaries (2-D cubic); the logarithmic gap bound (1-D
 and 2-D cubic); modulation invariance (1-D); Hermitian symmetry and
-eigenvalue invariance under band translation (parallelogram).
+eigenvalue invariance under band translation (parallelogram).  A band
+translation leaves the demodulated table the spectrum is solved from
+unchanged, so the translated operator is decomposed from its dense matrix:
+that row compares the table route with the matrix route.
 
 Independent checks run one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
-in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs one
-materialized kernel on purpose, which is how the failure path is exercised
-end to end.
+in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs a
+copy of one materialized kernel on purpose and checks that copy, which is
+how the failure path is exercised end to end.
 """
 
 from __future__ import annotations
@@ -114,7 +117,11 @@ def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
     params = _params(grid, bands.num_bands, eps)
     cov = materialize_cubic(spec)
     if _corrupt_requested():
-        cov.matrix[0, 0] += 0.37  # test hook: force the trace identity to fail
+        # Test hook: force the trace identity to fail.  Gathered matrices
+        # are read-only, and a hand-built covariance is solved from its matrix.
+        matrix = cov.matrix.copy()
+        matrix[0, 0] += 0.37
+        cov = _dense_cov(matrix, grid.dims)
     rows, lam, gap = _operator_rows("cubic", params, cov, bands.measure())
     total = grid.size
 
@@ -206,7 +213,8 @@ def _parallelepiped_rows(grid: SamplingGrid, bands: tuple[ParallelepipedBand, ..
     delta = _safe_shift(bands)
     shifted = PPOperatorSpec(grid=grid,
                              bands=tuple(b.shifted(delta) for b in bands))
-    dev = float(np.max(np.abs(lam - spectrum_values(pp_materialize(shifted)))))
+    dense = _dense_cov(pp_materialize(shifted).matrix, grid.dims)
+    dev = float(np.max(np.abs(lam - spectrum_values(dense))))
     rows.append(_row("parallelepiped", params, "center_shift_max_dev", dev, 1e-9,
                      dev <= 1e-9))
     return rows
@@ -220,9 +228,10 @@ def _safe_shift(bands) -> tuple[float, float]:
     return (step, -step)
 
 
-def _kernel_cov(kernel: np.ndarray) -> DenseCovariance:
-    """A 1-D kernel as a covariance (its size was capped by the caller)."""
-    return DenseCovariance(matrix=kernel, dims=kernel.shape[:1], spec=None)
+def _dense_cov(matrix: np.ndarray, dims: tuple[int, ...]) -> DenseCovariance:
+    """A matrix as a covariance decomposed from the matrix itself (its size
+    was capped by the caller)."""
+    return DenseCovariance(matrix=matrix, dims=dims, spec=None)
 
 
 def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
@@ -243,8 +252,8 @@ def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
 
     worst = 0.0
     for f, w in zip(bands.centers[:, 0], bands.half_widths[:, 0]):
-        shifted = spectrum_values(_kernel_cov(sinc_kernel(n, f, w)))
-        base = spectrum_values(_kernel_cov(sinc_kernel(n, 0.0, w)))
+        shifted = spectrum_values(_dense_cov(sinc_kernel(n, f, w), (n,)))
+        base = spectrum_values(_dense_cov(sinc_kernel(n, 0.0, w), (n,)))
         worst = max(worst, float(np.max(np.abs(shifted - base))))
     rows.append(_row("multiband1d", params, "modulation_invariance_max_err", worst,
                      1e-9, worst <= 1e-9))

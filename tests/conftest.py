@@ -35,6 +35,22 @@ def ref_spectrum_32(ref_spec_32):
     return spectrum(materialize_cubic(ref_spec_32))
 
 
+@pytest.fixture
+def solver_sizes(monkeypatch):
+    """Sizes of the matrices handed to ``np.linalg.eigvalsh``/``eigh``."""
+    sizes = []
+
+    def recording(solver):
+        def call(a, *args, **kwargs):
+            sizes.append(a.shape[0])
+            return solver(a, *args, **kwargs)
+        return call
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
+    return sizes
+
+
 @pytest.fixture(scope="session")
 def matched_pp_band():
     # area 0.04, same as a (0.1, 0.1) box

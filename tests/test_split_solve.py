@@ -25,6 +25,9 @@ README = CubicBandUnion(centers=pinned.REF_2D_CENTERS,
                         half_widths=pinned.REF_2D_HALF_WIDTHS)
 README_PP = (ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1)),)
 MIRROR = CubicBandUnion.from_intervals([(-0.3, -0.2), (-0.05, 0.05), (0.2, 0.3)])
+# The README union with one box narrowed on axis 1: no centre of symmetry.
+ASYMMETRIC = CubicBandUnion(centers=pinned.REF_2D_CENTERS,
+                            half_widths=[[0.10, 0.10], [0.10, 0.08]])
 
 
 def _pp(dims):
@@ -47,22 +50,6 @@ SPLIT = {
     "mirror-n64": lambda: _oned(64, MIRROR),
     "mirror-n65": lambda: _oned(65, MIRROR),
 }
-
-
-@pytest.fixture
-def solver_sizes(monkeypatch):
-    """Sizes of the matrices handed to ``np.linalg.eigvalsh``/``eigh``."""
-    sizes = []
-
-    def recording(solver):
-        def call(a, *args, **kwargs):
-            sizes.append(a.shape[0])
-            return solver(a, *args, **kwargs)
-        return call
-
-    for name in ("eigvalsh", "eigh"):
-        monkeypatch.setattr(np.linalg, name, recording(getattr(np.linalg, name)))
-    return sizes
 
 
 def _split_sizes(n):
@@ -116,6 +103,10 @@ def test_solver_sizes_per_path(solver_sizes):
     solver_sizes.clear()
     spectrum_values(materialize_cubic(
         OperatorSpec(grid=SamplingGrid((9, 7)), bands=README)))
+    assert solver_sizes == [32, 31]
+    solver_sizes.clear()
+    spectrum_values(materialize_cubic(
+        OperatorSpec(grid=SamplingGrid((9, 7)), bands=ASYMMETRIC)))
     assert solver_sizes == [63]
     solver_sizes.clear()
     dpss(64, 0.1)
