@@ -35,7 +35,7 @@ from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
                        materialize_cubic, spectrum, spectrum_values,
                        transition_count)
 from .parallelepiped import PPOperatorSpec, pp_materialize
-from .prolate import cluster_counts, decompose
+from .prolate import cluster_counts
 from .reports import (ReportRow, export_dictionary, report_rows_csv,
                       report_rows_json, write_eigenvectors_csv, write_json,
                       write_spectrum_csv)
@@ -129,8 +129,8 @@ def _spectrum_jobs(cfg: RunConfig, vectors: bool):
         def oned():
             cov = materialize_cubic(OperatorSpec(grid=bands.grid, bands=bands.cubic))
             if vectors:
-                sp = decompose(cov.matrix)
-                return "multiband1d", cov, sp.eigenvalues, sp.eigenvectors
+                sp = spectrum(cov)
+                return "multiband1d", cov, sp.eigenvalues, sp.tensors.T
             return "multiband1d", cov, spectrum_values(cov), None
         jobs.append(oned)
     elif bands.cubic is not None:

@@ -269,13 +269,21 @@ def subspace_cos_theta(a, b) -> float:
     return float(np.clip(sv[-1], 0.0, 1.0))
 
 
-def _weights(eigenvalues: np.ndarray, seed: int) -> np.ndarray:
+def _roots(eigenvalues: np.ndarray) -> np.ndarray:
+    """``sqrt(lambda_k)``, negative roundoff clipped to zero."""
+    return np.sqrt(np.clip(eigenvalues, 0.0, None))
+
+
+def _weights(roots: np.ndarray, seed: int) -> np.ndarray:
     """Coefficients ``sqrt(lambda_k) g_k`` of one draw, with independent
-    circular complex standard Gaussians ``g_k`` from ``default_rng(seed)``."""
-    rng = np.random.default_rng(seed)
-    n = eigenvalues.size
-    g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
-    return np.sqrt(np.clip(eigenvalues, 0.0, None)) * g
+    circular complex standard Gaussians ``g_k`` from ``default_rng(seed)``.
+
+    One ``standard_normal(2 P)`` call gives the real parts, then the
+    imaginary parts: the same numbers as two calls of size P.
+    """
+    n = roots.size
+    g = np.random.default_rng(seed).standard_normal(2 * n)
+    return roots * ((g[:n] + 1j * g[n:]) / np.sqrt(2))
 
 
 def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
@@ -288,7 +296,8 @@ def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
     specs; pass ``spec_spectrum`` to amortize the decomposition.
     """
     sp = spec_spectrum or _spectrum_of(spec, size_cap)
-    return np.tensordot(_weights(sp.eigenvalues, seed), sp.tensors, axes=(0, 0))
+    return np.tensordot(_weights(_roots(sp.eigenvalues), seed), sp.tensors,
+                        axes=(0, 0))
 
 
 def _spectrum_of(spec, size_cap: int) -> SpectrumND:
@@ -337,11 +346,12 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     w = np.empty((block, sp.size), dtype=complex)
     x = np.empty((block, tensors.shape[1]), dtype=complex)
     px = np.empty_like(x)
+    roots = _roots(sp.eigenvalues)
     total = 0.0
     for start in range(0, trials, block):
         b = min(block, trials - start)
         for i in range(b):
-            w[i] = _weights(sp.eigenvalues, seed + start + i)
+            w[i] = _weights(roots, seed + start + i)
         np.matmul(w[:b], tensors, out=x[:b])
         np.matmul(x[:b] @ q_conj, q.T, out=px[:b])
         x[:b] -= px[:b]

@@ -11,31 +11,32 @@ near 1 and 0.
 Every entry depends only on the index difference, so the operator is built
 once as a difference table (see :mod:`mdprolate.prolate`): a band-sum of
 outer products of per-axis 1-D sinc tables.  :func:`materialize_cubic`
-gathers the table into the dense matrix; :func:`apply_cubic` applies it to
-a tensor of any dimension by FFT circulant embedding, without forming the
-matrix.
+keeps that table in a :class:`DenseCovariance`, which gathers the dense
+matrix only when ``.matrix`` is first read and takes its trace and
+Frobenius norm from the table; :func:`apply_cubic` applies the table to a
+tensor of any dimension by FFT circulant embedding.
 
-The dense route is intentionally exact-over-fast: matrices are materialized
-up to a configurable size cap (default 4096 total samples), which also
-holds for 1-D grids, and decomposed through ``prolate._eigh``: a dense
-real symmetric eigensolve of the same size, exact up to roundoff, because
-every gathered operator is centro-Hermitian.  When the boxes pair up as
-mirrors about one centre, the materialization also keeps the operator's
-real table demodulated to that centre, and :func:`spectrum` and
-:func:`spectrum_values` solve two half-size real blocks filled straight
-from it.
+The dense route is intentionally exact-over-fast: operators are
+materialized up to a configurable size cap (default 4096 total samples),
+which also holds for 1-D grids, and decomposed through ``prolate._eigh``:
+a dense real symmetric eigensolve of the same size, exact up to roundoff,
+because every gathered operator is centro-Hermitian.  When the boxes pair
+up as mirrors about one centre, the materialization also keeps the
+operator's real table demodulated to that centre, and :func:`spectrum`
+and :func:`spectrum_values` solve two half-size real blocks filled
+straight from it, without gathering the matrix.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .prolate import (_apply, _cubic_demodulated, _cubic_table, _Demodulated,
-                      _eigh, _fix_phases, _gather, dpss, modulate)
+                      _eigh, _gather, dpss, modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -94,33 +95,59 @@ def ivec(v: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
     return np.asarray(v).reshape(dims, order="F")
 
 
-@dataclass(frozen=True)
 class DenseCovariance:
-    """Materialized operator: dense Hermitian matrix plus its provenance.
+    """Materialized operator: its difference table, or a dense Hermitian
+    matrix built by hand, plus its provenance.
 
     ``spec`` is the :class:`OperatorSpec` (or the parallelepiped analogue)
-    the matrix came from; ``dims`` fixes the vec/ivec tensor shape.
-    ``demodulated`` is set by the materializers for point-symmetric band
-    sets: the real table of the same operator shifted to the centre, which
-    the eigensolver reads in place of ``matrix``.  Hand-built covariances
-    leave it unset and are decomposed from ``matrix``.
+    the operator came from; ``dims`` fixes the vec/ivec tensor shape.  The
+    materializers keep the operator's difference ``table``, and ``matrix``
+    is gathered from it on first access, then cached (read-only, so it
+    cannot drift from the table).  :meth:`trace` and :meth:`frobenius_sq`
+    are always computed from the table when there is one, so their bits do
+    not depend on whether ``matrix`` was ever read.  ``demodulated`` is set
+    for point-symmetric band sets: the real table of the same operator
+    shifted to the centre, which the eigensolver reads, so such an operator
+    is decomposed without gathering.  A hand-built covariance passes
+    ``matrix`` instead of ``table`` and is decomposed from it.
     """
 
-    matrix: np.ndarray
-    dims: tuple[int, ...]
-    spec: object
-    demodulated: _Demodulated | None = field(default=None, repr=False,
-                                             compare=False)
+    def __init__(self, matrix: np.ndarray | None = None, *,
+                 dims: tuple[int, ...], spec: object,
+                 table: np.ndarray | None = None,
+                 demodulated: _Demodulated | None = None):
+        if (matrix is None) == (table is None):
+            raise ValueError("a covariance needs exactly one of matrix and table")
+        self._matrix = matrix
+        self.table = table
+        self.dims = tuple(dims)
+        self.spec = spec
+        self.demodulated = demodulated
+
+    @property
+    def matrix(self) -> np.ndarray:
+        if self._matrix is None:
+            self._matrix = _gather(self.table)
+        return self._matrix
 
     @property
     def size(self) -> int:
-        return self.matrix.shape[0]
+        return int(np.prod(self.dims))
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        if self.table is None:
+            return float(np.trace(self.matrix).real)
+        # Every diagonal entry is the zero-difference entry.
+        return float(self.size * self.table[tuple(n - 1 for n in self.dims)].real)
 
     def frobenius_sq(self) -> float:
-        return float(np.vdot(self.matrix, self.matrix).real)
+        if self.table is None:
+            return float(np.vdot(self.matrix, self.matrix).real)
+        # Difference d occurs prod_i (n_i - |d_i|) times in the matrix.
+        total = self.table.real ** 2 + self.table.imag ** 2
+        for n in self.dims[::-1]:
+            total = total @ (n - np.abs(np.arange(1.0 - n, n)))
+        return float(total)
 
 
 @dataclass(frozen=True)
@@ -158,12 +185,13 @@ def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
 
 def materialize_cubic(spec: OperatorSpec,
                       size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
-    """Dense Hermitian matrix of the operator, any dimension d.
+    """The operator as a covariance, any dimension d.
 
-    The matrix is the band-sum of Kronecker products
+    Its matrix is the band-sum of Kronecker products
     ``kron(B_{N_{d-1}}, ..., B_{N_0})``, consistent with the first-axis-
-    fastest vectorization.  Total sample count must not exceed ``size_cap``.
-    The matrix is read-only.
+    fastest vectorization; it is gathered from the difference table on
+    first access to ``.matrix`` and is read-only.  Total sample count must
+    not exceed ``size_cap``.
     """
     total = spec.grid.size
     if total > size_cap:
@@ -171,32 +199,35 @@ def materialize_cubic(spec: OperatorSpec,
             f"grid of {total} samples exceeds the cap {size_cap}; "
             "use apply_cubic for operator action instead")
     dims = spec.grid.dims
-    return DenseCovariance(matrix=_gather(_cubic_table(dims, spec.bands)),
-                           dims=dims, spec=spec,
+    return DenseCovariance(table=_cubic_table(dims, spec.bands), dims=dims,
+                           spec=spec,
                            demodulated=_cubic_demodulated(dims, spec.bands))
 
 
 def spectrum(cov: DenseCovariance) -> SpectrumND:
     """Full eigendecomposition of a materialized operator.
 
-    Eigenvectors are reshaped to eigen-tensors with the same vec ordering
-    used by the materialization, phase-fixed for determinism.  A
+    Eigen-tensors use the same vec ordering as the materialization and are
+    phase-fixed for determinism; ``tensors`` is one C-contiguous array.  A
     point-symmetric band set is solved as an even and an odd real block
-    from its demodulated table; everything else from ``cov.matrix``.
+    from its demodulated table, without gathering ``cov.matrix``;
+    everything else from ``cov.matrix``.
     """
-    vals, vecs = _eigh(cov.matrix, True, cov.demodulated)
-    order = np.argsort(-vals, kind="stable")
-    # Rebinding before the phase fix frees the solver's vectors first, so
-    # at most two n x n complex arrays are alive at once.
-    vals, vecs = vals[order], vecs[:, order]
-    vecs = _fix_phases(vecs)
-    tensors = np.stack([ivec(vecs[:, k], cov.dims) for k in range(cov.size)])
+    vals, tensors = _decompose(cov, True)
     return SpectrumND(eigenvalues=vals, tensors=tensors)
 
 
 def spectrum_values(cov: DenseCovariance) -> np.ndarray:
     """Descending eigenvalues only (cheaper than :func:`spectrum`)."""
-    return _eigh(cov.matrix, False, cov.demodulated)[0][::-1]
+    return _decompose(cov, False)[0]
+
+
+def _decompose(cov: DenseCovariance, vectors: bool):
+    """``_eigh`` of the demodulated table when there is one (it needs only
+    the size then), else of the matrix."""
+    if cov.demodulated is not None:
+        return _eigh(cov.size, vectors, cov.demodulated, cov.dims)
+    return _eigh(cov.matrix, vectors, None, cov.dims)
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

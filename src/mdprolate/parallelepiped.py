@@ -29,7 +29,7 @@ from .bands import (BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, SizeCapError,
                        spectrum_values)
-from .prolate import _demodulate, _gather, _hermitian, _sin_ratio
+from .prolate import _demodulate, _hermitian, _sin_ratio
 
 __all__ = [
     "PPOperatorSpec",
@@ -109,16 +109,17 @@ def _pp_demodulated(spec: PPOperatorSpec):
 
 def pp_materialize(spec: PPOperatorSpec,
                    size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
-    """Dense Hermitian covariance of the parallelepiped operator.
+    """The parallelepiped operator as a covariance, kept as its difference
+    table.
 
     Same vec ordering as the cubic materialization (first axis fastest);
-    trace equals ``M N`` times the total band area.  The matrix is
-    read-only.
+    trace equals ``M N`` times the total band area.  ``.matrix`` is
+    gathered on first access and is read-only.
     """
     total = spec.grid.size
     if total > size_cap:
         raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}")
-    return DenseCovariance(matrix=_gather(_pp_table(spec)), dims=spec.grid.dims,
+    return DenseCovariance(table=_pp_table(spec), dims=spec.grid.dims,
                            spec=spec, demodulated=_pp_demodulated(spec))
 
 

@@ -20,7 +20,13 @@ eigenvalue.  So when the bands pair up as mirrors about some centre c
 the operator shifted to c as an exactly real array.  Its reduced matrix
 falls apart into an even and an odd block, which :func:`_eigh` fills
 straight from that table and solves at half the size (Cantoni & Butler
-1976); eigenvectors come back multiplied by the centre phase.
+1976); eigenvectors come back multiplied by the centre phase.  Such an
+operator is never gathered: the table is all the solver reads.
+
+:func:`_eigh` also assembles the eigenvectors: every route writes them,
+a chunk at a time, into one array in descending eigenvalue order with
+the package's phase convention applied, so sorting, the phase fix and
+the reshape to eigen-tensors cost no full-size copies.
 """
 
 from __future__ import annotations
@@ -237,18 +243,29 @@ def multiband_kernel(n: int, union: CubicBandUnion) -> np.ndarray:
     return _gather(_cubic_table((n,), union))
 
 
+def _pivot_scale(rows: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:
+    """Per-row factor making each row's pivot, its largest-magnitude entry
+    (the first among exact ties), real positive: a sign for real rows.
+
+    With ``phase``, the factor is for the rows multiplied by it, but the
+    pivot is chosen before: mirrored entries of a point-symmetric
+    eigenvector have exactly equal magnitude there, so roundoff in the
+    phase cannot move it.
+    """
+    lead = np.argmax(np.abs(rows), axis=1)
+    pivots = rows[np.arange(rows.shape[0]), lead]
+    if phase is not None:
+        pivots = pivots * phase[lead]
+    if not np.iscomplexobj(pivots):
+        return np.where(pivots < 0, -1.0, 1.0)
+    mags = np.abs(pivots)
+    safe = np.where(mags > 0, mags, 1.0)
+    return np.where(mags > 0, np.conj(pivots) / safe, 1.0)
+
+
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Deterministic sign/phase: largest-magnitude entry of each column made
-    real positive."""
-    lead = np.argmax(np.abs(vecs), axis=0)
-    pivots = vecs[lead, np.arange(vecs.shape[1])]
-    if np.iscomplexobj(vecs):
-        mags = np.abs(pivots)
-        safe = np.where(mags > 0, mags, 1.0)
-        scale = np.where(mags > 0, np.conj(pivots) / safe, 1.0)
-    else:
-        scale = np.where(pivots < 0, -1.0, 1.0)
-    return vecs * scale
+    """Columns of ``vecs`` with :func:`_pivot_scale`'s phase convention."""
+    return vecs * _pivot_scale(vecs.T)
 
 
 def _centro_hermitian(a: np.ndarray) -> bool:
@@ -347,9 +364,16 @@ def _table_blocks(table: np.ndarray) -> list[np.ndarray]:
     return [even_rows, odd_rows]
 
 
-def _eigh(a: np.ndarray, vectors: bool, demodulated: _Demodulated | None = None):
-    """Ascending eigenvalues (and eigenvectors when ``vectors``) of a
-    Hermitian matrix; the one place the package calls a dense eigensolver.
+# Eigenvectors are assembled this many entries at a time, so the only
+# full-size array the assembly allocates is its output.
+_ASSEMBLY_CHUNK = 1 << 17
+
+
+def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
+          dims: tuple[int, ...] | None = None):
+    """Descending eigenvalues of a Hermitian matrix and, when ``vectors``,
+    its phase-fixed eigenvectors; the one place the package calls a dense
+    eigensolver.
 
     A complex matrix with ``J a J == conj(a)``, which every gathered table
     satisfies exactly, is unitarily similar to the real symmetric
@@ -364,23 +388,33 @@ def _eigh(a: np.ndarray, vectors: bool, demodulated: _Demodulated | None = None)
     odd n, the imaginary part of the middle column.  When that coupling is
     exactly zero (a real table), R is block diagonal: the even block (size
     ``k + n % 2``) and the odd block (size ``k``) are filled as two
-    half-size arrays and solved separately, without allocating R.  Their
-    eigenvalues merge ascending by a stable sort, and eigenvectors come
-    back even (``J v = v``) or odd (``J v = -v``).
+    half-size arrays and solved separately, without allocating R, and
+    eigenvectors come back real and even (``J v = v``) or odd
+    (``J v = -v``) before any centre phase.
 
     ``demodulated``, the real table of the same operator shifted to the
     centre of its point-symmetric band set, makes the two blocks come
-    straight from that table (``a`` then only fixes the size), and
-    eigenvectors are multiplied by the centre phase ``D``: ``K v = +-v``
-    with ``K = D J D^H``.
+    straight from that table; ``a`` is then only the size n.  Eigenvectors
+    are multiplied by the centre phase ``D``: ``K v = +-v`` with
+    ``K = D J D^H``.
+
+    Eigenvalues are sorted descending by a stable sort (the even block
+    first among ties).  Eigenvectors come back as the rows of one
+    C-contiguous ``(n, *dims)`` array (``dims`` defaults to ``(n,)``): row
+    r is the eigen-tensor whose vec (first axis fastest) is the r-th
+    eigenvector.  The rows are written a chunk at a time straight from the
+    solvers' output (:func:`_rows`), in final order and phase-fixed by
+    :func:`_pivot_scale`, the pivot chosen before the centre phase.
     """
-    n = a.shape[0]
     if demodulated is not None:
+        n = a
         blocks = _table_blocks(demodulated.table)
-    elif np.iscomplexobj(a) and _centro_hermitian(a):
-        blocks = _matrix_blocks(a)
     else:
-        blocks = [a]
+        n = a.shape[0]
+        if np.iscomplexobj(a) and _centro_hermitian(a):
+            blocks = _matrix_blocks(a)
+        else:
+            blocks = [a]
     try:
         if vectors:
             parts = [np.linalg.eigh(b) for b in blocks]
@@ -389,41 +423,69 @@ def _eigh(a: np.ndarray, vectors: bool, demodulated: _Demodulated | None = None)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc
+    mapped = blocks[0] is not a
+    del blocks
+    vals = np.concatenate([vals for vals, _ in parts])
+    order = np.argsort(-vals, kind="stable")
+    if not vectors:
+        return vals[order], None
+    ws = [w for _, w in parts]
+    del parts
+    dims = (n,) if dims is None else tuple(dims)
+    phase = None if demodulated is None else _phase(dims, demodulated.center)
+    complex_out = mapped or np.iscomplexobj(ws[0])
+    out = np.empty((n,) + dims, dtype=complex if complex_out else float)
+    # Through this transposed view a vec-order vector, reshaped in C order
+    # to the reversed dims, lands in its tensor without an index map.
+    dest = out.transpose((0,) + tuple(range(len(dims), 0, -1)))
+    step = max(1, _ASSEMBLY_CHUNK // n)
+    for lo in range(0, n, step):
+        sel = order[lo:lo + step]
+        rows = _rows(ws, sel, n, mapped)
+        scale = _pivot_scale(rows, phase)
+        if phase is None:
+            factor = scale.reshape((-1,) + (1,) * len(dims))
+        else:
+            factor = np.multiply.outer(scale, phase.reshape(dims[::-1]))
+        np.multiply(rows.reshape((sel.size,) + dims[::-1]), factor,
+                    out=dest[lo:lo + sel.size])
+    return vals[order], out
+
+
+def _rows(ws: list[np.ndarray], sel: np.ndarray, n: int, mapped: bool) -> np.ndarray:
+    """Eigenvectors ``sel`` (indices into the concatenated block spectra),
+    as vec-order rows, from the solved blocks' eigenvectors ``ws``.
+
+    An even and an odd block give the real vectors ``[u, m, J u] / sqrt 2``
+    and ``[u, 0, -J u] / sqrt 2`` of their eigenvectors ``(u, m)`` and
+    ``u``, scaled so that mirrored entries have exactly equal magnitude.
+    One reduced block maps back through Q; an unreduced block's
+    eigenvectors are the rows themselves.
+    """
     k, odd = n // 2, n % 2
     h = k + odd
-    if len(parts) == 1:
-        vals, w = parts[0]
-    else:
-        vals = np.concatenate([parts[0][0], parts[1][0]])
-        order = np.argsort(vals, kind="stable")
-        vals, w = vals[order], None
-        if vectors:
-            from_even = order < h
-            w = np.zeros((n, n))
-            w[:h, from_even] = parts[0][1][:, order[from_even]]
-            w[h:, ~from_even] = parts[1][1][:, order[~from_even] - h]
-    if not vectors or blocks[0] is a:
-        return vals, w
-    top, bot = slice(0, k), slice(h, n)
     scale = 1.0 / np.sqrt(2.0)
-    v = np.empty((n, n), dtype=complex)
-    w_top, w_bot = w[top], w[bot]
-    np.multiply(w_top, scale, out=v.real[top])
-    np.multiply(w_bot, scale, out=v.imag[top])
-    np.multiply(w_top[::-1], scale, out=v.real[bot])
-    np.multiply(w_bot[::-1], -scale, out=v.imag[bot])
+    if len(ws) == 2:
+        even = sel < h
+        rows = np.zeros((sel.size, n))
+        rows[even, :h] = ws[0].T[sel[even]]
+        rows[~even, :k] = ws[1].T[sel[~even] - h]
+        rows[:, :k] *= scale
+        np.multiply(rows[:, :k][:, ::-1], np.where(even, 1.0, -1.0)[:, None],
+                    out=rows[:, h:])
+        return rows
+    y = ws[0].T[sel]
+    if not mapped:
+        return y
+    top, bot = y[:, :k], y[:, h:]
+    v = np.empty(y.shape, dtype=complex)
+    np.multiply(top, scale, out=v.real[:, :k])
+    np.multiply(bot, scale, out=v.imag[:, :k])
+    np.multiply(top[:, ::-1], scale, out=v.real[:, h:])
+    np.multiply(bot[:, ::-1], -scale, out=v.imag[:, h:])
     if odd:
-        v.real[k], v.imag[k] = w[k], 0.0
-    if demodulated is not None:
-        dims = tuple((s + 1) // 2 for s in demodulated.table.shape)
-        v *= _phase(dims, demodulated.center)[:, None]
-    return vals, v
-
-
-def _descending(vals: np.ndarray, vecs: np.ndarray):
-    # Stable sort preserves eigensolver order among machine-precision ties.
-    order = np.argsort(-vals, kind="stable")
-    return vals[order], vecs[:, order]
+        v.real[:, k], v.imag[:, k] = y[:, k], 0.0
+    return v
 
 
 @dataclass(frozen=True)
@@ -451,8 +513,8 @@ def decompose(kernel: np.ndarray) -> Spectrum1D:
     kernel = np.asarray(kernel)
     if not _hermitian_exactly(kernel):
         kernel = _hermitize(kernel)
-    vals, vecs = _descending(*_eigh(kernel, True))
-    return Spectrum1D(vals, _fix_phases(vecs))
+    vals, rows = _eigh(kernel, True)
+    return Spectrum1D(vals, rows.T)
 
 
 def dpss(n: int, half_width: float) -> Spectrum1D:
@@ -466,8 +528,8 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
         raise ValueError("sequence length must be positive")
     _check_band(0.0, half_width)
     kernel = _gather(_hermitian(_axis_table(n, 0.0, half_width)))
-    vals, vecs = _descending(*_eigh(kernel, True))
-    return Spectrum1D(vals, _fix_phases(vecs))
+    vals, rows = _eigh(kernel, True)
+    return Spectrum1D(vals, rows.T)
 
 
 def modulate(v: np.ndarray, f_c: float) -> np.ndarray:

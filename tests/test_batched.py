@@ -67,6 +67,43 @@ APPROX_CASES = {
 }
 
 
+def ref_weights(eigenvalues, seed):
+    """One draw's coefficients as two size-P ``standard_normal`` calls."""
+    rng = np.random.default_rng(seed)
+    n = eigenvalues.size
+    g = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2)
+    return np.sqrt(np.clip(eigenvalues, 0.0, None)) * g
+
+
+def test_weights_match_two_half_draws():
+    _, sp, _ = APPROX_CASES["readme-8x8"]()
+    # Roundoff can leave tiny negative eigenvalues; the clip zeroes them.
+    lam = np.concatenate([sp.eigenvalues, [-3e-17, 0.0]])
+    roots = dictionary._roots(lam)
+    for seed in range(300):
+        assert np.array_equal(dictionary._weights(roots, seed),
+                              ref_weights(lam, seed))
+
+
+@pytest.mark.parametrize("case", ["readme-5x7", "oned-40"])
+def test_approx_mse_draws_are_the_sample_signal_draws(case, monkeypatch):
+    spec, sp, basis = APPROX_CASES[case]()
+    drawn = {}
+    weights = dictionary._weights
+
+    def recording(roots, seed):
+        drawn[seed] = weights(roots, seed)
+        return drawn[seed]
+
+    monkeypatch.setattr(dictionary, "_weights", recording)
+    approx_mse(basis, spec, 130, 21, spec_spectrum=sp)
+    assert sorted(drawn) == list(range(21, 151))
+    for seed, w in drawn.items():
+        assert np.array_equal(w, ref_weights(sp.eigenvalues, seed))
+    x = sample_signal(spec, 40, spec_spectrum=sp)
+    assert np.array_equal(x, np.tensordot(drawn[40], sp.tensors, axes=(0, 0)))
+
+
 @pytest.mark.parametrize("trials", [1, 129, 300])
 def test_approx_mse_matches_loop_across_blocks(trials):
     assert dictionary._TRIAL_BLOCK <= 128
