@@ -236,6 +236,9 @@ def cmd_dict(args) -> int:
 
 
 def cmd_approx(args) -> int:
+    tol = args.tolerance
+    if not 0.0 <= tol < np.inf:
+        raise ConfigError(f"tolerance must be finite and >= 0, got {tol}")
     cfg = _resolve(args, need_config=True)
     if cfg.bands.cubic is None:
         raise ConfigError("approx requires cubic bands")
@@ -257,7 +260,6 @@ def cmd_approx(args) -> int:
     report = dct.approx_mse(basis, spec, cfg.trials, cfg.seed, spec_spectrum=sp)
     empirical, tail = report.empirical_mean, report.analytic_tail
     rel = abs(empirical - tail) / tail if tail > 1e-12 else 0.0
-    tol = args.tolerance
     params = (f"grid={'x'.join(map(str, cfg.bands.grid.dims))};p={p};"
               f"rank={basis.rank};trials={cfg.trials};seed={cfg.seed}")
     rows = [

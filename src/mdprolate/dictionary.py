@@ -117,14 +117,16 @@ def build_phi(spec: OperatorSpec, p: int, *,
     """First p eigen-tensors of the materialized operator, by descending
     eigenvalue (stable order among ties).
 
-    Pass ``spec_spectrum`` to reuse an existing decomposition.
+    Pass ``spec_spectrum`` to reuse an existing decomposition; only its
+    first p eigen-tensors are written (``SpectrumND.leading``).
     """
     total = spec.grid.size
     if not 0 <= p <= total:
         raise ValueError(f"p = {p} outside [0, {total}]")
     sp = spec_spectrum or spectrum(materialize_cubic(spec, size_cap=size_cap))
+    tensors = sp.leading(p)
     atoms = tuple(
-        Atom(tensor=sp.tensors[k], source="phi",
+        Atom(tensor=tensors[k], source="phi",
              eigenvalue=float(sp.eigenvalues[k]), rank=k)
         for k in range(p))
     return Dictionary(atoms=atoms, grid=spec.grid, bands=spec.bands, source="phi")
@@ -279,11 +281,20 @@ def _weights(roots: np.ndarray, seed: int) -> np.ndarray:
     circular complex standard Gaussians ``g_k`` from ``default_rng(seed)``.
 
     One ``standard_normal(2 P)`` call gives the real parts, then the
-    imaginary parts: the same numbers as two calls of size P.
+    imaginary parts: the same numbers as two calls of size P.  Each half is
+    multiplied by ``1 / sqrt 2`` (the factor numpy's complex-by-real
+    division by ``sqrt 2`` applies) and then by the roots, straight into
+    the real and imaginary parts of the result: the values of
+    ``roots * ((g_re + 1j g_im) / sqrt 2)``, bit for bit wherever a root
+    is positive, without its complex temporaries.
     """
     n = roots.size
     g = np.random.default_rng(seed).standard_normal(2 * n)
-    return roots * ((g[:n] + 1j * g[n:]) / np.sqrt(2))
+    g *= 1.0 / np.sqrt(2)
+    w = np.empty(n, dtype=complex)
+    np.multiply(roots, g[:n], out=w.real)
+    np.multiply(roots, g[n:], out=w.imag)
+    return w
 
 
 def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
@@ -320,13 +331,15 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     """Mean squared residual of random signals against a phi basis.
 
     Empirical mean of ``||x - P x||_F^2`` over ``trials`` draws (trial t
-    uses seed ``seed + t`` and is the signal ``sample_signal`` returns for
-    that seed) next to its analytic value, the eigenvalue tail
+    uses seed ``seed + t``, the weights ``sample_signal`` draws for that
+    seed) next to its analytic value, the eigenvalue tail
     ``sum_{k >= p} lambda_k`` for a basis of the p leading eigen-tensors.
 
-    Trials run in blocks of ``_TRIAL_BLOCK``: one GEMM forms a block's
-    signals from the eigen-tensor stack and one GEMM pair projects them,
-    so the residual stays an explicit, empirical one.
+    Trials run in blocks of ``_TRIAL_BLOCK``: ``SpectrumND.combine`` forms
+    a block's signals from the solver's half-size real eigenvector blocks,
+    without any eigen-tensor, and one GEMM pair projects them, so the
+    residual stays an explicit, empirical one.  The signals equal
+    ``sample_signal``'s up to roundoff.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -335,25 +348,26 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
         raise ValueError(f"input shape {sp.dims} does not match basis dims "
                          f"{basis.dims}")
     tail = float(np.sum(sp.eigenvalues[basis.rank:]))
-    tensors = sp.tensors.reshape(sp.size, -1)  # rows in C order, a view
-    # basis rows follow vec (first axis fastest); reorder them to C order.
-    q = basis.q[np.arange(tensors.shape[1]).reshape(sp.dims, order="F").ravel()]
-    q_conj = q.conj()
-    # Buffers are allocated once and reused by every block: fresh
-    # block-sized arrays per block fragment the heap and raise the peak RSS
-    # of later calls.
+    q = basis.q
+    q_adj = q.conj().T
+    # Signals are read as columns in vec order (first axis fastest), the
+    # order of the basis rows; for a solved spectrum that is a view of
+    # combine's output.
+    to_vec = (0,) + tuple(range(len(sp.dims), 0, -1))
+    # The weight and projection buffers are allocated once and reused by
+    # every block: fresh block-sized arrays per block fragment the heap and
+    # raise the peak RSS of later calls.
     block = min(trials, _TRIAL_BLOCK)
     w = np.empty((block, sp.size), dtype=complex)
-    x = np.empty((block, tensors.shape[1]), dtype=complex)
-    px = np.empty_like(x)
+    px = np.empty((q.shape[0], block), dtype=complex)
     roots = _roots(sp.eigenvalues)
     total = 0.0
     for start in range(0, trials, block):
         b = min(block, trials - start)
         for i in range(b):
             w[i] = _weights(roots, seed + start + i)
-        np.matmul(w[:b], tensors, out=x[:b])
-        np.matmul(x[:b] @ q_conj, q.T, out=px[:b])
-        x[:b] -= px[:b]
-        total += float(np.vdot(x[:b], x[:b]).real)
+        x = sp.combine(w[:b]).transpose(to_vec).reshape(b, -1).T
+        np.matmul(q, q_adj @ x, out=px[:, :b])
+        x -= px[:, :b]
+        total += float(np.vdot(x, x).real)
     return ApproxReport(total / trials, tail)

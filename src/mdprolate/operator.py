@@ -36,7 +36,7 @@ import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .prolate import (_apply, _cubic_demodulated, _cubic_table, _Demodulated,
-                      _eigh, _gather, dpss, modulate)
+                      _eigh, _Eigenvectors, _gather, dpss, modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -150,25 +150,55 @@ class DenseCovariance:
         return float(total)
 
 
-@dataclass(frozen=True)
 class SpectrumND:
     """Descending eigenvalues and matching eigen-tensors.
 
     ``tensors[k]`` is the k-th eigen-tensor, shaped like the sampling grid
     and of unit Frobenius norm; tensors are pairwise orthonormal under
     ``<A, B> = trace(B^H A)``.
+
+    A spectrum from :func:`spectrum` holds the eigenvectors as the solver
+    returned them (``prolate._Eigenvectors``: one or two half-size real
+    blocks, their order, pivot factors and centre phase).  ``tensors`` is
+    then written from them on first access and cached, one C-contiguous
+    ``(P, *dims)`` array; :meth:`leading` writes only the first few, and
+    :meth:`combine` forms linear combinations without any eigen-tensor.
+    A spectrum built from ``tensors`` directly reads them in both.
     """
 
-    eigenvalues: np.ndarray
-    tensors: np.ndarray  # (P, *dims)
+    def __init__(self, eigenvalues: np.ndarray, tensors: np.ndarray | None = None,
+                 *, vectors: _Eigenvectors | None = None):
+        if (tensors is None) == (vectors is None):
+            raise ValueError("a spectrum needs exactly one of tensors and vectors")
+        self.eigenvalues = eigenvalues
+        self._tensors = tensors
+        self._vectors = vectors
+        self.dims = tuple(tensors.shape[1:]) if vectors is None else vectors.dims
+
+    @property
+    def tensors(self) -> np.ndarray:  # (P, *dims)
+        if self._tensors is None:
+            self._tensors = self._vectors.tensors()
+        return self._tensors
 
     @property
     def size(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return self.tensors.shape[1:]
+    def leading(self, p: int) -> np.ndarray:
+        """The first p eigen-tensors, ``(p, *dims)``, bitwise equal to
+        ``tensors[:p]``, without writing the others."""
+        if self._tensors is not None:
+            return self._tensors[:p]
+        return self._vectors.tensors(p)
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """``sum_k c[:, k] tensors[k]`` for coefficient rows c, shape
+        ``(b, P)``: b tensors, ``(b, *dims)``, equal to the product with
+        ``tensors`` up to roundoff."""
+        if self._vectors is None:
+            return np.tensordot(c, self._tensors, axes=1)
+        return self._vectors.combine(c)
 
 
 def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
@@ -208,13 +238,14 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     """Full eigendecomposition of a materialized operator.
 
     Eigen-tensors use the same vec ordering as the materialization and are
-    phase-fixed for determinism; ``tensors`` is one C-contiguous array.  A
-    point-symmetric band set is solved as an even and an odd real block
-    from its demodulated table, without gathering ``cov.matrix``;
-    everything else from ``cov.matrix``.
+    phase-fixed for determinism.  They are kept as the solver's blocks and
+    written only when read (see :class:`SpectrumND`).  A point-symmetric
+    band set is solved as an even and an odd real block from its
+    demodulated table, without gathering ``cov.matrix``; everything else
+    from ``cov.matrix``.
     """
-    vals, tensors = _decompose(cov, True)
-    return SpectrumND(eigenvalues=vals, tensors=tensors)
+    vals, vectors = _decompose(cov, True)
+    return SpectrumND(vals, vectors=vectors)
 
 
 def spectrum_values(cov: DenseCovariance) -> np.ndarray:

@@ -23,10 +23,12 @@ straight from that table and solves at half the size (Cantoni & Butler
 1976); eigenvectors come back multiplied by the centre phase.  Such an
 operator is never gathered: the table is all the solver reads.
 
-:func:`_eigh` also assembles the eigenvectors: every route writes them,
-a chunk at a time, into one array in descending eigenvalue order with
-the package's phase convention applied, so sorting, the phase fix and
-the reshape to eigen-tensors cost no full-size copies.
+:func:`_eigh` keeps the eigenvectors as the solver returned them, one
+or two half-size real blocks, with their descending order and the
+package's phase convention (:class:`_Eigenvectors`).  They are mapped
+back only when read: to eigen-tensors, written a chunk at a time into
+one array, or to linear combinations of them, formed by half-size real
+products without any eigen-tensor.
 """
 
 from __future__ import annotations
@@ -364,16 +366,16 @@ def _table_blocks(table: np.ndarray) -> list[np.ndarray]:
     return [even_rows, odd_rows]
 
 
-# Eigenvectors are assembled this many entries at a time, so the only
-# full-size array the assembly allocates is its output.
+# Pivots are found and eigen-tensors assembled this many entries at a time,
+# so the only full-size array an assembly allocates is its output.
 _ASSEMBLY_CHUNK = 1 << 17
 
 
 def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
           dims: tuple[int, ...] | None = None):
     """Descending eigenvalues of a Hermitian matrix and, when ``vectors``,
-    its phase-fixed eigenvectors; the one place the package calls a dense
-    eigensolver.
+    its phase-fixed eigenvectors as an :class:`_Eigenvectors`; the one
+    place the package calls a dense eigensolver.
 
     A complex matrix with ``J a J == conj(a)``, which every gathered table
     satisfies exactly, is unitarily similar to the real symmetric
@@ -399,12 +401,10 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     ``K = D J D^H``.
 
     Eigenvalues are sorted descending by a stable sort (the even block
-    first among ties).  Eigenvectors come back as the rows of one
-    C-contiguous ``(n, *dims)`` array (``dims`` defaults to ``(n,)``): row
-    r is the eigen-tensor whose vec (first axis fastest) is the r-th
-    eigenvector.  The rows are written a chunk at a time straight from the
-    solvers' output (:func:`_rows`), in final order and phase-fixed by
-    :func:`_pivot_scale`, the pivot chosen before the centre phase.
+    first among ties).  The eigenvectors are not mapped back here: the
+    solved blocks' eigenvectors are kept, with the descending order, the
+    centre phase and each vector's pivot factor, and ``dims`` (default
+    ``(n,)``) fixes the eigen-tensor shape they are read out in.
     """
     if demodulated is not None:
         n = a
@@ -429,27 +429,111 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     order = np.argsort(-vals, kind="stable")
     if not vectors:
         return vals[order], None
-    ws = [w for _, w in parts]
-    del parts
     dims = (n,) if dims is None else tuple(dims)
     phase = None if demodulated is None else _phase(dims, demodulated.center)
-    complex_out = mapped or np.iscomplexobj(ws[0])
-    out = np.empty((n,) + dims, dtype=complex if complex_out else float)
-    # Through this transposed view a vec-order vector, reshaped in C order
-    # to the reversed dims, lands in its tensor without an index map.
-    dest = out.transpose((0,) + tuple(range(len(dims), 0, -1)))
-    step = max(1, _ASSEMBLY_CHUNK // n)
-    for lo in range(0, n, step):
-        sel = order[lo:lo + step]
-        rows = _rows(ws, sel, n, mapped)
-        scale = _pivot_scale(rows, phase)
-        if phase is None:
-            factor = scale.reshape((-1,) + (1,) * len(dims))
+    return vals[order], _Eigenvectors([w for _, w in parts], order, mapped,
+                                      dims, phase)
+
+
+class _Eigenvectors:
+    """The eigenvectors of one :func:`_eigh` solve, kept as the solver
+    returned them.
+
+    ``blocks`` holds the solved blocks' eigenvectors as columns: an even
+    and an odd real block, one real reduced block (``mapped``), or one
+    unreduced block.  Eigenvector r, in descending eigenvalue order, is
+    column ``order[r]`` of the concatenated blocks mapped to a vec-order
+    row by :func:`_rows`, times ``scale[r] * phase``: ``scale`` is the
+    factor :func:`_pivot_scale` gives that row, ``phase`` the centre phase
+    (None without one).  The two readers map the blocks back only as far
+    as they need: :meth:`tensors` writes eigen-tensors, :meth:`combine`
+    forms linear combinations of them with half-size real products.
+    """
+
+    def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
+                 mapped: bool, dims: tuple[int, ...], phase: np.ndarray | None):
+        self.blocks, self.order, self.mapped = blocks, order, mapped
+        self.dims, self.phase = dims, phase
+        self.n = order.size
+        self.scale = np.concatenate([
+            _pivot_scale(_rows(blocks, sel, self.n, mapped), phase)
+            for sel in self._chunks(self.n)])
+        self.inverse = np.empty_like(order)
+        self.inverse[order] = np.arange(self.n)
+
+    def _chunks(self, count: int) -> list[np.ndarray]:
+        step = max(1, _ASSEMBLY_CHUNK // self.n)
+        return [self.order[lo:min(lo + step, count)]
+                for lo in range(0, count, step)]
+
+    def tensors(self, count: int | None = None) -> np.ndarray:
+        """The first ``count`` (default all) eigen-tensors, as the rows of
+        one C-contiguous ``(count, *dims)`` array, written a chunk at a
+        time straight from the blocks."""
+        count = self.n if count is None else count
+        complex_out = self.mapped or np.iscomplexobj(self.blocks[0])
+        out = np.empty((count,) + self.dims, dtype=complex if complex_out else float)
+        # Through this transposed view a vec-order vector, reshaped in C order
+        # to the reversed dims, lands in its tensor without an index map.
+        dest = out.transpose((0,) + tuple(range(len(self.dims), 0, -1)))
+        shape = self.dims[::-1]
+        lo = 0
+        for sel in self._chunks(count):
+            rows = _rows(self.blocks, sel, self.n, self.mapped)
+            scale = self.scale[lo:lo + sel.size]
+            if self.phase is None:
+                factor = scale.reshape((-1,) + (1,) * len(shape))
+            else:
+                factor = np.multiply.outer(scale, self.phase.reshape(shape))
+            np.multiply(rows.reshape((sel.size,) + shape), factor,
+                        out=dest[lo:lo + sel.size])
+            lo += sel.size
+        return out
+
+    def combine(self, c: np.ndarray) -> np.ndarray:
+        """``sum_r c[:, r] * tensor_r`` for coefficient rows c, shape (b, n):
+        b tensors, ``(b, *dims)``, as a view.
+
+        The products run on columns: c is transposed to block order with
+        the pivot factors folded in, and a real block multiplies the real
+        and imaginary parts of those columns together through their
+        interleaved real view, so an even/odd pair costs two half-size real
+        products.  Their results ``(a, m)`` and ``o`` map back in place as
+        ``[a + o, m sqrt 2, J (a - o)] / sqrt 2`` (see :func:`_rows`), and a
+        reduced block's as the same map with ``o`` i times its bottom
+        half.  An unreduced block is one plain product.  The centre phase
+        multiplies the result last.
+        """
+        n = self.n
+        k, h = n // 2, n - n // 2
+        coef = np.asarray(c, dtype=complex).T[self.inverse]
+        coef *= self.scale[self.inverse, None]
+        out = np.empty(coef.shape, dtype=complex)
+        if np.iscomplexobj(self.blocks[0]):
+            np.matmul(self.blocks[0], coef, out=out)
         else:
-            factor = np.multiply.outer(scale, phase.reshape(dims[::-1]))
-        np.multiply(rows.reshape((sel.size,) + dims[::-1]), factor,
-                    out=dest[lo:lo + sel.size])
-    return vals[order], out
+            real_coef, real_out = coef.view(float), out.view(float)
+            lo = 0
+            for w in self.blocks:
+                hi = lo + w.shape[1]
+                np.matmul(w, real_coef[lo:hi], out=real_out[lo:hi])
+                lo = hi
+            if self.mapped:
+                if len(self.blocks) == 1:
+                    out[h:] *= 1j
+                # coef is spent: its top rows take a - o before the mirror.
+                a, o, diff = real_out[:k], real_out[h:], real_coef[:k]
+                scale = 1.0 / np.sqrt(2.0)
+                np.subtract(a, o, out=diff)
+                a += o
+                a *= scale
+                np.multiply(diff[::-1], scale, out=o)
+        if self.phase is not None:
+            out *= self.phase[:, None]
+        # Column j of out is vec(tensor j): a C-order view over the reversed
+        # dims, transposed.
+        shaped = out.T.reshape((-1,) + self.dims[::-1])
+        return shaped.transpose((0,) + tuple(range(len(self.dims), 0, -1)))
 
 
 def _rows(ws: list[np.ndarray], sel: np.ndarray, n: int, mapped: bool) -> np.ndarray:
@@ -513,8 +597,8 @@ def decompose(kernel: np.ndarray) -> Spectrum1D:
     kernel = np.asarray(kernel)
     if not _hermitian_exactly(kernel):
         kernel = _hermitize(kernel)
-    vals, rows = _eigh(kernel, True)
-    return Spectrum1D(vals, rows.T)
+    vals, vecs = _eigh(kernel, True)
+    return Spectrum1D(vals, vecs.tensors().T)
 
 
 def dpss(n: int, half_width: float) -> Spectrum1D:
@@ -528,8 +612,8 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
         raise ValueError("sequence length must be positive")
     _check_band(0.0, half_width)
     kernel = _gather(_hermitian(_axis_table(n, 0.0, half_width)))
-    vals, rows = _eigh(kernel, True)
-    return Spectrum1D(vals, rows.T)
+    vals, vecs = _eigh(kernel, True)
+    return Spectrum1D(vals, vecs.tensors().T)
 
 
 def modulate(v: np.ndarray, f_c: float) -> np.ndarray:

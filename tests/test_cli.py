@@ -284,3 +284,18 @@ def test_non_finite_band_rejected(band, tmp_path, capsys):
     assert "[FAIL] finite" in capsys.readouterr().out
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
+def test_approx_rejects_malformed_tolerance(tolerance, twod_config, tmp_path,
+                                            monkeypatch, capsys):
+    import mdprolate.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("an operator was built")
+    monkeypatch.setattr(cli, "materialize_cubic", refuse)
+    out = tmp_path / "out"
+    assert main(["approx", "--config", twod_config, "--grid", "8x8",
+                 "--tolerance", tolerance, "--out", str(out)]) == 2
+    assert "tolerance" in json.loads(capsys.readouterr().err.strip())["error"]
+    assert not out.exists()
