@@ -13,6 +13,8 @@ violations without raising, so a caller can report every problem at once.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -90,7 +92,7 @@ class SamplingGrid:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.dims))
+        return math.prod(self.dims)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -414,10 +416,25 @@ class BandConfig:
             raise ConfigError("parallelepiped bands require a 2-D grid")
 
 
-def _reject_unknown(mapping: Mapping, allowed: set[str], where: str) -> None:
+def _reject_unknown(mapping, allowed: set[str], where: str) -> None:
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{where} must be an object, got {mapping!r}")
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _numbers(value, length: int, where: str) -> list[float]:
+    """``value``, a list of ``length`` floats or ints (no bools), as floats."""
+    if (not isinstance(value, (list, tuple)) or len(value) != length
+            or not all(isinstance(v, float) or _integer(v) and abs(v) < 1e308
+                       for v in value)):
+        raise ConfigError(f"{where} must be a list of {length} numbers, got {value!r}")
+    return [float(v) for v in value]
 
 
 def load_band_config(source) -> BandConfig:
@@ -431,8 +448,9 @@ def load_band_config(source) -> BandConfig:
                              "half_widths": [.., ..], "center": [.., ..]}, ...],
          "grid": [M, N]}
 
-    Unknown keys are rejected.  Raises :class:`ConfigError` on structural
-    problems and :class:`BandError` on geometric violations.
+    Unknown keys are rejected, grid entries and ``dim`` must be integers and
+    band values numbers.  Raises :class:`ConfigError`, naming the entry, on
+    structural problems and :class:`BandError` on geometric violations.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -443,44 +461,48 @@ def load_band_config(source) -> BandConfig:
             raise ConfigError(f"band file is not valid JSON: {exc}") from None
     else:
         doc = source
-    if not isinstance(doc, Mapping):
-        raise ConfigError("band configuration must be a JSON object")
-    _reject_unknown(doc, _TOP_KEYS, "configuration")
+    _reject_unknown(doc, _TOP_KEYS, "band configuration")
     if "grid" not in doc:
         raise ConfigError("configuration is missing 'grid'")
-    try:
-        grid = SamplingGrid(tuple(doc["grid"]))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad grid: {exc}") from None
-    dim = int(doc.get("dim", grid.dim))
-    if dim != grid.dim:
-        raise ConfigError(f"dim = {dim} does not match grid of {grid.dim} axes")
+    dims = doc["grid"]
+    if (not isinstance(dims, (list, tuple)) or not dims
+            or not all(_integer(n) and n >= 2 for n in dims)):
+        raise ConfigError(f"bad grid: expected a list of integers >= 2, got {dims!r}")
+    grid = SamplingGrid(tuple(dims))
+    dim = doc.get("dim", grid.dim)
+    if not _integer(dim) or dim != grid.dim:
+        raise ConfigError(f"dim must be the grid's axis count {grid.dim}, got {dim!r}")
+    for key in ("cubic", "parallelepiped"):
+        if not isinstance(doc.get(key, []), (list, tuple)):
+            raise ConfigError(f"'{key}' must be a list of band objects")
 
     cubic = None
     entries = doc.get("cubic", [])
     if entries:
         centers, half_widths = [], []
         for k, entry in enumerate(entries):
-            _reject_unknown(entry, _CUBIC_KEYS, f"cubic band {k}")
+            where = f"cubic band {k}"
+            _reject_unknown(entry, _CUBIC_KEYS, where)
             if "center" not in entry or "half_widths" not in entry:
-                raise ConfigError(f"cubic band {k} needs 'center' and 'half_widths'")
-            centers.append(entry["center"])
-            half_widths.append(entry["half_widths"])
-        arr_c, arr_w = np.asarray(centers, float), np.asarray(half_widths, float)
-        if arr_c.ndim != 2 or arr_c.shape[1] != dim or arr_c.shape != arr_w.shape:
-            raise ConfigError("cubic band vectors do not match the declared dim")
-        cubic = CubicBandUnion(arr_c, arr_w)
+                raise ConfigError(f"{where} needs 'center' and 'half_widths'")
+            centers.append(_numbers(entry["center"], dim, f"{where} 'center'"))
+            half_widths.append(_numbers(entry["half_widths"], dim,
+                                        f"{where} 'half_widths'"))
+        cubic = CubicBandUnion(np.array(centers), np.array(half_widths))
 
     pp: list[ParallelepipedBand] = []
     entries = doc.get("parallelepiped", [])
     for k, entry in enumerate(entries):
-        _reject_unknown(entry, _PP_KEYS, f"parallelepiped band {k}")
+        where = f"parallelepiped band {k}"
+        _reject_unknown(entry, _PP_KEYS, where)
         missing = {"a", "b", "c", "d", "half_widths"} - set(entry)
         if missing:
-            raise ConfigError(f"parallelepiped band {k} missing {sorted(missing)}")
-        pp.append(ParallelepipedBand(entry["a"], entry["b"], entry["c"], entry["d"],
-                                     tuple(entry["half_widths"]),
-                                     tuple(entry.get("center", (0.0, 0.0)))))
+            raise ConfigError(f"{where} missing {sorted(missing)}")
+        transform = _numbers([entry[key] for key in "abcd"], 4,
+                             f"{where} [a, b, c, d]")
+        half_widths = _numbers(entry["half_widths"], 2, f"{where} 'half_widths'")
+        center = _numbers(entry.get("center", (0.0, 0.0)), 2, f"{where} 'center'")
+        pp.append(ParallelepipedBand(*transform, tuple(half_widths), tuple(center)))
     if pp:
         bad = parallelepiped_violations(pp)
         if bad:

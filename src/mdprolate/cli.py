@@ -32,9 +32,8 @@ from . import dictionary as dct
 from .bands import (BandConfig, BandError, ConfigError, SamplingGrid,
                     load_band_config)
 from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
-                       materialize_cubic, spectrum, spectrum_values,
-                       transition_count)
-from .parallelepiped import PPOperatorSpec, pp_materialize
+                       materialize_cubic, spectrum, spectrum_values)
+from .parallelepiped import _materialize, _operators
 from .prolate import cluster_counts
 from .reports import (ReportRow, export_dictionary, report_rows_csv,
                       report_rows_json, write_eigenvectors_csv, write_json,
@@ -115,46 +114,24 @@ def _summary(name: str, cov: DenseCovariance, lam: np.ndarray, eps: float) -> di
         "near_one": counts.near_one,
         "middle": counts.middle,
         "near_zero": counts.near_zero,
-        "transition_count": transition_count(lam, min(eps, 0.5)),
+        "transition_count": counts.middle,
     }
-
-
-def _spectrum_jobs(cfg: RunConfig, vectors: bool):
-    """One job per operator, each returning (name, covariance, descending
-    eigenvalues, eigenvectors or None); only 1-D jobs compute vectors, and
-    only when asked."""
-    jobs = []
-    bands = cfg.bands
-    if bands.cubic is not None and bands.grid.dim == 1:
-        def oned():
-            cov = materialize_cubic(OperatorSpec(grid=bands.grid, bands=bands.cubic))
-            if vectors:
-                sp = spectrum(cov)
-                return "multiband1d", cov, sp.eigenvalues, sp.tensors.T
-            return "multiband1d", cov, spectrum_values(cov), None
-        jobs.append(oned)
-    elif bands.cubic is not None:
-        def cubic():
-            cov = materialize_cubic(OperatorSpec(grid=bands.grid, bands=bands.cubic))
-            return "cubic", cov, spectrum_values(cov), None
-        jobs.append(cubic)
-    if bands.parallelepiped:
-        def ppjob():
-            cov = pp_materialize(PPOperatorSpec(grid=bands.grid,
-                                                bands=bands.parallelepiped))
-            return "parallelepiped", cov, spectrum_values(cov), None
-        jobs.append(ppjob)
-    return jobs
 
 
 def cmd_spectrum(args) -> int:
     cfg = _resolve(args, need_config=True)
-    jobs = _spectrum_jobs(cfg, args.vectors)
+    jobs = _operators(cfg.bands)
 
     def run(job):
         # Summarize inside the job so its n x n covariance is freed before
         # the next job materializes another.
-        name, cov, lam, vectors = job()
+        name, spec = job
+        cov = _materialize(spec)
+        if args.vectors and name == "multiband1d":
+            sp = spectrum(cov)
+            lam, vectors = sp.eigenvalues, sp.tensors.T
+        else:
+            lam, vectors = spectrum_values(cov), None
         return name, _summary(name, cov, lam, cfg.eps), lam, vectors
 
     workers = min(max_workers(), len(jobs))
@@ -304,8 +281,15 @@ def cmd_bands_validate(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises command-line errors as :class:`ConfigError` (exit 2, JSON)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mdprolate",
         description="Spectra, dictionaries and diagnostics for multiband "
                     "time/band-limiting operators.")
@@ -353,9 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, BandError, SizeCapError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)

@@ -22,6 +22,7 @@ Inner products are Frobenius: ``<A, B> = trace(B^H A)``.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -29,10 +30,10 @@ import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .operator import (DEFAULT_SIZE_CAP, OperatorSpec, SpectrumND,
-                       VerificationError, ivec, materialize_cubic, spectrum,
-                       vec)
-from .parallelepiped import PPOperatorSpec, pp_materialize
-from .prolate import _apply, _cubic_table, dpss, modulate
+                       VerificationError, _dpss_products, ivec,
+                       materialize_cubic, spectrum, vec)
+from .parallelepiped import _materialize
+from .prolate import _apply, _boxes, _table, dpss, modulate
 
 __all__ = [
     "Atom",
@@ -148,28 +149,19 @@ def build_psi(spec: OperatorSpec, q, *, check_gram: bool = True) -> Dictionary:
                              (spec.bands.num_bands,)).copy()
     if np.any(counts < 0) or np.any(counts > m * n):
         raise ValueError(f"per-band counts must lie in [0, {m * n}]")
-    cache: dict[tuple[int, float], object] = {}
-
-    def _dpss(size, w):
-        key = (size, float(w))
-        if key not in cache:
-            cache[key] = dpss(size, w)
-        return cache[key]
-
+    # Boxes of equal widths share their DPSS families.
+    dpss_of = functools.cache(dpss)
     atoms = []
     for i in range(spec.bands.num_bands):
         f0, f1 = spec.bands.centers[i]
-        w0, w1 = spec.bands.half_widths[i]
-        s0, s1 = _dpss(m, w0), _dpss(n, w1)
+        s0, s1, prods, l_idx, k_idx = _dpss_products(
+            m, n, spec.bands.half_widths[i], dpss_of)
         u = modulate(s0.eigenvectors, f0)
         v = modulate(s1.eigenvectors, f1)
-        prods = np.outer(s0.eigenvalues, s1.eigenvalues).ravel()
-        l_idx, k_idx = np.unravel_index(np.arange(m * n), (m, n))
-        order = np.lexsort((k_idx, l_idx, -prods))
-        for flat in order[: counts[i]]:
-            l, k = int(l_idx[flat]), int(k_idx[flat])
+        for r in range(counts[i]):
+            l, k = int(l_idx[r]), int(k_idx[r])
             atoms.append(Atom(tensor=np.outer(u[:, l], v[:, k]), source="psi",
-                              eigenvalue=float(prods[flat]), band=i,
+                              eigenvalue=float(prods[r]), band=i,
                               indices=(l, k)))
     out = Dictionary(atoms=tuple(atoms), grid=spec.grid, bands=spec.bands,
                      source="psi")
@@ -208,7 +200,7 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
     built once and applied to blocks of stacked atoms by batched FFT.
     """
     dims = spec.grid.dims
-    table = _cubic_table(dims, spec.bands)
+    table = _table(_boxes(dims, spec.bands))
     lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
     rows[:, 1] = 1.0 - lam * lam
@@ -306,17 +298,9 @@ def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
     deterministic per seed.  Accepts cubic or parallelepiped operator
     specs; pass ``spec_spectrum`` to amortize the decomposition.
     """
-    sp = spec_spectrum or _spectrum_of(spec, size_cap)
+    sp = spec_spectrum or spectrum(_materialize(spec, size_cap))
     return np.tensordot(_weights(_roots(sp.eigenvalues), seed), sp.tensors,
                         axes=(0, 0))
-
-
-def _spectrum_of(spec, size_cap: int) -> SpectrumND:
-    if isinstance(spec, OperatorSpec):
-        return spectrum(materialize_cubic(spec, size_cap=size_cap))
-    if isinstance(spec, PPOperatorSpec):
-        return spectrum(pp_materialize(spec, size_cap=size_cap))
-    raise TypeError(f"cannot sample from {type(spec).__name__}")
 
 
 class ApproxReport(NamedTuple):
@@ -343,7 +327,7 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sp = spec_spectrum or _spectrum_of(spec, DEFAULT_SIZE_CAP)
+    sp = spec_spectrum or spectrum(_materialize(spec))
     if tuple(basis.dims) != sp.dims:
         raise ValueError(f"input shape {sp.dims} does not match basis dims "
                          f"{basis.dims}")

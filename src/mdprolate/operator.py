@@ -10,11 +10,11 @@ near 1 and 0.
 
 Every entry depends only on the index difference, so the operator is built
 once as a difference table (see :mod:`mdprolate.prolate`): a band-sum of
-outer products of per-axis 1-D sinc tables.  :func:`materialize_cubic`
-keeps that table in a :class:`DenseCovariance`, which gathers the dense
-matrix only when ``.matrix`` is first read and takes its trace and
-Frobenius norm from the table; :func:`apply_cubic` applies the table to a
-tensor of any dimension by FFT circulant embedding.
+outer products of per-axis 1-D sinc tables.  The materializer every
+geometry shares keeps a band set's table in a :class:`DenseCovariance`,
+which gathers the dense matrix only when ``.matrix`` is first read and
+takes its trace and Frobenius norm from the table; :func:`apply_cubic`
+applies the table to a tensor of any dimension by FFT circulant embedding.
 
 The dense route is intentionally exact-over-fast: operators are
 materialized up to a configurable size cap (default 4096 total samples),
@@ -35,8 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .prolate import (_apply, _cubic_demodulated, _cubic_table, _Demodulated,
-                      _eigh, _Eigenvectors, _gather, dpss, modulate)
+from .prolate import (_apply, _BandSet, _boxes, _demodulate, _Demodulated, _eigh,
+                      _Eigenvectors, _gather, _table, cluster_counts, dpss,
+                      modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -113,7 +114,7 @@ class DenseCovariance:
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
-                 dims: tuple[int, ...], spec: object,
+                 dims: tuple[int, ...], spec: object = None,
                  table: np.ndarray | None = None,
                  demodulated: _Demodulated | None = None):
         if (matrix is None) == (table is None):
@@ -210,7 +211,7 @@ def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != spec.grid.dims:
         raise ValueError(f"input shape {y.shape} does not match grid {spec.grid.dims}")
-    return _apply(_cubic_table(spec.grid.dims, spec.bands), y)
+    return _apply(_table(_boxes(spec.grid.dims, spec.bands)), y)
 
 
 def materialize_cubic(spec: OperatorSpec,
@@ -223,15 +224,19 @@ def materialize_cubic(spec: OperatorSpec,
     first access to ``.matrix`` and is read-only.  Total sample count must
     not exceed ``size_cap``.
     """
+    return _covariance(spec, _boxes(spec.grid.dims, spec.bands), size_cap,
+                       "; use apply_cubic for operator action instead")
+
+
+def _covariance(spec, bands: _BandSet, size_cap: int,
+                advice: str = "") -> DenseCovariance:
+    """The covariance of a band set, after the size-cap check (``advice``
+    ends its message); the materializer of every geometry."""
     total = spec.grid.size
     if total > size_cap:
-        raise SizeCapError(
-            f"grid of {total} samples exceeds the cap {size_cap}; "
-            "use apply_cubic for operator action instead")
-    dims = spec.grid.dims
-    return DenseCovariance(table=_cubic_table(dims, spec.bands), dims=dims,
-                           spec=spec,
-                           demodulated=_cubic_demodulated(dims, spec.bands))
+        raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}{advice}")
+    return DenseCovariance(table=_table(bands), dims=bands.dims, spec=spec,
+                           demodulated=_demodulate(bands))
 
 
 def spectrum(cov: DenseCovariance) -> SpectrumND:
@@ -266,10 +271,7 @@ def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:
     operator, from the two 1-D spectra (no dense materialization)."""
     if band.num_bands != 1 or band.dim != 2:
         raise ValueError("separable route needs exactly one 2-D band")
-    lam0 = dpss(m, band.half_widths[0, 0]).eigenvalues
-    lam1 = dpss(n, band.half_widths[0, 1]).eigenvalues
-    prods = np.outer(lam0, lam1).ravel()
-    return np.sort(prods, kind="stable")[::-1]
+    return _dpss_products(m, n, band.half_widths[0], dpss)[2]
 
 
 def separable_spectrum(m: int, n: int, band: CubicBandUnion) -> SpectrumND:
@@ -283,28 +285,31 @@ def separable_spectrum(m: int, n: int, band: CubicBandUnion) -> SpectrumND:
     if band.num_bands != 1 or band.dim != 2:
         raise ValueError("separable route needs exactly one 2-D band")
     f0, f1 = band.centers[0]
-    w0, w1 = band.half_widths[0]
-    s0, s1 = dpss(m, w0), dpss(n, w1)
-    prods = np.outer(s0.eigenvalues, s1.eigenvalues)
-    l_idx, k_idx = np.unravel_index(np.arange(m * n), (m, n))
-    order = np.lexsort((k_idx, l_idx, -prods.ravel()))
+    s0, s1, prods, l_idx, k_idx = _dpss_products(m, n, band.half_widths[0], dpss)
     u = modulate(s0.eigenvectors, f0) if f0 else s0.eigenvectors.astype(complex)
     v = modulate(s1.eigenvectors, f1) if f1 else s1.eigenvectors.astype(complex)
     tensors = np.empty((m * n, m, n), dtype=complex)
-    for rank, flat in enumerate(order):
-        l, k = l_idx[flat], k_idx[flat]
+    for rank, (l, k) in enumerate(zip(l_idx, k_idx)):
         tensors[rank] = np.outer(u[:, l], v[:, k])
-    return SpectrumND(eigenvalues=prods.ravel()[order], tensors=tensors)
+    return SpectrumND(eigenvalues=prods, tensors=tensors)
+
+
+def _dpss_products(m: int, n: int, half_widths, dpss_of):
+    """``(s0, s1, products, l, k)``: a box's DPSS families from ``dpss_of``
+    (:func:`dpss` or a cache of it) and the products ``lambda_l * mu_k``,
+    descending with ties by ascending (l, k), with the orders of each."""
+    s0, s1 = dpss_of(m, half_widths[0]), dpss_of(n, half_widths[1])
+    prods = np.outer(s0.eigenvalues, s1.eigenvalues).ravel()
+    # A stable sort keeps ties in flat order, which is ascending (l, k).
+    order = np.argsort(-prods, kind="stable")
+    l_idx, k_idx = np.unravel_index(order, (m, n))
+    return s0, s1, prods[order], l_idx, k_idx
 
 
 def transition_count(eigs: np.ndarray, eps: float) -> int:
-    """Number of eigenvalues inside the transition region [eps, 1 - eps]."""
-    eigs = np.asarray(eigs, dtype=float)
-    if not 0.0 < eps <= 0.5:
-        raise ValueError(f"eps must be in (0, 1/2], got {eps}")
-    if eigs.size > 1 and np.any(np.diff(eigs) > 1e-12):
-        raise ValueError("eigenvalues must be sorted descending")
-    return int(np.count_nonzero((eigs >= eps) & (eigs <= 1.0 - eps)))
+    """Number of eigenvalues inside the transition region [eps, 1 - eps]:
+    the middle count of :func:`~mdprolate.prolate.cluster_counts`."""
+    return cluster_counts(eigs, eps).middle
 
 
 class GapReport(NamedTuple):

@@ -17,6 +17,11 @@ point-symmetric about some centre is therefore decomposed from its real
 table demodulated to that centre (see ``prolate._demodulate``).  The
 removable singularities lie along two lattice lines (t d = s c and
 s a = t b), not only the diagonal; ``sinr`` handles them uniformly.
+
+Only that kernel is particular to parallelograms: table, demodulation and
+materialization are shared with boxes.  As the first module that sees both
+geometries, this one also lists a configuration's operators and maps each
+spec to its materializer.
 """
 
 from __future__ import annotations
@@ -25,11 +30,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bands import (BandError, ParallelepipedBand, SamplingGrid,
+from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
-from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, SizeCapError,
-                       spectrum_values)
-from .prolate import _demodulate, _hermitian, _sin_ratio
+from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, OperatorSpec,
+                       _covariance, materialize_cubic, spectrum_values)
+from .prolate import _BandSet, _sin_ratio
 
 __all__ = [
     "PPOperatorSpec",
@@ -84,27 +89,17 @@ def _pp_term(band: ParallelepipedBand, t, s, center) -> np.ndarray:
     return np.exp(2j * np.pi * c0 * t) * np.exp(2j * np.pi * c1 * s) * value
 
 
-def _differences(spec: PPOperatorSpec):
+def _parallelograms(spec: PPOperatorSpec) -> _BandSet:
+    """The band set of a parallelogram operator (shape: the transform and
+    the half-widths).  Its differences are formed per term, so building it
+    allocates nothing before the materializer's size-cap check."""
     m, n = spec.grid.dims
-    return np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
 
-
-def _pp_table(spec: PPOperatorSpec) -> np.ndarray:
-    """Band-sum difference table, (2M-1, 2N-1), of the operator's matrix."""
-    t, s = _differences(spec)
-    acc = np.zeros((t.size, s.size), dtype=complex)
-    for band in spec.bands:
-        acc += _pp_term(band, t, s, band.center)
-    return _hermitian(acc)
-
-
-def _pp_demodulated(spec: PPOperatorSpec):
-    """``prolate._demodulate`` for a parallelogram set (shape: the
-    transform and the half-widths)."""
-    t, s = _differences(spec)
-    return _demodulate([b.center for b in spec.bands],
-                       [(b.a, b.b, b.c, b.d) + b.half_widths for b in spec.bands],
-                       lambda i, offset: _pp_term(spec.bands[i], t, s, offset))
+    def term(i, offset):
+        t, s = np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
+        return _pp_term(spec.bands[i], t, s, offset)
+    return _BandSet(spec.grid.dims, np.array([b.center for b in spec.bands]),
+                    [(b.a, b.b, b.c, b.d) + b.half_widths for b in spec.bands], term)
 
 
 def pp_materialize(spec: PPOperatorSpec,
@@ -116,11 +111,7 @@ def pp_materialize(spec: PPOperatorSpec,
     trace equals ``M N`` times the total band area.  ``.matrix`` is
     gathered on first access and is read-only.
     """
-    total = spec.grid.size
-    if total > size_cap:
-        raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}")
-    return DenseCovariance(table=_pp_table(spec), dims=spec.grid.dims,
-                           spec=spec, demodulated=_pp_demodulated(spec))
+    return _covariance(spec, _parallelograms(spec), size_cap)
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
@@ -135,13 +126,37 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
-    for i, (a, b) in enumerate(zip(spec.bands, shifted.bands)):
-        same = (a.a == b.a and a.b == b.b and a.c == b.c and a.d == b.d
-                and a.half_widths == b.half_widths)
-        if not same:
+    for i, (a, b) in enumerate(zip(_parallelograms(spec).shapes,
+                                   _parallelograms(shifted).shapes)):
+        if a != b:
             raise ValueError(f"band {i} differs in shape, not only in center")
-    lam = spectrum_values(pp_materialize(spec))
+    return _shift_deviation(spectrum_values(pp_materialize(spec)), shifted)
+
+
+def _shift_deviation(lam: np.ndarray, shifted: PPOperatorSpec) -> float:
+    """Largest deviation of ``lam`` from the spectrum of ``shifted``'s matrix."""
     cov = pp_materialize(shifted)
-    lam_shift = spectrum_values(DenseCovariance(matrix=cov.matrix, dims=cov.dims,
-                                                spec=None))
+    lam_shift = spectrum_values(DenseCovariance(cov.matrix, dims=cov.dims))
     return float(np.max(np.abs(lam - lam_shift)))
+
+
+def _operators(config: BandConfig) -> list[tuple[str, object]]:
+    """A configuration's operators as ``(name, spec)`` pairs: the cubic
+    union as ``multiband1d`` (1-D) or ``cubic``, then ``parallelepiped``."""
+    ops = []
+    if config.cubic is not None:
+        name = "multiband1d" if config.grid.dim == 1 else "cubic"
+        ops.append((name, OperatorSpec(grid=config.grid, bands=config.cubic)))
+    if config.parallelepiped:
+        ops.append(("parallelepiped", PPOperatorSpec(grid=config.grid,
+                                                     bands=config.parallelepiped)))
+    return ops
+
+
+def _materialize(spec, size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
+    """``materialize_cubic`` or :func:`pp_materialize`, by the type of spec."""
+    if isinstance(spec, OperatorSpec):
+        return materialize_cubic(spec, size_cap=size_cap)
+    if isinstance(spec, PPOperatorSpec):
+        return pp_materialize(spec, size_cap=size_cap)
+    raise TypeError(f"cannot materialize {type(spec).__name__}")

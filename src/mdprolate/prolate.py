@@ -34,7 +34,7 @@ products without any eigen-tensor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -119,11 +119,28 @@ def _box_term(dims: tuple[int, ...], center, half_width) -> np.ndarray:
     return term.T  # outer products run last axis first
 
 
-def _cubic_table(dims: tuple[int, ...], union: CubicBandUnion) -> np.ndarray:
-    """Band-sum of the box tables, in list order."""
-    acc = np.zeros(tuple(2 * n - 1 for n in dims), dtype=complex)
-    for c, w in zip(union.centers, union.half_widths):
-        acc += _box_term(dims, c, w)
+class _BandSet(NamedTuple):
+    """A band set on a grid as the table code reads it: ``centers`` (J, d),
+    ``shapes[i]``, floats fixing band i's kernel up to its location, and
+    ``term(i, offset)``, the complex table of band i moved to ``offset``."""
+
+    dims: tuple[int, ...]
+    centers: np.ndarray
+    shapes: list[tuple[float, ...]]
+    term: Callable[[int, np.ndarray], np.ndarray]
+
+
+def _boxes(dims: tuple[int, ...], union: CubicBandUnion) -> _BandSet:
+    """The band set of a union of boxes (shape: the half-widths)."""
+    return _BandSet(dims, union.centers, [tuple(w) for w in union.half_widths],
+                    lambda i, offset: _box_term(dims, offset, union.half_widths[i]))
+
+
+def _table(bands: _BandSet) -> np.ndarray:
+    """Difference table of a band set: its band terms summed in list order."""
+    acc = np.zeros(tuple(2 * n - 1 for n in bands.dims), dtype=complex)
+    for i, center in enumerate(bands.centers):
+        acc += bands.term(i, center)
     return _hermitian(acc)
 
 
@@ -144,20 +161,18 @@ class _Demodulated(NamedTuple):
     table: np.ndarray
 
 
-def _demodulate(centers, shapes, term) -> _Demodulated | None:
+def _demodulate(bands: _BandSet) -> _Demodulated | None:
     """Demodulated table of a band set, or None when it is not
     point-symmetric.
 
-    ``centers`` is (J, d), ``shapes[i]`` a tuple of floats fixing band i's
-    kernel up to its location, and ``term(i, offset)`` the complex table of
-    band i moved to ``offset``.  The centre is the midpoint of the extreme
-    band centres.  Each band must pair with a mirror, or with itself when
-    its offset is zero, both within :data:`_MIRROR_TOL`.  A pair adds
-    ``2 Re(term)`` at the larger of its two offsets (``Re(term)`` at offset
-    zero for a band paired with itself), and pairs are summed in ascending
-    order of that offset, so the table does not depend on the list order.
+    The centre is the midpoint of the extreme band centres.  Each band must
+    pair with a mirror, or with itself when its offset is zero, both within
+    :data:`_MIRROR_TOL`.  A pair adds ``2 Re(term)`` at the larger of its
+    two offsets (``Re(term)`` at offset zero for a band paired with
+    itself), and pairs are summed in ascending order of that offset, so the
+    table does not depend on the list order.
     """
-    centers = np.asarray(centers, dtype=float)
+    centers, shapes = np.asarray(bands.centers, dtype=float), bands.shapes
     center = (centers.min(axis=0) + centers.max(axis=0)) / 2.0
     offsets = centers - center
     free = list(range(len(centers)))
@@ -177,15 +192,8 @@ def _demodulate(centers, shapes, term) -> _Demodulated | None:
             pairs.append((tuple(offsets[rep]), rep, 2.0))
     acc = 0.0
     for offset, i, weight in sorted(pairs):
-        acc = acc + weight * term(i, np.array(offset)).real
+        acc = acc + weight * bands.term(i, np.array(offset)).real
     return _Demodulated(center, _hermitian(acc))
-
-
-def _cubic_demodulated(dims: tuple[int, ...],
-                       union: CubicBandUnion) -> _Demodulated | None:
-    """:func:`_demodulate` for a union of boxes (shape: the half-widths)."""
-    return _demodulate(union.centers, [tuple(w) for w in union.half_widths],
-                       lambda i, offset: _box_term(dims, offset, union.half_widths[i]))
 
 
 def _phase(dims: tuple[int, ...], center: np.ndarray) -> np.ndarray:
@@ -242,7 +250,7 @@ def multiband_kernel(n: int, union: CubicBandUnion) -> np.ndarray:
     modulated sinc kernels.  Trace equals ``n * union.measure()``."""
     if union.dim != 1:
         raise ValueError(f"expected a 1-D band union, got dim {union.dim}")
-    return _gather(_cubic_table((n,), union))
+    return _gather(_table(_boxes((n,), union)))
 
 
 def _pivot_scale(rows: np.ndarray, phase: np.ndarray | None = None) -> np.ndarray:

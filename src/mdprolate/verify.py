@@ -4,20 +4,20 @@ Every check emits :class:`~mdprolate.reports.ReportRow` records with an
 explicit pass/fail, so a caller can render the whole suite and exit
 nonzero when anything fails.
 
-Each geometry (1-D multiband, cubic on two or more axes, parallelogram)
-materializes its operator from its difference table and runs one shared
-block of rows on the eigenvalues alone: trace = samples x measure,
+The configuration's operator list (``parallelepiped._operators``, the one
+the CLI's ``spectrum`` also reads) drives the suite: each operator, 1-D
+multiband, cubic or parallelogram, runs its geometry's rows.  Each starts
+with one shared block on the eigenvalues alone: trace = samples x measure,
 eigenvalues in [0, 1], and ``trace - ||.||_F^2 = sum lambda (1 - lambda)``.
-Each geometry then adds its own rows: FFT apply against the dense product,
+Then come the geometry's own rows: FFT apply against the dense product,
 separable factorization for a single box and residual/coherence bounds on
 modulated-DPSS dictionaries (2-D cubic); the logarithmic gap bound (1-D
 and 2-D cubic); modulation invariance (1-D); Hermitian symmetry and
-eigenvalue invariance under band translation (parallelogram).  A band
-translation leaves the demodulated table the spectrum is solved from
-unchanged, so the translated operator is decomposed from its dense matrix:
-that row compares the table route with the matrix route.
+eigenvalue invariance under band translation (parallelogram), the latter
+solving the translated operator from its dense matrix, so that row
+compares the table route with the matrix route.
 
-Independent checks run one after another, each dense solve using every
+Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
 in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs a
 copy of one materialized kernel on purpose and checks that copy, which is
@@ -26,6 +26,7 @@ how the failure path is exercised end to end.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -38,7 +39,8 @@ from .dictionary import (build_psi, cross_band_gram_violations,
 from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
-from .parallelepiped import PPOperatorSpec, pp_entry, pp_materialize
+from .parallelepiped import (PPOperatorSpec, _operators, _shift_deviation,
+                             pp_entry, pp_materialize)
 from .prolate import sinc_kernel
 from .reports import ReportRow
 
@@ -111,17 +113,20 @@ def _operator_rows(experiment: str, params: str, cov: DenseCovariance,
     return rows, lam, gap
 
 
-def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
-                eps: float, seed: int) -> list[ReportRow]:
-    spec = OperatorSpec(grid=grid, bands=bands)
+def _cubic_rows(spec: OperatorSpec, eps: float, seed: int) -> list[ReportRow]:
+    """Cubic and psi dictionary rows; on three or more axes only the shared
+    rows (no separable route, closed-form gap bound or psi dictionary)."""
+    grid, bands = spec.grid, spec.bands
     params = _params(grid, bands.num_bands, eps)
     cov = materialize_cubic(spec)
+    if grid.dim > 2:
+        return _operator_rows("cubic", params, cov, bands.measure())[0]
     if _corrupt_requested():
         # Test hook: force the trace identity to fail.  Gathered matrices
         # are read-only, and a hand-built covariance is solved from its matrix.
         matrix = cov.matrix.copy()
         matrix[0, 0] += 0.37
-        cov = _dense_cov(matrix, grid.dims)
+        cov = DenseCovariance(matrix, dims=grid.dims)
     rows, lam, gap = _operator_rows("cubic", params, cov, bands.measure())
     total = grid.size
 
@@ -157,22 +162,12 @@ def _cubic_rows(grid: SamplingGrid, bands: CubicBandUnion,
     plateau = int(np.count_nonzero(lam > 0.95))
     rows.append(_row("cubic", params, "near_one_fraction_at_0.95",
                      plateau / (total * bands.measure()), None, True))
-    return rows
+    return rows + _dictionary_rows(spec, eps)
 
 
-def _cubic_nd_rows(grid: SamplingGrid, bands: CubicBandUnion,
-                   eps: float) -> list[ReportRow]:
-    """Shared rows only for 3-axis-or-higher grids (no separable route, no
-    closed-form gap bound)."""
-    cov = materialize_cubic(OperatorSpec(grid=grid, bands=bands))
-    return _operator_rows("cubic", _params(grid, bands.num_bands, eps), cov,
-                          bands.measure())[0]
-
-
-def _dictionary_rows(grid: SamplingGrid, bands: CubicBandUnion,
-                     eps: float) -> list[ReportRow]:
+def _dictionary_rows(spec: OperatorSpec, eps: float) -> list[ReportRow]:
+    grid, bands = spec.grid, spec.bands
     rows: list[ReportRow] = []
-    spec = OperatorSpec(grid=grid, bands=bands)
     total = grid.size
     params = _params(grid, bands.num_bands, eps)
     q = [max(1, int(np.floor(total * spec.bands.band(i).measure() * (1.0 - eps))))
@@ -190,9 +185,9 @@ def _dictionary_rows(grid: SamplingGrid, bands: CubicBandUnion,
     return rows
 
 
-def _parallelepiped_rows(grid: SamplingGrid, bands: tuple[ParallelepipedBand, ...],
-                         eps: float) -> list[ReportRow]:
-    spec = PPOperatorSpec(grid=grid, bands=bands)
+def _parallelepiped_rows(spec: PPOperatorSpec, eps: float,
+                         seed: int) -> list[ReportRow]:
+    grid, bands = spec.grid, spec.bands
     params = _params(grid, len(bands), eps)
     rows, lam, gap = _operator_rows("parallelepiped", params, pp_materialize(spec),
                                     spec.measure())
@@ -213,8 +208,7 @@ def _parallelepiped_rows(grid: SamplingGrid, bands: tuple[ParallelepipedBand, ..
     delta = _safe_shift(bands)
     shifted = PPOperatorSpec(grid=grid,
                              bands=tuple(b.shifted(delta) for b in bands))
-    dense = _dense_cov(pp_materialize(shifted).matrix, grid.dims)
-    dev = float(np.max(np.abs(lam - spectrum_values(dense))))
+    dev = _shift_deviation(lam, shifted)
     rows.append(_row("parallelepiped", params, "center_shift_max_dev", dev, 1e-9,
                      dev <= 1e-9))
     return rows
@@ -228,19 +222,12 @@ def _safe_shift(bands) -> tuple[float, float]:
     return (step, -step)
 
 
-def _dense_cov(matrix: np.ndarray, dims: tuple[int, ...]) -> DenseCovariance:
-    """A matrix as a covariance decomposed from the matrix itself (its size
-    was capped by the caller)."""
-    return DenseCovariance(matrix=matrix, dims=dims, spec=None)
-
-
-def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
-               eps: float) -> list[ReportRow]:
-    n = grid.dims[0]
+def _oned_rows(spec: OperatorSpec, eps: float, seed: int) -> list[ReportRow]:
+    bands = spec.bands
+    n = spec.grid.dims[0]
     params = f"n={n};J={bands.num_bands};eps={eps:g}"
-    rows, _, gap = _operator_rows(
-        "multiband1d", params, materialize_cubic(OperatorSpec(grid=grid, bands=bands)),
-        bands.measure(), identity=False)
+    rows, _, gap = _operator_rows("multiband1d", params, materialize_cubic(spec),
+                                  bands.measure(), identity=False)
 
     bound = gap_bound((n,), bands.num_bands)
     rows.append(_row("multiband1d", params, "gap_log_bound_ratio", gap / bound, 1.0,
@@ -252,12 +239,17 @@ def _oned_rows(grid: SamplingGrid, bands: CubicBandUnion,
 
     worst = 0.0
     for f, w in zip(bands.centers[:, 0], bands.half_widths[:, 0]):
-        shifted = spectrum_values(_dense_cov(sinc_kernel(n, f, w), (n,)))
-        base = spectrum_values(_dense_cov(sinc_kernel(n, 0.0, w), (n,)))
+        shifted = spectrum_values(DenseCovariance(sinc_kernel(n, f, w), dims=(n,)))
+        base = spectrum_values(DenseCovariance(sinc_kernel(n, 0.0, w), dims=(n,)))
         worst = max(worst, float(np.max(np.abs(shifted - base))))
     rows.append(_row("multiband1d", params, "modulation_invariance_max_err", worst,
                      1e-9, worst <= 1e-9))
     return rows
+
+
+# The rows of each operator ``parallelepiped._operators`` lists, by name.
+_SUITES = {"multiband1d": _oned_rows, "cubic": _cubic_rows,
+           "parallelepiped": _parallelepiped_rows}
 
 
 def verify_config(config: BandConfig, *, eps: float = 0.2,
@@ -267,18 +259,8 @@ def verify_config(config: BandConfig, *, eps: float = 0.2,
     Returns the full deterministic list of report rows; the caller decides
     what a failing row means (the CLI exits 1).
     """
-    jobs = []
-    if config.cubic is not None:
-        if config.grid.dim == 1:
-            jobs.append(lambda: _oned_rows(config.grid, config.cubic, eps))
-        elif config.grid.dim == 2:
-            jobs.append(lambda: _cubic_rows(config.grid, config.cubic, eps, seed))
-            jobs.append(lambda: _dictionary_rows(config.grid, config.cubic, eps))
-        else:
-            jobs.append(lambda: _cubic_nd_rows(config.grid, config.cubic, eps))
-    if config.parallelepiped:
-        jobs.append(lambda: _parallelepiped_rows(config.grid, config.parallelepiped,
-                                                 eps))
+    jobs = [functools.partial(_SUITES[name], spec, eps, seed)
+            for name, spec in _operators(config)]
     workers = min(max_workers(), len(jobs))
     if workers <= 1:
         chunks = [job() for job in jobs]

@@ -24,7 +24,7 @@ from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
 from mdprolate import dictionary
 from mdprolate.cli import main
 from mdprolate.dictionary import SubspaceBasis
-from mdprolate.prolate import _apply, _cubic_table
+from mdprolate.prolate import _apply, _boxes, _table
 from mdprolate.reports import _matrix_csv, write_csv, write_eigenvectors_csv
 
 import pinned
@@ -175,7 +175,7 @@ def test_batched_apply_matches_single_apply():
     rng = np.random.default_rng(4)
     for dims, union in (((6, 5), README), ((40,), CubicBandUnion(
             centers=[[0.1]], half_widths=[[0.2]]))):
-        table = _cubic_table(dims, union)
+        table = _table(_boxes(dims, union))
         y = rng.standard_normal((2, 3) + dims) + 1j * rng.standard_normal((2, 3) + dims)
         out = _apply(table, y)
         assert out.shape == y.shape

@@ -299,3 +299,72 @@ def test_approx_rejects_malformed_tolerance(tolerance, twod_config, tmp_path,
                  "--tolerance", tolerance, "--out", str(out)]) == 2
     assert "tolerance" in json.loads(capsys.readouterr().err.strip())["error"]
     assert not out.exists()
+
+
+GRID_8 = {"dim": 2, "grid": [8, 8]}
+BOX = {"center": [0.0, 0.0], "half_widths": [0.1, 0.1]}
+SHEAR = {"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0, "half_widths": [0.1, 0.1]}
+
+
+@pytest.mark.parametrize("doc, names", [
+    ({**GRID_8, "cubic": [{**BOX, "center": ["a", 0]}]}, "cubic band 0"),
+    ({**GRID_8, "cubic": [5]}, "cubic band 0"),
+    ({**GRID_8, "parallelepiped": [5]}, "parallelepiped band 0"),
+    ({**GRID_8, "cubic": [BOX, {**BOX, "center": [0.3]}]}, "cubic band 1"),
+    ({**GRID_8, "parallelepiped": [{**SHEAR, "half_widths": [0.1]}]},
+     "parallelepiped band 0"),
+    ({**GRID_8, "parallelepiped": [{**SHEAR, "center": [0.1]}]},
+     "parallelepiped band 0"),
+    ({**GRID_8, "parallelepiped": [{**SHEAR, "a": "x"}]}, "parallelepiped band 0"),
+    ({**GRID_8, "cubic": [{**BOX, "half_widths": [True, 0.1]}]}, "cubic band 0"),
+    ({**GRID_8, "dim": "x", "cubic": [BOX]}, "dim"),
+    ({**GRID_8, "grid": [8.5, 8], "cubic": [BOX]}, "grid"),
+    ({**GRID_8, "grid": ["8", "8"], "cubic": [BOX]}, "grid"),
+    ({**GRID_8, "grid": [True, 8], "cubic": [BOX]}, "grid"),
+    ({**GRID_8, "cubic": 5}, "cubic"),
+], ids=["cubic-center-string", "cubic-entry-number", "pp-entry-number",
+        "cubic-ragged-centers", "pp-short-half-widths", "pp-short-center",
+        "pp-a-string", "cubic-bool-width", "dim-string", "grid-fraction",
+        "grid-strings", "grid-bool", "cubic-not-a-list"])
+@pytest.mark.parametrize("command", [["spectrum"], ["bands", "validate"]])
+def test_malformed_config_value_exits_2_naming_the_entry(doc, names, command,
+                                                         tmp_path, capsys):
+    cfg = write_config(tmp_path, doc)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and names in json.loads(lines[0])["error"]
+    assert captured.out == ""
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--config", "c.json", "--seed", "abc"],
+    ["spectrum", "--bogus"],
+    ["nosuch"],
+    [],
+], ids=["bad-seed", "unknown-flag", "unknown-command", "no-command"])
+def test_argument_errors_exit_2_with_json(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1 and json.loads(lines[0])["error"]
+    assert captured.out == ""
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "-h"])
+    assert exc.value.code == 0
+    assert "--config" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("band", [{"cubic": [BOX]}, {"parallelepiped": [SHEAR]}],
+                         ids=["cubic", "parallelepiped"])
+def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
+    # 2**62 * 4 wraps to 0 in int64; any array of that extent fails at once.
+    from mdprolate import SamplingGrid
+    assert SamplingGrid((2**62, 4)).size == 2**64
+    cfg = write_config(tmp_path, {"dim": 2, "grid": [2**62, 4], **band})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "exceeds the cap" in json.loads(capsys.readouterr().err.strip())["error"]

@@ -17,8 +17,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        apply_cubic, decompose, dpss, materialize_cubic,
                        multiband_kernel, pp_entry, pp_materialize, sinc_kernel,
                        spectrum, spectrum_values, vec)
-from mdprolate.parallelepiped import _pp_table
-from mdprolate.prolate import _apply, _centro_hermitian, _fix_phases
+from mdprolate.parallelepiped import _parallelograms
+from mdprolate.prolate import _apply, _centro_hermitian, _fix_phases, _table
 
 import pinned
 
@@ -136,7 +136,7 @@ def test_cubic_apply_matches_dense(dims, union):
 def test_pp_apply_matches_dense():
     spec = PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)
     matrix = pp_materialize(spec).matrix
-    table = _pp_table(spec)
+    table = _table(_parallelograms(spec))
     rng = np.random.default_rng(5)
     for _ in range(5):
         y = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
