@@ -273,11 +273,6 @@ def _pivot_scale(rows: np.ndarray, phase: np.ndarray | None = None) -> np.ndarra
     return np.where(mags > 0, np.conj(pivots) / safe, 1.0)
 
 
-def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Columns of ``vecs`` with :func:`_pivot_scale`'s phase convention."""
-    return vecs * _pivot_scale(vecs.T)
-
-
 def _centro_hermitian(a: np.ndarray) -> bool:
     """Whether ``J a J == conj(a)`` holds exactly, J the full index reversal.
 

@@ -1,15 +1,25 @@
 """Deterministic, finite-guarded CSV/JSON emission.
 
 All writers share three rules so that identical inputs produce
-byte-identical files on any platform: floats are rendered with 17
-significant digits (round-trip exact for doubles, '.' decimal separator),
-line endings are '\\n', and files are written atomically (temp file in the
-target directory, then rename).  Non-finite values never reach an output
-file; they raise instead.
+byte-identical files on any platform: floats are rendered exactly as
+``%.17g`` (17 significant digits, round-trip exact for doubles, '.'
+decimal separator), line endings are '\\n', and files are written
+atomically (temp file in the target directory, then rename).  Non-finite
+values never reach an output file; they raise instead.
+
+Numeric CSV bodies (spectra, eigenvector matrices, dictionary atoms) go
+through one vectorized renderer, :func:`_render`.  It cuts each double into
+its 17 digits with exact long double arithmetic and assembles the text from
+lookup tables; a cell whose digits it cannot prove exact (a near tie, a
+magnitude outside ``[1e-20, 10)``, or a platform without a 64-bit long
+double mantissa) is formatted by ``%.17g`` itself, so the bytes are always
+those of the per-cell writer.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import os
@@ -140,17 +150,118 @@ def _check_finite(values: np.ndarray) -> None:
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
 
 
-def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
-    """Two columns: index, eigenvalue (descending order as given).
+# The renderer needs a long double with a 64-bit mantissa (x87 extended):
+# then 10^j is exact for j <= 27 (5^27 < 2^64), and a product below 1e17
+# (< 2^57) is off by at most 2^-8 per rounding.
+_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
 
-    Rendered with one ``%d,%.17g`` row format per file, which matches
-    :func:`write_csv` cell for cell.
+
+@functools.cache
+def _tables():
+    """Lookup tables of :func:`_render`; byte strings are NUL-padded words.
+
+    ``powers[j]`` is 10^j in long double (exact).  ``quads[g]`` is the four
+    ASCII digits of ``g < 10^4`` and ``quads[10^4 + g]`` the same with its
+    trailing zeros turned to NUL.  With ``neg`` the negated decimal exponent
+    (0 to 20), ``prefix[((sign * 21 + neg) * 10 + d) * 2 + dot]`` is the
+    sign, then ``0.`` and ``neg - 1`` zeros for ``%f`` layouts (``neg`` 1 to
+    4), then the leading digit ``d``, then a point for the other layouts
+    when ``dot`` is set; ``suffix[neg * 2 + last]`` is ``e-<neg>`` for
+    ``%e`` layouts (``neg`` > 4), then ',' or, for the last cell of a row,
+    '\\n'.
     """
+    powers = np.concatenate(([np.longdouble(1)],
+                             np.cumprod(np.full(27, 10, np.longdouble))))
+    one = np.arange(10, dtype=np.uint8)
+    digits = np.stack(np.meshgrid(one, one, one, one, indexing="ij"), -1)
+    digits = digits.reshape(-1, 4)
+    kept = np.maximum.accumulate(digits[:, ::-1], axis=1)[:, ::-1] > 0
+    text = digits + ord("0")
+    quads = np.concatenate([text, np.where(kept, text, 0)]).view(np.uint32).ravel()
+    prefix = np.array(
+        [sign + ("0." + "0" * (neg - 1) if 0 < neg < 5 else "") + str(d)
+         + ("." if dot and not 0 < neg < 5 else "")
+         for sign, neg, d, dot in itertools.product(
+             ("", "-"), range(21), range(10), (0, 1))], "S8").view(np.uint64)
+    suffix = np.array([(f"e-{neg:02d}" if neg > 4 else "") + end
+                       for neg in range(21) for end in ",\n"], "S8").view(np.uint64)
+    return powers, quads, prefix, suffix
+
+
+def _percent(values: np.ndarray) -> np.ndarray:
+    """``%.17g`` of each value, NUL-padded to 24 bytes (the longest, as in
+    ``-2.2250738585072014e-308``)."""
+    return np.array([b"%.17g" % v for v in values.tolist()], "S24")
+
+
+def _render(values: np.ndarray) -> str:
+    """CSV body of a finite 2-D float array: each cell as ``%.17g``, cells
+    joined by ',', every row ended by '\\n'.
+
+    A cell with ``1e-20 <= |x| < 10`` takes its 17 digits from
+    ``D = rint(|x| 10^k)``, ``1e16 <= D < 1e17``, computed in long double.
+    When the computed ``|x| 10^k`` lies within twice its rounding error of
+    a half-integer or of 1e16, the cell is formatted by ``%.17g`` instead,
+    as is every other nonzero cell.  Each cell fills a 32-byte slot (prefix
+    word, 16 fraction digits, suffix word); NUL bytes, which no cell
+    contains, are deleted at the end.
+    """
+    n, cols = values.shape
+    if cols == 0:
+        return "\n" * n
+    powers, quads, prefix, suffix = _tables()
+    x = values.ravel()
+    mag = np.abs(x)
+    zero = mag == 0
+    nonzero = (mag >= 1e-20) & (mag < 10) & _LONG_DOUBLE
+    mag = np.where(nonzero, mag, 1.0)
+
+    def scaled(mag, k):
+        return mag * powers[np.minimum(k, 27)] * powers[np.maximum(k - 27, 0)]
+
+    # k from log10 can be one off next to a power of ten.  Correct it from
+    # the product, not after rounding: 9.9999999999999998e-13 times 10^28
+    # rounds up to 1e16.
+    k = np.clip(16 - np.floor(np.log10(mag)).astype(np.int64), 16, 36)
+    y = scaled(mag, k)
+    off = np.flatnonzero((y < 1e16) | (y >= 1e17))
+    k[off] += np.where(y[off] < 1e16, 1, -1)
+    y[off] = scaled(mag[off], k[off])
+    rounded = np.rint(y)
+    carry = rounded == 1e17
+    exp = 16 - k + carry
+    margin = np.where(k > 27, 2.0 ** -5, 2.0 ** -7)
+    fast = (nonzero & (np.abs((y - rounded).astype(float)) < 0.5 - margin)
+            & ((y - 1e16).astype(float) >= margin) & (exp >= -20) & (exp <= 0))
+    digits = np.where(fast, np.where(carry, 1e16, rounded), 0).astype(np.int64)
+    neg = np.where(fast, -exp, 0)
+
+    first, frac = np.divmod(digits, 10 ** 16)
+    high, low = np.divmod(frac, 10 ** 8)
+    slots = np.empty((x.size, 4), np.uint64)
+    slots[:, 0] = prefix[((np.signbit(x) * 21 + neg) * 10 + first) * 2 + (frac > 0)]
+    # Each group of four digits is stripped when every later digit is zero.
+    words = slots.view(np.uint32)
+    words[:, 2] = quads[high // 10 ** 4 + 10 ** 4 * (frac % 10 ** 12 == 0)]
+    words[:, 3] = quads[high % 10 ** 4 + 10 ** 4 * (low == 0)]
+    words[:, 4] = quads[low // 10 ** 4 + 10 ** 4 * (low % 10 ** 4 == 0)]
+    words[:, 5] = quads[low % 10 ** 4 + 10 ** 4]
+    ends = 2 * neg.reshape(n, cols)
+    ends[:, -1] += 1
+    slots[:, 3] = suffix[ends.ravel()]
+    slow = np.flatnonzero(~(fast | zero))
+    if slow.size:
+        slots[slow, :3] = _percent(x[slow]).view(np.uint64).reshape(-1, 3)
+    return slots.tobytes().translate(None, b"\0").decode("ascii")
+
+
+def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
+    """Two columns: index, eigenvalue (descending order as given), every
+    cell rendered as :func:`write_csv` would."""
     values = np.asarray(eigenvalues, float)
     _check_finite(values)
-    rows = [x for pair in enumerate(values.tolist()) for x in pair]
-    write_text_atomic(path, "index,eigenvalue\n"
-                      + ("%d,%.17g\n" * values.size) % tuple(rows))
+    write_text_atomic(path, "index,eigenvalue\n" + _render(
+        np.column_stack([np.arange(values.size), values])))
 
 
 def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
@@ -158,8 +269,8 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
     """One CSV row per matrix row: an optional index column, then a
     ``<prefix><j>_re, <prefix><j>_im`` column pair per matrix column.
 
-    Every cell goes through one ``%.17g`` format per file, which renders
-    exactly as :func:`format_float` (and an integral index as ``str``).
+    Every cell renders exactly as :func:`format_float` (an integral index
+    as ``str``).
     """
     a = np.asarray(a)
     n, k = a.shape
@@ -172,9 +283,7 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
     values[:, index::2] = a.real
     values[:, index + 1::2] = a.imag
     _check_finite(values)
-    row = ",".join(["%.17g"] * len(header)) + "\n"
-    write_text_atomic(path, ",".join(header) + "\n"
-                      + (row * n) % tuple(values.ravel().tolist()))
+    write_text_atomic(path, ",".join(header) + "\n" + _render(values))
 
 
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:

@@ -20,7 +20,8 @@ compares the table route with the matrix route.
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
 in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs a
-copy of one materialized kernel on purpose and checks that copy, which is
+copy of every materialized operator in the shared block on purpose and
+checks that copy, so ``trace_rel_err`` fails for every geometry; this is
 how the failure path is exercised end to end.
 """
 
@@ -96,6 +97,12 @@ def _operator_rows(experiment: str, params: str, cov: DenseCovariance,
     Returns the rows, the descending eigenvalues and the trace-Frobenius gap
     so a geometry can add its own rows.
     """
+    if _corrupt_requested():
+        # Test hook: force the trace identity to fail.  Gathered matrices
+        # are read-only, and a hand-built covariance is solved from its matrix.
+        matrix = cov.matrix.copy()
+        matrix[0, 0] += 0.37
+        cov = DenseCovariance(matrix, dims=cov.dims)
     lam = spectrum_values(cov)
     expected = cov.size * measure
     err = abs(lam.sum() - expected) / expected
@@ -121,12 +128,6 @@ def _cubic_rows(spec: OperatorSpec, eps: float, seed: int) -> list[ReportRow]:
     cov = materialize_cubic(spec)
     if grid.dim > 2:
         return _operator_rows("cubic", params, cov, bands.measure())[0]
-    if _corrupt_requested():
-        # Test hook: force the trace identity to fail.  Gathered matrices
-        # are read-only, and a hand-built covariance is solved from its matrix.
-        matrix = cov.matrix.copy()
-        matrix[0, 0] += 0.37
-        cov = DenseCovariance(matrix, dims=grid.dims)
     rows, lam, gap = _operator_rows("cubic", params, cov, bands.measure())
     total = grid.size
 

@@ -368,3 +368,30 @@ def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
     cfg = write_config(tmp_path, {"dim": 2, "grid": [2**62, 4], **band})
     assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "exceeds the cap" in json.loads(capsys.readouterr().err.strip())["error"]
+
+
+@pytest.mark.parametrize("doc", [
+    {"dim": 1, "cubic": [{"center": [-0.10], "half_widths": [0.05]},
+                         {"center": [0.20], "half_widths": [0.05]}],
+     "grid": [128]},
+    {"dim": 3, "cubic": [{"center": [0.0, 0.1, -0.1],
+                          "half_widths": [0.1, 0.08, 0.12]}],
+     "grid": [8, 8, 8]},
+    {"dim": 2, "parallelepiped": [{**SHEAR, "center": [0.0, 0.0]}],
+     "grid": [16, 16]},
+    None,
+], ids=["1-D-128", "3-D-8", "parallelogram-only-16", "default"])
+def test_corruption_hook_fails_the_trace_row_of_every_geometry(
+        doc, tmp_path, monkeypatch):
+    monkeypatch.setenv("MDPROLATE_TEST_CORRUPT", "1")
+    out = tmp_path / "out"
+    argv = ["verify", "--out", str(out), "--format", "json"]
+    if doc is not None:
+        argv += ["--config", write_config(tmp_path, doc)]
+    assert main(argv) == 1
+    rows = json.loads((out / "verify_report.json").read_text())
+    trace = {r["experiment"]: r["passed"] for r in rows
+             if r["metric"] == "trace_rel_err"}
+    assert trace and not any(trace.values())
+    if doc is None:
+        assert set(trace) == {"cubic", "parallelepiped"}

@@ -3,12 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdprolate import (CubicBandUnion, OperatorSpec, SamplingGrid, build_psi,
-                       dpss)
-from mdprolate.reports import (ReportRow, export_dictionary, format_float,
-                               report_rows_csv, write_csv, write_json,
-                               write_spectrum_csv, write_eigenvectors_csv)
+                       dpss, reports)
+from mdprolate.reports import (ReportRow, _render, export_dictionary,
+                               format_float, report_rows_csv, write_csv,
+                               write_json, write_spectrum_csv,
+                               write_eigenvectors_csv)
 
 
 def test_format_float_round_trip():
@@ -93,3 +96,101 @@ def test_export_dictionary(tmp_path):
     header = (out / "atom_0000.csv").read_text().splitlines()[0]
     assert header.startswith("c000_re,c000_im")
     assert manifest["atoms"][0]["dpss_indices"] == [0, 0]
+
+
+# --- the vectorized %.17g renderer ------------------------------------------
+
+def per_cell(values):
+    return "".join(",".join(format_float(v) for v in row) + "\n"
+                   for row in np.asarray(values).tolist())
+
+
+def halfway_doubles():
+    """Doubles whose exact decimal has 18 significant digits ending in 5, so
+    rounding to 17 digits is a tie: ``m / 2^q`` with ``m * 5^q`` of 18
+    digits (``q`` is at most 25 since 5^26 has 19 digits)."""
+    out = []
+    for q in range(17, 26):
+        low = -(-10 ** 17 // 5 ** q) | 1
+        high = ((10 ** 18 - 1) // 5 ** q - 1) | 1
+        for m in (low, low + 2, high - 2, high):
+            if len(str(m * 5 ** q)) == 18 and m / 2 ** q < 10:
+                out.append(m / 2 ** q)
+    return out
+
+
+def short_decimals():
+    """Decimals of 1 to 18 significant digits, half their digits zero, from
+    1e-21 to 10: their 17-digit renderings end in runs of zeros."""
+    rng = np.random.default_rng(5)
+    out = []
+    for size in range(1, 19):
+        for _ in range(40):
+            digits = rng.integers(0, 10, size) * (rng.random(size) < 0.5)
+            digits[0] = rng.integers(1, 10)
+            mantissa = "".join(map(str, digits))
+            out.append(float(f"{mantissa[0]}.{mantissa[1:]}e{rng.integers(-21, 1)}"))
+    return out
+
+
+POWERS = [float(f"1e-{j}") for j in range(21)]
+HARD = np.array(
+    [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308, -1e-310]
+    + POWERS
+    + [np.nextafter(p, d) for p in POWERS for d in (np.inf, -np.inf)]
+    + halfway_doubles() + short_decimals()
+    + [10.0, -10.0, np.nextafter(10.0, 0.0), 12345.0, 1e16, 1e17,
+       1.7976931348623157e308, 9.9e-21, -1e-300, np.nextafter(1e-20, 0.0)])
+HARD = np.concatenate([HARD, -HARD])
+
+
+def test_halfway_doubles_are_ties():
+    ties = halfway_doubles()
+    assert len(ties) >= 20
+    for x in ties:
+        digits = format(x, ".17e").split("e")[0].replace(".", "").rstrip("0")
+        assert len(digits) == 18 and digits.endswith("5")
+    assert 2.0 ** -25 in ties  # 2.98023223876953125e-08, an %e layout
+
+
+@pytest.mark.parametrize("long_double", [True, False])
+def test_render_hard_cases(long_double, monkeypatch):
+    monkeypatch.setattr(reports, "_LONG_DOUBLE", long_double and reports._LONG_DOUBLE)
+    for cols in (1, 7, HARD.size):
+        values = HARD[: HARD.size // cols * cols].reshape(-1, cols)
+        assert _render(values) == per_cell(values)
+    assert _render(np.array([[1e-12, 1.0, 1e-4, 1e-5, -0.0]])) == (
+        "9.9999999999999998e-13,1,0.0001,1.0000000000000001e-05,-0\n")
+
+
+@pytest.mark.parametrize("long_double", [True, False])
+@settings(max_examples=200, deadline=None)
+@given(cells=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(min_value=-10, max_value=10)),
+                      min_size=1, max_size=40),
+       cols=st.integers(1, 5))
+def test_render_matches_per_cell_format(long_double, cells, cols):
+    cols = min(cols, len(cells))
+    values = np.array(cells[: len(cells) // cols * cols]).reshape(-1, cols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(reports, "_LONG_DOUBLE", long_double and reports._LONG_DOUBLE)
+        assert _render(values) == per_cell(values)
+
+
+def test_render_formats_most_cells_without_percent(monkeypatch):
+    """Only near ties, magnitudes outside [1e-20, 10) and products that land
+    on 1e16 (an exact 1.0) take the per-cell ``%``."""
+    if not reports._LONG_DOUBLE:
+        pytest.skip("no 64-bit long double mantissa: every cell takes %")
+    seen = []
+    percent = reports._percent
+    monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v) or percent(v))
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((20, 64)) * 10.0 ** -np.arange(20)[:, None]
+    assert _render(values) == per_cell(values)
+    assert sum(v.size for v in seen) < 0.06 * values.size
+    seen.clear()
+    near = np.array([[p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
+                     for p in POWERS[:20]])
+    assert _render(near) == per_cell(near)
+    assert sum(v.size for v in seen) <= 3

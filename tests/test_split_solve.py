@@ -16,8 +16,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
                        decompose, dpss, materialize_cubic, pp_materialize,
                        sinc_kernel, spectrum, spectrum_values, vec)
-from mdprolate.prolate import (_axis_table, _centro_hermitian, _fix_phases,
-                               _gather, _hermitian)
+from mdprolate.prolate import (_axis_table, _centro_hermitian, _gather,
+                               _hermitian, _pivot_scale)
 
 import pinned
 
@@ -127,6 +127,11 @@ def test_nonzero_coupling_takes_the_full_solve(name, solver_sizes):
     lam = spectrum_values(DenseCovariance(matrix=a, dims=(n,), spec=None))
     assert solver_sizes == [n]
     assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[::-1])) <= 1e-13
+
+
+def _fix_phases(vecs):
+    """Columns of ``vecs`` with the solver's pivot phase convention."""
+    return vecs * _pivot_scale(vecs.T)
 
 
 @pytest.mark.parametrize("n, half_width", [(64, 0.1), (65, 0.2), (1, 0.3)])
