@@ -320,7 +320,7 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     ``sum_{k >= p} lambda_k`` for a basis of the p leading eigen-tensors.
 
     Trials run in blocks of ``_TRIAL_BLOCK``: ``SpectrumND.combine`` forms
-    a block's signals from the solver's half-size real eigenvector blocks,
+    a block's signals from the solver's real eigenvector blocks,
     without any eigen-tensor, and one GEMM pair projects them, so the
     residual stays an explicit, empirical one.  The signals equal
     ``sample_signal``'s up to roundoff.

@@ -23,8 +23,15 @@ a dense real symmetric eigensolve of the same size, exact up to roundoff,
 because every gathered operator is centro-Hermitian.  When the boxes pair
 up as mirrors about one centre, the materialization also keeps the
 operator's real table demodulated to that centre, and :func:`spectrum`
-and :func:`spectrum_values` solve two half-size real blocks filled
-straight from it, without gathering the matrix.
+and :func:`spectrum_values` solve real blocks filled straight from it,
+without gathering the matrix: one per character of the group that J and
+the table's commuting axis symmetries generate (``prolate._eigh``).  A
+set with J alone, such as the README union, gives an even and an odd
+block of half the size.  A single 2-D box also has the reversal of axis
+0, and so four blocks; the 3-D two-box union on a cube has the swap of
+axes 1 and 2, and four blocks too.  The table solved is the demodulated
+one averaged over those symmetries, which moves no entry by more than a
+few ulp of its zero-difference value.
 """
 
 from __future__ import annotations
@@ -159,8 +166,9 @@ class SpectrumND:
     ``<A, B> = trace(B^H A)``.
 
     A spectrum from :func:`spectrum` holds the eigenvectors as the solver
-    returned them (``prolate._Eigenvectors``: one or two half-size real
-    blocks, their order, pivot factors and centre phase).  ``tensors`` is
+    returned them (``prolate._Eigenvectors``: one real block per
+    character of the symmetry group, or one full-size block, with their
+    order, pivot factors and centre phase).  ``tensors`` is
     then written from them on first access and cached, one C-contiguous
     ``(P, *dims)`` array; :meth:`leading` writes only the first few, and
     :meth:`combine` forms linear combinations without any eigen-tensor.
@@ -245,9 +253,9 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     Eigen-tensors use the same vec ordering as the materialization and are
     phase-fixed for determinism.  They are kept as the solver's blocks and
     written only when read (see :class:`SpectrumND`).  A point-symmetric
-    band set is solved as an even and an odd real block from its
-    demodulated table, without gathering ``cov.matrix``; everything else
-    from ``cov.matrix``.
+    band set is solved as one real block per character of its symmetry
+    group (an even and an odd one for J alone) from its demodulated table,
+    without gathering ``cov.matrix``; everything else from ``cov.matrix``.
     """
     vals, vectors = _decompose(cov, True)
     return SpectrumND(vals, vectors=vectors)

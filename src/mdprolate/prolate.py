@@ -18,17 +18,26 @@ Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c
 (a band at c pairs with itself), :func:`_demodulate` builds the table of
 the operator shifted to c as an exactly real array.  Its reduced matrix
-falls apart into an even and an odd block, which :func:`_eigh` fills
-straight from that table and solves at half the size (Cantoni & Butler
-1976); eigenvectors come back multiplied by the centre phase.  Such an
-operator is never gathered: the table is all the solver reads.
+falls apart into an even and an odd block under J (Cantoni & Butler
+1976).  The table may have more symmetries: reversing one axis, as every
+single box and the four-box union ``(+-f1, +-f2)`` do, or swapping two
+axes of equal length, as the 3-D two-box union with offsets ``+-(a, b,
+b)`` does.  :func:`_axis_symmetries` accepts those that commute, to a few
+ulp of ``T(0)``, and averages the table over them so it is exactly
+invariant.  With J they generate a group G of order 2, 4 or more, and
+:func:`_eigh` fills one real block per character of G straight from the
+table, each about ``n / |G|`` in size, and solves them separately
+(Faessler & Stiefel 1992); eigenvectors come back multiplied by the centre
+phase.  A set with J alone, such as the README union, gets the even and
+odd blocks bit for bit as before.  Such an operator is never gathered: the
+table is all the solver reads.
 
 :func:`_eigh` keeps the eigenvectors as the solver returned them, one
-or two half-size real blocks, with their descending order and the
-package's phase convention (:class:`_Eigenvectors`).  They are mapped
-back only when read: to eigen-tensors, written a chunk at a time into
-one array, or to linear combinations of them, formed by half-size real
-products without any eigen-tensor.
+real block per character or one full-size block, with their descending
+order and the package's phase convention (:class:`_Eigenvectors`).  They
+are mapped back only when read: to eigen-tensors, written a chunk at a
+time into one array, or to linear combinations of them, formed by
+block-size real products without any eigen-tensor.
 """
 
 from __future__ import annotations
@@ -155,10 +164,13 @@ class _Demodulated(NamedTuple):
     """Real table of an operator whose bands are point-symmetric about
     ``center``, shifted to that centre: the operator's matrix is ``D T D^H``
     with T the table's matrix and ``D = diag(exp(2 pi i center . x))`` over
-    the sample coordinates x in vec order."""
+    the sample coordinates x in vec order.  ``symmetries`` are the axis maps
+    besides J the table is invariant under (see :func:`_axis_symmetries`),
+    in the order they were accepted."""
 
     center: np.ndarray
     table: np.ndarray
+    symmetries: tuple
 
 
 def _demodulate(bands: _BandSet) -> _Demodulated | None:
@@ -193,7 +205,148 @@ def _demodulate(bands: _BandSet) -> _Demodulated | None:
     acc = 0.0
     for offset, i, weight in sorted(pairs):
         acc = acc + weight * bands.term(i, np.array(offset)).real
-    return _Demodulated(center, _hermitian(acc))
+    return _Demodulated(center, *_axis_symmetries(_hermitian(acc)))
+
+
+# ---------------------------------------------------------------------------
+# axis symmetries
+#
+# A real, point-symmetric table may also be invariant under reversing single
+# axes or swapping axes of equal length.  Those maps, with J, generate an
+# abelian group G of commuting involutions that permutes the samples and
+# commutes with the operator, so the operator splits into one real block per
+# character of G (Cantoni & Butler 1976; Faessler & Stiefel 1992).
+
+
+class _AxisMap(NamedTuple):
+    """A signed axis permutation g: ``(g d)[a] = +-d[perm[a]]``, minus when
+    ``flips[a]``.  On a difference table a flip negates the difference; on
+    sample coordinates it is the reversal ``x -> n - 1 - x``."""
+
+    perm: tuple[int, ...]
+    flips: tuple[bool, ...]
+
+
+def _reversal(flips) -> _AxisMap:
+    """The map reversing the axes where ``flips`` is set: the identity
+    when none is, J when all are."""
+    flips = tuple(flips)
+    return _AxisMap(tuple(range(len(flips))), flips)
+
+
+def _compose(g: _AxisMap, h: _AxisMap) -> _AxisMap:
+    """The map ``d -> g(h(d))``."""
+    return _AxisMap(tuple(h.perm[p] for p in g.perm),
+                    tuple(f != h.flips[p] for f, p in zip(g.flips, g.perm)))
+
+
+def _elements(d: int, symmetries: tuple[_AxisMap, ...]) -> list[_AxisMap]:
+    """The group G generated by J and ``symmetries`` in d axes: element e
+    is the product of the generators whose bits are set in e, J being the
+    highest bit."""
+    elements = [_reversal((False,) * d)]
+    for g in reversed((_reversal((True,) * d),) + tuple(symmetries)):
+        elements += [_compose(g, h) for h in elements]
+    return elements
+
+
+def _moved(table: np.ndarray, g: _AxisMap) -> np.ndarray:
+    """The table ``d -> T[g d]``, as a view."""
+    flipped = table[tuple(slice(None, None, -1 if f else 1) for f in g.flips)]
+    return flipped.transpose(g.perm)
+
+
+def _axis_symmetries(table: np.ndarray) -> tuple[np.ndarray, tuple[_AxisMap, ...]]:
+    """A real, point-symmetric table averaged over the axis maps it is
+    invariant under, and those maps.
+
+    The candidates, in this order, are the reversal of each axis, then the
+    swap of each pair of equal-length axes.  One is skipped when the group
+    generated so far (J included) already holds it, or when it does not
+    commute with every map accepted before it.  It is accepted when it moves
+    no entry by more than :data:`_MIRROR_TOL` times ``T(0)``, and the table
+    is then replaced by ``(T + g T) / 2``, as :func:`_hermitian` does: that
+    is exactly invariant under g and, because the maps commute, under every
+    map accepted before.  Each step moves an entry by at most half the
+    tolerance plus one rounding, so with m maps accepted (at most d - 1 in
+    d axes) the solved matrix differs from the demodulated operator's by at
+    most ``m tol`` entrywise, and ``||dA||_2 <= n m tol``.  A table that
+    accepts no map is returned as it is.
+    """
+    d = table.ndim
+    dims = tuple((s + 1) // 2 for s in table.shape)
+    tol = _MIRROR_TOL * abs(table[tuple(n - 1 for n in dims)])
+    candidates = [_reversal(b == a for b in range(d)) for a in range(d)]
+    for a in range(d):
+        for b in range(a + 1, d):
+            if dims[a] == dims[b]:
+                perm = list(range(d))
+                perm[a], perm[b] = b, a
+                candidates.append(_AxisMap(tuple(perm), (False,) * d))
+    accepted = ()
+    for g in candidates:
+        if (g in _elements(d, accepted)
+                or any(_compose(g, h) != _compose(h, g) for h in accepted)):
+            continue
+        moved = _moved(table, g)
+        if np.max(np.abs(moved - table)) > tol:
+            continue
+        table = np.ascontiguousarray((table + moved) / 2.0)
+        accepted += (g,)
+    return table, accepted
+
+
+class _Orbits(NamedTuple):
+    """The orbits of the samples under G, generated by J and ``symmetries``.
+
+    G has ``2^(len(symmetries) + 1)`` elements, numbered as
+    :func:`_elements` lists them, and ``chars[c, e] = (-1)^popcount(c & e)``
+    is the value of character c on element e: character 0 is trivial, and
+    for J alone characters 0 and 1 are the even and odd ones.
+    ``images[e, o]`` is the vec index element e maps
+    orbit o's representative to, the representative (``images[0]``) being
+    the orbit's smallest vec index.  The first ``free`` orbits have the
+    trivial stabiliser; the others follow, each group in ascending order of
+    representative.  ``stab`` holds each orbit's stabiliser size, and
+    ``keep[c]`` the orbits whose stabiliser character c is trivial on, in
+    orbit order: the orbits block c is written over, the free ones first.
+    """
+
+    images: np.ndarray
+    stab: np.ndarray
+    chars: np.ndarray
+    free: int
+    keep: list[np.ndarray]
+
+
+def _span(idx: np.ndarray):
+    """``idx`` as a slice when it is a run of unit step, else ``idx``."""
+    if idx.size:
+        step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+        if abs(step) == 1 and np.all(np.diff(idx) == step):
+            stop = int(idx[-1]) + step
+            return slice(int(idx[0]), None if stop < 0 else stop, step)
+    return idx
+
+
+def _orbits(dims: tuple[int, ...], symmetries: tuple[_AxisMap, ...]) -> _Orbits:
+    """The orbits of the samples of a grid under J and ``symmetries``."""
+    elements = _elements(len(dims), symmetries)
+    size = len(elements)
+    chars = np.array([[(-1.0) ** bin(c & e).count("1") for e in range(size)]
+                      for c in range(size)])
+    coords = np.unravel_index(np.arange(int(np.prod(dims))), dims, order="F")
+    maps = np.stack([np.ravel_multi_index(
+        [dims[a] - 1 - coords[p] if f else coords[p] for a, (p, f) in
+         enumerate(zip(g.perm, g.flips))], dims, order="F") for g in elements])
+    reps = np.flatnonzero(maps.min(axis=0) == np.arange(maps.shape[1]))
+    stab = np.count_nonzero(maps[:, reps] == reps, axis=0)
+    reps = np.concatenate([reps[stab == 1], reps[stab > 1]])
+    images = np.ascontiguousarray(maps[:, reps])
+    fixed = images == reps
+    keep = [np.flatnonzero(~(fixed & (row < 0)[:, None]).any(axis=0)) for row in chars]
+    return _Orbits(images, np.count_nonzero(fixed, axis=0), chars,
+                   int(np.count_nonzero(stab == 1)), keep)
 
 
 def _phase(dims: tuple[int, ...], center: np.ndarray) -> np.ndarray:
@@ -335,38 +488,81 @@ def _matrix_blocks(a: np.ndarray) -> list[np.ndarray]:
     return blocks
 
 
-def _table_blocks(table: np.ndarray) -> list[np.ndarray]:
-    """``[even, odd]`` blocks of the reduced matrix of a real, point-
-    symmetric table's matrix A, read from the table by index arithmetic.
+def _character_sums(parts, outs):
+    """``outs[c] = sum_e chars[c, e] parts[e]`` for every character c of
+    :class:`_Orbits`, by the fast Walsh-Hadamard transform: ``log2 |G|``
+    rounds of sums and differences, the last written into ``outs``.
+    ``parts`` are overwritten.  For J alone it is ``[p0 + p1, p0 - p1]``."""
+    parts, spare = list(parts), None
+    half = len(parts) // 2
+    span = 1
+    while span < half:
+        for lo in range(0, len(parts), 2 * span):
+            for j in range(lo, lo + span):
+                a, b = parts[j], parts[j + span]
+                spare = np.empty_like(a) if spare is None else spare
+                np.subtract(a, b, out=spare)
+                a += b
+                parts[j + span], spare = spare, b
+        span *= 2
+    for j in range(half):
+        np.add(parts[j], parts[j + half], out=outs[j])
+        np.subtract(parts[j], parts[j + half], out=outs[j + half])
+    return outs
+
+
+def _orbit_blocks(table: np.ndarray, orbits: _Orbits) -> list[np.ndarray]:
+    """The real blocks, one per character of G, of the matrix A of a real
+    table invariant under G, read from the table by index arithmetic.
 
     With ``o_i`` the table offset of sample i's coordinates and ``z`` that
-    of the zero difference, ``A[i, j] = T[z + o_i - o_j]`` and the mirror
-    entry ``A[i, n-1-j] = T[o_i + o_j]``.  Rows are filled a block at a
-    time, so no n x n array is allocated.  The values equal the slices
+    of the zero difference, ``A[i, j] = T[z + o_i - o_j]``.  Block c over
+    the orbits with representatives i and j is ``sum_e chars[c, e] T[z +
+    o_i - o_{e j}] / sqrt(s_i s_j)``, with s the stabiliser sizes: the
+    matrix in the orthonormal basis ``sqrt(s / |G|) sum_{distinct e j}
+    chars[c, e] e_{e j}`` of each kept orbit.  Each ``T[z + o_i - o_{e j}]``
+    is gathered once, for all blocks, a band of free rows at a time, so no
+    n x n array is allocated; the rows of the other orbits are the
+    transposed columns.  For G = {1, J} the blocks are the even and odd
+    blocks, ``a11 + a12j`` and ``a11 - a12j``, with the middle column
+    ``sqrt 2 T`` and corner ``T[z]`` for odd n, bit for bit the slices
     :func:`_matrix_blocks` takes from the gathered matrix.
     """
     dims = tuple((s + 1) // 2 for s in table.shape)
-    n = int(np.prod(dims))
-    k, odd = n // 2, n % 2
     flat = table.ravel()
     steps = np.cumprod((1,) + table.shape[:0:-1])[::-1]
-    coords = np.unravel_index(np.arange(k), dims, order="F")
+    coords = np.unravel_index(orbits.images, dims, order="F")
     off = sum(c * st for c, st in zip(coords, steps))
     zero = int(sum((m - 1) * st for m, st in zip(dims, steps)))
-    even_rows, odd_rows = np.empty((k + odd, k + odd)), np.empty((k, k))
-    step = max(1, 65536 // max(k, 1))
-    for lo in range(0, k, step):
-        hi = min(lo + step, k)
-        rows = off[lo:hi, None]
-        a11, a12j = flat[zero + rows - off], flat[rows + off]
-        np.add(a11, a12j, out=even_rows[lo:hi, :k])
-        np.subtract(a11, a12j, out=odd_rows[lo:hi])
-    if odd:
-        # The middle sample sits at half the zero-difference offset.
-        np.multiply(np.sqrt(2.0), flat[off + zero // 2], out=even_rows[:k, k])
-        even_rows[k, :k] = even_rows[:k, k]
-        even_rows[k, k] = flat[zero]
-    return [even_rows, odd_rows]
+    free, count = orbits.free, off.shape[1]
+    blocks = [np.empty((k.size, k.size)) for k in orbits.keep]
+    step = max(1, 65536 // max(free, 1))
+    # Gathered into buffers reused by every band of rows: fresh band-sized
+    # arrays would each be mapped and faulted in anew.  Every index is in
+    # range; mode "clip" only lets take write into its out buffer directly.
+    index = np.empty((step, free), dtype=np.intp)
+    gathered = np.empty((len(off), step, free))
+    for lo in range(0, free, step):
+        hi = min(lo + step, free)
+        rows = zero + off[0, lo:hi, None]
+        for o, part in zip(off, gathered):
+            np.subtract(rows, o[:free], out=index[:hi - lo])
+            np.take(flat, index[:hi - lo], out=part[:hi - lo], mode="clip")
+        _character_sums(gathered[:, :hi - lo], [b[lo:hi, :free] for b in blocks])
+    if count > free:
+        # The columns of the orbits with a nontrivial stabiliser, for all
+        # rows; their rows are the same entries transposed.
+        parts = flat[zero + off[0, :, None] - off[:, None, free:]]
+        for block, keep, total in zip(blocks, orbits.keep,
+                                      _character_sums(parts, np.empty(parts.shape))):
+            tail = keep[free:]
+            # sqrt(1/4) is exact and sqrt(1/2) = sqrt(2) / 2, so for J the
+            # middle column is sqrt 2 T and the corner T[z] exactly.
+            weight = np.sqrt(1.0 / np.multiply.outer(orbits.stab[keep],
+                                                     orbits.stab[tail]))
+            np.multiply(total[np.ix_(keep, tail - free)], weight, out=block[:, free:])
+            block[free:, :free] = block[:free, free:].T
+    return blocks
 
 
 # Pivots are found and eigen-tensors assembled this many entries at a time,
@@ -398,24 +594,32 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     (``J v = -v``) before any centre phase.
 
     ``demodulated``, the real table of the same operator shifted to the
-    centre of its point-symmetric band set, makes the two blocks come
-    straight from that table; ``a`` is then only the size n.  Eigenvectors
-    are multiplied by the centre phase ``D``: ``K v = +-v`` with
-    ``K = D J D^H``.
+    centre of its point-symmetric band set, makes the blocks come straight
+    from that table, one per character of the group G that J and the
+    table's axis symmetries generate (:func:`_orbit_blocks`); ``a`` is then
+    only the size n.  For G = {1, J} those are the even and odd blocks
+    above.  Eigenvectors are multiplied by the centre phase ``D``: ``K v =
+    chi(g) v`` with ``K = D g D^H`` for every g in G, chi the block's
+    character.
 
-    Eigenvalues are sorted descending by a stable sort (the even block
-    first among ties).  The eigenvectors are not mapped back here: the
-    solved blocks' eigenvectors are kept, with the descending order, the
-    centre phase and each vector's pivot factor, and ``dims`` (default
-    ``(n,)``) fixes the eigen-tensor shape they are read out in.
+    Eigenvalues are sorted descending by a stable sort (the block of the
+    lower character first among ties).  The eigenvectors are not mapped
+    back here: the solved blocks' eigenvectors are kept, with the
+    descending order, the centre phase and each vector's pivot factor, and
+    ``dims`` (default ``(n,)``) fixes the eigen-tensor shape they are read
+    out in.
     """
+    n = a if demodulated is not None else a.shape[0]
+    dims = (n,) if dims is None else tuple(dims)
+    orbits = None
     if demodulated is not None:
-        n = a
-        blocks = _table_blocks(demodulated.table)
+        orbits = _orbits(dims, demodulated.symmetries)
+        blocks = _orbit_blocks(demodulated.table, orbits)
     else:
-        n = a.shape[0]
         if np.iscomplexobj(a) and _centro_hermitian(a):
             blocks = _matrix_blocks(a)
+            if len(blocks) == 2:
+                orbits = _orbits((n,), ())
         else:
             blocks = [a]
     try:
@@ -432,35 +636,44 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     order = np.argsort(-vals, kind="stable")
     if not vectors:
         return vals[order], None
-    dims = (n,) if dims is None else tuple(dims)
     phase = None if demodulated is None else _phase(dims, demodulated.center)
     return vals[order], _Eigenvectors([w for _, w in parts], order, mapped,
-                                      dims, phase)
+                                      dims, phase, orbits)
 
 
 class _Eigenvectors:
     """The eigenvectors of one :func:`_eigh` solve, kept as the solver
     returned them.
 
-    ``blocks`` holds the solved blocks' eigenvectors as columns: an even
-    and an odd real block, one real reduced block (``mapped``), or one
-    unreduced block.  Eigenvector r, in descending eigenvalue order, is
-    column ``order[r]`` of the concatenated blocks mapped to a vec-order
-    row by :func:`_rows`, times ``scale[r] * phase``: ``scale`` is the
-    factor :func:`_pivot_scale` gives that row, ``phase`` the centre phase
-    (None without one).  The two readers map the blocks back only as far
-    as they need: :meth:`tensors` writes eigen-tensors, :meth:`combine`
-    forms linear combinations of them with half-size real products.
+    ``blocks`` holds the solved blocks' eigenvectors as columns: one real
+    block per character of G over its ``orbits`` (:class:`_Orbits`), one
+    real reduced block (``mapped``, no orbits), or one unreduced block.
+    Eigenvector r, in descending eigenvalue order, is column ``order[r]``
+    of the concatenated blocks mapped to a vec-order row by :meth:`_rows`,
+    times ``scale[r] * phase``: ``scale`` is the factor
+    :func:`_pivot_scale` gives that row, ``phase`` the centre phase (None
+    without one).  The two readers map the blocks back only as far as they
+    need: :meth:`tensors` writes eigen-tensors, :meth:`combine` forms
+    linear combinations of them with block-size real products.
     """
 
     def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
-                 mapped: bool, dims: tuple[int, ...], phase: np.ndarray | None):
+                 mapped: bool, dims: tuple[int, ...], phase: np.ndarray | None,
+                 orbits: _Orbits | None = None):
         self.blocks, self.order, self.mapped = blocks, order, mapped
-        self.dims, self.phase = dims, phase
+        self.dims, self.phase, self.orbits = dims, phase, orbits
         self.n = order.size
+        self.starts = np.cumsum([0] + [w.shape[1] for w in blocks])
+        if orbits is not None:
+            # Where each block's and each element's entries land, as slices
+            # where they are unit-step runs (for J, every one of them), and
+            # each orbit's weight sqrt(s / |G|).
+            self.targets = [[_span(img[k]) for img in orbits.images]
+                            for k in orbits.keep]
+            self.free_targets = [_span(img[:orbits.free]) for img in orbits.images]
+            self.weight = 1.0 / np.sqrt(len(orbits.chars) / orbits.stab)
         self.scale = np.concatenate([
-            _pivot_scale(_rows(blocks, sel, self.n, mapped), phase)
-            for sel in self._chunks(self.n)])
+            _pivot_scale(self._rows(sel), phase) for sel in self._chunks(self.n)])
         self.inverse = np.empty_like(order)
         self.inverse[order] = np.arange(self.n)
 
@@ -468,6 +681,48 @@ class _Eigenvectors:
         step = max(1, _ASSEMBLY_CHUNK // self.n)
         return [self.order[lo:min(lo + step, count)]
                 for lo in range(0, count, step)]
+
+    def _rows(self, sel: np.ndarray) -> np.ndarray:
+        """Eigenvectors ``sel`` (indices into the concatenated block
+        spectra), as vec-order rows.
+
+        Entry ``e j`` of the vector of block c's eigenvector u is
+        ``chars[c, e] sqrt(s_j / |G|) u_j`` over its kept orbits j (for J,
+        ``[u, m, J u] / sqrt 2`` and ``[u, 0, -J u] / sqrt 2``), so entries
+        of one orbit have exactly equal magnitude.  One reduced block maps
+        back through Q; an unreduced block's eigenvectors are the rows
+        themselves.
+        """
+        n, ws = self.n, self.blocks
+        if self.orbits is not None:
+            orbits = self.orbits
+            rows = np.zeros((sel.size, n))
+            which = np.searchsorted(self.starts, sel, side="right") - 1
+            for c, w in enumerate(ws):
+                pick = np.flatnonzero(which == c)
+                if not pick.size:
+                    continue
+                vals = w.T[sel[pick] - self.starts[c]] * self.weight[orbits.keep[c]]
+                for target, sign in zip(self.targets[c], orbits.chars[c]):
+                    at = ((pick, target) if isinstance(target, slice)
+                          else np.ix_(pick, target))
+                    rows[at] = vals if sign > 0 else -vals
+            return rows
+        y = ws[0].T[sel]
+        if not self.mapped:
+            return y
+        k, odd = n // 2, n % 2
+        h = k + odd
+        scale = 1.0 / np.sqrt(2.0)
+        top, bot = y[:, :k], y[:, h:]
+        v = np.empty(y.shape, dtype=complex)
+        np.multiply(top, scale, out=v.real[:, :k])
+        np.multiply(bot, scale, out=v.imag[:, :k])
+        np.multiply(top[:, ::-1], scale, out=v.real[:, h:])
+        np.multiply(bot[:, ::-1], -scale, out=v.imag[:, h:])
+        if odd:
+            v.real[:, k], v.imag[:, k] = y[:, k], 0.0
+        return v
 
     def tensors(self, count: int | None = None) -> np.ndarray:
         """The first ``count`` (default all) eigen-tensors, as the rows of
@@ -482,7 +737,7 @@ class _Eigenvectors:
         shape = self.dims[::-1]
         lo = 0
         for sel in self._chunks(count):
-            rows = _rows(self.blocks, sel, self.n, self.mapped)
+            rows = self._rows(sel)
             scale = self.scale[lo:lo + sel.size]
             if self.phase is None:
                 factor = scale.reshape((-1,) + (1,) * len(shape))
@@ -500,12 +755,13 @@ class _Eigenvectors:
         The products run on columns: c is transposed to block order with
         the pivot factors folded in, and a real block multiplies the real
         and imaginary parts of those columns together through their
-        interleaved real view, so an even/odd pair costs two half-size real
-        products.  Their results ``(a, m)`` and ``o`` map back in place as
-        ``[a + o, m sqrt 2, J (a - o)] / sqrt 2`` (see :func:`_rows`), and a
-        reduced block's as the same map with ``o`` i times its bottom
-        half.  An unreduced block is one plain product.  The centre phase
-        multiplies the result last.
+        interleaved real view, so each block costs one real product of its
+        size.  The results ``y_c`` map back as :meth:`_rows` maps
+        eigenvectors: entry ``e j`` is ``sqrt(s_j / |G|) sum_c chars[c, e]
+        y_c[j]``, for J ``[a + o, m sqrt 2, J (a - o)] / sqrt 2``.  One
+        reduced block's results map back as the same J map with ``o`` i
+        times its bottom half.  An unreduced block is one plain product.
+        The centre phase multiplies the result last.
         """
         n = self.n
         k, h = n // 2, n - n // 2
@@ -516,15 +772,15 @@ class _Eigenvectors:
             np.matmul(self.blocks[0], coef, out=out)
         else:
             real_coef, real_out = coef.view(float), out.view(float)
-            lo = 0
-            for w in self.blocks:
-                hi = lo + w.shape[1]
-                np.matmul(w, real_coef[lo:hi], out=real_out[lo:hi])
-                lo = hi
-            if self.mapped:
-                if len(self.blocks) == 1:
-                    out[h:] *= 1j
-                # coef is spent: its top rows take a - o before the mirror.
+            for w, lo in zip(self.blocks, self.starts):
+                np.matmul(w, real_coef[lo:lo + w.shape[1]],
+                          out=real_out[lo:lo + w.shape[1]])
+            if self.orbits is not None:
+                # coef is spent: it takes the vec-order result.
+                self._unfold(real_out, real_coef)
+                out = coef
+            elif self.mapped:
+                out[h:] *= 1j
                 a, o, diff = real_out[:k], real_out[h:], real_coef[:k]
                 scale = 1.0 / np.sqrt(2.0)
                 np.subtract(a, o, out=diff)
@@ -538,41 +794,33 @@ class _Eigenvectors:
         shaped = out.T.reshape((-1,) + self.dims[::-1])
         return shaped.transpose((0,) + tuple(range(len(self.dims), 0, -1)))
 
-
-def _rows(ws: list[np.ndarray], sel: np.ndarray, n: int, mapped: bool) -> np.ndarray:
-    """Eigenvectors ``sel`` (indices into the concatenated block spectra),
-    as vec-order rows, from the solved blocks' eigenvectors ``ws``.
-
-    An even and an odd block give the real vectors ``[u, m, J u] / sqrt 2``
-    and ``[u, 0, -J u] / sqrt 2`` of their eigenvectors ``(u, m)`` and
-    ``u``, scaled so that mirrored entries have exactly equal magnitude.
-    One reduced block maps back through Q; an unreduced block's
-    eigenvectors are the rows themselves.
-    """
-    k, odd = n // 2, n % 2
-    h = k + odd
-    scale = 1.0 / np.sqrt(2.0)
-    if len(ws) == 2:
-        even = sel < h
-        rows = np.zeros((sel.size, n))
-        rows[even, :h] = ws[0].T[sel[even]]
-        rows[~even, :k] = ws[1].T[sel[~even] - h]
-        rows[:, :k] *= scale
-        np.multiply(rows[:, :k][:, ::-1], np.where(even, 1.0, -1.0)[:, None],
-                    out=rows[:, h:])
-        return rows
-    y = ws[0].T[sel]
-    if not mapped:
-        return y
-    top, bot = y[:, :k], y[:, h:]
-    v = np.empty(y.shape, dtype=complex)
-    np.multiply(top, scale, out=v.real[:, :k])
-    np.multiply(bot, scale, out=v.imag[:, :k])
-    np.multiply(top[:, ::-1], scale, out=v.real[:, h:])
-    np.multiply(bot[:, ::-1], -scale, out=v.imag[:, h:])
-    if odd:
-        v.real[:, k], v.imag[:, k] = y[:, k], 0.0
-    return v
+    def _unfold(self, ys: np.ndarray, out: np.ndarray) -> None:
+        """Write the vec-order rows of the block results ``ys`` (rows in
+        block order) into ``out``; see :meth:`combine`."""
+        orbits = self.orbits
+        free, size = orbits.free, len(orbits.chars)
+        dests = [out[t] if isinstance(t, slice) else np.empty((free, ys.shape[1]))
+                 for t in self.free_targets]
+        _character_sums([ys[lo:lo + free] for lo in self.starts[:-1]], dests)
+        for target, dest in zip(self.free_targets, dests):
+            dest *= 1.0 / np.sqrt(size)
+            if not isinstance(target, slice):
+                out[target] = dest
+        if orbits.images.shape[1] == free:
+            return
+        tail = np.empty((size, orbits.images.shape[1] - free, ys.shape[1]))
+        tail[:] = ys[free:self.starts[1]]
+        for c in range(1, len(self.blocks)):
+            kept = orbits.keep[c][free:] - free
+            y = ys[self.starts[c] + free:self.starts[c + 1]]
+            for e in range(size):
+                if orbits.chars[c, e] > 0:
+                    tail[e, kept] += y
+                else:
+                    tail[e, kept] -= y
+        tail *= self.weight[free:, None]
+        for e in range(size):
+            out[orbits.images[e, free:]] = tail[e]
 
 
 @dataclass(frozen=True)

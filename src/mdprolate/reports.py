@@ -194,9 +194,10 @@ def _percent(values: np.ndarray) -> np.ndarray:
     return np.array([b"%.17g" % v for v in values.tolist()], "S24")
 
 
-def _render(values: np.ndarray) -> str:
+def _render(values: np.ndarray, index: bool = False) -> str:
     """CSV body of a finite 2-D float array: each cell as ``%.17g``, cells
-    joined by ',', every row ended by '\\n'.
+    joined by ',', every row ended by '\\n'; with ``index``, each row starts
+    with its row number as ``%d``.
 
     A cell with ``1e-20 <= |x| < 10`` takes its 17 digits from
     ``D = rint(|x| 10^k)``, ``1e16 <= D < 1e17``, computed in long double.
@@ -208,7 +209,7 @@ def _render(values: np.ndarray) -> str:
     """
     n, cols = values.shape
     if cols == 0:
-        return "\n" * n
+        return "".join(f"{i}\n" for i in range(n)) if index else "\n" * n
     powers, quads, prefix, suffix = _tables()
     x = values.ravel()
     mag = np.abs(x)
@@ -252,6 +253,11 @@ def _render(values: np.ndarray) -> str:
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:
         slots[slow, :3] = _percent(x[slow]).view(np.uint64).reshape(-1, 3)
+    if index:
+        # The row number fills two words of its own, ended like a cell.
+        head = np.array([b"%d," % i for i in range(n)], "S16").view(np.uint64)
+        slots = np.concatenate([head.reshape(n, 2), slots.reshape(n, 4 * cols)],
+                               axis=1)
     return slots.tobytes().translate(None, b"\0").decode("ascii")
 
 
@@ -260,8 +266,7 @@ def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
     cell rendered as :func:`write_csv` would."""
     values = np.asarray(eigenvalues, float)
     _check_finite(values)
-    write_text_atomic(path, "index,eigenvalue\n" + _render(
-        np.column_stack([np.arange(values.size), values])))
+    write_text_atomic(path, "index,eigenvalue\n" + _render(values[:, None], index=True))
 
 
 def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
@@ -277,13 +282,11 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
     header = ["index"] if index else []
     for j in range(k):
         header += [f"{prefix}{j:03d}_re", f"{prefix}{j:03d}_im"]
-    values = np.empty((n, index + 2 * k))
-    if index:
-        values[:, 0] = np.arange(n)
-    values[:, index::2] = a.real
-    values[:, index + 1::2] = a.imag
+    values = np.empty((n, 2 * k))
+    values[:, ::2] = a.real
+    values[:, 1::2] = a.imag
     _check_finite(values)
-    write_text_atomic(path, ",".join(header) + "\n" + _render(values))
+    write_text_atomic(path, ",".join(header) + "\n" + _render(values, index=index))
 
 
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:

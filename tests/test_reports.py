@@ -194,3 +194,20 @@ def test_render_formats_most_cells_without_percent(monkeypatch):
                      for p in POWERS[:20]])
     assert _render(near) == per_cell(near)
     assert sum(v.size for v in seen) <= 3
+
+
+def test_index_column_is_rendered_as_integers(monkeypatch, tmp_path):
+    """Row numbers take ``%d``, never the per-cell ``%`` of the float cells."""
+    seen = []
+    percent = reports._percent
+    monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v) or percent(v))
+    values = np.linspace(0.9, 0.1, 1600)
+    write_spectrum_csv(tmp_path / "s.csv", values)
+    assert (tmp_path / "s.csv").read_text() == "index,eigenvalue\n" + "".join(
+        f"{i},{format_float(v)}\n" for i, v in enumerate(values))
+    vectors = values[:40].reshape(20, 2) * (1 + 1j)
+    write_eigenvectors_csv(tmp_path / "v.csv", vectors)
+    rows = (tmp_path / "v.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[0] for r in rows] == [str(i) for i in range(20)]
+    assert not any(np.any(v == np.rint(v)) for v in seen if v.size)
+    assert _render(np.empty((3, 0)), index=True) == "0\n1\n2\n"
