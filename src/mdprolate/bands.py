@@ -457,6 +457,8 @@ def load_band_config(source) -> BandConfig:
             doc = json.loads(Path(source).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigError(f"band file not found: {source}") from None
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read band file {source}: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ConfigError(f"band file is not valid JSON: {exc}") from None
     else:

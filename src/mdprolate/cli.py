@@ -340,7 +340,9 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return args.func(args)
-    except (ConfigError, BandError, SizeCapError) as exc:
+    except (ConfigError, BandError, SizeCapError, OSError) as exc:
+        # OSError: the outputs could not be written (--out names a file, or
+        # a path through one).
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -20,18 +20,21 @@ The dense route is intentionally exact-over-fast: operators are
 materialized up to a configurable size cap (default 4096 total samples),
 which also holds for 1-D grids, and decomposed through ``prolate._eigh``:
 a dense real symmetric eigensolve of the same size, exact up to roundoff,
-because every gathered operator is centro-Hermitian.  When the boxes pair
+because every operator is centro-Hermitian.  :func:`spectrum` and
+:func:`spectrum_values` fill that real form straight from the table and
+never gather the matrix (``prolate._orbit_blocks``, the one filler, which
+also serves hand-built matrices).  A set without a centre is solved from
+its complex table as one real block of the same size.  When the boxes pair
 up as mirrors about one centre, the materialization also keeps the
-operator's real table demodulated to that centre, and :func:`spectrum`
-and :func:`spectrum_values` solve real blocks filled straight from it,
-without gathering the matrix: one per character of the group that J and
-the table's commuting axis symmetries generate (``prolate._eigh``).  A
-set with J alone, such as the README union, gives an even and an odd
-block of half the size.  A single 2-D box also has the reversal of axis
-0, and so four blocks; the 3-D two-box union on a cube has the swap of
-axes 1 and 2, and four blocks too.  The table solved is the demodulated
-one averaged over those symmetries, which moves no entry by more than a
-few ulp of its zero-difference value.
+operator's real table demodulated to that centre, and the real form falls
+apart into one block per character of the group that J and the table's
+commuting axis symmetries generate.  A set with J alone, such as the
+README union, gives an even and an odd block of half the size.  A single
+2-D box also has the reversal of axis 0, and so four blocks; the 3-D
+two-box union on a cube has the swap of axes 1 and 2, and four blocks
+too.  The table solved is the demodulated one averaged over those
+symmetries, which moves no entry by more than a few ulp of its
+zero-difference value.
 """
 
 from __future__ import annotations
@@ -115,9 +118,11 @@ class DenseCovariance:
     are always computed from the table when there is one, so their bits do
     not depend on whether ``matrix`` was ever read.  ``demodulated`` is set
     for point-symmetric band sets: the real table of the same operator
-    shifted to the centre, which the eigensolver reads, so such an operator
-    is decomposed without gathering.  A hand-built covariance passes
-    ``matrix`` instead of ``table`` and is decomposed from it.
+    shifted to the centre.  The eigensolver reads that table, or ``table``
+    itself for a set without a centre, so a table-backed operator is
+    decomposed without gathering; ``matrix`` serves only the dense
+    references that ask for it.  A hand-built covariance passes ``matrix``
+    instead of ``table`` and is decomposed from it.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
@@ -255,7 +260,9 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     written only when read (see :class:`SpectrumND`).  A point-symmetric
     band set is solved as one real block per character of its symmetry
     group (an even and an odd one for J alone) from its demodulated table,
-    without gathering ``cov.matrix``; everything else from ``cov.matrix``.
+    any other band set as one real block from its complex table, both
+    without gathering ``cov.matrix``; a hand-built covariance from its
+    matrix.
     """
     vals, vectors = _decompose(cov, True)
     return SpectrumND(vals, vectors=vectors)
@@ -267,11 +274,13 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
 
 
 def _decompose(cov: DenseCovariance, vectors: bool):
-    """``_eigh`` of the demodulated table when there is one (it needs only
-    the size then), else of the matrix."""
-    if cov.demodulated is not None:
-        return _eigh(cov.size, vectors, cov.demodulated, cov.dims)
-    return _eigh(cov.matrix, vectors, None, cov.dims)
+    """``_eigh`` of the demodulated table when there is one, else of the
+    table as it is (it needs only the size then); a hand-built covariance
+    is solved from its matrix."""
+    if cov.table is None:
+        return _eigh(cov.matrix, vectors, None, cov.dims)
+    table = cov.demodulated or _Demodulated(None, cov.table, ())
+    return _eigh(cov.size, vectors, table, cov.dims)
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

@@ -7,30 +7,34 @@ one per band.  Its eigenvectors for a single baseband interval are the
 discrete prolate spheroidal sequences (DPSS); eigenvalues cluster sharply
 near 1 and 0 with about ``2 n W`` values near 1 per band of half-width W.
 
-Everything here is desk-scale (n up to a few thousand): kernels are
-gathered densely from their difference tables and decomposed by a dense
-eigensolver.  Every gathered matrix is centro-Hermitian (``J A J =
-conj(A)``, J the index reversal), so :func:`_eigh`, the one solver entry
-point, reduces it to a real symmetric matrix of the same size before
-solving; input without that structure takes the dense complex solve.
+Everything here is desk-scale (n up to a few thousand) and decomposed by
+a dense eigensolver.  Every operator is Hermitian and multilevel Toeplitz,
+so it is centro-Hermitian (``J A J = conj(A)``, J the index reversal) and
+unitarily similar to a real symmetric form of the same size (Cantoni &
+Butler 1976).  One filler, :func:`_orbit_blocks`, writes that form for
+:func:`_eigh`, the one solver entry point, from whatever holds the
+operator: its difference table, or a matrix built by hand.  A complex
+table (a band set without a centre) or matrix gives one real block of
+size n, or an even and an odd block when its coupling is exactly zero;
+the kernels below are gathered only for callers that ask for a matrix,
+and input without that structure takes the dense complex solve.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
-eigenvalue.  So when the bands pair up as mirrors about some centre c
-(a band at c pairs with itself), :func:`_demodulate` builds the table of
-the operator shifted to c as an exactly real array.  Its reduced matrix
-falls apart into an even and an odd block under J (Cantoni & Butler
-1976).  The table may have more symmetries: reversing one axis, as every
-single box and the four-box union ``(+-f1, +-f2)`` do, or swapping two
-axes of equal length, as the 3-D two-box union with offsets ``+-(a, b,
-b)`` does.  :func:`_axis_symmetries` accepts those that commute, to a few
-ulp of ``T(0)``, and averages the table over them so it is exactly
-invariant.  With J they generate a group G of order 2, 4 or more, and
-:func:`_eigh` fills one real block per character of G straight from the
-table, each about ``n / |G|`` in size, and solves them separately
-(Faessler & Stiefel 1992); eigenvectors come back multiplied by the centre
-phase.  A set with J alone, such as the README union, gets the even and
-odd blocks bit for bit as before.  Such an operator is never gathered: the
-table is all the solver reads.
+eigenvalue.  So when the bands pair up as mirrors about some centre c (a
+band at c pairs with itself), :func:`_demodulate` builds the table of
+the operator shifted to c as an exactly real array.  Its real form falls
+apart into an even and an odd block under J.  The table may have more
+symmetries: reversing one axis, as every single box and the four-box
+union ``(+-f1, +-f2)`` do, or swapping two axes of equal length, as the
+3-D two-box union with offsets ``+-(a, b, b)`` does.
+:func:`_axis_symmetries` accepts those that commute, to a few ulp of
+``T(0)``, and averages the table over them so it is exactly invariant.
+With J they generate a group G of order 2, 4 or more, and the filler
+writes one real block per character of G, each about ``n / |G|`` in
+size, solved separately (Faessler & Stiefel 1992); eigenvectors come
+back multiplied by the centre phase.  A set with J alone, such as the
+README union, gets the even and odd blocks.  No table-backed operator is
+gathered: the table is all the solver reads.
 
 :func:`_eigh` keeps the eigenvectors as the solver returned them, one
 real block per character or one full-size block, with their descending
@@ -166,7 +170,9 @@ class _Demodulated(NamedTuple):
     with T the table's matrix and ``D = diag(exp(2 pi i center . x))`` over
     the sample coordinates x in vec order.  ``symmetries`` are the axis maps
     besides J the table is invariant under (see :func:`_axis_symmetries`),
-    in the order they were accepted."""
+    in the order they were accepted.  With ``center`` None it is an
+    operator's own table, complex in general and without symmetries, as
+    :func:`_eigh` reads the tables of sets without a centre."""
 
     center: np.ndarray
     table: np.ndarray
@@ -457,37 +463,6 @@ def _hermitian_exactly(a: np.ndarray) -> bool:
     return True
 
 
-def _matrix_blocks(a: np.ndarray) -> list[np.ndarray]:
-    """The reduced matrix R of a centro-Hermitian ``a`` (see :func:`_eigh`),
-    written from slices of ``a``: ``[even, odd]`` when its even/odd
-    coupling is exactly zero, else ``[R]``."""
-    n = a.shape[0]
-    k, odd = n // 2, n % 2
-    h = k + odd
-    a11, a12j = a[:k, :k], a[:k, h:][:, ::-1]
-    # The coupling is exactly zero when these imaginary parts are equal.
-    if (np.array_equal(a12j.imag, a11.imag)
-            and not (odd and a[:k, k].imag.any())):
-        even_rows, odd_rows = np.empty((h, h)), np.empty((k, k))
-        blocks = [even_rows, odd_rows]
-    else:
-        r = np.empty((n, n))
-        even_rows, odd_rows = r[:h, :h], r[h:, h:]
-        np.subtract(a12j.imag, a11.imag, out=r[:k, h:])
-        r[h:, :k] = r[:k, h:].T
-        if odd:
-            np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[h:, k])
-            r[k, h:] = r[h:, k]
-        blocks = [r]
-    np.add(a11.real, a12j.real, out=even_rows[:k, :k])
-    np.subtract(a11.real, a12j.real, out=odd_rows)
-    if odd:
-        np.multiply(np.sqrt(2.0), a[:k, k].real, out=even_rows[:k, k])
-        even_rows[k, :k] = even_rows[:k, k]
-        even_rows[k, k] = a[k, k].real
-    return blocks
-
-
 def _character_sums(parts, outs):
     """``outs[c] = sum_e chars[c, e] parts[e]`` for every character c of
     :class:`_Orbits`, by the fast Walsh-Hadamard transform: ``log2 |G|``
@@ -511,58 +486,104 @@ def _character_sums(parts, outs):
     return outs
 
 
-def _orbit_blocks(table: np.ndarray, orbits: _Orbits) -> list[np.ndarray]:
-    """The real blocks, one per character of G, of the matrix A of a real
-    table invariant under G, read from the table by index arithmetic.
+def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
+    """The entries ``A[i, e j]`` of the matrix A of ``source`` that
+    :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]`` the
+    entries for element e of G: first for each band ``rows`` of free orbits
+    i against the free orbits j, then (``rows`` None) for every orbit i
+    against the orbits j with a nontrivial stabiliser.
 
-    With ``o_i`` the table offset of sample i's coordinates and ``z`` that
-    of the zero difference, ``A[i, j] = T[z + o_i - o_j]``.  Block c over
-    the orbits with representatives i and j is ``sum_e chars[c, e] T[z +
-    o_i - o_{e j}] / sqrt(s_i s_j)``, with s the stabiliser sizes: the
-    matrix in the orthonormal basis ``sqrt(s / |G|) sum_{distinct e j}
-    chars[c, e] e_{e j}`` of each kept orbit.  Each ``T[z + o_i - o_{e j}]``
-    is gathered once, for all blocks, a band of free rows at a time, so no
-    n x n array is allocated; the rows of the other orbits are the
-    transposed columns.  For G = {1, J} the blocks are the even and odd
-    blocks, ``a11 + a12j`` and ``a11 - a12j``, with the middle column
-    ``sqrt 2 T`` and corner ``T[z]`` for odd n, bit for bit the slices
-    :func:`_matrix_blocks` takes from the gathered matrix.
+    A table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]`` with
+    ``o_i`` the table offset of sample i's coordinates and ``z`` that of the
+    zero difference, into buffers reused by every band: fresh band-sized
+    arrays would each be mapped and faulted in anew.  A matrix is read
+    through slices, as views: ``ravel`` would copy the strided views the
+    1-D kernels return.
     """
-    dims = tuple((s + 1) // 2 for s in table.shape)
-    flat = table.ravel()
-    steps = np.cumprod((1,) + table.shape[:0:-1])[::-1]
-    coords = np.unravel_index(orbits.images, dims, order="F")
-    off = sum(c * st for c, st in zip(coords, steps))
-    zero = int(sum((m - 1) * st for m, st in zip(dims, steps)))
-    free, count = orbits.free, off.shape[1]
-    blocks = [np.empty((k.size, k.size)) for k in orbits.keep]
+    images, free = orbits.images, orbits.free
     step = max(1, 65536 // max(free, 1))
-    # Gathered into buffers reused by every band of rows: fresh band-sized
-    # arrays would each be mapped and faulted in anew.  Every index is in
-    # range; mode "clip" only lets take write into its out buffer directly.
+    bands = [slice(lo, min(lo + step, free)) for lo in range(0, free, step)]
+    tail = images.shape[1] > free
+    if matrix:
+        def read(rows, cols):
+            return [source[_span(images[0, rows]), _span(img[cols])] for img in images]
+        for rows in bands:
+            yield rows, read(rows, slice(None, free))
+        if tail:
+            yield None, read(slice(None), slice(free, None))
+        return
+    dims = tuple((s + 1) // 2 for s in source.shape)
+    flat = source.ravel()
+    steps = np.cumprod((1,) + source.shape[:0:-1])[::-1]
+    off = sum(c * st for c, st in zip(np.unravel_index(images, dims, order="F"), steps))
+    zero = int(sum((m - 1) * st for m, st in zip(dims, steps)))
+    # Every index is in range; mode "clip" only lets take write into its out
+    # buffer directly.
     index = np.empty((step, free), dtype=np.intp)
-    gathered = np.empty((len(off), step, free))
-    for lo in range(0, free, step):
-        hi = min(lo + step, free)
-        rows = zero + off[0, lo:hi, None]
+    gathered = np.empty((len(off), step, free), dtype=source.dtype)
+    for rows in bands:
+        size = rows.stop - rows.start
+        at = zero + off[0, rows, None]
         for o, part in zip(off, gathered):
-            np.subtract(rows, o[:free], out=index[:hi - lo])
-            np.take(flat, index[:hi - lo], out=part[:hi - lo], mode="clip")
-        _character_sums(gathered[:, :hi - lo], [b[lo:hi, :free] for b in blocks])
-    if count > free:
-        # The columns of the orbits with a nontrivial stabiliser, for all
-        # rows; their rows are the same entries transposed.
-        parts = flat[zero + off[0, :, None] - off[:, None, free:]]
-        for block, keep, total in zip(blocks, orbits.keep,
-                                      _character_sums(parts, np.empty(parts.shape))):
+            np.subtract(at, o[:free], out=index[:size])
+            np.take(flat, index[:size], out=part[:size], mode="clip")
+        yield rows, gathered[:, :size]
+    if tail:
+        yield None, flat[zero + off[0, :, None] - off[:, None, free:]]
+
+
+def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
+                  matrix: bool = False) -> list[np.ndarray]:
+    """The real form of the matrix A of a table invariant under G, or of a
+    centro-Hermitian matrix (``matrix``, G = {1, J}): one real block per
+    character of G, or for complex input with a nonzero coupling one block
+    R of A's size.  Read by :func:`_orbit_parts`, so no n x n array but the
+    output is allocated.
+
+    For real input, block c over the orbits with representatives i and j is
+    ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the stabiliser
+    sizes: the matrix in the orthonormal basis ``sqrt(s / |G|) sum_{distinct
+    e j} chars[c, e] e_{e j}`` of each kept orbit.  The rows of the orbits
+    with a nontrivial stabiliser are the transposed columns.  For G = {1, J}
+    the blocks are the even and odd blocks, ``a11 + a12j`` and ``a11 -
+    a12j``, with the middle column ``sqrt 2 A[:k, k]`` and corner ``A[k, k]``
+    for odd n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
+
+    Complex input has G = {1, J} and ``R = Q^H A Q`` with ``Q = [[I, iI], [J,
+    -iJ]] / sqrt 2`` (plus the middle unit vector when n is odd): the even
+    and odd blocks of the real parts, coupled through ``Im(A12 J) -
+    Im(A11)`` and, for odd n, the middle column ``sqrt 2 Im A[:k, k]``.  When
+    that coupling is exactly zero the two blocks are returned instead.
+    """
+    free, count = orbits.free, orbits.images.shape[1]
+    r = np.empty((count + free,) * 2) if np.iscomplexobj(source) else None
+    blocks = ([np.empty((k.size, k.size)) for k in orbits.keep] if r is None
+              else [r[:count, :count], r[count:, count:]])
+    for rows, parts in _orbit_parts(source, orbits, matrix):
+        real = [p.real for p in parts]
+        if rows is not None:
+            _character_sums(real, [b[rows, :free] for b in blocks])
+            if r is not None:
+                # Written as this difference, not as -Im(p0 - p1), which
+                # has the same values but the other sign of zero.
+                np.subtract(parts[1].imag, parts[0].imag, out=r[rows, count:])
+            continue
+        totals = _character_sums(real, np.empty((len(real),) + real[0].shape))
+        for block, keep, total in zip(blocks, orbits.keep, totals):
             tail = keep[free:]
-            # sqrt(1/4) is exact and sqrt(1/2) = sqrt(2) / 2, so for J the
-            # middle column is sqrt 2 T and the corner T[z] exactly.
             weight = np.sqrt(1.0 / np.multiply.outer(orbits.stab[keep],
                                                      orbits.stab[tail]))
             np.multiply(total[np.ix_(keep, tail - free)], weight, out=block[:, free:])
             block[free:, :free] = block[:free, free:].T
-    return blocks
+        if r is not None:
+            np.multiply(np.sqrt(2.0), parts[0].imag[:free], out=r[count:, free:count])
+            r[free:count, count:] = r[count:, free:count].T
+    if r is None:
+        return blocks
+    if not r[:count, count:].any():
+        return [b.copy() for b in blocks]
+    r[count:, :count] = r[:count, count:].T
+    return [r]
 
 
 # Pivots are found and eigen-tensors assembled this many entries at a time,
@@ -576,31 +597,20 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     its phase-fixed eigenvectors as an :class:`_Eigenvectors`; the one
     place the package calls a dense eigensolver.
 
-    A complex matrix with ``J a J == conj(a)``, which every gathered table
-    satisfies exactly, is unitarily similar to the real symmetric
-    ``R = Q^H a Q`` with ``Q = [[I, iI], [J, -iJ]] / sqrt 2`` (plus the
-    middle unit vector when n is odd).  R is written block by block from
-    slices of ``a`` and decomposed in float64; eigenvectors map back through
-    Q.  Real input and complex input without that structure go to the
-    solver unchanged.
+    The operator is read from the table ``demodulated`` when there is one
+    (``a`` is then only the size n), else from the matrix ``a``.  Either is
+    reduced to its real form by :func:`_orbit_blocks` and solved in
+    float64: a table by the group G that J and its axis symmetries generate,
+    one block per character, and a complex matrix with ``J a J ==
+    conj(a)`` by G = {1, J}.  A complex table (no centre) and such a matrix
+    give one real block R of the same size, or the even and odd blocks when
+    R's coupling is exactly zero.  Real matrices and complex ones without
+    that structure go to the solver unchanged.
 
-    R couples its even rows (the top half and the middle index) to its odd
-    rows (the bottom half) only through ``Im(A12 J) - Im(A11)`` and, for
-    odd n, the imaginary part of the middle column.  When that coupling is
-    exactly zero (a real table), R is block diagonal: the even block (size
-    ``k + n % 2``) and the odd block (size ``k``) are filled as two
-    half-size arrays and solved separately, without allocating R, and
-    eigenvectors come back real and even (``J v = v``) or odd
-    (``J v = -v``) before any centre phase.
-
-    ``demodulated``, the real table of the same operator shifted to the
-    centre of its point-symmetric band set, makes the blocks come straight
-    from that table, one per character of the group G that J and the
-    table's axis symmetries generate (:func:`_orbit_blocks`); ``a`` is then
-    only the size n.  For G = {1, J} those are the even and odd blocks
-    above.  Eigenvectors are multiplied by the centre phase ``D``: ``K v =
-    chi(g) v`` with ``K = D g D^H`` for every g in G, chi the block's
-    character.
+    A real table is the operator shifted to the centre of its
+    point-symmetric band set, and its eigenvectors are multiplied by the
+    centre phase ``D``: ``K v = chi(g) v`` with ``K = D g D^H`` for every g
+    in G, chi the block's character.
 
     Eigenvalues are sorted descending by a stable sort (the block of the
     lower character first among ties).  The eigenvectors are not mapped
@@ -611,17 +621,17 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     """
     n = a if demodulated is not None else a.shape[0]
     dims = (n,) if dims is None else tuple(dims)
-    orbits = None
+    orbits, phase = None, None
     if demodulated is not None:
         orbits = _orbits(dims, demodulated.symmetries)
         blocks = _orbit_blocks(demodulated.table, orbits)
+        if demodulated.center is not None:
+            phase = _phase(dims, demodulated.center)
+    elif np.iscomplexobj(a) and _centro_hermitian(a):
+        orbits = _orbits(dims, ())
+        blocks = _orbit_blocks(a, orbits, matrix=True)
     else:
-        if np.iscomplexobj(a) and _centro_hermitian(a):
-            blocks = _matrix_blocks(a)
-            if len(blocks) == 2:
-                orbits = _orbits((n,), ())
-        else:
-            blocks = [a]
+        blocks = [a]
     try:
         if vectors:
             parts = [np.linalg.eigh(b) for b in blocks]
@@ -630,24 +640,23 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc
-    mapped = blocks[0] is not a
     del blocks
     vals = np.concatenate([vals for vals, _ in parts])
     order = np.argsort(-vals, kind="stable")
     if not vectors:
         return vals[order], None
-    phase = None if demodulated is None else _phase(dims, demodulated.center)
-    return vals[order], _Eigenvectors([w for _, w in parts], order, mapped,
-                                      dims, phase, orbits)
+    return vals[order], _Eigenvectors([w for _, w in parts], order, dims, phase,
+                                      orbits)
 
 
 class _Eigenvectors:
     """The eigenvectors of one :func:`_eigh` solve, kept as the solver
     returned them.
 
-    ``blocks`` holds the solved blocks' eigenvectors as columns: one real
-    block per character of G over its ``orbits`` (:class:`_Orbits`), one
-    real reduced block (``mapped``, no orbits), or one unreduced block.
+    ``blocks`` holds the solved blocks' eigenvectors as columns: on the
+    ``reduced`` routes, one real block per character of G over its
+    ``orbits`` (:class:`_Orbits`), or one coupled block R whose rows are
+    those of every character in turn; else one unreduced block.
     Eigenvector r, in descending eigenvalue order, is column ``order[r]``
     of the concatenated blocks mapped to a vec-order row by :meth:`_rows`,
     times ``scale[r] * phase``: ``scale`` is the factor
@@ -658,13 +667,17 @@ class _Eigenvectors:
     """
 
     def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
-                 mapped: bool, dims: tuple[int, ...], phase: np.ndarray | None,
+                 dims: tuple[int, ...], phase: np.ndarray | None,
                  orbits: _Orbits | None = None):
-        self.blocks, self.order, self.mapped = blocks, order, mapped
+        self.blocks, self.order = blocks, order
         self.dims, self.phase, self.orbits = dims, phase, orbits
         self.n = order.size
-        self.starts = np.cumsum([0] + [w.shape[1] for w in blocks])
-        if orbits is not None:
+        self.reduced = orbits is not None
+        # Where the rows of each character start in the concatenated blocks.
+        self.starts = np.cumsum([0] + ([k.size for k in orbits.keep] if self.reduced
+                                       else [self.n]))
+        self.coupled = len(blocks) < len(self.starts) - 1
+        if self.reduced:
             # Where each block's and each element's entries land, as slices
             # where they are unit-step runs (for J, every one of them), and
             # each orbit's weight sqrt(s / |G|).
@@ -686,50 +699,41 @@ class _Eigenvectors:
         """Eigenvectors ``sel`` (indices into the concatenated block
         spectra), as vec-order rows.
 
-        Entry ``e j`` of the vector of block c's eigenvector u is
+        Entry ``e j`` of the vector of character c's eigenvector u is
         ``chars[c, e] sqrt(s_j / |G|) u_j`` over its kept orbits j (for J,
         ``[u, m, J u] / sqrt 2`` and ``[u, 0, -J u] / sqrt 2``), so entries
-        of one orbit have exactly equal magnitude.  One reduced block maps
-        back through Q; an unreduced block's eigenvectors are the rows
-        themselves.
+        of one orbit have exactly equal magnitude.  A coupled R's vector
+        has the even and odd parts in turn: they map back that way into the
+        real and the imaginary parts of the row (through Q).  An unreduced
+        block's eigenvectors are the rows themselves.
         """
-        n, ws = self.n, self.blocks
-        if self.orbits is not None:
-            orbits = self.orbits
-            rows = np.zeros((sel.size, n))
+        if not self.reduced:
+            return self.blocks[0].T[sel]
+        orbits, ws = self.orbits, self.blocks
+        if self.coupled:
+            rows = np.zeros((sel.size, self.n), dtype=complex)
+            parts = [(np.arange(sel.size), ws[0].T[sel, lo:hi], dest) for lo, hi, dest
+                     in zip(self.starts, self.starts[1:], (rows.real, rows.imag))]
+        else:
+            rows = np.zeros((sel.size, self.n))
             which = np.searchsorted(self.starts, sel, side="right") - 1
-            for c, w in enumerate(ws):
-                pick = np.flatnonzero(which == c)
-                if not pick.size:
-                    continue
-                vals = w.T[sel[pick] - self.starts[c]] * self.weight[orbits.keep[c]]
-                for target, sign in zip(self.targets[c], orbits.chars[c]):
-                    at = ((pick, target) if isinstance(target, slice)
-                          else np.ix_(pick, target))
-                    rows[at] = vals if sign > 0 else -vals
-            return rows
-        y = ws[0].T[sel]
-        if not self.mapped:
-            return y
-        k, odd = n // 2, n % 2
-        h = k + odd
-        scale = 1.0 / np.sqrt(2.0)
-        top, bot = y[:, :k], y[:, h:]
-        v = np.empty(y.shape, dtype=complex)
-        np.multiply(top, scale, out=v.real[:, :k])
-        np.multiply(bot, scale, out=v.imag[:, :k])
-        np.multiply(top[:, ::-1], scale, out=v.real[:, h:])
-        np.multiply(bot[:, ::-1], -scale, out=v.imag[:, h:])
-        if odd:
-            v.real[:, k], v.imag[:, k] = y[:, k], 0.0
-        return v
+            picks = [np.flatnonzero(which == c) for c in range(len(ws))]
+            parts = [(pick, w.T[sel[pick] - lo], rows)
+                     for pick, w, lo in zip(picks, ws, self.starts)]
+        for c, (pick, u, dest) in enumerate(parts):
+            vals = u * self.weight[orbits.keep[c]]
+            for target, sign in zip(self.targets[c], orbits.chars[c]):
+                at = ((pick, target) if isinstance(target, slice)
+                      else np.ix_(pick, target))
+                dest[at] = vals if sign > 0 else -vals
+        return rows
 
     def tensors(self, count: int | None = None) -> np.ndarray:
         """The first ``count`` (default all) eigen-tensors, as the rows of
         one C-contiguous ``(count, *dims)`` array, written a chunk at a
         time straight from the blocks."""
         count = self.n if count is None else count
-        complex_out = self.mapped or np.iscomplexobj(self.blocks[0])
+        complex_out = self.reduced or np.iscomplexobj(self.blocks[0])
         out = np.empty((count,) + self.dims, dtype=complex if complex_out else float)
         # Through this transposed view a vec-order vector, reshaped in C order
         # to the reversed dims, lands in its tensor without an index map.
@@ -758,13 +762,11 @@ class _Eigenvectors:
         interleaved real view, so each block costs one real product of its
         size.  The results ``y_c`` map back as :meth:`_rows` maps
         eigenvectors: entry ``e j`` is ``sqrt(s_j / |G|) sum_c chars[c, e]
-        y_c[j]``, for J ``[a + o, m sqrt 2, J (a - o)] / sqrt 2``.  One
-        reduced block's results map back as the same J map with ``o`` i
-        times its bottom half.  An unreduced block is one plain product.
-        The centre phase multiplies the result last.
+        y_c[j]``, for J ``[a + o, m sqrt 2, J (a - o)] / sqrt 2``, with the
+        odd results of a coupled R multiplied by i first.  An unreduced
+        block is one plain product.  The centre phase multiplies the result
+        last.
         """
-        n = self.n
-        k, h = n // 2, n - n // 2
         coef = np.asarray(c, dtype=complex).T[self.inverse]
         coef *= self.scale[self.inverse, None]
         out = np.empty(coef.shape, dtype=complex)
@@ -775,18 +777,12 @@ class _Eigenvectors:
             for w, lo in zip(self.blocks, self.starts):
                 np.matmul(w, real_coef[lo:lo + w.shape[1]],
                           out=real_out[lo:lo + w.shape[1]])
-            if self.orbits is not None:
+            if self.coupled:
+                out[self.starts[1]:] *= 1j
+            if self.reduced:
                 # coef is spent: it takes the vec-order result.
                 self._unfold(real_out, real_coef)
                 out = coef
-            elif self.mapped:
-                out[h:] *= 1j
-                a, o, diff = real_out[:k], real_out[h:], real_coef[:k]
-                scale = 1.0 / np.sqrt(2.0)
-                np.subtract(a, o, out=diff)
-                a += o
-                a *= scale
-                np.multiply(diff[::-1], scale, out=o)
         if self.phase is not None:
             out *= self.phase[:, None]
         # Column j of out is vec(tensor j): a C-order view over the reversed
@@ -796,7 +792,8 @@ class _Eigenvectors:
 
     def _unfold(self, ys: np.ndarray, out: np.ndarray) -> None:
         """Write the vec-order rows of the block results ``ys`` (rows in
-        block order) into ``out``; see :meth:`combine`."""
+        block order, each character's from ``starts``) into ``out``; see
+        :meth:`combine`."""
         orbits = self.orbits
         free, size = orbits.free, len(orbits.chars)
         dests = [out[t] if isinstance(t, slice) else np.empty((free, ys.shape[1]))
@@ -810,7 +807,7 @@ class _Eigenvectors:
             return
         tail = np.empty((size, orbits.images.shape[1] - free, ys.shape[1]))
         tail[:] = ys[free:self.starts[1]]
-        for c in range(1, len(self.blocks)):
+        for c in range(1, len(self.starts) - 1):
             kept = orbits.keep[c][free:] - free
             y = ys[self.starts[c] + free:self.starts[c + 1]]
             for e in range(size):

@@ -14,8 +14,11 @@ separable factorization for a single box and residual/coherence bounds on
 modulated-DPSS dictionaries (2-D cubic); the logarithmic gap bound (1-D
 and 2-D cubic); modulation invariance (1-D); Hermitian symmetry and
 eigenvalue invariance under band translation (parallelogram), the latter
-solving the translated operator from its dense matrix, so that row
-compares the table route with the matrix route.
+solving the translated operator from its complex table, so that row
+compares the demodulated route with the complex one.  No row gathers a
+table-backed operator to solve it: dense matrices are read only as the
+FFT apply's reference, by the corruption hook and as the hand-built 1-D
+kernels of the modulation row.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once

@@ -148,6 +148,62 @@ def tridiagonal_dpss(n: int, w: float, k: int) -> np.ndarray:
     return vecs * signs
 
 
+
+def matrix_blocks(a: np.ndarray) -> list[np.ndarray]:
+    """The reduced matrix R of a centro-Hermitian ``a``, ``Q^H a Q`` with
+    ``Q = [[I, iI], [J, -iJ]] / sqrt 2`` (plus the middle unit vector when n
+    is odd), written from slices of ``a``: ``[even, odd]`` when its even/odd
+    coupling is exactly zero, else ``[R]``.  The package's former matrix
+    filler, kept as the bitwise reference of its real form."""
+    n = a.shape[0]
+    k, odd = n // 2, n % 2
+    h = k + odd
+    a11, a12j = a[:k, :k], a[:k, h:][:, ::-1]
+    # The coupling is exactly zero when these imaginary parts are equal.
+    if (np.array_equal(a12j.imag, a11.imag)
+            and not (odd and a[:k, k].imag.any())):
+        even_rows, odd_rows = np.empty((h, h)), np.empty((k, k))
+        blocks = [even_rows, odd_rows]
+    else:
+        r = np.empty((n, n))
+        even_rows, odd_rows = r[:h, :h], r[h:, h:]
+        np.subtract(a12j.imag, a11.imag, out=r[:k, h:])
+        r[h:, :k] = r[:k, h:].T
+        if odd:
+            np.multiply(np.sqrt(2.0), a[:k, k].imag, out=r[h:, k])
+            r[k, h:] = r[h:, k]
+        blocks = [r]
+    np.add(a11.real, a12j.real, out=even_rows[:k, :k])
+    np.subtract(a11.real, a12j.real, out=odd_rows)
+    if odd:
+        np.multiply(np.sqrt(2.0), a[:k, k].real, out=even_rows[:k, k])
+        even_rows[k, :k] = even_rows[:k, k]
+        even_rows[k, k] = a[k, k].real
+    return blocks
+
+
+def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
+    """The real blocks of a real symmetric ``a`` that commutes with a group
+    G of sample permutations, read from ``a`` by fancy indexing.
+
+    ``images[e]`` lists where element e maps each orbit's representative
+    (``images[0]``), ``stab`` the orbits' stabiliser sizes and ``keep[c]``
+    the orbits of block c.  Block c is ``sum_e chi_c(e) a[i, e j] /
+    sqrt(s_i s_j)`` with the Sylvester characters, summed in the order of
+    an in-place fast Walsh-Hadamard transform (pairs at distance 1, 2, 4,
+    ...), the order whose roundoff the package's filler has.
+    """
+    parts = [a[np.ix_(images[0], img)] for img in images]
+    span = 1
+    while span < len(parts):
+        for lo in range(0, len(parts), 2 * span):
+            for j in range(lo, lo + span):
+                parts[j], parts[j + span] = (parts[j] + parts[j + span],
+                                             parts[j] - parts[j + span])
+        span *= 2
+    weight = np.sqrt(1.0 / np.multiply.outer(stab, stab))
+    return [(total * weight)[np.ix_(rows, rows)] for total, rows in zip(parts, keep)]
+
 REF_INTERVALS = ((-0.15, -0.05), (0.15, 0.25))
 
 REF_2D_BANDS = (((-0.15, -0.10), (0.10, 0.10)),

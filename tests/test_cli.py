@@ -259,16 +259,36 @@ TWOD_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1], "half_widths": [0.05, 0.0
     (["verify"], "abc"),
     (["spectrum", "--config", "{oned}", "--grid", "4097"], None),
     (["verify", "--config", "{oned}", "--grid", "4097"], None),
+    (["spectrum", "--config", "{folder}"], None),
+    (["spectrum", "--config", "{latin1}"], None),
+    (["bands", "validate", "--config", "{latin1}"], None),
+    (["spectrum", "--config", "{twod}", "--out", "{taken}"], None),
+    (["verify", "--config", "{twod}", "--out", "{taken}"], None),
+    (["dict", "--config", "{twod}", "--q", "1", "--out", "{taken}"], None),
+    (["spectrum", "--config", "{twod}", "--out", "{taken}/o"], None),
+    (["verify", "--config", "{twod}", "--out", "{taken}/o"], None),
+    (["dict", "--config", "{twod}", "--q", "1", "--out", "{taken}/o"], None),
 ], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
-        "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap"])
+        "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap",
+        "config-is-a-directory", "config-not-utf8", "validate-config-not-utf8",
+        "spectrum-out-is-a-file", "verify-out-is-a-file", "dict-out-is-a-file",
+        "spectrum-out-through-a-file", "verify-out-through-a-file",
+        "dict-out-through-a-file"])
 def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
                                             capsys):
     if env is not None:
         monkeypatch.setenv("MDPROLATE_THREADS", env)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "taken").write_text("")
+    (tmp_path / "latin1.json").write_bytes(b'{"dim": 2, "grid": [8, 8], "\xe9": 1}')
     paths = {"twod": write_config(tmp_path, TWOD_DOC, "twod.json"),
-             "oned": write_config(tmp_path, ONED_DOC, "oned.json")}
+             "oned": write_config(tmp_path, ONED_DOC, "oned.json"),
+             "folder": str(tmp_path / "folder"), "taken": str(tmp_path / "taken"),
+             "latin1": str(tmp_path / "latin1.json")}
     argv = [a.format(**paths) for a in argv]
-    assert main([*argv, "--out", str(tmp_path / "o")]) == 2
+    if "--out" not in argv:
+        argv += ["--out", str(tmp_path / "o")]
+    assert main(argv) == 2
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 

@@ -110,7 +110,7 @@ def ref_tensors(vectors):
     """The eager assembly: chunked rows, pivot factors from
     ``_pivot_scale``, times ``outer(scale, phase)``, written through a
     transposed view of one C-contiguous ``(n, *dims)`` array."""
-    ws, order, mapped = vectors.blocks, vectors.order, vectors.mapped
+    ws, order, mapped = vectors.blocks, vectors.order, vectors.reduced
     dims, phase = vectors.dims, vectors.phase
     n = order.size
     complex_out = mapped or np.iscomplexobj(ws[0])
@@ -160,7 +160,7 @@ def test_cases_cover_their_routes(name, solved):
     blocks, mapped, phased = CASES[name][1]
     vectors = sp._vectors
     assert len(vectors.blocks) == blocks
-    assert vectors.mapped == mapped
+    assert vectors.reduced == mapped
     assert (vectors.phase is not None) == phased
 
 

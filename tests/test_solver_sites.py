@@ -1,7 +1,12 @@
-"""Every dense eigensolve goes through ``prolate._eigh``.
+"""Every dense eigensolve goes through ``prolate._eigh``, and only the
+dense references gather a matrix.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
-call anywhere else in the package would silently bypass it.
+call anywhere else in the package would silently bypass it.  Table-backed
+covariances are solved from their tables, so a ``.matrix`` read or a
+``_gather`` call is allowed only where a dense matrix is the point: the
+hand-built covariance, the public dense kernels and verify's dense
+references.
 """
 
 import ast
@@ -13,25 +18,62 @@ SOLVERS = {"eigh", "eigvalsh"}
 PACKAGE = Path(mdprolate.__file__).parent
 
 
-def solver_references(source: str) -> list[str]:
-    """``function:line`` of every reference to a solver name in ``source``,
-    as an attribute (``np.linalg.eigh``), a bare name or an import."""
+def _references(source: str, hit) -> list[str]:
+    """``function:line`` of every node of ``source`` that ``hit`` accepts."""
     found = []
 
     def visit(node, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             scope = f"{scope}.{node.name}" if scope else node.name
-        hit = ((isinstance(node, ast.Attribute) and node.attr in SOLVERS)
-               or (isinstance(node, ast.Name) and node.id in SOLVERS)
-               or (isinstance(node, ast.ImportFrom)
-                   and any(alias.name in SOLVERS for alias in node.names)))
-        if hit:
+        if hit(node):
             found.append(f"{scope or '<module>'}:{node.lineno}")
         for child in ast.iter_child_nodes(node):
             visit(child, scope)
 
     visit(ast.parse(source), "")
     return found
+
+
+def solver_references(source: str) -> list[str]:
+    """``function:line`` of every reference to a solver name in ``source``,
+    as an attribute (``np.linalg.eigh``), a bare name or an import."""
+    return _references(source, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in SOLVERS)
+        or (isinstance(node, ast.Name) and node.id in SOLVERS)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in SOLVERS for alias in node.names))))
+
+
+def dense_references(source: str) -> list[str]:
+    """``function:line`` of every ``.matrix`` read and every ``_gather``
+    call (bare or as an attribute) in ``source``."""
+    def hit(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "matrix" and isinstance(node.ctx, ast.Load)
+        if isinstance(node, ast.Call):
+            f = node.func
+            return ((isinstance(f, ast.Name) and f.id == "_gather")
+                    or (isinstance(f, ast.Attribute) and f.attr == "_gather"))
+        return False
+    return _references(source, hit)
+
+
+# Where the package may read a dense matrix: (module, function) -> count.
+DENSE_ALLOWED = {
+    # The covariance itself: the gather and the hand-built trace and norm.
+    ("operator.py", "DenseCovariance.matrix"): 1,
+    ("operator.py", "DenseCovariance.trace"): 1,
+    ("operator.py", "DenseCovariance.frobenius_sq"): 2,
+    # A hand-built covariance has no table to solve from.
+    ("operator.py", "_decompose"): 1,
+    # The public dense kernels.
+    ("prolate.py", "sinc_kernel"): 1,
+    ("prolate.py", "multiband_kernel"): 1,
+    ("prolate.py", "dpss"): 1,
+    # verify's corruption hook and its apply_vs_dense_rel_err reference.
+    ("verify.py", "_operator_rows"): 1,
+    ("verify.py", "_cubic_rows"): 1,
+}
 
 
 def test_finder_sees_every_spelling():
@@ -51,4 +93,23 @@ def test_only_the_reducing_entry_point_calls_a_solver():
             refs = [r for r in refs if not r.startswith("_eigh:")]
         if refs:
             stray[path.name] = refs
+    assert stray == {}
+
+
+def test_dense_finder_sees_every_spelling():
+    source = ("from .prolate import _gather\n"
+              "def f(cov, t):\n"
+              "    cov.matrix = None\n"
+              "    return cov.matrix @ prolate._gather(t), _gather(t)\n")
+    assert dense_references(source) == ["f:4", "f:4", "f:4"]
+
+
+def test_only_the_dense_references_read_a_matrix():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for ref in dense_references(path.read_text()):
+            key = (path.name, ref.rsplit(":", 1)[0])
+            found[key] = found.get(key, 0) + 1
+    stray = {key: count for key, count in found.items()
+             if count > DENSE_ALLOWED.get(key, 0)}
     assert stray == {}
