@@ -509,6 +509,4 @@ def load_band_config(source) -> BandConfig:
         bad = parallelepiped_violations(pp)
         if bad:
             raise BandError(bad)
-    if not entries and cubic is None:
-        raise ConfigError("configuration defines no bands")
     return BandConfig(grid=grid, cubic=cubic, parallelepiped=tuple(pp))

@@ -72,7 +72,20 @@ def _parse_grid(text: str) -> SamplingGrid:
         raise ConfigError(f"bad --grid {text!r}: {exc}") from None
 
 
+def _check_out(out: Path) -> None:
+    """Reject an ``--out`` that can never be a directory before any work is
+    done: an existing non-directory, or a path through one.  Creates
+    nothing."""
+    for path in (out, *out.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {str(out)!r}: {str(path)!r} is not a "
+                                  "directory")
+            return
+
+
 def _resolve(args, *, need_config: bool) -> RunConfig:
+    _check_out(Path(args.out))
     if args.config is not None:
         bands = load_band_config(args.config)
     elif need_config:
@@ -341,8 +354,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         return args.func(args)
     except (ConfigError, BandError, SizeCapError, OSError) as exc:
-        # OSError: the outputs could not be written (--out names a file, or
-        # a path through one).
+        # OSError: the outputs could not be written (no permission, a full
+        # disk, or --out replaced by a file while the run was solving).
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
 

@@ -169,7 +169,7 @@ def test_operator_list_names(config, names):
             assert isinstance(spec, PPOperatorSpec) and spec.bands == config.parallelepiped
         else:
             assert isinstance(spec, OperatorSpec) and spec.bands is config.cubic
-    assert set(names) <= set(verify._SUITES)
+    assert set(names) <= set(verify._EXTRAS)
 
 
 def _call_sites(predicate) -> list[str]:

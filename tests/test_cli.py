@@ -292,6 +292,29 @@ def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("out", ["{taken}", "{taken}/o"],
+                         ids=["out-is-a-file", "out-through-a-file"])
+@pytest.mark.parametrize("argv", [
+    ["spectrum"], ["dict", "--q", "1,1"], ["approx", "--trials", "5"], ["verify"],
+], ids=["spectrum", "dict", "approx", "verify"])
+def test_unwritable_out_fails_before_any_solve(argv, out, twod_config, tmp_path,
+                                               monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("an operator was solved before --out was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    (tmp_path / "taken").write_text("")
+    before = sorted(tmp_path.rglob("*"))
+    argv = [*argv, "--config", twod_config,
+            "--out", out.format(taken=tmp_path / "taken")]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "--out" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 @pytest.mark.parametrize("band", [
     {"cubic": [{"center": [float("nan"), 0.0], "half_widths": [0.1, 0.1]}]},
     {"cubic": [{"center": [0.0, 0.0], "half_widths": [0.1, float("inf")]}]},
@@ -390,19 +413,25 @@ def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
     assert "exceeds the cap" in json.loads(capsys.readouterr().err.strip())["error"]
 
 
-@pytest.mark.parametrize("doc", [
-    {"dim": 1, "cubic": [{"center": [-0.10], "half_widths": [0.05]},
-                         {"center": [0.20], "half_widths": [0.05]}],
-     "grid": [128]},
-    {"dim": 3, "cubic": [{"center": [0.0, 0.1, -0.1],
-                          "half_widths": [0.1, 0.08, 0.12]}],
-     "grid": [8, 8, 8]},
-    {"dim": 2, "parallelepiped": [{**SHEAR, "center": [0.0, 0.0]}],
-     "grid": [16, 16]},
-    None,
+@pytest.mark.parametrize("doc, failing", [
+    ({"dim": 1, "cubic": [{"center": [-0.10], "half_widths": [0.05]},
+                          {"center": [0.20], "half_widths": [0.05]}],
+      "grid": [128]},
+     {("multiband1d", "trace_rel_err"), ("multiband1d", "eigenvalue_range_excess")}),
+    ({"dim": 3, "cubic": [{"center": [0.0, 0.1, -0.1],
+                           "half_widths": [0.1, 0.08, 0.12]}],
+      "grid": [8, 8, 8]},
+     {("cubic", "trace_rel_err")}),
+    ({"dim": 2, "parallelepiped": [{**SHEAR, "center": [0.0, 0.0]}],
+      "grid": [16, 16]},
+     {("parallelepiped", "trace_rel_err"), ("parallelepiped", "center_shift_max_dev")}),
+    # apply_vs_dense_rel_err compares against the unperturbed operator, so
+    # it passes under the hook.
+    (None, {("cubic", "trace_rel_err"), ("parallelepiped", "trace_rel_err"),
+            ("parallelepiped", "center_shift_max_dev")}),
 ], ids=["1-D-128", "3-D-8", "parallelogram-only-16", "default"])
 def test_corruption_hook_fails_the_trace_row_of_every_geometry(
-        doc, tmp_path, monkeypatch):
+        doc, failing, tmp_path, monkeypatch):
     monkeypatch.setenv("MDPROLATE_TEST_CORRUPT", "1")
     out = tmp_path / "out"
     argv = ["verify", "--out", str(out), "--format", "json"]
@@ -415,3 +444,5 @@ def test_corruption_hook_fails_the_trace_row_of_every_geometry(
     assert trace and not any(trace.values())
     if doc is None:
         assert set(trace) == {"cubic", "parallelepiped"}
+    assert {(r["experiment"], r["metric"]) for r in rows
+            if not r["passed"]} == failing

@@ -71,8 +71,8 @@ DENSE_ALLOWED = {
     ("prolate.py", "multiband_kernel"): 1,
     ("prolate.py", "dpss"): 1,
     # verify's corruption hook and its apply_vs_dense_rel_err reference.
-    ("verify.py", "_operator_rows"): 1,
-    ("verify.py", "_cubic_rows"): 1,
+    ("verify.py", "_suite"): 1,
+    ("verify.py", "_cubic_extras"): 1,
 }
 
 

@@ -20,17 +20,63 @@ def test_rows_deterministic_order():
     assert [r.key() for r in a] == sorted(r.key() for r in a)
 
 
-def test_three_axis_config_reduced_suite():
-    from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
-    cfg = BandConfig(
-        grid=SamplingGrid((4, 5, 6)),
-        cubic=CubicBandUnion(centers=[[0.0, 0.1, -0.1]],
-                             half_widths=[[0.1, 0.08, 0.12]]))
-    rows = verify_config(cfg)
+SHARED = ("trace_rel_err", "eigenvalue_range_excess", "gap_identity_abs_err")
+CUBIC_2D = (*SHARED, "gap_log_bound_ratio", "apply_vs_dense_rel_err",
+            "separable_vs_dense_max_err", "transition_count_at_0.05",
+            "near_one_fraction_at_0.95")
+DICTIONARY = ("pseudo_eigen_residual_excess", "cross_band_gram_violations")
+PARALLELOGRAM = (*SHARED, "gap_vs_cubic_bound_ratio", "hermitian_symmetry_max_err",
+                 "center_shift_max_dev")
+
+
+def _inventory(*groups):
+    """``(experiment, metric, params)`` of every row the groups name."""
+    return {(experiment, metric, params)
+            for experiment, params, metrics in groups for metric in metrics}
+
+
+def _config(case):
+    from mdprolate import (BandConfig, CubicBandUnion, ParallelepipedBand,
+                           SamplingGrid)
+    default = default_config()
+    return {
+        "3-D": BandConfig(
+            grid=SamplingGrid((4, 5, 6)),
+            cubic=CubicBandUnion(centers=[[0.0, 0.1, -0.1]],
+                                 half_widths=[[0.1, 0.08, 0.12]])),
+        "1-D-128": BandConfig(
+            grid=SamplingGrid((128,)),
+            cubic=CubicBandUnion(centers=[[-0.10], [0.20]],
+                                 half_widths=[[0.05], [0.05]])),
+        "2-D-cubic": BandConfig(grid=default.grid, cubic=default.cubic),
+        "parallelogram-only-16": BandConfig(
+            grid=SamplingGrid((16, 16)),
+            parallelepiped=(ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1)),)),
+        "default": default,
+    }[case]
+
+
+GRID_16 = "grid=16x16;J=2;eps=0.2"
+PP_16 = "grid=16x16;J=1;eps=0.2"
+
+
+@pytest.mark.parametrize("case, expected", [
+    ("3-D", _inventory(("cubic", "grid=4x5x6;J=1;eps=0.2", SHARED))),
+    ("1-D-128", _inventory(("multiband1d", "n=128;J=2;eps=0.2", (
+        "trace_rel_err", "eigenvalue_range_excess", "gap_log_bound_ratio",
+        "gap_log10_bound_ratio", "modulation_invariance_max_err")))),
+    ("2-D-cubic", _inventory(("cubic", GRID_16, CUBIC_2D),
+                             ("dictionary", GRID_16, DICTIONARY))),
+    ("parallelogram-only-16", _inventory(("parallelepiped", PP_16, PARALLELOGRAM))),
+    ("default", _inventory(("cubic", GRID_16, CUBIC_2D),
+                           ("dictionary", GRID_16, DICTIONARY),
+                           ("parallelepiped", PP_16, PARALLELOGRAM))),
+], ids=["3-D", "1-D-128", "2-D-cubic", "parallelogram-only-16", "default"])
+def test_row_inventory_per_geometry(case, expected):
+    rows = verify_config(_config(case))
     assert all(r.passed for r in rows)
-    assert {r.metric for r in rows} == {"trace_rel_err",
-                                        "eigenvalue_range_excess",
-                                        "gap_identity_abs_err"}
+    assert len(rows) == len(expected)
+    assert {(r.experiment, r.metric, r.params) for r in rows} == expected
 
 
 def test_corruption_hook_fails(monkeypatch):
