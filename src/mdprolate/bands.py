@@ -82,8 +82,8 @@ class SamplingGrid:
         dims = tuple(int(n) for n in self.dims)
         if len(dims) == 0:
             raise ValueError("grid needs at least one axis")
-        if any(n < 2 for n in dims):
-            raise ValueError(f"every grid dimension must be >= 2, got {dims}")
+        if dims != tuple(self.dims) or any(n < 2 for n in dims):
+            raise ValueError(f"grid dimensions must be integers >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
 
     @property
@@ -319,26 +319,28 @@ def parallelepiped_violations(bands: Sequence, *, tol: float = TOUCH_TOL
     """All violated invariants of a list of parallelepiped bands.
 
     ``bands`` may hold :class:`ParallelepipedBand` instances or raw mappings
-    with keys a, b, c, d, half_widths, center.  Pairwise overlap uses a
-    separating-axis test on the two convex quadrilaterals.
+    with keys a, b, c, d, half_widths, center; a raw entry that cannot be
+    read as those numbers is reported as ``malformed``.  Pairwise overlap
+    uses a separating-axis test on the two convex quadrilaterals.
     """
     out: list[Violation] = []
     corners: dict[int, np.ndarray] = {}
     for i, band in enumerate(bands):
-        if isinstance(band, ParallelepipedBand):
-            corners[i] = band.corners()
-            continue
-        bad = _pp_band_violations(
-            i, float(band["a"]), float(band["b"]), float(band["c"]),
-            float(band["d"]), band["half_widths"], band.get("center", (0.0, 0.0)),
-            tol=tol)
-        if bad:
-            out.extend(bad)
-        else:
-            made = ParallelepipedBand(band["a"], band["b"], band["c"], band["d"],
-                                      tuple(band["half_widths"]),
-                                      tuple(band.get("center", (0.0, 0.0))))
-            corners[i] = made.corners()
+        if not isinstance(band, ParallelepipedBand):
+            try:
+                transform = [float(band[key]) for key in "abcd"]
+                w0, w1 = (float(w) for w in band["half_widths"])
+                c0, c1 = (float(c) for c in band.get("center", (0.0, 0.0)))
+            except (KeyError, TypeError, ValueError) as exc:
+                out.append(Violation("malformed", (i,),
+                                     f"band {i}: malformed entry ({exc!r})"))
+                continue
+            bad = _pp_band_violations(i, *transform, (w0, w1), (c0, c1), tol=tol)
+            if bad:
+                out.extend(bad)
+                continue
+            band = ParallelepipedBand(*transform, (w0, w1), (c0, c1))
+        corners[i] = band.corners()
     keys = sorted(corners)
     for ii, i in enumerate(keys):
         for j in keys[ii + 1:]:
@@ -349,17 +351,24 @@ def parallelepiped_violations(bands: Sequence, *, tol: float = TOUCH_TOL
 
 
 def validate(obj) -> list[Violation]:
-    """Violation report for a band configuration; never raises.
+    """Violation report for a band configuration; a malformed one is
+    reported (code ``malformed``), not raised.
 
     Accepts a :class:`CubicBandUnion`, a sequence of
     :class:`ParallelepipedBand` (or raw mappings), or a raw cubic mapping
-    with keys ``centers``/``half_widths``.
+    with keys ``centers``/``half_widths``; other types raise TypeError.
     """
     if isinstance(obj, CubicBandUnion):
         return cubic_violations(obj.centers, obj.half_widths, analog=obj.analog)
     if isinstance(obj, Mapping):
-        return cubic_violations(obj["centers"], obj["half_widths"],
-                                analog=bool(obj.get("analog", False)))
+        try:
+            CubicBandUnion(obj["centers"], obj["half_widths"],
+                           analog=bool(obj.get("analog", False)))
+        except BandError as exc:
+            return exc.violations
+        except (KeyError, TypeError, ValueError) as exc:
+            return [Violation("malformed", (), f"cubic union: malformed ({exc!r})")]
+        return []
     if isinstance(obj, Sequence):
         return parallelepiped_violations(obj)
     raise TypeError(f"cannot validate {type(obj).__name__}")
@@ -492,9 +501,8 @@ def load_band_config(source) -> BandConfig:
                                         f"{where} 'half_widths'"))
         cubic = CubicBandUnion(np.array(centers), np.array(half_widths))
 
-    pp: list[ParallelepipedBand] = []
-    entries = doc.get("parallelepiped", [])
-    for k, entry in enumerate(entries):
+    raw = []
+    for k, entry in enumerate(doc.get("parallelepiped", [])):
         where = f"parallelepiped band {k}"
         _reject_unknown(entry, _PP_KEYS, where)
         missing = {"a", "b", "c", "d", "half_widths"} - set(entry)
@@ -504,9 +512,10 @@ def load_band_config(source) -> BandConfig:
                              f"{where} [a, b, c, d]")
         half_widths = _numbers(entry["half_widths"], 2, f"{where} 'half_widths'")
         center = _numbers(entry.get("center", (0.0, 0.0)), 2, f"{where} 'center'")
-        pp.append(ParallelepipedBand(*transform, tuple(half_widths), tuple(center)))
-    if pp:
-        bad = parallelepiped_violations(pp)
-        if bad:
-            raise BandError(bad)
-    return BandConfig(grid=grid, cubic=cubic, parallelepiped=tuple(pp))
+        raw.append(dict(zip("abcd", transform), half_widths=half_widths, center=center))
+    # Checked before any band is built, so every violation names its entry.
+    bad = parallelepiped_violations(raw)
+    if bad:
+        raise BandError(bad)
+    pp = tuple(ParallelepipedBand(**band) for band in raw)
+    return BandConfig(grid=grid, cubic=cubic, parallelepiped=pp)

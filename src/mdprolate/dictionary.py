@@ -29,11 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .operator import (DEFAULT_SIZE_CAP, OperatorSpec, SpectrumND,
-                       VerificationError, _dpss_products, ivec,
-                       materialize_cubic, spectrum, vec)
+from .operator import (OperatorSpec, SpectrumND, VerificationError,
+                       _dpss_products, ivec, materialize_cubic, spectrum, vec)
 from .parallelepiped import _materialize
-from .prolate import _apply, _boxes, _table, dpss, modulate
+from .prolate import _apply, _boxes, _table, dpss
 
 __all__ = [
     "Atom",
@@ -113,8 +112,7 @@ class SubspaceBasis:
 
 
 def build_phi(spec: OperatorSpec, p: int, *,
-              spec_spectrum: SpectrumND | None = None,
-              size_cap: int = DEFAULT_SIZE_CAP) -> Dictionary:
+              spec_spectrum: SpectrumND | None = None) -> Dictionary:
     """First p eigen-tensors of the materialized operator, by descending
     eigenvalue (stable order among ties).
 
@@ -124,7 +122,7 @@ def build_phi(spec: OperatorSpec, p: int, *,
     total = spec.grid.size
     if not 0 <= p <= total:
         raise ValueError(f"p = {p} outside [0, {total}]")
-    sp = spec_spectrum or spectrum(materialize_cubic(spec, size_cap=size_cap))
+    sp = spec_spectrum or spectrum(materialize_cubic(spec))
     tensors = sp.leading(p)
     atoms = tuple(
         Atom(tensor=tensors[k], source="phi",
@@ -153,11 +151,7 @@ def build_psi(spec: OperatorSpec, q, *, check_gram: bool = True) -> Dictionary:
     dpss_of = functools.cache(dpss)
     atoms = []
     for i in range(spec.bands.num_bands):
-        f0, f1 = spec.bands.centers[i]
-        s0, s1, prods, l_idx, k_idx = _dpss_products(
-            m, n, spec.bands.half_widths[i], dpss_of)
-        u = modulate(s0.eigenvectors, f0)
-        v = modulate(s1.eigenvectors, f1)
+        u, v, prods, l_idx, k_idx = _dpss_products(m, n, spec.bands.band(i), dpss_of)
         for r in range(counts[i]):
             l, k = int(l_idx[r]), int(k_idx[r])
             atoms.append(Atom(tensor=np.outer(u[:, l], v[:, k]), source="psi",
@@ -289,18 +283,18 @@ def _weights(roots: np.ndarray, seed: int) -> np.ndarray:
     return w
 
 
-def sample_signal(spec, seed: int, *, spec_spectrum: SpectrumND | None = None,
-                  size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+def sample_signal(spec, seed: int, *,
+                  spec_spectrum: SpectrumND | None = None) -> np.ndarray:
     """One random tensor with the operator as its covariance.
 
     Draws ``x = sum_k sqrt(lambda_k) g_k Phi_k`` with independent circular
     complex standard Gaussians ``g_k`` from ``default_rng(seed)``;
     deterministic per seed.  Accepts cubic or parallelepiped operator
-    specs; pass ``spec_spectrum`` to amortize the decomposition.
+    specs; pass ``spec_spectrum`` to amortize the decomposition.  Drawn
+    through ``SpectrumND.combine``, as in ``approx_mse``: no eigen-tensor.
     """
-    sp = spec_spectrum or spectrum(_materialize(spec, size_cap))
-    return np.tensordot(_weights(_roots(sp.eigenvalues), seed), sp.tensors,
-                        axes=(0, 0))
+    sp = spec_spectrum or spectrum(_materialize(spec))
+    return sp.combine(_weights(_roots(sp.eigenvalues), seed)[None])[0]
 
 
 class ApproxReport(NamedTuple):

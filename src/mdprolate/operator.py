@@ -286,9 +286,7 @@ def _decompose(cov: DenseCovariance, vectors: bool):
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:
     """Descending eigenvalues ``lambda_l * lambda_k`` of a single-band 2-D
     operator, from the two 1-D spectra (no dense materialization)."""
-    if band.num_bands != 1 or band.dim != 2:
-        raise ValueError("separable route needs exactly one 2-D band")
-    return _dpss_products(m, n, band.half_widths[0], dpss)[2]
+    return _dpss_products(m, n, band, dpss)[2]
 
 
 def separable_spectrum(m: int, n: int, band: CubicBandUnion) -> SpectrumND:
@@ -299,28 +297,26 @@ def separable_spectrum(m: int, n: int, band: CubicBandUnion) -> SpectrumND:
     (ties broken by ascending (l, k)); the eigenvalues are independent of
     the band center because the modulation is unitary.
     """
-    if band.num_bands != 1 or band.dim != 2:
-        raise ValueError("separable route needs exactly one 2-D band")
-    f0, f1 = band.centers[0]
-    s0, s1, prods, l_idx, k_idx = _dpss_products(m, n, band.half_widths[0], dpss)
-    u = modulate(s0.eigenvectors, f0) if f0 else s0.eigenvectors.astype(complex)
-    v = modulate(s1.eigenvectors, f1) if f1 else s1.eigenvectors.astype(complex)
-    tensors = np.empty((m * n, m, n), dtype=complex)
-    for rank, (l, k) in enumerate(zip(l_idx, k_idx)):
-        tensors[rank] = np.outer(u[:, l], v[:, k])
+    u, v, prods, l_idx, k_idx = _dpss_products(m, n, band, dpss)
+    tensors = u.T[l_idx, :, None] * v.T[k_idx, None, :]
     return SpectrumND(eigenvalues=prods, tensors=tensors)
 
 
-def _dpss_products(m: int, n: int, half_widths, dpss_of):
-    """``(s0, s1, products, l, k)``: a box's DPSS families from ``dpss_of``
-    (:func:`dpss` or a cache of it) and the products ``lambda_l * mu_k``,
-    descending with ties by ascending (l, k), with the orders of each."""
-    s0, s1 = dpss_of(m, half_widths[0]), dpss_of(n, half_widths[1])
+def _dpss_products(m: int, n: int, band: CubicBandUnion, dpss_of):
+    """``(u, v, products, l, k)`` for the single box ``band``: its DPSS
+    families from ``dpss_of`` (:func:`dpss` or a cache of it), modulated to
+    the box centre, and the products ``lambda_l * mu_k``, descending with
+    ties by ascending (l, k), with the orders of each."""
+    if band.num_bands != 1 or band.dim != 2:
+        raise ValueError("separable route needs exactly one 2-D band")
+    (f0, f1), (w0, w1) = band.centers[0], band.half_widths[0]
+    s0, s1 = dpss_of(m, w0), dpss_of(n, w1)
     prods = np.outer(s0.eigenvalues, s1.eigenvalues).ravel()
     # A stable sort keeps ties in flat order, which is ascending (l, k).
     order = np.argsort(-prods, kind="stable")
     l_idx, k_idx = np.unravel_index(order, (m, n))
-    return s0, s1, prods[order], l_idx, k_idx
+    return (modulate(s0.eigenvectors, f0), modulate(s1.eigenvectors, f1),
+            prods[order], l_idx, k_idx)
 
 
 def transition_count(eigs: np.ndarray, eps: float) -> int:

@@ -134,10 +134,11 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     return _shift_deviation(spectrum_values(pp_materialize(spec)), shifted)
 
 
-def _shift_deviation(lam: np.ndarray, shifted: PPOperatorSpec) -> float:
-    """Largest deviation of ``lam`` from the spectrum of ``shifted``, solved
-    from its complex table without demodulating it."""
-    cov = pp_materialize(shifted)
+def _shift_deviation(lam: np.ndarray, shifted) -> float:
+    """Largest deviation of ``lam`` from the spectrum of ``shifted`` (any
+    spec :func:`_materialize` takes), solved from its complex table without
+    demodulating it."""
+    cov = _materialize(shifted)
     cov.demodulated = None
     lam_shift = spectrum_values(cov)
     return float(np.max(np.abs(lam - lam_shift)))
@@ -156,10 +157,10 @@ def _operators(config: BandConfig) -> list[tuple[str, object]]:
     return ops
 
 
-def _materialize(spec, size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
+def _materialize(spec) -> DenseCovariance:
     """``materialize_cubic`` or :func:`pp_materialize`, by the type of spec."""
     if isinstance(spec, OperatorSpec):
-        return materialize_cubic(spec, size_cap=size_cap)
+        return materialize_cubic(spec)
     if isinstance(spec, PPOperatorSpec):
-        return pp_materialize(spec, size_cap=size_cap)
+        return pp_materialize(spec)
     raise TypeError(f"cannot materialize {type(spec).__name__}")

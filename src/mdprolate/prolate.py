@@ -90,7 +90,8 @@ def _hermitize(a: np.ndarray) -> np.ndarray:
 def _check_band(f_c: float, half_width: float) -> None:
     if not 0.0 < half_width <= 0.5:
         raise ValueError(f"half-width must be in (0, 1/2], got {half_width}")
-    if abs(f_c) + half_width > 0.5 + 1e-12:
+    # Written so that a NaN centre fails it too.
+    if not abs(f_c) + half_width <= 0.5 + 1e-12:
         raise ValueError(
             f"band [{f_c - half_width}, {f_c + half_width}] exceeds [-1/2, 1/2]")
 

@@ -14,14 +14,13 @@ two axes it adds the logarithmic gap bound, enforced for boxes and only
 compared for parallelograms.  Last come the rows ``_EXTRAS`` lists under
 the operator's name: FFT apply against the dense product, separable
 factorization for a single box, transition counts and residual/coherence
-bounds on modulated-DPSS dictionaries (2-D cubic); the log10 bound and
-modulation invariance (1-D); Hermitian symmetry and eigenvalue invariance
-under band translation (parallelogram), the latter solving the translated
-operator from its complex table, so that row compares the demodulated
-route with the complex one.  No row gathers a table-backed operator to
-solve it: dense matrices are read only as the FFT apply's reference, by
-the corruption hook and as the hand-built 1-D kernels of the modulation
-row.
+bounds on modulated-DPSS dictionaries (2-D cubic); the log10 bound (1-D);
+Hermitian symmetry of sampled entries (parallelogram); and eigenvalue
+invariance under band translation (1-D, per band, and parallelogram), which
+solves the translated operator from its complex table, so that row compares
+the demodulated route with the complex one.  No row gathers a table-backed
+operator to solve it: dense matrices are read only as the FFT apply's
+reference and by the corruption hook.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
@@ -48,7 +47,6 @@ from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
                        transition_count, vec)
 from .parallelepiped import (PPOperatorSpec, _materialize, _operators,
                              _shift_deviation, pp_entry)
-from .prolate import sinc_kernel
 from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
@@ -174,15 +172,15 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
 
 def _oned_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
     """1-D: the log bound read with log base 10 instead of e
-    (informational), and each band's eigenvalues against those of the same
-    band moved to frequency 0."""
+    (informational), and each band's eigenvalues at frequency 0 against
+    those where it lies (the parallelogram's translation check)."""
     bands, n = spec.bands, spec.grid.dims[0]
     bound10 = 4.0 * n * bands.num_bands / np.pi**2 * (3.0 + np.log10(n))
     worst = 0.0
-    for f, w in zip(bands.centers[:, 0], bands.half_widths[:, 0]):
-        shifted = spectrum_values(DenseCovariance(sinc_kernel(n, f, w), dims=(n,)))
-        base = spectrum_values(DenseCovariance(sinc_kernel(n, 0.0, w), dims=(n,)))
-        worst = max(worst, float(np.max(np.abs(shifted - base))))
+    for f, w in zip(bands.centers, bands.half_widths):
+        base = materialize_cubic(OperatorSpec(spec.grid, CubicBandUnion([0.0], w)))
+        band = OperatorSpec(spec.grid, CubicBandUnion(f, w))
+        worst = max(worst, _shift_deviation(spectrum_values(base), band))
     return [("gap_log10_bound_ratio", gap / bound10, None),
             ("modulation_invariance_max_err", worst, 1e-9)]
 

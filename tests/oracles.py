@@ -204,6 +204,21 @@ def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
     weight = np.sqrt(1.0 / np.multiply.outer(stab, stab))
     return [(total * weight)[np.ix_(rows, rows)] for total, rows in zip(parts, keep)]
 
+
+def modulation_invariance_reference(n: int, union) -> float:
+    """The 1-D translation row as the package first computed it: each
+    band's hand-built ``sinc_kernel`` at its centre and at frequency 0, both
+    solved from the gathered matrix.  Kept as the bitwise reference of the
+    row, which now solves the band's tables instead."""
+    from mdprolate import DenseCovariance, sinc_kernel, spectrum_values
+    worst = 0.0
+    for f, w in zip(union.centers[:, 0], union.half_widths[:, 0]):
+        shifted = spectrum_values(DenseCovariance(sinc_kernel(n, f, w), dims=(n,)))
+        base = spectrum_values(DenseCovariance(sinc_kernel(n, 0.0, w), dims=(n,)))
+        worst = max(worst, float(np.max(np.abs(shifted - base))))
+    return worst
+
+
 REF_INTERVALS = ((-0.15, -0.05), (0.15, 0.25))
 
 REF_2D_BANDS = (((-0.15, -0.10), (0.10, 0.10)),

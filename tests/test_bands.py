@@ -136,6 +136,12 @@ def test_grid_validation():
         SamplingGrid((1, 8))
 
 
+def test_grid_rejects_fractional_dims():
+    with pytest.raises(ValueError, match="integer"):
+        SamplingGrid((8.7, 8))
+    assert SamplingGrid((np.int64(8), 8.0)).dims == (8, 8)
+
+
 def test_load_band_config(tmp_path):
     doc = {"dim": 2,
            "cubic": [{"center": [0.1, 0.1], "half_widths": [0.05, 0.05]}],
@@ -203,3 +209,22 @@ def test_pp_non_finite_reported(field, value):
     assert [(v.code, v.bands) for v in bad] == [("finite", (0,))]
     with pytest.raises(BandError, match="finite"):
         ParallelepipedBand(**raw)
+
+
+PP_OK = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "half_widths": [0.1, 0.1]}
+
+
+@pytest.mark.parametrize("obj, bands, reason", [
+    ([{"a": 1.0}], (0,), "band 0: malformed entry (KeyError('b'))"),
+    ([PP_OK, {**PP_OK, "half_widths": [0.1]}], (1,),
+     "band 1: malformed entry (ValueError('not enough values to unpack"),
+    ([{**PP_OK, "a": "x"}], (0,), "could not convert"),
+    ([{**PP_OK, "center": None}], (0,), "not iterable"),
+    ({"centers": [[0.1]]}, (), "KeyError('half_widths')"),
+    ({"centers": [[0.1]], "half_widths": [[0.1, 0.1]]}, (), "matching"),
+], ids=["pp-missing-key", "pp-short-half-widths", "pp-not-a-number", "pp-null-center",
+        "cubic-missing-key", "cubic-shape-mismatch"])
+def test_validate_reports_malformed_entries(obj, bands, reason):
+    bad = validate(obj)
+    assert [(v.code, v.bands) for v in bad] == [("malformed", bands)]
+    assert reason in bad[0].message

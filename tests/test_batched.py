@@ -11,6 +11,7 @@ tolerance; the CSV bytes and the index tuples must match exactly.
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -101,7 +102,23 @@ def test_approx_mse_draws_are_the_sample_signal_draws(case, monkeypatch):
     for seed, w in drawn.items():
         assert np.array_equal(w, ref_weights(sp.eigenvalues, seed))
     x = sample_signal(spec, 40, spec_spectrum=sp)
-    assert np.array_equal(x, np.tensordot(drawn[40], sp.tensors, axes=(0, 0)))
+    assert np.array_equal(x, sp.combine(drawn[40][None])[0])
+    # The eigen-tensor product sums in another order.
+    ref = np.tensordot(drawn[40], sp.tensors, axes=(0, 0))
+    assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+
+
+def test_one_draw_writes_no_eigen_tensor():
+    spec, sp, _ = _cubic_case((32, 32), README, 1)
+    tracemalloc.start()
+    try:
+        x = sample_signal(spec, 3, spec_spectrum=sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert x.shape == (32, 32)
+    # The signal is 16 KB; the stack of 1024 eigen-tensors would be 16.8 MB.
+    assert peak < 4 << 20
 
 
 @pytest.mark.parametrize("trials", [1, 129, 300])

@@ -210,6 +210,24 @@ def test_bands_validate_overlap(tmp_path, capsys):
     assert "overlap" in capsys.readouterr().out
 
 
+def test_parallelogram_violations_name_their_entries(tmp_path, capsys):
+    box = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "half_widths": [0.05, 0.05]}
+    cfg = write_config(tmp_path, {
+        "dim": 2,
+        "parallelepiped": [{**box, "center": [-0.2, 0.0]},
+                           {**box, "center": [0.48, 0.1]},
+                           {**box, "b": 2.0, "c": 0.5, "center": [0.2, 0.0]}],
+        "grid": [8, 8],
+    })
+    assert main(["bands", "validate", "--config", cfg]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(":")[0] for line in lines] == [
+        "[FAIL] range bands=[1]", "[FAIL] transform bands=[2]"]
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    error = json.loads(capsys.readouterr().err)["error"]
+    assert error.startswith("band 1: ") and "; band 2: " in error
+
+
 def test_bands_validate_malformed(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{broken")

@@ -34,6 +34,12 @@ def test_kernel_out_of_range_band():
         sinc_kernel(8, 0.45, 0.1)
 
 
+def test_kernel_rejects_nan_center():
+    # |NaN| + W > 1/2 is False, so a plain range test would let NaN through.
+    with pytest.raises(ValueError):
+        sinc_kernel(8, float("nan"), 0.1)
+
+
 def test_kernel_hermitian_exact():
     k = sinc_kernel(32, 0.17, 0.08)
     assert np.array_equal(k, k.conj().T)

@@ -3,6 +3,8 @@ import pytest
 from mdprolate import default_config, verify, verify_config
 from mdprolate.verify import CORRUPT_ENV, THREADS_ENV, max_workers
 
+import oracles
+
 
 def test_default_suite_all_pass():
     rows = verify_config(default_config(), eps=0.2, seed=0)
@@ -77,6 +79,15 @@ def test_row_inventory_per_geometry(case, expected):
     assert all(r.passed for r in rows)
     assert len(rows) == len(expected)
     assert {(r.experiment, r.metric, r.params) for r in rows} == expected
+
+
+@pytest.mark.parametrize("n", [511, 512])
+def test_oned_translation_row_matches_hand_built_kernels(n):
+    from mdprolate import BandConfig, SamplingGrid
+    union = _config("1-D-128").cubic
+    rows = verify_config(BandConfig(grid=SamplingGrid((n,)), cubic=union))
+    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    assert row.value == oracles.modulation_invariance_reference(n, union)
 
 
 def test_corruption_hook_fails(monkeypatch):
