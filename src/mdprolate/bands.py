@@ -79,9 +79,12 @@ class SamplingGrid:
     dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(n) for n in self.dims)
-        if len(dims) == 0:
+        if len(self.dims) == 0:
             raise ValueError("grid needs at least one axis")
+        try:
+            dims = tuple(int(n) for n in self.dims)
+        except (OverflowError, ValueError):  # an infinite or NaN size
+            dims = None
         if dims != tuple(self.dims) or any(n < 2 for n in dims):
             raise ValueError(f"grid dimensions must be integers >= 2, got {self.dims}")
         object.__setattr__(self, "dims", dims)
@@ -125,11 +128,6 @@ class CubicBandUnion:
     def __post_init__(self):
         centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
         half_widths = np.atleast_2d(np.asarray(self.half_widths, dtype=float))
-        if centers.shape != half_widths.shape or centers.ndim != 2:
-            raise ValueError(
-                f"centers {centers.shape} and half_widths {half_widths.shape} "
-                "must be matching (J, d) arrays"
-            )
         object.__setattr__(self, "centers", _freeze(centers))
         object.__setattr__(self, "half_widths", _freeze(half_widths))
         bad = cubic_violations(centers, half_widths, analog=self.analog)
@@ -233,13 +231,18 @@ def cubic_violations(centers, half_widths, *, analog: bool = False,
                      tol: float = TOUCH_TOL) -> list[Violation]:
     """All violated invariants of a cubic union given raw arrays.
 
-    Checks that centers and half-widths are finite, positivity of
-    half-widths, containment in the Nyquist box (unless ``analog``), and
-    pairwise open-interior disjointness (per-axis interval intersection on
-    all axes).
+    Checks that centers and half-widths are matching (J, d) arrays (else
+    one ``malformed`` violation is all it reports), that they are finite,
+    positivity of half-widths, containment in the Nyquist box (unless
+    ``analog``), and pairwise open-interior disjointness (per-axis interval
+    intersection on all axes).
     """
     centers = np.atleast_2d(np.asarray(centers, dtype=float))
     half_widths = np.atleast_2d(np.asarray(half_widths, dtype=float))
+    if centers.shape != half_widths.shape or centers.ndim != 2:
+        return [Violation("malformed", (),
+                          f"centers {centers.shape} and half_widths "
+                          f"{half_widths.shape} must be matching (J, d) arrays")]
     out: list[Violation] = []
     J = centers.shape[0]
     for i in range(J):

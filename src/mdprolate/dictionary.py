@@ -332,6 +332,8 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     # order of the basis rows; for a solved spectrum that is a view of
     # combine's output.
     to_vec = (0,) + tuple(range(len(sp.dims), 0, -1))
+    # An empty combine computes the pivot factors before the buffers below.
+    sp.combine(np.empty((0, sp.size)))
     # The weight and projection buffers are allocated once and reused by
     # every block: fresh block-sized arrays per block fragment the heap and
     # raise the peak RSS of later calls.

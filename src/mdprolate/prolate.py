@@ -660,11 +660,12 @@ class _Eigenvectors:
     those of every character in turn; else one unreduced block.
     Eigenvector r, in descending eigenvalue order, is column ``order[r]``
     of the concatenated blocks mapped to a vec-order row by :meth:`_rows`,
-    times ``scale[r] * phase``: ``scale`` is the factor
-    :func:`_pivot_scale` gives that row, ``phase`` the centre phase (None
-    without one).  The two readers map the blocks back only as far as they
-    need: :meth:`tensors` writes eigen-tensors, :meth:`combine` forms
-    linear combinations of them with block-size real products.
+    times ``scale[r] * phase``: ``scale`` is the factor :func:`_pivot_scale`
+    gives that row (:meth:`pivots`, as far as vectors are read), ``phase``
+    the centre phase (None without one).  The two readers map the blocks
+    back only as far as they need: :meth:`tensors` writes eigen-tensors,
+    :meth:`combine` forms linear combinations of them with block-size real
+    products.
     """
 
     def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
@@ -686,15 +687,21 @@ class _Eigenvectors:
                             for k in orbits.keep]
             self.free_targets = [_span(img[:orbits.free]) for img in orbits.images]
             self.weight = 1.0 / np.sqrt(len(orbits.chars) / orbits.stab)
-        self.scale = np.concatenate([
-            _pivot_scale(self._rows(sel), phase) for sel in self._chunks(self.n)])
+        self.scale = np.empty(0)
         self.inverse = np.empty_like(order)
         self.inverse[order] = np.arange(self.n)
 
-    def _chunks(self, count: int) -> list[np.ndarray]:
+    def _chunks(self, count: int, start: int = 0) -> list[np.ndarray]:
         step = max(1, _ASSEMBLY_CHUNK // self.n)
         return [self.order[lo:min(lo + step, count)]
-                for lo in range(0, count, step)]
+                for lo in range(start, count, step)]
+
+    def pivots(self, count: int) -> np.ndarray:
+        """Pivot factors of the first ``count`` eigenvectors, each computed once."""
+        self.scale = np.concatenate([self.scale] + [
+            _pivot_scale(self._rows(sel), self.phase)
+            for sel in self._chunks(count, self.scale.size)])
+        return self.scale[:count]
 
     def _rows(self, sel: np.ndarray) -> np.ndarray:
         """Eigenvectors ``sel`` (indices into the concatenated block
@@ -740,10 +747,11 @@ class _Eigenvectors:
         # to the reversed dims, lands in its tensor without an index map.
         dest = out.transpose((0,) + tuple(range(len(self.dims), 0, -1)))
         shape = self.dims[::-1]
+        scales = self.pivots(count)
         lo = 0
         for sel in self._chunks(count):
             rows = self._rows(sel)
-            scale = self.scale[lo:lo + sel.size]
+            scale = scales[lo:lo + sel.size]
             if self.phase is None:
                 factor = scale.reshape((-1,) + (1,) * len(shape))
             else:
@@ -769,7 +777,7 @@ class _Eigenvectors:
         last.
         """
         coef = np.asarray(c, dtype=complex).T[self.inverse]
-        coef *= self.scale[self.inverse, None]
+        coef *= self.pivots(self.n)[self.inverse, None]
         out = np.empty(coef.shape, dtype=complex)
         if np.iscomplexobj(self.blocks[0]):
             np.matmul(self.blocks[0], coef, out=out)

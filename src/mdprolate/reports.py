@@ -8,12 +8,14 @@ atomically (temp file in the target directory, then rename).  Non-finite
 values never reach an output file; they raise instead.
 
 Numeric CSV bodies (spectra, eigenvector matrices, dictionary atoms) go
-through one vectorized renderer, :func:`_render`.  It cuts each double into
-its 17 digits with exact long double arithmetic and assembles the text from
-lookup tables; a cell whose digits it cannot prove exact (a near tie, a
-magnitude outside ``[1e-20, 10)``, or a platform without a 64-bit long
-double mantissa) is formatted by ``%.17g`` itself, so the bytes are always
-those of the per-cell writer.
+through one vectorized renderer, :func:`_render_rows`, at most
+``_CHUNK_CELLS`` cells at a time, straight into the temp file as ASCII
+bytes, so a writer's scratch does not grow with the file.  It cuts each
+double into its 17 digits with exact long double arithmetic and assembles
+the text from lookup tables; a cell whose digits it cannot prove exact (a
+near tie, a magnitude outside ``[1e-20, 10)``, or a platform without a
+64-bit long double mantissa) is formatted by ``%.17g`` itself, so the bytes
+are always those of the per-cell writer.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -52,13 +54,14 @@ def format_float(x) -> str:
     return format(x, ".17g")
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_text_atomic(path, text: str | Iterable[bytes]) -> None:
+    """Write a str, or byte chunks in turn, to a temp file renamed to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.writelines([text.encode()] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -194,10 +197,10 @@ def _percent(values: np.ndarray) -> np.ndarray:
     return np.array([b"%.17g" % v for v in values.tolist()], "S24")
 
 
-def _render(values: np.ndarray, index: bool = False) -> str:
-    """CSV body of a finite 2-D float array: each cell as ``%.17g``, cells
-    joined by ',', every row ended by '\\n'; with ``index``, each row starts
-    with its row number as ``%d``.
+def _render_rows(values: np.ndarray, numbers: range | None = None) -> bytes:
+    """CSV body of a finite 2-D float array as ASCII: each cell as
+    ``%.17g``, cells joined by ',', every row ended by '\\n'; with
+    ``numbers``, each row starts with its number from there, as ``%d``.
 
     A cell with ``1e-20 <= |x| < 10`` takes its 17 digits from
     ``D = rint(|x| 10^k)``, ``1e16 <= D < 1e17``, computed in long double.
@@ -209,7 +212,7 @@ def _render(values: np.ndarray, index: bool = False) -> str:
     """
     n, cols = values.shape
     if cols == 0:
-        return "".join(f"{i}\n" for i in range(n)) if index else "\n" * n
+        return b"".join(b"%d\n" % i for i in numbers) if numbers else b"\n" * n
     powers, quads, prefix, suffix = _tables()
     x = values.ravel()
     mag = np.abs(x)
@@ -218,7 +221,11 @@ def _render(values: np.ndarray, index: bool = False) -> str:
     mag = np.where(nonzero, mag, 1.0)
 
     def scaled(mag, k):
-        return mag * powers[np.minimum(k, 27)] * powers[np.maximum(k - 27, 0)]
+        # Past 10^27, 10^k is 10^27 times 10^(k - 27).
+        y = mag * powers[np.minimum(k, 27)]
+        big = np.flatnonzero(k > 27)
+        y[big] *= powers[k[big] - 27]
+        return y
 
     # k from log10 can be one off next to a power of ten.  Correct it from
     # the product, not after rounding: 9.9999999999999998e-13 times 10^28
@@ -236,29 +243,53 @@ def _render(values: np.ndarray, index: bool = False) -> str:
             & ((y - 1e16).astype(float) >= margin) & (exp >= -20) & (exp <= 0))
     digits = np.where(fast, np.where(carry, 1e16, rounded), 0).astype(np.int64)
     neg = np.where(fast, -exp, 0)
+    # Scratch is released as soon as it is spent, to keep a chunk's peak low.
+    del mag, k, y, rounded, carry, exp, margin, nonzero
 
     first, frac = np.divmod(digits, 10 ** 16)
-    high, low = np.divmod(frac, 10 ** 8)
+    # The 16 fraction digits as four groups of four, two per uint32 half.
+    high, low = (half.astype(np.uint32) for half in np.divmod(frac, 10 ** 8))
+    high_top, low_top = high // 10 ** 4, low // 10 ** 4
+    high_end, low_end = high - high_top * 10 ** 4, low - low_top * 10 ** 4
     slots = np.empty((x.size, 4), np.uint64)
     slots[:, 0] = prefix[((np.signbit(x) * 21 + neg) * 10 + first) * 2 + (frac > 0)]
     # Each group of four digits is stripped when every later digit is zero.
     words = slots.view(np.uint32)
-    words[:, 2] = quads[high // 10 ** 4 + 10 ** 4 * (frac % 10 ** 12 == 0)]
-    words[:, 3] = quads[high % 10 ** 4 + 10 ** 4 * (low == 0)]
-    words[:, 4] = quads[low // 10 ** 4 + 10 ** 4 * (low % 10 ** 4 == 0)]
-    words[:, 5] = quads[low % 10 ** 4 + 10 ** 4]
+    words[:, 2] = quads[high_top + 10 ** 4 * ((high_end | low) == 0)]
+    words[:, 3] = quads[high_end + 10 ** 4 * (low == 0)]
+    words[:, 4] = quads[low_top + 10 ** 4 * (low_end == 0)]
+    words[:, 5] = quads[low_end + 10 ** 4]
+    del digits, first, frac, high, low, high_top, low_top, high_end, low_end
     ends = 2 * neg.reshape(n, cols)
     ends[:, -1] += 1
     slots[:, 3] = suffix[ends.ravel()]
     slow = np.flatnonzero(~(fast | zero))
     if slow.size:
         slots[slow, :3] = _percent(x[slow]).view(np.uint64).reshape(-1, 3)
-    if index:
+    if numbers is not None:
         # The row number fills two words of its own, ended like a cell.
-        head = np.array([b"%d," % i for i in range(n)], "S16").view(np.uint64)
+        head = np.array([b"%d," % i for i in numbers], "S16").view(np.uint64)
         slots = np.concatenate([head.reshape(n, 2), slots.reshape(n, 4 * cols)],
                                axis=1)
-    return slots.tobytes().translate(None, b"\0").decode("ascii")
+    return slots.tobytes().translate(None, b"\0")
+
+
+# Rendering takes 115 to 210 bytes of scratch a cell: under 2 MB a chunk.
+_CHUNK_CELLS = 1 << 13
+
+
+def _chunks(values: np.ndarray, index: bool = False) -> Iterator[bytes]:
+    """``values`` rendered (rows numbered when ``index``) a chunk at a time."""
+    n, cols = values.shape
+    step = max(1, _CHUNK_CELLS // max(cols, 1))
+    for lo in range(0, n, step):
+        rows = values[lo:lo + step]
+        yield _render_rows(rows, range(lo, lo + len(rows)) if index else None)
+
+
+def _render(values: np.ndarray, index: bool = False) -> str:
+    """The whole CSV body of ``values``, as text; see :func:`_render_rows`."""
+    return b"".join(_chunks(values, index)).decode("ascii")
 
 
 def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
@@ -266,7 +297,18 @@ def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:
     cell rendered as :func:`write_csv` would."""
     values = np.asarray(eigenvalues, float)
     _check_finite(values)
-    write_text_atomic(path, "index,eigenvalue\n" + _render(values[:, None], index=True))
+    write_text_atomic(path, itertools.chain([b"index,eigenvalue\n"],
+                                            _chunks(values[:, None], index=True)))
+
+
+def _interleaved(a: np.ndarray) -> np.ndarray:
+    """A complex matrix as floats, real and imaginary parts side by side."""
+    return np.ascontiguousarray(a, dtype=complex).view(float)
+
+
+def _matrix_header(k: int, prefix: str, index: bool) -> bytes:
+    names = [f"{prefix}{j:03d}_{part}" for j in range(k) for part in ("re", "im")]
+    return (",".join(["index"] * index + names) + "\n").encode()
 
 
 def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
@@ -277,16 +319,10 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
     Every cell renders exactly as :func:`format_float` (an integral index
     as ``str``).
     """
-    a = np.asarray(a)
-    n, k = a.shape
-    header = ["index"] if index else []
-    for j in range(k):
-        header += [f"{prefix}{j:03d}_re", f"{prefix}{j:03d}_im"]
-    values = np.empty((n, 2 * k))
-    values[:, ::2] = a.real
-    values[:, 1::2] = a.imag
+    values = _interleaved(a)
     _check_finite(values)
-    write_text_atomic(path, ",".join(header) + "\n" + _render(values, index=index))
+    header = _matrix_header(values.shape[1] // 2, prefix, index)
+    write_text_atomic(path, itertools.chain([header], _chunks(values, index)))
 
 
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:
@@ -298,17 +334,34 @@ def export_dictionary(d, directory) -> Path:
     """Write a dictionary as one CSV per atom plus a JSON manifest.
 
     The manifest records ordering, provenance and eigenvalues; atom files
-    are named ``atom_<k>.csv`` in dictionary order.
+    are named ``atom_<k>.csv`` in dictionary order.  Every atom is checked
+    finite before the first file is written.  Atoms are rendered in groups
+    that fill a chunk, each group's body cut after every M-th row (M rows per
+    atom); an atom larger than a chunk is streamed on its own.
     """
     directory = Path(directory)
+    atoms = [_interleaved(atom.tensor) for atom in d.atoms]
+    for values in atoms:
+        _check_finite(values)
+    rows, cells = atoms[0].shape if atoms else (0, 0)
     directory.mkdir(parents=True, exist_ok=True)
+    header = _matrix_header(cells // 2, "c", False)
+    group = max(1, _CHUNK_CELLS // max(rows * cells, 1))
+    for lo in range(0, len(atoms), group):
+        bodies = [_chunks(np.concatenate(atoms[lo:lo + group]))]
+        if group > 1:
+            body = next(bodies[0])
+            ends = np.flatnonzero(np.frombuffer(body, np.uint8) == ord("\n"))
+            cuts = [0, *(ends[rows - 1::rows] + 1).tolist()]
+            bodies = [[body[a:b]] for a, b in zip(cuts, cuts[1:])]
+        for k, part in enumerate(bodies, lo):
+            write_text_atomic(directory / f"atom_{k:04d}.csv",
+                              itertools.chain([header], part))
     manifest = {"source": d.source, "grid": list(d.grid.dims),
                 "atom_count": len(d.atoms), "atoms": []}
     for k, atom in enumerate(d.atoms):
-        name = f"atom_{k:04d}.csv"
-        _matrix_csv(directory / name, atom.tensor)
         manifest["atoms"].append({
-            "file": name,
+            "file": f"atom_{k:04d}.csv",
             "position": k,
             "source": atom.source,
             "eigenvalue": atom.eigenvalue,

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -83,6 +84,18 @@ def test_constructor_raises_on_overlap():
         CubicBandUnion(centers=[[0.1], [0.12]], half_widths=[[0.05], [0.05]])
 
 
+@pytest.mark.parametrize("centers, half_widths", [
+    ([[0.1], [0.2]], [[0.1]]),   # more centers than half-widths
+    ([[0.1, 0.2]], [[0.1]]),     # more axes in the centers
+])
+def test_mismatched_arrays_are_reported_malformed(centers, half_widths):
+    bad = cubic_violations(centers, half_widths)
+    assert [(v.code, v.bands) for v in bad] == [("malformed", ())]
+    assert str(np.shape(centers)) in bad[0].message
+    assert str(np.shape(half_widths)) in bad[0].message
+    assert validate({"centers": centers, "half_widths": half_widths}) == bad
+
+
 def test_nonpositive_half_width_rejected():
     bad = cubic_violations([[0.1]], [[0.0]])
     assert any(v.code == "half_width" for v in bad)
@@ -140,6 +153,12 @@ def test_grid_rejects_fractional_dims():
     with pytest.raises(ValueError, match="integer"):
         SamplingGrid((8.7, 8))
     assert SamplingGrid((np.int64(8), 8.0)).dims == (8, 8)
+
+
+@pytest.mark.parametrize("size", [math.inf, -math.inf, math.nan])
+def test_grid_rejects_non_finite_dims(size):
+    with pytest.raises(ValueError, match="integer"):
+        SamplingGrid((size, 8))
 
 
 def test_load_band_config(tmp_path):

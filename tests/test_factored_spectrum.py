@@ -196,6 +196,36 @@ def test_build_phi_atoms_are_bitwise_the_reference(name, solved, no_tensors):
         assert _same_bits(atom.tensor, ref[k])
 
 
+def _unread(sp):
+    """A spectrum over the same solved blocks with no pivot factor known."""
+    v = sp._vectors
+    return SpectrumND(sp.eigenvalues, vectors=prolate._Eigenvectors(
+        v.blocks, v.order, v.dims, v.phase, v.orbits))
+
+
+@pytest.mark.parametrize("name", list(CASES))
+def test_pivot_factors_are_computed_for_the_vectors_read(name, solved):
+    """``leading(p)`` computes the pivot factors of its p vectors only; the
+    rest are filled in on the first ``combine``, bitwise equal to one
+    eager pass over every vector, so the tensors and the combinations are
+    bitwise what they were with eager factors."""
+    _, sp = solved(name)
+    v = sp._vectors
+    eager = prolate._pivot_scale(v._rows(v.order), v.phase)
+    rng = np.random.default_rng(4)
+    c = rng.standard_normal((3, sp.size)) + 1j * rng.standard_normal((3, sp.size))
+    full = _unread(sp)
+    combined = full.combine(c)
+    assert _same_bits(full._vectors.scale, eager)
+    p = max(1, sp.size // 3)
+    lazy = _unread(sp)
+    lead = lazy.leading(p)
+    assert lazy._vectors.scale.size == p
+    assert _same_bits(lead, full.tensors[:p])
+    assert _same_bits(lazy.combine(c), combined)
+    assert _same_bits(lazy._vectors.scale, eager)
+
+
 def _rel_err(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
