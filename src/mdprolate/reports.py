@@ -11,11 +11,11 @@ Numeric CSV bodies (spectra, eigenvector matrices, dictionary atoms) go
 through one vectorized renderer, :func:`_render_rows`, at most
 ``_CHUNK_CELLS`` cells at a time, straight into the temp file as ASCII
 bytes, so a writer's scratch does not grow with the file.  It cuts each
-double into its 17 digits with exact long double arithmetic and assembles
-the text from lookup tables; a cell whose digits it cannot prove exact (a
-near tie, a magnitude outside ``[1e-20, 10)``, or a platform without a
-64-bit long double mantissa) is formatted by ``%.17g`` itself, so the bytes
-are always those of the per-cell writer.
+double into its 17 digits with float64 double-double arithmetic, the same
+on every IEEE-754 machine, and assembles the text from lookup tables; a
+cell whose digits it cannot prove exact (a near tie or a magnitude outside
+``[1e-20, 10)``) is formatted by ``%.17g`` itself, so the bytes are always
+those of the per-cell writer.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ import itertools
 import json
 import math
 import os
-import tempfile
 from dataclasses import dataclass
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -58,14 +58,20 @@ def write_text_atomic(path, text: str | Iterable[bytes]) -> None:
     """Write a str, or byte chunks in turn, to a temp file renamed to ``path``."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    while True:
+        # Mode "x" is O_CREAT | O_EXCL with mode 0o666, so the umask applies.
+        tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+        try:
+            fh = open(tmp, "xb")
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "wb") as fh:
+        with fh:
             fh.writelines([text.encode()] if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        tmp.unlink(missing_ok=True)
         raise
 
 
@@ -95,10 +101,7 @@ def _jsonable(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if not math.isfinite(x):
-            raise ValueError(f"refusing to serialize non-finite value {x!r}")
-        return x
+        return float(format_float(obj))  # %.17g round-trips every double
     if isinstance(obj, np.ndarray):
         return _jsonable(obj.tolist())
     return obj
@@ -147,23 +150,24 @@ def report_rows_json(path, rows: Sequence[ReportRow]) -> None:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    bad = ~np.isfinite(values)
-    if bad.any():
-        x = float(values.flat[np.argmax(bad)])
-        raise ValueError(f"refusing to serialize non-finite value {x!r}")
+    if not np.isfinite(values).all():
+        format_float(values[~np.isfinite(values)][0])  # raises
 
 
-# The renderer needs a long double with a 64-bit mantissa (x87 extended):
-# then 10^j is exact for j <= 27 (5^27 < 2^64), and a product below 1e17
-# (< 2^57) is off by at most 2^-8 per rounding.
-_LONG_DOUBLE = np.finfo(np.longdouble).nmant >= 63
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dekker's split of doubles into 26-bit halves, whose products are exact."""
+    split = a * 134217729.0
+    high = split - (split - a)
+    return high, a - high
 
 
 @functools.cache
 def _tables():
     """Lookup tables of :func:`_render`; byte strings are NUL-padded words.
 
-    ``powers[j]`` is 10^j in long double (exact).  ``quads[g]`` is the four
+    ``floors[j]`` is the least double at or above 10^(j - 21), and
+    ``powers[:, j]`` is 10^j as the sum of its nearest double and a rest,
+    then that double's halves (:func:`_halves`).  ``quads[g]`` is the four
     ASCII digits of ``g < 10^4`` and ``quads[10^4 + g]`` the same with its
     trailing zeros turned to NUL.  With ``neg`` the negated decimal exponent
     (0 to 20), ``prefix[((sign * 21 + neg) * 10 + d) * 2 + dot]`` is the
@@ -173,8 +177,11 @@ def _tables():
     ``%e`` layouts (``neg`` > 4), then ',' or, for the last cell of a row,
     '\\n'.
     """
-    powers = np.concatenate(([np.longdouble(1)],
-                             np.cumprod(np.full(27, 10, np.longdouble))))
+    lead = np.array([float(10 ** j) for j in range(38)])
+    rest = np.array([10 ** j - int(p) for j, p in enumerate(lead.tolist())], float)
+    powers = np.stack([lead, rest, *_halves(lead)])
+    floors = np.array([math.nextafter(float(t), 10) if float(t) < t else float(t)
+                       for t in (Fraction(10) ** j for j in range(-21, 3))])
     one = np.arange(10, dtype=np.uint8)
     digits = np.stack(np.meshgrid(one, one, one, one, indexing="ij"), -1)
     digits = digits.reshape(-1, 4)
@@ -188,7 +195,7 @@ def _tables():
              ("", "-"), range(21), range(10), (0, 1))], "S8").view(np.uint64)
     suffix = np.array([(f"e-{neg:02d}" if neg > 4 else "") + end
                        for neg in range(21) for end in ",\n"], "S8").view(np.uint64)
-    return powers, quads, prefix, suffix
+    return floors, powers, quads, prefix, suffix
 
 
 def _percent(values: np.ndarray) -> np.ndarray:
@@ -203,48 +210,38 @@ def _render_rows(values: np.ndarray, numbers: range | None = None) -> bytes:
     ``numbers``, each row starts with its number from there, as ``%d``.
 
     A cell with ``1e-20 <= |x| < 10`` takes its 17 digits from
-    ``D = rint(|x| 10^k)``, ``1e16 <= D < 1e17``, computed in long double.
-    When the computed ``|x| 10^k`` lies within twice its rounding error of
-    a half-integer or of 1e16, the cell is formatted by ``%.17g`` instead,
-    as is every other nonzero cell.  Each cell fills a 32-byte slot (prefix
-    word, 16 fraction digits, suffix word); NUL bytes, which no cell
-    contains, are deleted at the end.
+    ``D = rint(|x| 10^k)``, ``1e16 <= |x| 10^k < 1e17``.  Dekker's product
+    (1971) gives ``|x| 10^k`` as a float64 sum ``head + tail``, ``head`` an
+    integer and ``tail`` off by under 1e-14, so ``D = head + rint(tail)``
+    unless ``tail`` is within 2^-20 of a half-integer.  Such a near tie, or
+    ``D = 1e17``, is formatted by ``%.17g`` instead, as is every other
+    nonzero cell.  Each cell fills a 32-byte slot (prefix word, 16 fraction
+    digits, suffix word); NUL bytes, which no cell contains, are deleted.
     """
     n, cols = values.shape
     if cols == 0:
         return b"".join(b"%d\n" % i for i in numbers) if numbers else b"\n" * n
-    powers, quads, prefix, suffix = _tables()
+    floors, powers, quads, prefix, suffix = _tables()
     x = values.ravel()
     mag = np.abs(x)
-    zero = mag == 0
-    nonzero = (mag >= 1e-20) & (mag < 10) & _LONG_DOUBLE
+    nonzero = (mag > 1e-20) & (mag < 10)  # the double 1e-20 is below 10^-20
     mag = np.where(nonzero, mag, 1.0)
-
-    def scaled(mag, k):
-        # Past 10^27, 10^k is 10^27 times 10^(k - 27).
-        y = mag * powers[np.minimum(k, 27)]
-        big = np.flatnonzero(k > 27)
-        y[big] *= powers[k[big] - 27]
-        return y
-
-    # k from log10 can be one off next to a power of ten.  Correct it from
-    # the product, not after rounding: 9.9999999999999998e-13 times 10^28
-    # rounds up to 1e16.
-    k = np.clip(16 - np.floor(np.log10(mag)).astype(np.int64), 16, 36)
-    y = scaled(mag, k)
-    off = np.flatnonzero((y < 1e16) | (y >= 1e17))
-    k[off] += np.where(y[off] < 1e16, 1, -1)
-    y[off] = scaled(mag[off], k[off])
-    rounded = np.rint(y)
-    carry = rounded == 1e17
-    exp = 16 - k + carry
-    margin = np.where(k > 27, 2.0 ** -5, 2.0 ** -7)
-    fast = (nonzero & (np.abs((y - rounded).astype(float)) < 0.5 - margin)
-            & ((y - 1e16).astype(float) >= margin) & (exp >= -20) & (exp <= 0))
-    digits = np.where(fast, np.where(carry, 1e16, rounded), 0).astype(np.int64)
-    neg = np.where(fast, -exp, 0)
+    # log10 can be one off next to a power of ten; the floors make k exact.
+    j = np.floor(np.log10(mag)).astype(np.int64)
+    k = 16 - j + (mag < floors[j + 21]) - (mag >= floors[j + 22])
+    # 10^k is p + rest; p and |x| are split in halves for Dekker's product.
+    p, rest, p_hi, p_lo = powers.take(k, axis=1)
+    m_hi, m_lo = _halves(mag)
+    head = mag * p
+    tail = ((m_hi * p_hi - head) + m_hi * p_lo + m_lo * p_hi) + m_lo * p_lo + mag * rest
+    rounded = np.rint(tail)
+    digits = head.astype(np.int64) + rounded.astype(np.int64)
+    # D = 1e17 (from a double just below a power of ten) is left to %.17g.
+    fast = nonzero & (np.abs(tail - rounded) < 0.5 - 2.0 ** -20) & (digits < 10 ** 17)
+    digits = np.where(fast, digits, 0)
+    neg = np.where(fast, k - 16, 0)
     # Scratch is released as soon as it is spent, to keep a chunk's peak low.
-    del mag, k, y, rounded, carry, exp, margin, nonzero
+    del mag, j, k, p, rest, p_hi, p_lo, m_hi, m_lo, head, tail, rounded, nonzero
 
     first, frac = np.divmod(digits, 10 ** 16)
     # The 16 fraction digits as four groups of four, two per uint32 half.
@@ -263,7 +260,7 @@ def _render_rows(values: np.ndarray, numbers: range | None = None) -> bytes:
     ends = 2 * neg.reshape(n, cols)
     ends[:, -1] += 1
     slots[:, 3] = suffix[ends.ravel()]
-    slow = np.flatnonzero(~(fast | zero))
+    slow = np.flatnonzero(~fast & (x != 0))
     if slow.size:
         slots[slow, :3] = _percent(x[slow]).view(np.uint64).reshape(-1, 3)
     if numbers is not None:
@@ -340,13 +337,15 @@ def export_dictionary(d, directory) -> Path:
     atom); an atom larger than a chunk is streamed on its own.
     """
     directory = Path(directory)
+    if len(d.grid.dims) != 2:
+        raise ValueError(f"atoms of shape {d.grid.dims}: the atom CSV layout is 2-D")
+    rows, cols = d.grid.dims
     atoms = [_interleaved(atom.tensor) for atom in d.atoms]
     for values in atoms:
         _check_finite(values)
-    rows, cells = atoms[0].shape if atoms else (0, 0)
     directory.mkdir(parents=True, exist_ok=True)
-    header = _matrix_header(cells // 2, "c", False)
-    group = max(1, _CHUNK_CELLS // max(rows * cells, 1))
+    header = _matrix_header(cols, "c", False)
+    group = max(1, _CHUNK_CELLS // (2 * rows * cols))
     for lo in range(0, len(atoms), group):
         bodies = [_chunks(np.concatenate(atoms[lo:lo + group]))]
         if group > 1:

@@ -1,5 +1,7 @@
 import json
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from mdprolate import (CubicBandUnion, OperatorSpec, SamplingGrid, build_psi,
 from mdprolate.reports import (ReportRow, _render, export_dictionary,
                                format_float, report_rows_csv, write_csv,
                                write_json, write_spectrum_csv,
-                               write_eigenvectors_csv)
+                               write_eigenvectors_csv, write_text_atomic)
+from mdprolate.cli import main
+
+import pinned
 
 
 def test_format_float_round_trip():
@@ -153,9 +158,7 @@ def test_halfway_doubles_are_ties():
     assert 2.0 ** -25 in ties  # 2.98023223876953125e-08, an %e layout
 
 
-@pytest.mark.parametrize("long_double", [True, False])
-def test_render_hard_cases(long_double, monkeypatch):
-    monkeypatch.setattr(reports, "_LONG_DOUBLE", long_double and reports._LONG_DOUBLE)
+def test_render_hard_cases():
     for cols in (1, 7, HARD.size):
         values = HARD[: HARD.size // cols * cols].reshape(-1, cols)
         assert _render(values) == per_cell(values)
@@ -163,25 +166,20 @@ def test_render_hard_cases(long_double, monkeypatch):
         "9.9999999999999998e-13,1,0.0001,1.0000000000000001e-05,-0\n")
 
 
-@pytest.mark.parametrize("long_double", [True, False])
 @settings(max_examples=200, deadline=None)
 @given(cells=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                 st.floats(min_value=-10, max_value=10)),
                       min_size=1, max_size=40),
        cols=st.integers(1, 5))
-def test_render_matches_per_cell_format(long_double, cells, cols):
+def test_render_matches_per_cell_format(cells, cols):
     cols = min(cols, len(cells))
     values = np.array(cells[: len(cells) // cols * cols]).reshape(-1, cols)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(reports, "_LONG_DOUBLE", long_double and reports._LONG_DOUBLE)
-        assert _render(values) == per_cell(values)
+    assert _render(values) == per_cell(values)
 
 
 def test_render_formats_most_cells_without_percent(monkeypatch):
     """Only near ties, magnitudes outside [1e-20, 10) and products that land
     on 1e16 (an exact 1.0) take the per-cell ``%``."""
-    if not reports._LONG_DOUBLE:
-        pytest.skip("no 64-bit long double mantissa: every cell takes %")
     seen = []
     percent = reports._percent
     monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v) or percent(v))
@@ -194,6 +192,69 @@ def test_render_formats_most_cells_without_percent(monkeypatch):
                      for p in POWERS[:20]])
     assert _render(near) == per_cell(near)
     assert sum(v.size for v in seen) <= 3
+
+
+def random_doubles(size, seed):
+    """Finite random bit patterns: half over every exponent, half with the
+    exponent of a magnitude the renderer cuts into digits itself."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, size, dtype=np.uint64)
+    exponent = rng.integers(1023 - 67, 1023 + 4, size, dtype=np.uint64)
+    inside = np.arange(size) % 2 == 1
+    bits[inside] = (bits[inside] & ~np.uint64(0x7FF << 52)) | (exponent[inside] << 52)
+    values = bits.view(float)
+    return values[np.isfinite(values)]
+
+
+def test_render_matches_per_cell_format_on_random_bits():
+    values = random_doubles(120_000, 17)
+    assert values.size >= 10 ** 5
+    values = values[: values.size // 7 * 7].reshape(-1, 7)
+    assert values.size > 10 * reports._CHUNK_CELLS
+    assert _render(values) == per_cell(values)
+
+
+def test_render_matches_per_cell_format_next_to_powers_of_ten(monkeypatch):
+    """Every double within 8 ulp of 10^j, j = -21 to 1, of either sign; the
+    chunk is shrunk so the set spans many chunk boundaries."""
+    near = []
+    for j in range(-21, 2):
+        below = above = float(f"1e{j}")
+        near.append(above)
+        for _ in range(8):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above, np.inf)
+            near += [below, above]
+    values = np.array(near + [-v for v in near]).reshape(-1, 17)
+    monkeypatch.setattr(reports, "_CHUNK_CELLS", 5 * 17)
+    assert values.size > 9 * reports._CHUNK_CELLS
+    assert _render(values) == per_cell(values)
+
+
+def test_dictionary_atoms_rarely_take_percent(monkeypatch, tmp_path):
+    """On the README dictionaries at 32 x 32, fewer than 0.5% of the atom
+    cells are formatted by the per-cell ``%``."""
+    rendered, seen = [], []
+    render, percent = reports._render_rows, reports._percent
+
+    def counted(values, numbers=None):
+        rendered.append(values.size)
+        return render(values, numbers)
+    monkeypatch.setattr(reports, "_render_rows", counted)
+    monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v.size) or percent(v))
+    config = tmp_path / "bands.json"
+    config.write_text(json.dumps({
+        "dim": 2, "grid": [32, 32],
+        "cubic": [{"center": c, "half_widths": w} for c, w in
+                  zip(pinned.REF_2D_CENTERS, pinned.REF_2D_HALF_WIDTHS)]}))
+    assert main(["dict", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert sum(rendered) > 300_000
+    assert sum(seen) < 0.005 * sum(rendered)
+
+
+def test_no_source_file_uses_long_double():
+    """The renderer runs the same float64 code on every platform."""
+    package = Path(reports.__file__).parent
+    assert [p.name for p in package.glob("*.py") if "longdouble" in p.read_text()] == []
 
 
 def test_index_column_is_rendered_as_integers(monkeypatch, tmp_path):
@@ -211,3 +272,44 @@ def test_index_column_is_rendered_as_integers(monkeypatch, tmp_path):
     assert [r.split(",")[0] for r in rows] == [str(i) for i in range(20)]
     assert not any(np.any(v == np.rint(v)) for v in seen if v.size)
     assert _render(np.empty((3, 0)), index=True) == "0\n1\n2\n"
+
+
+@pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask-022", "umask-077"])
+def test_output_files_follow_the_umask(umask, mode, tmp_path):
+    config = tmp_path / "bands.json"
+    config.write_text(json.dumps({
+        "dim": 2, "grid": [8, 8],
+        "cubic": [{"center": [0.1, -0.1], "half_widths": [0.1, 0.1]}]}))
+    previous = os.umask(umask)
+    try:
+        assert main(["dict", "--config", str(config), "--out", str(tmp_path / "o"),
+                     "--format", "json"]) == 0
+    finally:
+        os.umask(previous)
+    files = [p for p in (tmp_path / "o").rglob("*") if p.is_file()]
+    assert {p.suffix for p in files} == {".csv", ".json"}
+    assert {oct(p.stat().st_mode & 0o777) for p in files} == {oct(mode)}
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path):
+    def chunks():
+        yield b"index,eigenvalue\n"
+        raise OSError("disk full")
+    with pytest.raises(OSError, match="disk full"):
+        write_text_atomic(tmp_path / "s.csv", chunks())
+    assert list(tmp_path.iterdir()) == []
+    write_text_atomic(tmp_path / "s.csv", "x\n")
+    assert [p.name for p in tmp_path.iterdir()] == ["s.csv"]
+
+
+def test_a_taken_temp_name_is_skipped(monkeypatch, tmp_path):
+    taken = tmp_path / "s.csv.000000000000.tmp"
+    taken.write_text("someone else's")
+    salts = iter([b"\0" * 6, b"\1" * 6])
+    monkeypatch.setattr(os, "urandom", lambda n: next(salts))
+    write_text_atomic(tmp_path / "s.csv", "x\n")
+    assert (tmp_path / "s.csv").read_text() == "x\n"
+    assert taken.read_text() == "someone else's"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["s.csv", taken.name]

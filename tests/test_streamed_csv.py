@@ -15,7 +15,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdprolate import CubicBandUnion, SamplingGrid, reports
+from mdprolate import (CubicBandUnion, OperatorSpec, SamplingGrid, build_phi,
+                       reports)
 from mdprolate.dictionary import Atom, Dictionary
 from mdprolate.reports import (export_dictionary, format_float,
                                write_eigenvectors_csv, write_spectrum_csv)
@@ -125,6 +126,16 @@ def test_a_failed_export_writes_nothing(tmp_path):
     d.atoms[2].tensor[3, 5] = complex(1.0, np.nan)
     with pytest.raises(ValueError, match="non-finite value nan"):
         export_dictionary(d, tmp_path / "psi")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_three_dimensional_dictionary_is_refused_before_writing(tmp_path):
+    """The atom CSV layout is 2-D: a 3-D atom raises a ValueError naming its
+    shape, and nothing is created."""
+    box = CubicBandUnion(centers=[[0.0, 0.0, 0.0]], half_widths=[[0.2, 0.2, 0.2]])
+    d = build_phi(OperatorSpec(grid=SamplingGrid((4, 4, 4)), bands=box), 2)
+    with pytest.raises(ValueError, match=r"shape \(4, 4, 4\).*2-D"):
+        export_dictionary(d, tmp_path / "phi")
     assert list(tmp_path.iterdir()) == []
 
 
