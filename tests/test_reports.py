@@ -105,9 +105,10 @@ def test_export_dictionary(tmp_path):
 
 # --- the vectorized %.17g renderer ------------------------------------------
 
-def per_cell(values):
-    return "".join(",".join(format_float(v) for v in row) + "\n"
-                   for row in np.asarray(values).tolist())
+def per_cell(values, index=False):
+    return "".join((f"{i}," if index else "")
+                   + ",".join(format_float(v) for v in row) + "\n"
+                   for i, row in enumerate(np.asarray(values).tolist()))
 
 
 def halfway_doubles():
@@ -158,23 +159,25 @@ def test_halfway_doubles_are_ties():
     assert 2.0 ** -25 in ties  # 2.98023223876953125e-08, an %e layout
 
 
-def test_render_hard_cases():
+@pytest.mark.parametrize("index", [True, False])
+def test_render_hard_cases(index):
     for cols in (1, 7, HARD.size):
         values = HARD[: HARD.size // cols * cols].reshape(-1, cols)
-        assert _render(values) == per_cell(values)
+        assert _render(values, index) == per_cell(values, index)
     assert _render(np.array([[1e-12, 1.0, 1e-4, 1e-5, -0.0]])) == (
         "9.9999999999999998e-13,1,0.0001,1.0000000000000001e-05,-0\n")
 
 
+@pytest.mark.parametrize("index", [True, False])
 @settings(max_examples=200, deadline=None)
 @given(cells=st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
                                 st.floats(min_value=-10, max_value=10)),
                       min_size=1, max_size=40),
        cols=st.integers(1, 5))
-def test_render_matches_per_cell_format(cells, cols):
+def test_render_matches_per_cell_format(index, cells, cols):
     cols = min(cols, len(cells))
     values = np.array(cells[: len(cells) // cols * cols]).reshape(-1, cols)
-    assert _render(values) == per_cell(values)
+    assert _render(values, index) == per_cell(values, index)
 
 
 def test_render_formats_most_cells_without_percent(monkeypatch):
