@@ -20,6 +20,7 @@ failure, 2 configuration or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -188,6 +189,16 @@ def _dict_sizing(cfg: RunConfig) -> tuple[int, list[int]]:
     return p, q
 
 
+def _phi_basis(phi: dct.Dictionary) -> dct.SubspaceBasis:
+    """The span of a phi dictionary: its atoms are orthonormal eigen-tensors
+    already, so they are stacked as the basis as they are, with no SVD and
+    no rank cut."""
+    q = (phi.stacked() if len(phi) else
+         np.zeros((phi.grid.size, 0), dtype=complex))
+    return dct.SubspaceBasis(q=q, dims=phi.grid.dims, rank=len(phi),
+                             tolerance=0.0)
+
+
 def cmd_dict(args) -> int:
     cfg = _resolve(args, need_config=True)
     if cfg.bands.cubic is None:
@@ -202,7 +213,7 @@ def cmd_dict(args) -> int:
     export_dictionary(phi, cfg.out / "phi")
     export_dictionary(psi, cfg.out / "psi")
 
-    phi_basis = dct.orthonormalize(phi)
+    phi_basis = _phi_basis(phi)
     cos_theta = dct.subspace_cos_theta(phi_basis, psi)
     gram = np.abs(psi.gram())
     np.fill_diagonal(gram, 0.0)
@@ -242,11 +253,7 @@ def cmd_approx(args) -> int:
     if not 0 <= p <= total:
         raise ConfigError(f"p = {p} outside [0, {total}]")
     sp = spectrum(materialize_cubic(spec))
-    if p == 0:
-        basis = dct.SubspaceBasis(q=np.zeros((total, 0), dtype=complex),
-                                  dims=cfg.bands.grid.dims, rank=0, tolerance=0.0)
-    else:
-        basis = dct.orthonormalize(dct.build_phi(spec, p, spec_spectrum=sp))
+    basis = _phi_basis(dct.build_phi(spec, p, spec_spectrum=sp))
     report = dct.approx_mse(basis, spec, cfg.trials, cfg.seed, spec_spectrum=sp)
     empirical, tail = report.empirical_mean, report.analytic_tail
     rel = abs(empirical - tail) / tail if tail > 1e-12 else 0.0
@@ -301,7 +308,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every :func:`main` call reuses it."""
     parser = _Parser(
         prog="mdprolate",
         description="Spectra, dictionaries and diagnostics for multiband "

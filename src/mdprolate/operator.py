@@ -336,11 +336,12 @@ def gap_bound(dims: tuple[int, ...], num_bands: int) -> float:
 
     For a 2-D grid (M, N) with J bands the bound is
     ``(4 M J / pi^2)(3 + ln N) + (4 N J / pi^2)(3 + ln M)``; the 1-D form is
-    ``(4 n J / pi^2)(3 + ln n)``.  Natural logarithm throughout.
+    ``J (4 / pi^2)(3 + ln n)``, the per-band lemma the 2-D form rests on
+    (a band union's gap is at most the sum of its bands' gaps, each band's
+    operator being positive semidefinite).  Natural logarithm throughout.
     """
     if len(dims) == 1:
-        n = dims[0]
-        return 4.0 * n * num_bands / np.pi**2 * (3.0 + np.log(n))
+        return num_bands * 4.0 / np.pi**2 * (3.0 + np.log(dims[0]))
     if len(dims) == 2:
         m, n = dims
         return (4.0 * m * num_bands / np.pi**2 * (3.0 + np.log(n))

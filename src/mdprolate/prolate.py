@@ -769,12 +769,12 @@ class _Eigenvectors:
         the pivot factors folded in, and a real block multiplies the real
         and imaginary parts of those columns together through their
         interleaved real view, so each block costs one real product of its
-        size.  The results ``y_c`` map back as :meth:`_rows` maps
-        eigenvectors: entry ``e j`` is ``sqrt(s_j / |G|) sum_c chars[c, e]
-        y_c[j]``, for J ``[a + o, m sqrt 2, J (a - o)] / sqrt 2``, with the
-        odd results of a coupled R multiplied by i first.  An unreduced
-        block is one plain product.  The centre phase multiplies the result
-        last.
+        size, less its leading coefficient rows that are exactly zero.  The
+        results ``y_c`` map back as :meth:`_rows` maps eigenvectors: entry
+        ``e j`` is ``sqrt(s_j / |G|) sum_c chars[c, e] y_c[j]``, for J
+        ``[a + o, m sqrt 2, J (a - o)] / sqrt 2``, with the odd results of a
+        coupled R multiplied by i first.  An unreduced block is one plain
+        product.  The centre phase multiplies the result last.
         """
         coef = np.asarray(c, dtype=complex).T[self.inverse]
         coef *= self.pivots(self.n)[self.inverse, None]
@@ -784,7 +784,12 @@ class _Eigenvectors:
         else:
             real_coef, real_out = coef.view(float), out.view(float)
             for w, lo in zip(self.blocks, self.starts):
-                np.matmul(w, real_coef[lo:lo + w.shape[1]],
+                # Leading rows that are exactly zero add nothing.  A draw's
+                # weights are zero for eigenvalues <= 0, and those lead each
+                # block, whose eigenvalues ascend.
+                rows = real_coef[lo:lo + w.shape[1]]
+                skip = len(rows) - len(np.trim_zeros(rows.any(axis=1), "f"))
+                np.matmul(w[:, skip:], rows[skip:],
                           out=real_out[lo:lo + w.shape[1]])
             if self.coupled:
                 out[self.starts[1]:] *= 1j

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mdprolate
 from mdprolate.cli import main
 
 import oracles
@@ -464,3 +469,73 @@ def test_corruption_hook_fails_the_trace_row_of_every_geometry(
         assert set(trace) == {"cubic", "parallelepiped"}
     assert {(r["experiment"], r["metric"]) for r in rows
             if not r["passed"]} == failing
+
+
+# --- the parser is built once; phi bases come from the eigen-tensors --------
+
+def test_parser_is_built_once():
+    from mdprolate import cli
+    assert cli._build_parser() is cli._build_parser()
+
+
+def test_errors_leave_the_shared_parser_as_it_was(twod_config, tmp_path, capsys):
+    """A malformed ``--grid`` (one argparse rejects, one it passes through)
+    exits 2 with its JSON error; the next call in the same process writes
+    the bytes a fresh interpreter writes."""
+    for grid in (["--grid"], ["--grid", "8xq"]):
+        assert main(["spectrum", "--config", twod_config,
+                     "--out", str(tmp_path / "bad"), *grid]) == 2
+        assert json.loads(capsys.readouterr().err.strip())["error"]
+    argv = ["spectrum", "--config", twod_config, "--grid", "9x7"]
+    assert main([*argv, "--out", str(tmp_path / "again")]) == 0
+    src = str(Path(mdprolate.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src, *filter(None, [os.environ.get("PYTHONPATH")])])}
+    subprocess.run([sys.executable, "-m", "mdprolate.cli", *argv,
+                    "--out", str(tmp_path / "fresh")], env=env, check=True,
+                   capture_output=True)
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert names == sorted(p.name for p in (tmp_path / "again").iterdir())
+    for name in names:
+        assert ((tmp_path / "again" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes())
+
+
+def test_phi_basis_is_orthonormal_at_readme_32(ref_spec_32, ref_spectrum_32):
+    from mdprolate import build_phi
+    from mdprolate.cli import _phi_basis
+    phi = build_phi(ref_spec_32, 100, spec_spectrum=ref_spectrum_32)
+    basis = _phi_basis(phi)
+    assert basis.q.shape == (1024, 100) and basis.rank == 100
+    gram = basis.q.conj().T @ basis.q
+    assert np.max(np.abs(gram - np.eye(100))) <= 1e-12
+    empty = _phi_basis(build_phi(ref_spec_32, 0, spec_spectrum=ref_spectrum_32))
+    assert empty.q.shape == (1024, 0) and empty.rank == 0
+
+
+README_DOC = {"dim": 2,
+              "cubic": [{"center": [-0.15, -0.10], "half_widths": [0.10, 0.10]},
+                        {"center": [0.20, 0.15], "half_widths": [0.10, 0.10]}],
+              "grid": [32, 32]}
+
+
+@pytest.mark.parametrize("argv", [["dict"], ["approx", "--trials", "200"]],
+                         ids=["dict", "approx"])
+def test_phi_basis_reports_match_the_svd_basis(argv, tmp_path, monkeypatch):
+    """The reports read through the stacked eigen-tensors agree with those
+    read through ``orthonormalize``'s SVD basis of the same span."""
+    from mdprolate import cli, orthonormalize
+    cfg = write_config(tmp_path, README_DOC)
+
+    def report(out):
+        assert main([*argv, "--config", cfg, "--out", str(out),
+                     "--format", "json"]) == 0
+        rows = json.loads((out / f"{argv[0]}_report.json").read_text())
+        return {r["metric"]: r["value"] for r in rows}
+
+    got = report(tmp_path / "stacked")
+    monkeypatch.setattr(cli, "_phi_basis", orthonormalize)
+    ref = report(tmp_path / "svd")
+    assert got.keys() == ref.keys()
+    for metric, value in ref.items():
+        assert abs(got[metric] - value) <= 1e-12, metric

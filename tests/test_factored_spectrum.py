@@ -245,6 +245,45 @@ def test_combine_matches_the_product_with_the_stack(name, rows, solved):
     assert _rel_err(sp.combine(real).reshape(rows, -1), real @ ref_stack) <= 1e-13
 
 
+def _real_symmetric(dims, seed):
+    n = int(np.prod(dims))
+    g = np.random.default_rng(seed).standard_normal((n, n))
+    return DenseCovariance((g + g.T) / 2, dims=dims, spec=None)
+
+
+# name -> (covariance, number of solved blocks)
+ZERO_ROW_CASES = {
+    "j-split": (lambda: _cubic((9, 7)), 2),
+    "four-characters": (lambda: _cubic((9, 7), CubicBandUnion(
+        centers=[[0.1, -0.05]], half_widths=[[0.2, 0.15]])), 4),
+    "coupled-r": (lambda: _cubic((9, 8), ASYMMETRIC), 1),
+    "unreduced-complex": (lambda: _hand_built((6, 5), 3), 1),
+    "unreduced-real": (lambda: _real_symmetric((6, 5), 5), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(ZERO_ROW_CASES))
+@pytest.mark.parametrize("zeros", ["none", "some", "all"])
+def test_combine_skips_leading_zero_rows(name, zeros):
+    """Coefficients that are exactly zero for the smallest eigenvalues (as
+    a draw's weights are for eigenvalues <= 0) lead every block in block
+    order; the products leave those rows out and still match the product
+    with the stack."""
+    cov, blocks = ZERO_ROW_CASES[name]
+    sp = spectrum(cov())
+    assert len(sp._vectors.blocks) == blocks
+    rng = np.random.default_rng(6)
+    c = rng.standard_normal((3, sp.size)) + 1j * rng.standard_normal((3, sp.size))
+    cut = {"none": -np.inf, "some": np.median(sp.eigenvalues), "all": np.inf}[zeros]
+    c[:, sp.eigenvalues <= cut] = 0.0
+    got = sp.combine(c)
+    ref = np.tensordot(c, sp.tensors, 1)
+    if zeros == "all":
+        assert not np.any(got)
+    else:
+        assert _rel_err(got, ref) <= 1e-13
+
+
 def test_combine_on_a_spectrum_built_from_tensors():
     sp = separable_spectrum(9, 7, CubicBandUnion(centers=[[0.1, -0.05]],
                                                  half_widths=[[0.2, 0.15]]))

@@ -193,6 +193,28 @@ def test_gap_pinned_at_32(ref_spec_32):
     assert rep.gap <= gap_bound((32, 32), 2)
 
 
+def test_oned_gap_bound_is_the_per_band_lemma():
+    """In 1-D the bound is J (4 / pi^2)(3 + ln n), the per-band lemma the
+    2-D bound rests on: M J g(N) + N J g(M) with g(n) = (4 / pi^2)(3 + ln n)."""
+    def g(n):
+        return 4.0 / np.pi**2 * (3.0 + np.log(n))
+    for n, j in ((8, 1), (256, 2), (4096, 3)):
+        assert gap_bound((n,), j) == pytest.approx(j * g(n), rel=1e-15)
+    assert gap_bound((24, 40), 2) == pytest.approx(2 * (24 * g(40) + 40 * g(24)),
+                                                   rel=1e-15)
+
+
+@pytest.mark.parametrize("n", [8, 64, 512, 4096])
+def test_oned_gap_stays_under_the_bound(ref_intervals, n):
+    """The reference union's gap, from the table's trace and Frobenius norm
+    alone (no eigensolve), against the 1-D bound; a bound linear in n
+    would leave this ratio falling as 1 / n."""
+    cov = materialize_cubic(OperatorSpec(grid=SamplingGrid((n,)),
+                                         bands=ref_intervals))
+    ratio = (cov.trace() - cov.frobenius_sq()) / gap_bound((n,), 2)
+    assert 0.05 <= ratio <= 1.0
+
+
 def test_gap_bound_violation_is_diagnosed():
     from mdprolate import DenseCovariance, VerificationError
     band = CubicBandUnion(centers=[[0.0, 0.0]], half_widths=[[0.1, 0.1]])

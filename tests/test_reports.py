@@ -181,8 +181,9 @@ def test_render_matches_per_cell_format(index, cells, cols):
 
 
 def test_render_formats_most_cells_without_percent(monkeypatch):
-    """Only near ties, magnitudes outside [1e-20, 10) and products that land
-    on 1e16 (an exact 1.0) take the per-cell ``%``."""
+    """Only near ties, magnitudes outside [1e-20, 10) and cells whose digits
+    round up to 1e17 (doubles just below a power of ten) take the per-cell
+    ``%``; an exact power of ten such as 1.0 does not."""
     seen = []
     percent = reports._percent
     monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v) or percent(v))

@@ -90,6 +90,30 @@ def test_oned_translation_row_matches_hand_built_kernels(n):
     assert row.value == oracles.modulation_invariance_reference(n, union)
 
 
+@pytest.mark.parametrize("widths, bases", [([0.05, 0.05], 1), ([0.05, 0.04], 2)],
+                         ids=["equal-widths", "unequal-widths"])
+def test_oned_translation_row_solves_one_base_per_width(widths, bases,
+                                                        monkeypatch):
+    """Bands of equal half-width share one frequency-0 solve; the row stays
+    the hand-built kernels' row bit for bit."""
+    from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
+    union = CubicBandUnion(centers=[[-0.10], [0.20]],
+                           half_widths=[[w] for w in widths])
+    calls = []
+    materialize = verify.materialize_cubic
+
+    def counting(spec, *args, **kwargs):
+        calls.append(spec)
+        return materialize(spec, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "materialize_cubic", counting)
+    rows = verify_config(BandConfig(grid=SamplingGrid((96,)), cubic=union))
+    assert len(calls) == bases
+    assert all(spec.bands.centers[0, 0] == 0.0 for spec in calls)
+    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    assert row.value == oracles.modulation_invariance_reference(96, union)
+
+
 def test_corruption_hook_fails(monkeypatch):
     monkeypatch.setenv(CORRUPT_ENV, "1")
     rows = verify_config(default_config())
