@@ -126,13 +126,11 @@ class CubicBandUnion:
     analog: bool = False
 
     def __post_init__(self):
-        centers = np.atleast_2d(np.asarray(self.centers, dtype=float))
-        half_widths = np.atleast_2d(np.asarray(self.half_widths, dtype=float))
-        object.__setattr__(self, "centers", _freeze(centers))
-        object.__setattr__(self, "half_widths", _freeze(half_widths))
-        bad = cubic_violations(centers, half_widths, analog=self.analog)
+        bad = cubic_violations(self.centers, self.half_widths, analog=self.analog)
         if bad:
             raise BandError(bad)
+        for name in ("centers", "half_widths"):
+            object.__setattr__(self, name, _freeze(np.atleast_2d(getattr(self, name))))
 
     @property
     def dim(self) -> int:
@@ -227,22 +225,28 @@ class ParallelepipedBand:
 # validation
 
 
-def cubic_violations(centers, half_widths, *, analog: bool = False,
-                     tol: float = TOUCH_TOL) -> list[Violation]:
+def cubic_violations(centers, half_widths, *,
+                     analog: bool = False) -> list[Violation]:
     """All violated invariants of a cubic union given raw arrays.
 
-    Checks that centers and half-widths are matching (J, d) arrays (else
-    one ``malformed`` violation is all it reports), that they are finite,
-    positivity of half-widths, containment in the Nyquist box (unless
-    ``analog``), and pairwise open-interior disjointness (per-axis interval
-    intersection on all axes).
+    Checks that centers and half-widths are matching numeric (J, d) arrays
+    with J, d >= 1 (else one ``malformed`` violation is all it reports),
+    that they are finite, positivity of half-widths, containment in the
+    Nyquist box (unless ``analog``), and pairwise open-interior
+    disjointness (per-axis interval intersection on all axes).
     """
-    centers = np.atleast_2d(np.asarray(centers, dtype=float))
-    half_widths = np.atleast_2d(np.asarray(half_widths, dtype=float))
-    if centers.shape != half_widths.shape or centers.ndim != 2:
+    try:
+        centers = np.atleast_2d(np.asarray(centers, dtype=float))
+        half_widths = np.atleast_2d(np.asarray(half_widths, dtype=float))
+    except (TypeError, ValueError) as exc:
+        return [Violation("malformed", (), "centers and half_widths must be "
+                                           f"numeric arrays ({exc!r})")]
+    if (centers.shape != half_widths.shape or centers.ndim != 2
+            or 0 in centers.shape):
         return [Violation("malformed", (),
                           f"centers {centers.shape} and half_widths "
-                          f"{half_widths.shape} must be matching (J, d) arrays")]
+                          f"{half_widths.shape} must be matching (J, d) arrays "
+                          "with J, d >= 1")]
     out: list[Violation] = []
     J = centers.shape[0]
     for i in range(J):
@@ -256,22 +260,21 @@ def cubic_violations(centers, half_widths, *, analog: bool = False,
             continue
         if not analog:
             reach = np.abs(centers[i]) + half_widths[i]
-            if np.any(reach > 0.5 + tol):
-                axes = np.nonzero(reach > 0.5 + tol)[0].tolist()
+            if np.any(reach > 0.5 + TOUCH_TOL):
+                axes = np.nonzero(reach > 0.5 + TOUCH_TOL)[0].tolist()
                 out.append(Violation(
                     "range", (i,),
                     f"band {i}: exceeds [-1/2, 1/2] on axes {axes}"))
     for i in range(J):
         for j in range(i + 1, J):
             gap = np.abs(centers[i] - centers[j]) - (half_widths[i] + half_widths[j])
-            if np.all(gap < -tol):
+            if np.all(gap < -TOUCH_TOL):
                 out.append(Violation("overlap", (i, j),
                                      f"bands {i} and {j} overlap"))
     return out
 
 
-def _pp_band_violations(idx, a, b, c, d, half_widths, center,
-                        tol: float = TOUCH_TOL) -> list[Violation]:
+def _pp_band_violations(idx, a, b, c, d, half_widths, center) -> list[Violation]:
     out: list[Violation] = []
     w0, w1 = float(half_widths[0]), float(half_widths[1])
     if not np.isfinite([a, b, c, d, w0, w1, *center]).all():
@@ -292,18 +295,17 @@ def _pp_band_violations(idx, a, b, c, d, half_widths, center,
     inv = np.linalg.inv(np.array([[a, b], [c, d]], dtype=float))
     uv = np.array([[w0, w1], [-w0, w1], [-w0, -w1], [w0, -w1]])
     corners = uv @ inv.T + np.asarray(center, dtype=float)
-    if np.any(np.abs(corners) > 0.5 + tol):
+    if np.any(np.abs(corners) > 0.5 + TOUCH_TOL):
         out.append(Violation("range", (idx,),
                              f"band {idx}: parallelogram exceeds [-1/2, 1/2]^2"))
     return out
 
 
-def _separating_axis_disjoint(pa: np.ndarray, pb: np.ndarray,
-                              tol: float = TOUCH_TOL) -> bool:
+def _separating_axis_disjoint(pa: np.ndarray, pb: np.ndarray) -> bool:
     """True iff convex polygons pa, pb have disjoint open interiors.
 
     Tests every edge normal of both polygons; exact for convex polygons.
-    Touching within ``tol`` counts as disjoint.
+    Touching within ``TOUCH_TOL`` counts as disjoint.
     """
     for poly in (pa, pb):
         edges = np.roll(poly, -1, axis=0) - poly
@@ -311,14 +313,13 @@ def _separating_axis_disjoint(pa: np.ndarray, pb: np.ndarray,
         for n in normals:
             a_lo, a_hi = (pa @ n).min(), (pa @ n).max()
             b_lo, b_hi = (pb @ n).min(), (pb @ n).max()
-            scale = max(np.abs(n).max(), 1.0)
-            if a_hi <= b_lo + tol * scale or b_hi <= a_lo + tol * scale:
+            slack = TOUCH_TOL * max(np.abs(n).max(), 1.0)
+            if a_hi <= b_lo + slack or b_hi <= a_lo + slack:
                 return True
     return False
 
 
-def parallelepiped_violations(bands: Sequence, *, tol: float = TOUCH_TOL
-                              ) -> list[Violation]:
+def parallelepiped_violations(bands: Sequence) -> list[Violation]:
     """All violated invariants of a list of parallelepiped bands.
 
     ``bands`` may hold :class:`ParallelepipedBand` instances or raw mappings
@@ -338,7 +339,7 @@ def parallelepiped_violations(bands: Sequence, *, tol: float = TOUCH_TOL
                 out.append(Violation("malformed", (i,),
                                      f"band {i}: malformed entry ({exc!r})"))
                 continue
-            bad = _pp_band_violations(i, *transform, (w0, w1), (c0, c1), tol=tol)
+            bad = _pp_band_violations(i, *transform, (w0, w1), (c0, c1))
             if bad:
                 out.extend(bad)
                 continue
@@ -347,7 +348,7 @@ def parallelepiped_violations(bands: Sequence, *, tol: float = TOUCH_TOL
     keys = sorted(corners)
     for ii, i in enumerate(keys):
         for j in keys[ii + 1:]:
-            if not _separating_axis_disjoint(corners[i], corners[j], tol=tol):
+            if not _separating_axis_disjoint(corners[i], corners[j]):
                 out.append(Violation("overlap", (i, j),
                                      f"bands {i} and {j} overlap"))
     return out

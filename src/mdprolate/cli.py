@@ -9,8 +9,11 @@ approx          Monte-Carlo approximation error against the eigenvalue tail
 verify          run the invariant property suite, exit 1 on any failure
 bands validate  report band-geometry violations without building anything
 
-Shared flags: ``--config <path>``, ``--out <dir>``, ``--format csv|json``,
-``--seed <u64>``, ``--eps <f>``, ``--grid MxN``.  Operators run one after
+Flags shared by the four data commands: ``--config <path>``, ``--out <dir>``,
+``--format csv|json``, ``--seed <u64>``, ``--eps <f>``, ``--grid MxN``.  Each
+adds only the flags it reads (``spectrum --vectors``, ``dict --p --q``,
+``approx --trials --p --tolerance``); ``bands validate`` takes ``--config``
+alone.  Every value is checked as it is parsed.  Operators run one after
 another; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once in a pool.
 Identical config and seed produce byte-identical output files on the same
 machine and BLAS thread setting.  Exit codes: 0 success, 1 verification
@@ -24,7 +27,6 @@ import functools
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,33 +46,33 @@ from .verify import default_config, max_workers, verify_config
 __all__ = ["main"]
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the subcommands."""
-
-    bands: BandConfig
-    out: Path
-    fmt: str
-    seed: int
-    eps: float
-    trials: int
-    p: int | None
-    q: tuple[int, ...] | None
-
-    def __post_init__(self):
-        if not 0.0 < self.eps < 0.5:
-            raise ConfigError(f"eps must be in (0, 1/2), got {self.eps}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if not 0 <= self.seed < 2**64:
-            raise ConfigError("seed must fit in an unsigned 64-bit integer")
+def _option(convert, requirement: str, ok=lambda value: True):
+    """An argparse ``type``: the text through ``convert``, which must succeed
+    and satisfy ``ok``, or the flag is rejected with ``requirement`` and the
+    text (exit 2, JSON)."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{requirement}, got {text!r}")
+    return parse
 
 
-def _parse_grid(text: str) -> SamplingGrid:
-    try:
-        return SamplingGrid(tuple(int(part) for part in text.lower().split("x")))
-    except ValueError as exc:
-        raise ConfigError(f"bad --grid {text!r}: {exc}") from None
+_GRID = _option(lambda text: SamplingGrid(
+    tuple(int(part) for part in text.lower().split("x"))),
+    "grid must be sizes >= 2 joined by 'x', e.g. 32x32 or 256")
+_SEED = _option(int, "seed must fit in an unsigned 64-bit integer",
+                lambda seed: 0 <= seed < 2**64)
+_EPS = _option(float, "eps must be in (0, 1/2)", lambda eps: 0.0 < eps < 0.5)
+_TRIALS = _option(int, "trials must be >= 1", lambda trials: trials >= 1)
+_TOLERANCE = _option(float, "tolerance must be finite and >= 0",
+                     lambda tol: 0.0 <= tol < np.inf)
+_COUNTS = _option(lambda text: tuple(int(piece) for piece in text.split(",")),
+                  "q must be comma-separated integers")
 
 
 def _check_out(out: Path) -> None:
@@ -85,32 +87,22 @@ def _check_out(out: Path) -> None:
             return
 
 
-def _resolve(args, *, need_config: bool) -> RunConfig:
-    _check_out(Path(args.out))
-    if args.config is not None:
-        bands = load_band_config(args.config)
-    elif need_config:
-        raise ConfigError("--config is required for this command")
-    else:
-        bands = default_config()
+def _resolve(args) -> BandConfig:
+    """The run's band configuration (``verify``'s built-in one when no
+    ``--config`` is given), with ``--grid`` applied; ``--out`` is checked
+    first."""
+    _check_out(args.out)
+    config = (default_config() if args.config is None
+              else load_band_config(args.config))
     if args.grid is not None:
-        grid = _parse_grid(args.grid)
-        bands = BandConfig(grid=grid, cubic=bands.cubic,
-                           parallelepiped=bands.parallelepiped)
-    q = None
-    if args.q is not None:
-        try:
-            q = tuple(int(piece) for piece in args.q.split(","))
-        except ValueError as exc:
-            raise ConfigError(f"bad --q {args.q!r}: {exc}") from None
-    return RunConfig(bands=bands, out=Path(args.out), fmt=args.format,
-                     seed=args.seed, eps=args.eps, trials=args.trials,
-                     p=args.p, q=q)
+        config = BandConfig(grid=args.grid, cubic=config.cubic,
+                            parallelepiped=config.parallelepiped)
+    return config
 
 
-def _write_report(rows: list[ReportRow], cfg: RunConfig, name: str) -> Path:
-    path = cfg.out / f"{name}.{cfg.fmt}"
-    if cfg.fmt == "json":
+def _write_report(rows: list[ReportRow], args, name: str) -> Path:
+    path = args.out / f"{name}.{args.format}"
+    if args.format == "json":
         report_rows_json(path, rows)
     else:
         report_rows_csv(path, rows)
@@ -133,20 +125,23 @@ def _summary(name: str, cov: DenseCovariance, lam: np.ndarray, eps: float) -> di
 
 
 def cmd_spectrum(args) -> int:
-    cfg = _resolve(args, need_config=True)
-    jobs = _operators(cfg.bands)
+    config = _resolve(args)
+    if args.vectors and config.grid.dim != 1:
+        raise ConfigError("--vectors needs a 1-D configuration, got a "
+                          f"{config.grid.dim}-D grid")
+    jobs = _operators(config)
 
     def run(job):
         # Summarize inside the job so its n x n covariance is freed before
         # the next job materializes another.
         name, spec = job
         cov = _materialize(spec)
-        if args.vectors and name == "multiband1d":
+        if args.vectors:
             sp = spectrum(cov)
             lam, vectors = sp.eigenvalues, sp.tensors.T
         else:
             lam, vectors = spectrum_values(cov), None
-        return name, _summary(name, cov, lam, cfg.eps), lam, vectors
+        return name, _summary(name, cov, lam, args.eps), lam, vectors
 
     workers = min(max_workers(), len(jobs))
     if workers <= 1:
@@ -155,32 +150,32 @@ def cmd_spectrum(args) -> int:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run, jobs))
     for name, summary, lam, vectors in sorted(results, key=lambda r: r[0]):
-        write_spectrum_csv(cfg.out / f"{name}_eigenvalues.csv", lam)
-        write_json(cfg.out / f"{name}_summary.json", summary)
+        write_spectrum_csv(args.out / f"{name}_eigenvalues.csv", lam)
+        write_json(args.out / f"{name}_summary.json", summary)
         if vectors is not None:
-            write_eigenvectors_csv(cfg.out / f"{name}_eigenvectors.csv", vectors)
-        print(f"{name}: {lam.size} eigenvalues -> {cfg.out}")
+            write_eigenvectors_csv(args.out / f"{name}_eigenvectors.csv", vectors)
+        print(f"{name}: {lam.size} eigenvalues -> {args.out}")
     return 0
 
 
-def _dict_sizing(cfg: RunConfig) -> tuple[int, list[int]]:
-    bands = cfg.bands.cubic
-    total = cfg.bands.grid.size
+def _dict_sizing(config: BandConfig, args) -> tuple[int, list[int]]:
+    bands = config.cubic
+    total = config.grid.size
     measure = bands.measure()
     limit = min(1.0, 1.0 / measure - 1.0)
-    if not 0.0 < cfg.eps < limit:
+    if not 0.0 < args.eps < limit:
         raise ConfigError(f"eps must be in (0, {limit:g}) for this band union")
-    if cfg.p is not None:
-        p = cfg.p
+    if args.p is not None:
+        p = args.p
     else:
-        p = sum(int(np.ceil(total * bands.band(i).measure() * (1.0 + cfg.eps)))
+        p = sum(int(np.ceil(total * bands.band(i).measure() * (1.0 + args.eps)))
                 for i in range(bands.num_bands))
-    if cfg.q is not None:
-        if len(cfg.q) != bands.num_bands:
+    if args.q is not None:
+        if len(args.q) != bands.num_bands:
             raise ConfigError(f"--q needs {bands.num_bands} counts")
-        q = list(cfg.q)
+        q = list(args.q)
     else:
-        q = [int(np.floor(total * bands.band(i).measure() * (1.0 - cfg.eps)))
+        q = [int(np.floor(total * bands.band(i).measure() * (1.0 - args.eps)))
              for i in range(bands.num_bands)]
     if not 0 < p <= total:
         raise ConfigError(f"dictionary size p = {p} outside (0, {total}]")
@@ -200,18 +195,18 @@ def _phi_basis(phi: dct.Dictionary) -> dct.SubspaceBasis:
 
 
 def cmd_dict(args) -> int:
-    cfg = _resolve(args, need_config=True)
-    if cfg.bands.cubic is None:
+    config = _resolve(args)
+    if config.cubic is None:
         raise ConfigError("dict requires cubic bands")
-    if cfg.bands.grid.dim != 2:
-        raise ConfigError(f"dict requires a 2-D grid, got {cfg.bands.grid.dim}-D")
-    p, q = _dict_sizing(cfg)
-    spec = OperatorSpec(grid=cfg.bands.grid, bands=cfg.bands.cubic)
+    if config.grid.dim != 2:
+        raise ConfigError(f"dict requires a 2-D grid, got {config.grid.dim}-D")
+    p, q = _dict_sizing(config, args)
+    spec = OperatorSpec(grid=config.grid, bands=config.cubic)
     sp = spectrum(materialize_cubic(spec))
     phi = dct.build_phi(spec, p, spec_spectrum=sp)
     psi = dct.build_psi(spec, q)
-    export_dictionary(phi, cfg.out / "phi")
-    export_dictionary(psi, cfg.out / "psi")
+    export_dictionary(phi, args.out / "phi")
+    export_dictionary(psi, args.out / "psi")
 
     phi_basis = _phi_basis(phi)
     cos_theta = dct.subspace_cos_theta(phi_basis, psi)
@@ -222,14 +217,14 @@ def cmd_dict(args) -> int:
     atoms, basis = psi.stacked(), phi_basis.q
     atoms -= basis @ (basis.T @ atoms.conj()).conj()
     resid = float(np.max(np.einsum("ij,ij->j", atoms.conj(), atoms).real))
-    params = (f"grid={'x'.join(map(str, cfg.bands.grid.dims))};"
-              f"eps={cfg.eps:g};p={p};q={','.join(map(str, q))}")
+    params = (f"grid={'x'.join(map(str, config.grid.dims))};"
+              f"eps={args.eps:g};p={p};q={','.join(map(str, q))}")
     rows = [
         ReportRow("dict", params, "cos_theta", cos_theta, None, True),
         ReportRow("dict", params, "max_gram_offdiag", float(gram.max()), None, True),
         ReportRow("dict", params, "max_projection_residual_sq", resid, None, True),
     ]
-    path = _write_report(rows, cfg, "dict_report")
+    path = _write_report(rows, args, "dict_report")
     for row in rows:
         print(f"{row.metric} = {row.value:.12g}")
     print(f"report -> {path}")
@@ -237,34 +232,32 @@ def cmd_dict(args) -> int:
 
 
 def cmd_approx(args) -> int:
-    tol = args.tolerance
-    if not 0.0 <= tol < np.inf:
-        raise ConfigError(f"tolerance must be finite and >= 0, got {tol}")
-    cfg = _resolve(args, need_config=True)
-    if cfg.bands.cubic is None:
+    config = _resolve(args)
+    if config.cubic is None:
         raise ConfigError("approx requires cubic bands")
-    spec = OperatorSpec(grid=cfg.bands.grid, bands=cfg.bands.cubic)
-    total = cfg.bands.grid.size
-    if cfg.p is not None:
-        p = cfg.p
+    spec = OperatorSpec(grid=config.grid, bands=config.cubic)
+    total = config.grid.size
+    if args.p is not None:
+        p = args.p
     else:
-        p = min(total, int(np.ceil(total * cfg.bands.cubic.measure()
-                                   * (1.0 + cfg.eps))))
+        p = min(total, int(np.ceil(total * config.cubic.measure()
+                                   * (1.0 + args.eps))))
     if not 0 <= p <= total:
         raise ConfigError(f"p = {p} outside [0, {total}]")
     sp = spectrum(materialize_cubic(spec))
     basis = _phi_basis(dct.build_phi(spec, p, spec_spectrum=sp))
-    report = dct.approx_mse(basis, spec, cfg.trials, cfg.seed, spec_spectrum=sp)
+    report = dct.approx_mse(basis, spec, args.trials, args.seed, spec_spectrum=sp)
     empirical, tail = report.empirical_mean, report.analytic_tail
     rel = abs(empirical - tail) / tail if tail > 1e-12 else 0.0
-    params = (f"grid={'x'.join(map(str, cfg.bands.grid.dims))};p={p};"
-              f"rank={basis.rank};trials={cfg.trials};seed={cfg.seed}")
+    tol = args.tolerance
+    params = (f"grid={'x'.join(map(str, config.grid.dims))};p={p};"
+              f"rank={basis.rank};trials={args.trials};seed={args.seed}")
     rows = [
         ReportRow("approx", params, "empirical_mean_residual", empirical, None, True),
         ReportRow("approx", params, "analytic_tail", tail, None, True),
         ReportRow("approx", params, "relative_error", rel, tol, rel <= tol),
     ]
-    path = _write_report(rows, cfg, "approx_report")
+    path = _write_report(rows, args, "approx_report")
     print(f"empirical = {empirical:.12g}, tail = {tail:.12g}, "
           f"relative error = {rel:.3g} (tolerance {tol:g})")
     print(f"report -> {path}")
@@ -272,9 +265,8 @@ def cmd_approx(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    cfg = _resolve(args, need_config=False)
-    rows = verify_config(cfg.bands, eps=cfg.eps, seed=cfg.seed)
-    path = _write_report(rows, cfg, "verify_report")
+    rows = verify_config(_resolve(args), eps=args.eps, seed=args.seed)
+    path = _write_report(rows, args, "verify_report")
     failures = [r for r in rows if not r.passed]
     for row in rows:
         mark = "PASS" if row.passed else "FAIL"
@@ -289,8 +281,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_bands_validate(args) -> int:
-    if args.config is None:
-        raise ConfigError("--config is required for this command")
     try:
         load_band_config(args.config)  # constructors reject every violation
     except BandError as exc:
@@ -318,43 +308,41 @@ def _build_parser() -> argparse.ArgumentParser:
                     "time/band-limiting operators.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, eps_default: float):
-        p.add_argument("--config", help="band configuration JSON")
-        p.add_argument("--out", default="mdprolate-out", help="output directory")
+    def data_command(name, help, func, eps_default, config_required=True):
+        """A subcommand with the flags every data command shares."""
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", required=config_required,
+                       help="band configuration JSON")
+        p.add_argument("--out", type=Path, default="mdprolate-out",
+                       help="output directory")
         p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=eps_default)
-        p.add_argument("--grid", help="grid override, e.g. 32x32 or 256")
-        p.add_argument("--trials", type=int, default=2000)
-        p.add_argument("--p", type=int, default=None,
-                       help="explicit dictionary size (overrides the eps rule)")
-        p.add_argument("--q", default=None,
-                       help="explicit per-band counts, comma separated")
+        p.add_argument("--seed", type=_SEED, default=0)
+        p.add_argument("--eps", type=_EPS, default=eps_default)
+        p.add_argument("--grid", type=_GRID, help="grid override, e.g. 32x32 or 256")
+        p.set_defaults(func=func)
+        return p
 
-    sp = sub.add_parser("spectrum", help="eigenvalue CSV + summary JSON")
-    common(sp, eps_default=0.05)
+    sp = data_command("spectrum", "eigenvalue CSV + summary JSON", cmd_spectrum, 0.05)
     sp.add_argument("--vectors", action="store_true",
-                    help="also write eigenvector CSV (1-D operators)")
-    sp.set_defaults(func=cmd_spectrum)
-
-    dp = sub.add_parser("dict", help="dictionary export + angle report")
-    common(dp, eps_default=0.2)
-    dp.set_defaults(func=cmd_dict)
-
-    ap = sub.add_parser("approx", help="Monte-Carlo approximation error report")
-    common(ap, eps_default=0.2)
-    ap.add_argument("--tolerance", type=float, default=0.10,
+                    help="also write eigenvector CSV (1-D configurations)")
+    dp = data_command("dict", "dictionary export + angle report", cmd_dict, 0.2)
+    ap = data_command("approx", "Monte-Carlo approximation error report",
+                      cmd_approx, 0.2)
+    ap.add_argument("--trials", type=_TRIALS, default=2000)
+    for cmd in (dp, ap):
+        cmd.add_argument("--p", type=int, default=None,
+                         help="explicit dictionary size (overrides the eps rule)")
+    dp.add_argument("--q", type=_COUNTS, default=None,
+                    help="explicit per-band counts, comma separated")
+    ap.add_argument("--tolerance", type=_TOLERANCE, default=0.10,
                     help="pass/fail threshold on the relative error")
-    ap.set_defaults(func=cmd_approx)
-
-    vp = sub.add_parser("verify", help="full property-suite report")
-    common(vp, eps_default=0.2)
-    vp.set_defaults(func=cmd_verify)
+    data_command("verify", "full property-suite report", cmd_verify, 0.2,
+                 config_required=False)
 
     bp = sub.add_parser("bands", help="band-geometry utilities")
     bsub = bp.add_subparsers(dest="bands_command", required=True)
     bv = bsub.add_parser("validate", help="report configuration violations")
-    common(bv, eps_default=0.2)
+    bv.add_argument("--config", required=True, help="band configuration JSON")
     bv.set_defaults(func=cmd_bands_validate)
     return parser
 

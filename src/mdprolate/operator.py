@@ -227,27 +227,26 @@ def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
     return _apply(_table(_boxes(spec.grid.dims, spec.bands)), y)
 
 
-def materialize_cubic(spec: OperatorSpec,
-                      size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
+def materialize_cubic(spec: OperatorSpec) -> DenseCovariance:
     """The operator as a covariance, any dimension d.
 
     Its matrix is the band-sum of Kronecker products
     ``kron(B_{N_{d-1}}, ..., B_{N_0})``, consistent with the first-axis-
     fastest vectorization; it is gathered from the difference table on
     first access to ``.matrix`` and is read-only.  Total sample count must
-    not exceed ``size_cap``.
+    not exceed ``DEFAULT_SIZE_CAP``.
     """
-    return _covariance(spec, _boxes(spec.grid.dims, spec.bands), size_cap,
+    return _covariance(spec, _boxes(spec.grid.dims, spec.bands),
                        "; use apply_cubic for operator action instead")
 
 
-def _covariance(spec, bands: _BandSet, size_cap: int,
-                advice: str = "") -> DenseCovariance:
+def _covariance(spec, bands: _BandSet, advice: str = "") -> DenseCovariance:
     """The covariance of a band set, after the size-cap check (``advice``
     ends its message); the materializer of every geometry."""
     total = spec.grid.size
-    if total > size_cap:
-        raise SizeCapError(f"grid of {total} samples exceeds the cap {size_cap}{advice}")
+    if total > DEFAULT_SIZE_CAP:
+        raise SizeCapError(f"grid of {total} samples exceeds the cap "
+                           f"{DEFAULT_SIZE_CAP}{advice}")
     return DenseCovariance(table=_table(bands), dims=bands.dims, spec=spec,
                            demodulated=_demodulate(bands))
 

@@ -32,8 +32,8 @@ import numpy as np
 
 from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
-from .operator import (DEFAULT_SIZE_CAP, DenseCovariance, OperatorSpec,
-                       _covariance, materialize_cubic, spectrum_values)
+from .operator import (DenseCovariance, OperatorSpec, _covariance,
+                       materialize_cubic, spectrum_values)
 from .prolate import _BandSet, _sin_ratio
 
 __all__ = [
@@ -102,8 +102,7 @@ def _parallelograms(spec: PPOperatorSpec) -> _BandSet:
                     [(b.a, b.b, b.c, b.d) + b.half_widths for b in spec.bands], term)
 
 
-def pp_materialize(spec: PPOperatorSpec,
-                   size_cap: int = DEFAULT_SIZE_CAP) -> DenseCovariance:
+def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
     """The parallelepiped operator as a covariance, kept as its difference
     table.
 
@@ -111,7 +110,7 @@ def pp_materialize(spec: PPOperatorSpec,
     trace equals ``M N`` times the total band area.  ``.matrix`` is
     gathered on first access and is read-only.
     """
-    return _covariance(spec, _parallelograms(spec), size_cap)
+    return _covariance(spec, _parallelograms(spec))
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:

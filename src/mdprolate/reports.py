@@ -20,7 +20,9 @@ those of the per-cell writer.
 
 from __future__ import annotations
 
+import csv
 import functools
+import io
 import itertools
 import json
 import math
@@ -86,9 +88,13 @@ def _cell(value) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(_cell(v) for v in row) for row in rows)
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    """A CSV file as the ``csv`` module writes it with '\\n' line endings:
+    only a cell holding ',', '"' or a newline is quoted."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([_cell(v) for v in row] for row in rows)
+    write_text_atomic(path, buf.getvalue())
 
 
 def _jsonable(obj):

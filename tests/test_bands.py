@@ -96,6 +96,21 @@ def test_mismatched_arrays_are_reported_malformed(centers, half_widths):
     assert validate({"centers": centers, "half_widths": half_widths}) == bad
 
 
+@pytest.mark.parametrize("centers, half_widths", [
+    ([], []),
+    (np.zeros((0, 2)), np.zeros((0, 2))),
+    ("a", "b"),
+    ([[0.1, "x"]], [[0.1, 0.1]]),
+], ids=["no-axes", "no-bands", "strings", "string-entry"])
+def test_empty_or_non_numeric_arrays_are_reported_malformed(centers, half_widths):
+    bad = cubic_violations(centers, half_widths)
+    assert [(v.code, v.bands) for v in bad] == [("malformed", ())]
+    assert validate({"centers": centers, "half_widths": half_widths}) == bad
+    with pytest.raises(BandError) as exc:
+        CubicBandUnion(centers, half_widths)
+    assert exc.value.violations == bad
+
+
 def test_nonpositive_half_width_rejected():
     bad = cubic_violations([[0.1]], [[0.0]])
     assert any(v.code == "half_width" for v in bad)

@@ -1,3 +1,5 @@
+import argparse
+import csv
 import json
 import os
 import subprocess
@@ -396,7 +398,8 @@ SHEAR = {"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0, "half_widths": [0.1, 0.1]}
 def test_malformed_config_value_exits_2_naming_the_entry(doc, names, command,
                                                          tmp_path, capsys):
     cfg = write_config(tmp_path, doc)
-    assert main([*command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    out = ["--out", str(tmp_path / "o")] if command == ["spectrum"] else []
+    assert main([*command, "--config", cfg, *out]) == 2
     captured = capsys.readouterr()
     lines = captured.err.strip().splitlines()
     assert len(lines) == 1 and names in json.loads(lines[0])["error"]
@@ -539,3 +542,111 @@ def test_phi_basis_reports_match_the_svd_basis(argv, tmp_path, monkeypatch):
     assert got.keys() == ref.keys()
     for metric, value in ref.items():
         assert abs(got[metric] - value) <= 1e-12, metric
+
+
+# --- every flag is one its subcommand reads, checked as it is parsed ---------
+
+SHARED = {"--config", "--out", "--format", "--seed", "--eps", "--grid"}
+FLAGS = {
+    ("spectrum",): SHARED | {"--vectors"},
+    ("dict",): SHARED | {"--p", "--q"},
+    ("approx",): SHARED | {"--trials", "--p", "--tolerance"},
+    ("verify",): SHARED,
+    ("bands", "validate"): {"--config"},
+}
+
+
+def _leaf_commands(parser, path=()):
+    """``(command path, parser)`` of every subcommand that runs something."""
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for sub in subs:
+        for name, child in sub.choices.items():
+            yield from _leaf_commands(child, (*path, name))
+
+
+def test_each_subcommand_takes_exactly_the_flags_it_reads():
+    from mdprolate import cli
+    flags = {path: {s for a in p._actions for s in a.option_strings}
+             - {"-h", "--help"}
+             for path, p in _leaf_commands(cli._build_parser())}
+    assert flags == FLAGS
+    assert sum(map(len, flags.values())) == 31
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--config", "{twod}", "--trials", "0"],
+    ["spectrum", "--config", "{twod}", "--q", "a,b"],
+    ["verify", "--p", "-5"],
+    ["approx", "--config", "{twod}", "--q", "1"],
+    ["dict", "--config", "{twod}", "--trials", "5"],
+    ["bands", "validate", "--config", "{twod}", "--grid", "abc"],
+], ids=["spectrum-trials", "spectrum-q", "verify-p", "approx-q", "dict-trials",
+        "validate-grid"])
+def test_a_flag_the_command_does_not_take_exits_2(argv, twod_config, tmp_path,
+                                                  capsys):
+    out = tmp_path / "o"
+    argv = [a.format(twod=twod_config) for a in argv]
+    if argv[0] != "bands":
+        argv += ["--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"].startswith("unrecognized arguments: ")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, error", [
+    (["spectrum", "--eps", "0.7"], "argument --eps: eps must be in (0, 1/2)"),
+    (["verify", "--seed", "-1"],
+     "argument --seed: seed must fit in an unsigned 64-bit integer"),
+    (["approx", "--trials", "0"], "argument --trials: trials must be >= 1"),
+    (["approx", "--tolerance", "nan"],
+     "argument --tolerance: tolerance must be finite and >= 0"),
+    (["dict", "--q", "1,x"], "argument --q: q must be comma-separated integers"),
+    (["spectrum", "--grid", "8xq"], "argument --grid: grid must be sizes >= 2"),
+], ids=["eps", "seed", "trials", "tolerance", "q", "grid"])
+def test_a_malformed_value_exits_2_naming_its_flag(argv, error, twod_config,
+                                                   tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main([*argv, "--config", twod_config, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    message = json.loads(lines[0])["error"]
+    assert message.startswith(error)
+    assert message.endswith(f", got {argv[-1]!r}")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_vectors_without_a_1d_operator_exits_2_before_any_solve(
+        twod_config, tmp_path, monkeypatch, capsys):
+    def solve(*args, **kwargs):
+        raise AssertionError("an operator was solved before --vectors was checked")
+
+    monkeypatch.setattr(np.linalg, "eigh", solve)
+    monkeypatch.setattr(np.linalg, "eigvalsh", solve)
+    out = tmp_path / "o"
+    assert main(["spectrum", "--config", twod_config, "--out", str(out),
+                 "--vectors"]) == 2
+    captured = capsys.readouterr()
+    assert "--vectors" in json.loads(captured.err.strip())["error"]
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_dict_report_csv_reads_back_with_the_csv_module(tmp_path):
+    out = tmp_path / "o"
+    assert main(["dict", "--config", write_config(tmp_path, README_DOC),
+                 "--out", str(out)]) == 0
+    with (out / "dict_report.csv").open(newline="") as f:
+        rows = list(csv.reader(f))
+    assert rows[0] == ["experiment", "params", "metric", "value", "tolerance",
+                       "passed"]
+    assert len(rows) == 4 and all(len(row) == 6 for row in rows)
+    assert {row[1] for row in rows[1:]} == {"grid=32x32;eps=0.2;p=100;q=32,32"}

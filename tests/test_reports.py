@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -39,6 +40,18 @@ def test_write_csv_deterministic(tmp_path):
     text = a.read_text()
     assert text.startswith("index,value\n")
     assert "\r" not in text
+
+
+def test_write_csv_quotes_only_cells_that_need_it(tmp_path):
+    path = tmp_path / "q.csv"
+    row = ("q=32,32", 'say "x"', "two\nlines", "plain", 0.5, True, 3)
+    write_csv(path, ("a", "b", "c", "d", "e", "f", "g"), [row])
+    text = path.read_text()
+    assert text == ('a,b,c,d,e,f,g\n"q=32,32","say ""x""","two\nlines",plain,'
+                    '0.5,true,3\n')
+    with path.open(newline="") as f:
+        assert list(csv.reader(f))[1] == ["q=32,32", 'say "x"', "two\nlines",
+                                           "plain", "0.5", "true", "3"]
 
 
 def test_write_csv_rejects_nan(tmp_path):
