@@ -292,7 +292,12 @@ def cmd_bands_validate(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """Raises command-line errors as :class:`ConfigError` (exit 2, JSON)."""
+    """Raises command-line errors as :class:`ConfigError` (exit 2, JSON),
+    and takes flags only as spelled in full: no unique prefix stands for a
+    flag.  Subparsers are built by this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)

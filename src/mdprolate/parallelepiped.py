@@ -34,7 +34,7 @@ from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DenseCovariance, OperatorSpec, _covariance,
                        materialize_cubic, spectrum_values)
-from .prolate import _BandSet, _sin_ratio
+from .prolate import _BandSet, _eigh, _rotated_halves, _sin_ratio
 
 __all__ = [
     "PPOperatorSpec",
@@ -114,15 +114,14 @@ def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
-    """Largest deviation between the sorted spectra of two specs that differ
-    only in band centers.
+    """Bound on the largest deviation between the sorted spectra of two
+    specs that differ only in band centers.
 
     Band locations do not move eigenvalues (the center phase is a unitary
     diagonal conjugation), so the return value is a pure numerical residual.
     Both specs demodulate to the same real table, so the shifted operator is
-    decomposed from its own complex table instead, as one coupled real
-    block of full size, bit for bit the one its gathered matrix gives: the
-    value cross-checks the demodulated route against the complex one.
+    decomposed from its own complex table instead, by :func:`_shift_deviation`:
+    the value cross-checks the demodulated route against the complex one.
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
@@ -134,13 +133,24 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
 
 
 def _shift_deviation(lam: np.ndarray, shifted) -> float:
-    """Largest deviation of ``lam`` from the spectrum of ``shifted`` (any
-    spec :func:`_materialize` takes), solved from its complex table without
-    demodulating it."""
+    """Bound on the largest deviation of ``lam`` from the spectrum of
+    ``shifted`` (any spec :func:`_materialize` takes), solved from its
+    complex table without demodulating it.
+
+    When the shifted band set has a centre, the table's real form R is
+    rotated by the centre phase into its even and odd blocks
+    (``prolate._rotated_halves``), and only those two half-size blocks are
+    solved.  The value is the deviation from their merged spectrum plus the
+    Frobenius norm of the coupling the rotation leaves, which by Weyl's
+    inequality bounds the deviation from the spectrum of R itself.  A band
+    set without a centre is solved as one block R.
+    """
     cov = _materialize(shifted)
-    cov.demodulated = None
-    lam_shift = spectrum_values(cov)
-    return float(np.max(np.abs(lam - lam_shift)))
+    if cov.demodulated is None:
+        return float(np.max(np.abs(lam - spectrum_values(cov))))
+    blocks, coupling = _rotated_halves(cov.table, cov.demodulated.center)
+    vals = np.sort(np.concatenate([_eigh(b, False)[0] for b in blocks]))[::-1]
+    return float(np.max(np.abs(lam - vals))) + coupling
 
 
 def _operators(config: BandConfig) -> list[tuple[str, object]]:

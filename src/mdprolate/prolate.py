@@ -17,7 +17,10 @@ operator: its difference table, or a matrix built by hand.  A complex
 table (a band set without a centre) or matrix gives one real block of
 size n, or an even and an odd block when its coupling is exactly zero;
 the kernels below are gathered only for callers that ask for a matrix,
-and input without that structure takes the dense complex solve.
+and input without that structure takes the dense complex solve.  When
+the complex table's band set has a centre, :func:`_rotated_halves`
+rotates that block into its even and odd halves by the centre phase: the
+translation cross-check's route, independent of the demodulated table.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a
@@ -585,6 +588,75 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
         return [b.copy() for b in blocks]
     r[count:, :count] = r[:count, count:].T
     return [r]
+
+
+def _rotated_halves(table: np.ndarray, center) -> tuple[list[np.ndarray], float]:
+    """The even and odd blocks of the operator of a complex table whose
+    band set is point-symmetric about ``center``, read from that table and
+    not from its demodulated one, and the Frobenius norm of their coupling.
+
+    The operator is ``D T D^H`` with T real and J-invariant, and D the
+    centre phase: up to a common factor, the phase ``exp(i phi)`` at sample
+    x and ``exp(-i phi)`` at J x, with ``phi = 2 pi center . (x - (n - 1) /
+    2)``.  So D maps the real form's even and odd basis vectors of an orbit
+    into their own span, rotated by phi, and rotating each pair (even row
+    and column o, odd row and column o) of the complex table's real form R
+    from :func:`_orbit_blocks` by phi gives ``[[Ke, C], [C^T, Ko]]``, with C
+    zero up to the roundoff by which the table is not exactly ``D T D^H``.
+    The middle orbit of an odd size has phi = 0.  A band of rows depends
+    only on its own rows of R, so R is rotated a band at a time, rows and
+    columns together, and Ke and Ko are written over R's diagonal blocks
+    and returned as views of them; only C's norm is kept.  By Weyl's
+    inequality the sorted eigenvalues of R and of ``diag(Ke, Ko)`` differ by
+    at most ``||C||_2 <= ||C||_F``.  A table whose coupling is already
+    exactly zero gives :func:`_orbit_blocks`' even and odd blocks and 0.0.
+    """
+    dims = tuple((s + 1) // 2 for s in table.shape)
+    orbits = _orbits(dims, ())
+    blocks = _orbit_blocks(table, orbits)
+    if len(blocks) == 2:
+        return blocks, 0.0
+    [r] = blocks
+    free, count = orbits.free, orbits.images.shape[1]
+    even, odd = r[:count, :count], r[count:, count:]
+    coords = np.unravel_index(orbits.images[0, :free], dims, order="F")
+    phi = 2.0 * np.pi * sum(c * (x - (n - 1) / 2.0)
+                            for c, x, n in zip(center, coords, dims))
+    cos, sin = np.cos(phi), np.sin(phi)
+
+    def odd_part(rows, out=None):
+        """The odd columns of a band of rows, rotated."""
+        out = np.multiply(rows[:, count:], cos, out=out)
+        out -= rows[:, :free] * sin
+        return out
+
+    def even_rows(rows, lo, hi) -> float:
+        """Rotate the columns of the rotated even rows lo:hi into Ke (the
+        middle row is its own input), and return the sum of squares of
+        their part of C."""
+        cross = odd_part(rows)
+        np.multiply(rows[:, :free], cos, out=even[lo:hi, :free])
+        even[lo:hi, :free] += rows[:, count:] * sin
+        even[lo:hi, free:] = rows[:, free:count]
+        return float(np.vdot(cross, cross))
+
+    coupling = 0.0
+    # Bands of 16 Ki entries keep the scratch far below a half block.
+    step = max(1, 16384 // r.shape[1])
+    for lo in range(0, free, step):
+        hi = min(lo + step, free)
+        c, s = cos[lo:hi, None], sin[lo:hi, None]
+        top, bottom = r[lo:hi], r[count + lo:count + hi]
+        # Both row rotations read top before Ke is written over it.
+        rows = c * top
+        rows += s * bottom
+        lower = c * bottom
+        lower -= s * top
+        coupling += even_rows(rows, lo, hi)
+        odd_part(lower, odd[lo:hi])
+    if count > free:
+        coupling += even_rows(r[free:count], free, count)
+    return [even, odd], float(np.sqrt(coupling))
 
 
 # Pivots are found and eigen-tensors assembled this many entries at a time,

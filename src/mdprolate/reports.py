@@ -20,9 +20,7 @@ those of the per-cell writer.
 
 from __future__ import annotations
 
-import csv
 import functools
-import io
 import itertools
 import json
 import math
@@ -87,14 +85,26 @@ def _cell(value) -> str:
     return format_float(value)
 
 
+def _field(text: str) -> str:
+    """One CSV field: quoted, with '"' doubled, when it holds ',', '"',
+    '\\r' or '\\n'."""
+    if any(ch in text for ch in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _line(cells) -> str:
+    fields = [_field(_cell(v)) for v in cells]
+    # A lone empty field is quoted, or the line would read as a row of none.
+    return (",".join(fields) if fields != [""] else '""') + "\n"
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """A CSV file as the ``csv`` module writes it with '\\n' line endings:
-    only a cell holding ',', '"' or a newline is quoted."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows([_cell(v) for v in row] for row in rows)
-    write_text_atomic(path, buf.getvalue())
+    """A CSV file as the ``csv`` module reads it, with '\\n' line endings:
+    only a cell holding ',', '"', '\\r' or '\\n' is quoted (``csv.writer``
+    leaves a bare '\\r' unquoted, which its reader then takes for a line
+    break), and a row of one empty cell is written as '""'."""
+    write_text_atomic(path, "".join(map(_line, itertools.chain([header], rows))))
 
 
 def _jsonable(obj):

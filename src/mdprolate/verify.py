@@ -17,10 +17,12 @@ factorization for a single box, transition counts and residual/coherence
 bounds on modulated-DPSS dictionaries (2-D cubic); the log10 bound (1-D);
 Hermitian symmetry of sampled entries (parallelogram); and eigenvalue
 invariance under band translation (1-D, per band, and parallelogram), which
-solves the translated operator from its complex table, so that row compares
-the demodulated route with the complex one.  No row gathers a table-backed
-operator to solve it: dense matrices are read only as the FFT apply's
-reference and by the corruption hook.
+solves the translated operator from its complex table as two half blocks,
+rotated there by the centre phase, and adds the norm of the coupling the
+rotation drops, so that row bounds the deviation of the demodulated route
+from the complex one.  No row gathers a table-backed operator to solve it:
+dense matrices are read only as the FFT apply's reference and by the
+corruption hook.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once

@@ -208,8 +208,9 @@ def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
 def modulation_invariance_reference(n: int, union) -> float:
     """The 1-D translation row as the package first computed it: each
     band's hand-built ``sinc_kernel`` at its centre and at frequency 0, both
-    solved from the gathered matrix.  Kept as the bitwise reference of the
-    row, which now solves the band's tables instead."""
+    solved from the gathered matrix at full size.  Kept as the reference
+    the row bounds from above: it now solves the band's tables, the shifted
+    one as two rotated half blocks plus their dropped coupling."""
     from mdprolate import DenseCovariance, sinc_kernel, spectrum_values
     worst = 0.0
     for f, w in zip(union.centers[:, 0], union.half_widths[:, 0]):

@@ -583,8 +583,11 @@ def test_each_subcommand_takes_exactly_the_flags_it_reads():
     ["approx", "--config", "{twod}", "--q", "1"],
     ["dict", "--config", "{twod}", "--trials", "5"],
     ["bands", "validate", "--config", "{twod}", "--grid", "abc"],
+    # Prefixes of flags the command takes are not those flags.
+    ["approx", "--config", "{twod}", "--conf", "{twod}", "--tol", "0.3",
+     "--tri", "5", "--form", "json"],
 ], ids=["spectrum-trials", "spectrum-q", "verify-p", "approx-q", "dict-trials",
-        "validate-grid"])
+        "validate-grid", "approx-prefixes"])
 def test_a_flag_the_command_does_not_take_exits_2(argv, twod_config, tmp_path,
                                                   capsys):
     out = tmp_path / "o"

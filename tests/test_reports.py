@@ -44,14 +44,14 @@ def test_write_csv_deterministic(tmp_path):
 
 def test_write_csv_quotes_only_cells_that_need_it(tmp_path):
     path = tmp_path / "q.csv"
-    row = ("q=32,32", 'say "x"', "two\nlines", "plain", 0.5, True, 3)
-    write_csv(path, ("a", "b", "c", "d", "e", "f", "g"), [row])
-    text = path.read_text()
-    assert text == ('a,b,c,d,e,f,g\n"q=32,32","say ""x""","two\nlines",plain,'
-                    '0.5,true,3\n')
+    row = ("q=32,32", 'say "x"', "two\nlines", "g\rh", "plain", 0.5, True, 3)
+    write_csv(path, ("a", "b", "c", "d", "e", "f", "g", "h"), [row])
+    text = path.read_bytes().decode()
+    assert text == ('a,b,c,d,e,f,g,h\n"q=32,32","say ""x""","two\nlines","g\rh",'
+                    'plain,0.5,true,3\n')
     with path.open(newline="") as f:
         assert list(csv.reader(f))[1] == ["q=32,32", 'say "x"', "two\nlines",
-                                           "plain", "0.5", "true", "3"]
+                                           "g\rh", "plain", "0.5", "true", "3"]
 
 
 def test_write_csv_rejects_nan(tmp_path):
