@@ -292,6 +292,11 @@ def _pp_band_violations(idx, a, b, c, d, half_widths, center) -> list[Violation]
         return out
     if out:
         return out
+    # Zero when ad - bc overflows or the area underflows; NaN for inf - inf.
+    if not 4.0 * w0 * w1 / abs(det) > 0.0:
+        return [Violation("transform", (idx,),
+                          f"band {idx}: band area 4 W0 W1 / |ad - bc| is not "
+                          f"positive (|ad - bc| = {abs(det):.3e})")]
     inv = np.linalg.inv(np.array([[a, b], [c, d]], dtype=float))
     uv = np.array([[w0, w1], [-w0, w1], [-w0, -w1], [w0, -w1]])
     corners = uv @ inv.T + np.asarray(center, dtype=float)

@@ -120,9 +120,10 @@ class DenseCovariance:
     for point-symmetric band sets: the real table of the same operator
     shifted to the centre.  The eigensolver reads that table, or ``table``
     itself for a set without a centre, so a table-backed operator is
-    decomposed without gathering; ``matrix`` serves only the dense
-    references that ask for it.  A hand-built covariance passes ``matrix``
-    instead of ``table`` and is decomposed from it.
+    decomposed without gathering, and ``verify`` forms its dense reference
+    from ``table`` too: in the package, only verify's corruption hook reads
+    ``matrix``.  A hand-built covariance passes ``matrix`` instead of
+    ``table`` and is decomposed from it.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,

@@ -34,7 +34,8 @@ from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DenseCovariance, OperatorSpec, _covariance,
                        materialize_cubic, spectrum_values)
-from .prolate import _BandSet, _eigh, _rotated_halves, _sin_ratio
+from .prolate import (_BandSet, _boxes, _Demodulated, _eigh, _mirror_pairs,
+                      _rotated_halves, _sin_ratio, _table)
 
 __all__ = [
     "PPOperatorSpec",
@@ -134,21 +135,26 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
 
 def _shift_deviation(lam: np.ndarray, shifted) -> float:
     """Bound on the largest deviation of ``lam`` from the spectrum of
-    ``shifted`` (any spec :func:`_materialize` takes), solved from its
-    complex table without demodulating it.
+    ``shifted`` (any spec :func:`_band_set` takes), solved from its complex
+    table without demodulating it.
 
-    When the shifted band set has a centre, the table's real form R is
-    rotated by the centre phase into its even and odd blocks
-    (``prolate._rotated_halves``), and only those two half-size blocks are
-    solved.  The value is the deviation from their merged spectrum plus the
-    Frobenius norm of the coupling the rotation leaves, which by Weyl's
-    inequality bounds the deviation from the spectrum of R itself.  A band
-    set without a centre is solved as one block R.
+    When the shifted band set has a centre (``prolate._mirror_pairs``),
+    the table's real form is rotated by the centre phase into its even and
+    odd blocks (``prolate._rotated_halves``), and only those two half-size
+    blocks are solved.  The value is the deviation from their merged
+    spectrum plus the Frobenius norm of the coupling the rotation leaves,
+    which by Weyl's inequality bounds the deviation from the spectrum of
+    the real form itself.  A band set without a centre is solved as one
+    block of full size.
     """
-    cov = _materialize(shifted)
-    if cov.demodulated is None:
-        return float(np.max(np.abs(lam - spectrum_values(cov))))
-    blocks, coupling = _rotated_halves(cov.table, cov.demodulated.center)
+    bands = _band_set(shifted)
+    table = _table(bands)
+    pairing = _mirror_pairs(bands)
+    if pairing is None:
+        vals, _ = _eigh(int(np.prod(bands.dims)), False, _Demodulated(None, table, ()),
+                        bands.dims)
+        return float(np.max(np.abs(lam - vals)))
+    blocks, coupling = _rotated_halves(table, pairing[0])
     vals = np.sort(np.concatenate([_eigh(b, False)[0] for b in blocks]))[::-1]
     return float(np.max(np.abs(lam - vals))) + coupling
 
@@ -164,6 +170,15 @@ def _operators(config: BandConfig) -> list[tuple[str, object]]:
         ops.append(("parallelepiped", PPOperatorSpec(grid=config.grid,
                                                      bands=config.parallelepiped)))
     return ops
+
+
+def _band_set(spec) -> _BandSet:
+    """The band set of a box or parallelogram spec."""
+    if isinstance(spec, OperatorSpec):
+        return _boxes(spec.grid.dims, spec.bands)
+    if isinstance(spec, PPOperatorSpec):
+        return _parallelograms(spec)
+    raise TypeError(f"no band set for {type(spec).__name__}")
 
 
 def _materialize(spec) -> DenseCovariance:

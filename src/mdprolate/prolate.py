@@ -19,8 +19,9 @@ size n, or an even and an odd block when its coupling is exactly zero;
 the kernels below are gathered only for callers that ask for a matrix,
 and input without that structure takes the dense complex solve.  When
 the complex table's band set has a centre, :func:`_rotated_halves`
-rotates that block into its even and odd halves by the centre phase: the
-translation cross-check's route, independent of the demodulated table.
+writes that block's even and odd halves rotated by the centre phase,
+without forming the block: the translation cross-check's route,
+independent of the demodulated table.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a
@@ -183,16 +184,15 @@ class _Demodulated(NamedTuple):
     symmetries: tuple
 
 
-def _demodulate(bands: _BandSet) -> _Demodulated | None:
-    """Demodulated table of a band set, or None when it is not
-    point-symmetric.
+def _mirror_pairs(bands: _BandSet):
+    """``(center, pairs)`` for a point-symmetric band set, or None.
 
     The centre is the midpoint of the extreme band centres.  Each band must
     pair with a mirror, or with itself when its offset is zero, both within
-    :data:`_MIRROR_TOL`.  A pair adds ``2 Re(term)`` at the larger of its
-    two offsets (``Re(term)`` at offset zero for a band paired with
-    itself), and pairs are summed in ascending order of that offset, so the
-    table does not depend on the list order.
+    :data:`_MIRROR_TOL`.  A pair is ``(offset, band, weight)``: the larger
+    of its two offsets from the centre and the band there, weight 2, or a
+    zero offset and weight 1 for a band paired with itself; pairs are in
+    ascending order of offset, so they do not depend on the list order.
     """
     centers, shapes = np.asarray(bands.centers, dtype=float), bands.shapes
     center = (centers.min(axis=0) + centers.max(axis=0)) / 2.0
@@ -212,8 +212,19 @@ def _demodulate(bands: _BandSet) -> _Demodulated | None:
             free.remove(mate)
             rep = max(i, mate, key=lambda b: tuple(offsets[b]))
             pairs.append((tuple(offsets[rep]), rep, 2.0))
+    return center, sorted(pairs)
+
+
+def _demodulate(bands: _BandSet) -> _Demodulated | None:
+    """Demodulated table of a band set, or None when it is not
+    point-symmetric (:func:`_mirror_pairs`): each pair adds ``weight
+    Re(term)`` at its offset, in the pairs' order."""
+    pairing = _mirror_pairs(bands)
+    if pairing is None:
+        return None
+    center, pairs = pairing
     acc = 0.0
-    for offset, i, weight in sorted(pairs):
+    for offset, i, weight in pairs:
         acc = acc + weight * bands.term(i, np.array(offset)).real
     return _Demodulated(center, *_axis_symmetries(_hermitian(acc)))
 
@@ -365,20 +376,44 @@ def _phase(dims: tuple[int, ...], center: np.ndarray) -> np.ndarray:
     return np.exp(2j * np.pi * sum(c * x for c, x in zip(center, coords)))
 
 
+def _strided(table: np.ndarray) -> np.ndarray:
+    """A table's matrix as a read-only view over the table, of shape
+    ``dims[::-1] * 2``: the row index over the reversed dims, then the
+    column index, each in C order, which is first-axis-fastest order."""
+    dims = tuple((s + 1) // 2 for s in table.shape)
+    center = table[tuple(slice(n - 1, None) for n in dims)]
+    strides = center.strides[::-1]
+    return np.lib.stride_tricks.as_strided(
+        center, shape=dims[::-1] * 2,
+        strides=strides + tuple(-s for s in strides), writeable=False)
+
+
 def _gather(table: np.ndarray) -> np.ndarray:
     """Dense read-only matrix of a table, rows and columns in first-axis-
     fastest order.  Read-only so it cannot drift from the table, which the
     solver may read in its place."""
-    dims = tuple((s + 1) // 2 for s in table.shape)
-    center = table[tuple(slice(n - 1, None) for n in dims)]
-    strides = center.strides[::-1]
-    view = np.lib.stride_tricks.as_strided(
-        center, shape=dims[::-1] * 2,
-        strides=strides + tuple(-s for s in strides), writeable=False)
-    total = int(np.prod(dims))
+    view = _strided(table)
+    total = int(np.prod(view.shape[:table.ndim]))
     matrix = view.reshape(total, total)
     matrix.flags.writeable = False
     return matrix
+
+
+def _dense_product(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_gather(table) @ v`` for v of shape ``(n, k)``, formed a band of
+    rows at a time from the same entries, so no n x n array is allocated.
+
+    A band is a run of indices of the last axis, whose rows are contiguous
+    in vec order, of about 64 Ki entries (at least one index)."""
+    view = _strided(table)
+    total = v.shape[0]
+    per = total // view.shape[0]
+    step = max(1, 65536 // (per * total))
+    out = np.empty((total, v.shape[1]), dtype=np.result_type(table, v))
+    for lo in range(0, view.shape[0], step):
+        hi = min(lo + step, view.shape[0])
+        np.matmul(view[lo:hi].reshape(-1, total), v, out=out[lo * per:hi * per])
+    return out
 
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -493,34 +528,38 @@ def _character_sums(parts, outs):
 def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
     """The entries ``A[i, e j]`` of the matrix A of ``source`` that
     :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]`` the
-    entries for element e of G: first for each band ``rows`` of free orbits
-    i against the free orbits j, then (``rows`` None) for every orbit i
-    against the orbits j with a nontrivial stabiliser.
+    entries for element e of G: first (``rows`` None) for every orbit i
+    against the orbits j with a nontrivial stabiliser, then for each band
+    ``rows`` of free orbits i against the free orbits j, about 16 Ki entries
+    per element.
 
     A table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]`` with
     ``o_i`` the table offset of sample i's coordinates and ``z`` that of the
     zero difference, into buffers reused by every band: fresh band-sized
-    arrays would each be mapped and faulted in anew.  A matrix is read
-    through slices, as views: ``ravel`` would copy the strided views the
-    1-D kernels return.
+    arrays would each be mapped and faulted in anew.  The tail is read
+    before those buffers exist, which lowers a fill's peak.  A matrix is
+    read through slices, as views: ``ravel`` would copy the strided views
+    the 1-D kernels return.
     """
     images, free = orbits.images, orbits.free
-    step = max(1, 65536 // max(free, 1))
+    step = max(1, 16384 // max(free, 1))
     bands = [slice(lo, min(lo + step, free)) for lo in range(0, free, step)]
     tail = images.shape[1] > free
     if matrix:
         def read(rows, cols):
             return [source[_span(images[0, rows]), _span(img[cols])] for img in images]
-        for rows in bands:
-            yield rows, read(rows, slice(None, free))
         if tail:
             yield None, read(slice(None), slice(free, None))
+        for rows in bands:
+            yield rows, read(rows, slice(None, free))
         return
     dims = tuple((s + 1) // 2 for s in source.shape)
     flat = source.ravel()
     steps = np.cumprod((1,) + source.shape[:0:-1])[::-1]
     off = sum(c * st for c, st in zip(np.unravel_index(images, dims, order="F"), steps))
     zero = int(sum((m - 1) * st for m, st in zip(dims, steps)))
+    if tail:
+        yield None, flat[zero + off[0, :, None] - off[:, None, free:]]
     # Every index is in range; mode "clip" only lets take write into its out
     # buffer directly.
     index = np.empty((step, free), dtype=np.intp)
@@ -532,8 +571,6 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
             np.subtract(at, o[:free], out=index[:size])
             np.take(flat, index[:size], out=part[:size], mode="clip")
         yield rows, gathered[:, :size]
-    if tail:
-        yield None, flat[zero + off[0, :, None] - off[:, None, free:]]
 
 
 def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
@@ -601,61 +638,51 @@ def _rotated_halves(table: np.ndarray, center) -> tuple[list[np.ndarray], float]
     2)``.  So D maps the real form's even and odd basis vectors of an orbit
     into their own span, rotated by phi, and rotating each pair (even row
     and column o, odd row and column o) of the complex table's real form R
-    from :func:`_orbit_blocks` by phi gives ``[[Ke, C], [C^T, Ko]]``, with C
-    zero up to the roundoff by which the table is not exactly ``D T D^H``.
-    The middle orbit of an odd size has phi = 0.  A band of rows depends
-    only on its own rows of R, so R is rotated a band at a time, rows and
-    columns together, and Ke and Ko are written over R's diagonal blocks
-    and returned as views of them; only C's norm is kept.  By Weyl's
-    inequality the sorted eigenvalues of R and of ``diag(Ke, Ko)`` differ by
-    at most ``||C||_2 <= ||C||_F``.  A table whose coupling is already
-    exactly zero gives :func:`_orbit_blocks`' even and odd blocks and 0.0.
+    (see :func:`_orbit_blocks`) by phi gives ``[[Ke, C], [C^T, Ko]]``, with
+    C zero up to the roundoff by which the table is not exactly ``D T
+    D^H``.  By Weyl's inequality the sorted eigenvalues of R and of
+    ``diag(Ke, Ko)`` differ by at most ``||C||_2 <= ||C||_F``.
+
+    R itself is never formed: Ke and Ko are written, and C's norm summed,
+    one :func:`_orbit_parts` band of free orbits i at a time.  Its entries
+    ``p0 = A[i, j]`` and ``p1 = A[i, J j]`` give both rows of the pair:
+    ``R[i, j] = Re(p0 + p1)``, ``R[i, count + j] = Im(p1 - p0)`` and
+    ``R[count + i, count + j] = Re(p0 - p1)`` as in :func:`_orbit_blocks`,
+    and ``R[count + i, j]``, the transposed ``Im(p1 - p0)`` at (j, i), is
+    ``Im(p1 + p0)``, because A is Hermitian and centro-Hermitian.  The
+    middle orbit m of an odd size has phi = 0, and its row and column of
+    Ke and of C come from the tail parts ``A[i, m]``.  A table whose
+    coupling is already exactly zero and whose centre is 0 gives
+    :func:`_orbit_blocks`' even and odd blocks and 0.0.
     """
     dims = tuple((s + 1) // 2 for s in table.shape)
     orbits = _orbits(dims, ())
-    blocks = _orbit_blocks(table, orbits)
-    if len(blocks) == 2:
-        return blocks, 0.0
-    [r] = blocks
     free, count = orbits.free, orbits.images.shape[1]
-    even, odd = r[:count, :count], r[count:, count:]
     coords = np.unravel_index(orbits.images[0, :free], dims, order="F")
     phi = 2.0 * np.pi * sum(c * (x - (n - 1) / 2.0)
                             for c, x, n in zip(center, coords, dims))
     cos, sin = np.cos(phi), np.sin(phi)
-
-    def odd_part(rows, out=None):
-        """The odd columns of a band of rows, rotated."""
-        out = np.multiply(rows[:, count:], cos, out=out)
-        out -= rows[:, :free] * sin
-        return out
-
-    def even_rows(rows, lo, hi) -> float:
-        """Rotate the columns of the rotated even rows lo:hi into Ke (the
-        middle row is its own input), and return the sum of squares of
-        their part of C."""
-        cross = odd_part(rows)
-        np.multiply(rows[:, :free], cos, out=even[lo:hi, :free])
-        even[lo:hi, :free] += rows[:, count:] * sin
-        even[lo:hi, free:] = rows[:, free:count]
-        return float(np.vdot(cross, cross))
-
+    even, odd = np.empty((count, count)), np.empty((free, free))
     coupling = 0.0
-    # Bands of 16 Ki entries keep the scratch far below a half block.
-    step = max(1, 16384 // r.shape[1])
-    for lo in range(0, free, step):
-        hi = min(lo + step, free)
-        c, s = cos[lo:hi, None], sin[lo:hi, None]
-        top, bottom = r[lo:hi], r[count + lo:count + hi]
-        # Both row rotations read top before Ke is written over it.
-        rows = c * top
-        rows += s * bottom
-        lower = c * bottom
-        lower -= s * top
-        coupling += even_rows(rows, lo, hi)
-        odd_part(lower, odd[lo:hi])
-    if count > free:
-        coupling += even_rows(r[free:count], free, count)
+    for rows, (p0, p1) in _orbit_parts(table, orbits, False):
+        if rows is None:
+            mid = p0[:free, 0]
+            e, x = np.sqrt(2.0) * mid.real, np.sqrt(2.0) * mid.imag
+            even[free, :free] = e * cos + x * sin
+            even[:free, free] = even[free, :free]
+            even[free, free] = p0[free, 0].real
+            cross = x * cos - e * sin
+        else:
+            c, s = cos[rows, None], sin[rows, None]
+            e, o = p0.real + p1.real, p0.real - p1.real
+            x, y = p1.imag - p0.imag, p1.imag + p0.imag
+            # The pair of rows (i, count + i) rotated, even and odd columns.
+            top_e, top_o = c * e + s * y, c * x + s * o
+            low_e, low_o = c * y - s * e, c * o - s * x
+            even[rows, :free] = top_e * cos + top_o * sin
+            odd[rows] = low_o * cos - low_e * sin
+            cross = top_o * cos - top_e * sin
+        coupling += float(np.vdot(cross, cross))
     return [even, odd], float(np.sqrt(coupling))
 
 
@@ -939,13 +966,14 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
     """Discrete prolate spheroidal sequences of length n for half-width W.
 
     Computed as the full eigendecomposition of the real symmetric baseband
-    kernel ``sinc_kernel(n, 0, W)``; eigenvectors are real with the
+    kernel ``sinc_kernel(n, 0, W)``, read as the strided view of its 1-D
+    table, which needs no copy; eigenvectors are real with the
     largest-magnitude entry positive.
     """
     if n < 1:
         raise ValueError("sequence length must be positive")
     _check_band(0.0, half_width)
-    kernel = _gather(_hermitian(_axis_table(n, 0.0, half_width)))
+    kernel = _strided(_hermitian(_axis_table(n, 0.0, half_width)))
     vals, vecs = _eigh(kernel, True)
     return Spectrum1D(vals, vecs.tensors().T)
 

@@ -20,9 +20,10 @@ invariance under band translation (1-D, per band, and parallelogram), which
 solves the translated operator from its complex table as two half blocks,
 rotated there by the centre phase, and adds the norm of the coupling the
 rotation drops, so that row bounds the deviation of the demodulated route
-from the complex one.  No row gathers a table-backed operator to solve it:
-dense matrices are read only as the FFT apply's reference and by the
-corruption hook.
+from the complex one.  No row holds an n x n array: the FFT apply's dense
+reference is summed from table entries a band of rows at a time
+(``prolate._dense_product``), and the half blocks are filled straight from
+the table.  Only the corruption hook gathers a matrix.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
@@ -49,6 +50,7 @@ from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
                        transition_count, vec)
 from .parallelepiped import (PPOperatorSpec, _materialize, _operators,
                              _shift_deviation, pp_entry)
+from .prolate import _dense_product
 from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
@@ -139,13 +141,11 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
         return []
     total = grid.size
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(3):
-        y = rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
-        via_apply = apply_cubic(spec, y)
-        via_dense = cov.matrix @ vec(y)
-        worst = max(worst, float(np.linalg.norm(vec(via_apply) - via_dense)
-                                 / np.linalg.norm(via_dense)))
+    ys = [rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+          for _ in range(3)]
+    via_dense = _dense_product(cov.table, np.stack([vec(y) for y in ys], axis=1))
+    worst = max(float(np.linalg.norm(vec(apply_cubic(spec, y)) - dense)
+                      / np.linalg.norm(dense)) for y, dense in zip(ys, via_dense.T))
 
     sep = separable_eigenvalues(grid.dims[0], grid.dims[1], bands.band(0))
     dense_one = spectrum_values(materialize_cubic(

@@ -133,6 +133,18 @@ def test_pp_singular_transform_rejected():
         ParallelepipedBand(1.0, 2.0, 0.5, 1.0, (0.1, 0.1))
 
 
+@pytest.mark.parametrize("a, d, half_widths", [
+    (1e200, 1e200, (0.1, 0.1)), (1e300, 1e8, (1e-10, 1e-10)),
+    (1.0, 1.0, (1e-170, 1e-170)),
+], ids=["determinant-overflows", "area-underflows", "widths-underflow"])
+def test_pp_transform_without_a_finite_nonzero_area_rejected(a, d, half_widths):
+    """A determinant that overflows, or an area 4 W0 W1 / |V| that
+    underflows, would give an operator of trace 0."""
+    with pytest.raises(BandError) as info:
+        ParallelepipedBand(a, 0.4, 0.0, d, half_widths)
+    assert [v.code for v in info.value.violations] == ["transform"]
+
+
 def test_pp_out_of_range_rejected():
     with pytest.raises(BandError):
         ParallelepipedBand(1.0, 0.0, 0.0, 1.0, (0.1, 0.1), (0.45, 0.0))

@@ -18,7 +18,9 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        multiband_kernel, pp_entry, pp_materialize, sinc_kernel,
                        spectrum, spectrum_values, vec)
 from mdprolate.parallelepiped import _parallelograms
-from mdprolate.prolate import _apply, _centro_hermitian, _pivot_scale, _table
+from mdprolate.prolate import (_apply, _axis_table, _boxes, _centro_hermitian,
+                               _demodulate, _dense_product, _gather, _hermitian,
+                               _pivot_scale, _table)
 
 import pinned
 
@@ -141,6 +143,37 @@ def test_pp_apply_matches_dense():
     for _ in range(5):
         y = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
         assert _rel_err(vec(_apply(table, y)), matrix @ vec(y)) <= 1e-12
+
+
+BANDED_TABLES = {
+    "sinc-real-n512": lambda: _hermitian(_axis_table(512, 0.0, 0.1)),
+    "two-band-n511": lambda: _table(_boxes(
+        (511,), CubicBandUnion.from_intervals(pinned.REF_INTERVALS))),
+    "readme-32x32": lambda: _table(_boxes((32, 32), README)),
+    "readme-real-41x39": lambda: _demodulate(_boxes((41, 39), README)).table,
+    "pp-9x7": lambda: _table(_parallelograms(
+        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS))),
+    "box-4x5x6": lambda: _table(_boxes((4, 5, 6), BOX_3D)),
+    "box-12x12x12": lambda: _table(_boxes((12, 12, 12), BOX_3D)),
+}
+
+
+@pytest.mark.parametrize("columns", [1, 3, 4], ids=["k1", "k3", "k4-real"])
+@pytest.mark.parametrize("name", list(BANDED_TABLES))
+def test_banded_product_matches_the_gathered_product(name, columns):
+    """verify's dense reference, formed a band of rows at a time, against
+    the product with the gathered matrix; real and complex tables, one or
+    several right-hand sides, real or complex."""
+    table = BANDED_TABLES[name]()
+    n = int(np.prod([(s + 1) // 2 for s in table.shape]))
+    rng = np.random.default_rng(columns)
+    v = rng.standard_normal((n, columns))
+    if columns != 4:
+        v = v + 1j * rng.standard_normal((n, columns))
+    got, want = _dense_product(table, v), _gather(table) @ v
+    assert got.shape == want.shape and got.dtype == want.dtype
+    for g, w in zip(got.T, want.T):
+        assert _rel_err(g, w) <= 1e-14
 
 
 REDUCED = {

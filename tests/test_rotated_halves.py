@@ -43,7 +43,8 @@ def _full_r(table):
 @pytest.mark.parametrize("dims, geometry", [
     ((511,), "intervals"), ((512,), "intervals"), ((9, 7), "matched"),
     ((32, 32), "matched"), ((32, 32), "readme"), ((41, 39), "matched"),
-], ids=["511", "512", "9x7", "32x32", "32x32-readme", "41x39"])
+    ((41, 39), "readme"),
+], ids=["511", "512", "9x7", "32x32", "32x32-readme", "41x39", "41x39-readme"])
 def test_split_spectrum_matches_the_full_real_form(dims, geometry):
     cov = _materialize(_spec(dims, geometry))
     assert cov.demodulated is not None
@@ -56,6 +57,36 @@ def test_split_spectrum_matches_the_full_real_form(dims, geometry):
     full = np.linalg.eigvalsh(_full_r(cov.table))
     assert np.max(np.abs(split - full)) <= 1e-13
     assert coupling <= 1e-12
+
+
+@pytest.mark.parametrize("dims, geometry", [
+    ((7,), "intervals"), ((64,), "intervals"), ((9, 7), "matched"),
+    ((5, 4), "readme"), ((8, 8), "readme"),
+], ids=["7", "64", "9x7", "5x4-readme", "8x8-readme"])
+def test_the_blocks_are_the_rotated_full_real_form(dims, geometry):
+    """Ke, Ko and C's norm, written band by band without R, against R
+    rotated by one dense orthogonal matrix M: ``M R M^T``, with ``M[o, o] =
+    M[count + o, count + o] = cos phi_o`` and ``M[o, count + o] = -M[count +
+    o, o] = sin phi_o`` for each free orbit o."""
+    cov = _materialize(_spec(dims, geometry))
+    center = cov.demodulated.center
+    orbits = prolate._orbits(cov.dims, ())
+    free, count = orbits.free, orbits.images.shape[1]
+    coords = np.unravel_index(orbits.images[0, :free], cov.dims, order="F")
+    phi = 2.0 * np.pi * sum(c * (x - (n - 1) / 2.0)
+                            for c, x, n in zip(center, coords, cov.dims))
+    m = np.eye(count + free)
+    o = np.arange(free)
+    m[o, o] = m[count + o, count + o] = np.cos(phi)
+    m[o, count + o], m[count + o, o] = np.sin(phi), -np.sin(phi)
+    rotated = m @ _full_r(cov.table) @ m.T
+    [even, odd], coupling = prolate._rotated_halves(cov.table, center)
+    scale = np.max(np.abs(rotated))
+    assert np.max(np.abs(even - rotated[:count, :count])) <= 1e-14 * scale
+    assert np.max(np.abs(odd - rotated[count:, count:])) <= 1e-14 * scale
+    # C is roundoff on both routes, so only their difference is bounded.
+    assert abs(coupling - np.linalg.norm(rotated[:count, count:])) <= (
+        1e-14 * scale * np.sqrt(count * free))
 
 
 @pytest.mark.parametrize("dims, geometry", [((64,), "intervals"), ((9, 7), "matched")],
@@ -90,17 +121,18 @@ def test_a_perturbed_table_entry_is_caught(dims, geometry, offset, monkeypatch):
     1e-7."""
     spec = _spec(dims, geometry)
     lam = spectrum_values(_materialize(spec))
+    table_of = parallelepiped._table
 
-    def perturbed(s):
-        cov = _materialize(s)
-        at = tuple(n - 1 for n in cov.dims)
+    def perturbed(bands):
+        table = table_of(bands)
+        at = tuple(n - 1 for n in bands.dims)
         at = (at[0] + offset,) + at[1:]
-        mirror = tuple(2 * (n - 1) - i for n, i in zip(cov.dims, at))
-        cov.table[at] += 1e-7
-        cov.table[mirror] = np.conj(cov.table[at])
-        return cov
+        mirror = tuple(2 * (n - 1) - i for n, i in zip(bands.dims, at))
+        table[at] += 1e-7
+        table[mirror] = np.conj(table[at])
+        return table
 
-    monkeypatch.setattr(parallelepiped, "_materialize", perturbed)
+    monkeypatch.setattr(parallelepiped, "_table", perturbed)
     assert _shift_deviation(lam, spec) > 1e-9
 
 

@@ -5,8 +5,8 @@ The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
 call anywhere else in the package would silently bypass it.  Table-backed
 covariances are solved from their tables, so a ``.matrix`` read or a
 ``_gather`` call is allowed only where a dense matrix is the point: the
-hand-built covariance, the public dense kernels and verify's dense
-references.
+hand-built covariance, the public dense kernels and verify's corruption
+hook.
 """
 
 import ast
@@ -69,10 +69,8 @@ DENSE_ALLOWED = {
     # The public dense kernels.
     ("prolate.py", "sinc_kernel"): 1,
     ("prolate.py", "multiband_kernel"): 1,
-    ("prolate.py", "dpss"): 1,
-    # verify's corruption hook and its apply_vs_dense_rel_err reference.
+    # verify's corruption hook.
     ("verify.py", "_suite"): 1,
-    ("verify.py", "_cubic_extras"): 1,
 }
 
 

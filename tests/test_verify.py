@@ -1,9 +1,12 @@
+import tracemalloc
+
 import pytest
 
-from mdprolate import default_config, verify, verify_config
+from mdprolate import DenseCovariance, default_config, prolate, verify, verify_config
 from mdprolate.verify import CORRUPT_ENV, THREADS_ENV, max_workers
 
 import oracles
+import pinned
 
 
 def test_default_suite_all_pass():
@@ -13,6 +16,44 @@ def test_default_suite_all_pass():
     assert failures == []
     experiments = {r.experiment for r in rows}
     assert {"cubic", "dictionary", "parallelepiped"} <= experiments
+
+
+def _readme_config(dims):
+    """The README union plus the matched parallelogram."""
+    from mdprolate import (BandConfig, CubicBandUnion, ParallelepipedBand,
+                           SamplingGrid)
+    return BandConfig(
+        grid=SamplingGrid(dims),
+        cubic=CubicBandUnion(centers=pinned.REF_2D_CENTERS,
+                             half_widths=pinned.REF_2D_HALF_WIDTHS),
+        parallelepiped=(ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1)),))
+
+
+@pytest.mark.parametrize("case", ["readme-32x32", "default"])
+def test_no_row_gathers_a_matrix(case, monkeypatch):
+    """The dense reference is formed a band of rows at a time and the
+    translation check fills its half blocks straight from the table."""
+    def refuse(*args):
+        raise AssertionError("verify gathered a dense matrix")
+
+    monkeypatch.setattr(prolate, "_gather", refuse)
+    monkeypatch.setattr(DenseCovariance, "matrix", property(refuse))
+    config = _readme_config((32, 32)) if case == "readme-32x32" else default_config()
+    rows = verify_config(config)
+    assert rows and [r for r in rows if not r.passed] == []
+
+
+def test_readme_run_holds_no_more_than_four_half_blocks():
+    """At 32x32 a half block is 512 x 512 float64, 2 MiB."""
+    config = _readme_config((32, 32))
+    verify_config(config)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        verify_config(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 512 * 512 * 8
 
 
 def test_rows_deterministic_order():
