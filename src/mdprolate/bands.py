@@ -231,9 +231,10 @@ def cubic_violations(centers, half_widths, *,
 
     Checks that centers and half-widths are matching numeric (J, d) arrays
     with J, d >= 1 (else one ``malformed`` violation is all it reports),
-    that they are finite, positivity of half-widths, containment in the
-    Nyquist box (unless ``analog``), and pairwise open-interior
-    disjointness (per-axis interval intersection on all axes).
+    that they are finite, positivity of half-widths and of each band's
+    measure, containment in the Nyquist box (unless ``analog``), and
+    pairwise open-interior disjointness (per-axis interval intersection on
+    all axes).
     """
     try:
         centers = np.atleast_2d(np.asarray(centers, dtype=float))
@@ -254,9 +255,11 @@ def cubic_violations(centers, half_widths, *,
             out.append(Violation("finite", (i,),
                                  f"band {i}: centers and half-widths must be finite"))
             continue
-        if np.any(half_widths[i] <= 0):
+        # The product is zero when the measure underflows.
+        if np.any(half_widths[i] <= 0) or not np.prod(2.0 * half_widths[i]) > 0.0:
             out.append(Violation("half_width", (i,),
-                                 f"band {i}: half-widths must be strictly positive"))
+                                 f"band {i}: half-widths and their measure "
+                                 "prod 2 W must be strictly positive"))
             continue
         if not analog:
             reach = np.abs(centers[i]) + half_widths[i]

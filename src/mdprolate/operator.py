@@ -46,8 +46,8 @@ import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .prolate import (_apply, _BandSet, _boxes, _demodulate, _Demodulated, _eigh,
-                      _Eigenvectors, _gather, _table, cluster_counts, dpss,
-                      modulate)
+                      _Eigenvectors, _frobenius_sq, _gather, _table, cluster_counts,
+                      dpss, modulate)
 
 __all__ = [
     "OperatorSpec",
@@ -157,11 +157,7 @@ class DenseCovariance:
     def frobenius_sq(self) -> float:
         if self.table is None:
             return float(np.vdot(self.matrix, self.matrix).real)
-        # Difference d occurs prod_i (n_i - |d_i|) times in the matrix.
-        total = self.table.real ** 2 + self.table.imag ** 2
-        for n in self.dims[::-1]:
-            total = total @ (n - np.abs(np.arange(1.0 - n, n)))
-        return float(total)
+        return _frobenius_sq(self.table)
 
 
 class SpectrumND:

@@ -34,8 +34,8 @@ from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DenseCovariance, OperatorSpec, _covariance,
                        materialize_cubic, spectrum_values)
-from .prolate import (_BandSet, _boxes, _Demodulated, _eigh, _mirror_pairs,
-                      _rotated_halves, _sin_ratio, _table)
+from .prolate import (_BandSet, _boxes, _Demodulated, _eigh, _frobenius_sq,
+                      _mirror_pairs, _recentred, _sin_ratio, _table)
 
 __all__ = [
     "PPOperatorSpec",
@@ -121,8 +121,9 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     Band locations do not move eigenvalues (the center phase is a unitary
     diagonal conjugation), so the return value is a pure numerical residual.
     Both specs demodulate to the same real table, so the shifted operator is
-    decomposed from its own complex table instead, by :func:`_shift_deviation`:
-    the value cross-checks the demodulated route against the complex one.
+    decomposed from its own complex table instead, by :func:`_shift_deviation`,
+    recentred entry by entry: the value cross-checks the demodulated route
+    against the complex one.
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
@@ -138,25 +139,29 @@ def _shift_deviation(lam: np.ndarray, shifted) -> float:
     ``shifted`` (any spec :func:`_band_set` takes), solved from its complex
     table without demodulating it.
 
-    When the shifted band set has a centre (``prolate._mirror_pairs``),
-    the table's real form is rotated by the centre phase into its even and
-    odd blocks (``prolate._rotated_halves``), and only those two half-size
-    blocks are solved.  The value is the deviation from their merged
-    spectrum plus the Frobenius norm of the coupling the rotation leaves,
-    which by Weyl's inequality bounds the deviation from the spectrum of
-    the real form itself.  A band set without a centre is solved as one
-    block of full size.
+    When the shifted band set has a centre c (``prolate._mirror_pairs``),
+    its table is recentred to c difference by difference, ``M(d) = T(d)
+    exp(-2 pi i c . d)`` made exactly Hermitian (``prolate._recentred``),
+    which moves no eigenvalue.  ``Re M`` is then exactly even, so its even
+    and odd blocks are solved, and ``i Im M`` is roundoff: by Weyl's
+    inequality its Frobenius norm, summed over the table with each
+    difference's multiplicity, bounds how far the spectrum of ``Re M`` is
+    from that of M.  The value is the deviation from the split spectrum
+    plus that norm.  A band set without a centre is solved as one block of
+    full size.
     """
     bands = _band_set(shifted)
     table = _table(bands)
     pairing = _mirror_pairs(bands)
+    slack = 0.0
     if pairing is None:
-        vals, _ = _eigh(int(np.prod(bands.dims)), False, _Demodulated(None, table, ()),
-                        bands.dims)
-        return float(np.max(np.abs(lam - vals)))
-    blocks, coupling = _rotated_halves(table, pairing[0])
-    vals = np.sort(np.concatenate([_eigh(b, False)[0] for b in blocks]))[::-1]
-    return float(np.max(np.abs(lam - vals))) + coupling
+        source = _Demodulated(None, table, ())
+    else:
+        recentred = _recentred(table, pairing[0])
+        source = _Demodulated(pairing[0], np.ascontiguousarray(recentred.real), ())
+        slack = np.sqrt(_frobenius_sq(recentred.imag))
+    vals, _ = _eigh(int(np.prod(bands.dims)), False, source, bands.dims)
+    return float(np.max(np.abs(lam - vals)) + slack)
 
 
 def _operators(config: BandConfig) -> list[tuple[str, object]]:

@@ -17,11 +17,10 @@ operator: its difference table, or a matrix built by hand.  A complex
 table (a band set without a centre) or matrix gives one real block of
 size n, or an even and an odd block when its coupling is exactly zero;
 the kernels below are gathered only for callers that ask for a matrix,
-and input without that structure takes the dense complex solve.  When
-the complex table's band set has a centre, :func:`_rotated_halves`
-writes that block's even and odd halves rotated by the centre phase,
-without forming the block: the translation cross-check's route,
-independent of the demodulated table.
+and input without that structure takes the dense complex solve.  The
+translation cross-check uses the same filler: it recentres a complex
+table by the centre phase, difference by difference (:func:`_recentred`),
+and solves the even and odd blocks of the real part.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a
@@ -160,6 +159,27 @@ def _table(bands: _BandSet) -> np.ndarray:
     for i, center in enumerate(bands.centers):
         acc += bands.term(i, center)
     return _hermitian(acc)
+
+
+def _frobenius_sq(table: np.ndarray) -> float:
+    """Squared Frobenius norm of a table's matrix, in O(table): difference
+    d occurs ``prod_i (n_i - |d_i|)`` times in the matrix."""
+    total = table.real ** 2 + table.imag ** 2
+    for s in table.shape[::-1]:
+        n = (s + 1) // 2
+        total = total @ (n - np.abs(np.arange(1.0 - n, n)))
+    return float(total)
+
+
+def _recentred(table: np.ndarray, center) -> np.ndarray:
+    """Table of ``D^H A D``, A the matrix of ``table`` and D the centre
+    phase ``diag(exp(2 pi i center . x))``: the entry at difference d times
+    ``exp(-2 pi i center . d)``, made exactly Hermitian.  For a band set
+    point-symmetric about ``center`` that is the demodulated operator, with
+    an imaginary part of roundoff size."""
+    diffs = np.ix_(*[np.arange(1 - (s + 1) // 2, (s + 1) // 2) for s in table.shape])
+    phase = np.exp(-2j * np.pi * sum(c * d for c, d in zip(center, diffs)))
+    return _hermitian(table * phase)
 
 
 # Mirror bands must agree in shape and cancel in offset from the centre to
@@ -625,65 +645,6 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
         return [b.copy() for b in blocks]
     r[count:, :count] = r[:count, count:].T
     return [r]
-
-
-def _rotated_halves(table: np.ndarray, center) -> tuple[list[np.ndarray], float]:
-    """The even and odd blocks of the operator of a complex table whose
-    band set is point-symmetric about ``center``, read from that table and
-    not from its demodulated one, and the Frobenius norm of their coupling.
-
-    The operator is ``D T D^H`` with T real and J-invariant, and D the
-    centre phase: up to a common factor, the phase ``exp(i phi)`` at sample
-    x and ``exp(-i phi)`` at J x, with ``phi = 2 pi center . (x - (n - 1) /
-    2)``.  So D maps the real form's even and odd basis vectors of an orbit
-    into their own span, rotated by phi, and rotating each pair (even row
-    and column o, odd row and column o) of the complex table's real form R
-    (see :func:`_orbit_blocks`) by phi gives ``[[Ke, C], [C^T, Ko]]``, with
-    C zero up to the roundoff by which the table is not exactly ``D T
-    D^H``.  By Weyl's inequality the sorted eigenvalues of R and of
-    ``diag(Ke, Ko)`` differ by at most ``||C||_2 <= ||C||_F``.
-
-    R itself is never formed: Ke and Ko are written, and C's norm summed,
-    one :func:`_orbit_parts` band of free orbits i at a time.  Its entries
-    ``p0 = A[i, j]`` and ``p1 = A[i, J j]`` give both rows of the pair:
-    ``R[i, j] = Re(p0 + p1)``, ``R[i, count + j] = Im(p1 - p0)`` and
-    ``R[count + i, count + j] = Re(p0 - p1)`` as in :func:`_orbit_blocks`,
-    and ``R[count + i, j]``, the transposed ``Im(p1 - p0)`` at (j, i), is
-    ``Im(p1 + p0)``, because A is Hermitian and centro-Hermitian.  The
-    middle orbit m of an odd size has phi = 0, and its row and column of
-    Ke and of C come from the tail parts ``A[i, m]``.  A table whose
-    coupling is already exactly zero and whose centre is 0 gives
-    :func:`_orbit_blocks`' even and odd blocks and 0.0.
-    """
-    dims = tuple((s + 1) // 2 for s in table.shape)
-    orbits = _orbits(dims, ())
-    free, count = orbits.free, orbits.images.shape[1]
-    coords = np.unravel_index(orbits.images[0, :free], dims, order="F")
-    phi = 2.0 * np.pi * sum(c * (x - (n - 1) / 2.0)
-                            for c, x, n in zip(center, coords, dims))
-    cos, sin = np.cos(phi), np.sin(phi)
-    even, odd = np.empty((count, count)), np.empty((free, free))
-    coupling = 0.0
-    for rows, (p0, p1) in _orbit_parts(table, orbits, False):
-        if rows is None:
-            mid = p0[:free, 0]
-            e, x = np.sqrt(2.0) * mid.real, np.sqrt(2.0) * mid.imag
-            even[free, :free] = e * cos + x * sin
-            even[:free, free] = even[free, :free]
-            even[free, free] = p0[free, 0].real
-            cross = x * cos - e * sin
-        else:
-            c, s = cos[rows, None], sin[rows, None]
-            e, o = p0.real + p1.real, p0.real - p1.real
-            x, y = p1.imag - p0.imag, p1.imag + p0.imag
-            # The pair of rows (i, count + i) rotated, even and odd columns.
-            top_e, top_o = c * e + s * y, c * x + s * o
-            low_e, low_o = c * y - s * e, c * o - s * x
-            even[rows, :free] = top_e * cos + top_o * sin
-            odd[rows] = low_o * cos - low_e * sin
-            cross = top_o * cos - top_e * sin
-        coupling += float(np.vdot(cross, cross))
-    return [even, odd], float(np.sqrt(coupling))
 
 
 # Pivots are found and eigen-tensors assembled this many entries at a time,

@@ -17,13 +17,14 @@ factorization for a single box, transition counts and residual/coherence
 bounds on modulated-DPSS dictionaries (2-D cubic); the log10 bound (1-D);
 Hermitian symmetry of sampled entries (parallelogram); and eigenvalue
 invariance under band translation (1-D, per band, and parallelogram), which
-solves the translated operator from its complex table as two half blocks,
-rotated there by the centre phase, and adds the norm of the coupling the
-rotation drops, so that row bounds the deviation of the demodulated route
-from the complex one.  No row holds an n x n array: the FFT apply's dense
-reference is summed from table entries a band of rows at a time
+recentres the translated operator's complex table to its band set's centre
+difference by difference, solves the even and odd blocks of its real part
+and adds the norm of the imaginary part, so that row bounds the deviation
+of the demodulated route from the complex one (1-D n = 512 reads about
+1.5e-14).  No row holds an n x n array: the FFT apply's dense reference is
+summed from table entries a band of rows at a time
 (``prolate._dense_product``), and the half blocks are filled straight from
-the table.  Only the corruption hook gathers a matrix.
+the recentred table.  Only the corruption hook gathers a matrix.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once

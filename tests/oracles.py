@@ -210,7 +210,9 @@ def modulation_invariance_reference(n: int, union) -> float:
     band's hand-built ``sinc_kernel`` at its centre and at frequency 0, both
     solved from the gathered matrix at full size.  Kept as the reference
     the row bounds from above: it now solves the band's tables, the shifted
-    one as two rotated half blocks plus their dropped coupling."""
+    one recentred to the band's centre per difference, as the two half
+    blocks of its real part plus the Frobenius norm of its imaginary part
+    (about 1.5e-14 at n = 512)."""
     from mdprolate import DenseCovariance, sinc_kernel, spectrum_values
     worst = 0.0
     for f, w in zip(union.centers[:, 0], union.half_widths[:, 0]):

@@ -194,6 +194,17 @@ def test_one_demodulation_and_one_table_covariance_call_site():
     assert len(table_built) == 1
 
 
+def test_one_real_form_filler():
+    """``_orbit_parts`` reads entries for ``_orbit_blocks`` and nothing else."""
+    tree = ast.parse((Path(mdprolate.__file__).parent / "prolate.py").read_text())
+    [filler] = [f for f in tree.body
+                if isinstance(f, ast.FunctionDef) and f.name == "_orbit_blocks"]
+    inside = {f"prolate.py:{n.lineno}" for n in ast.walk(filler)
+              if isinstance(n, ast.Call)}
+    sites = _call_sites(lambda n: _named(n, "_orbit_parts"))
+    assert len(sites) == 1 and set(sites) <= inside
+
+
 def ref_ranked(m, n, w0, w1):
     s0, s1 = dpss(m, w0), dpss(n, w1)
     prods = np.outer(s0.eigenvalues, s1.eigenvalues).ravel()

@@ -116,6 +116,19 @@ def test_nonpositive_half_width_rejected():
     assert any(v.code == "half_width" for v in bad)
 
 
+@pytest.mark.parametrize("half_widths", [
+    [1e-170, 1e-170], [1e-120, 1e-120, 1e-120], [1e-300, 1e-30],
+], ids=["2-D", "3-D", "unequal-widths"])
+def test_cubic_measure_underflow_rejected(half_widths):
+    """Each half-width is positive but the measure prod 2 W underflows to 0,
+    which would give an operator of trace 0."""
+    centers = [0.1] * len(half_widths)
+    bad = cubic_violations([centers], [half_widths])
+    assert [v.code for v in bad] == ["half_width"]
+    with pytest.raises(BandError):
+        CubicBandUnion([centers], [half_widths])
+
+
 def test_pp_overlap_detected():
     band = ParallelepipedBand(1.0, 0.5, 0.0, 1.0, (0.1, 0.1))
     bad = parallelepiped_violations([band, band])

@@ -278,6 +278,10 @@ TWOD_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1], "half_widths": [0.05, 0.0
 OVERFLOW_DOC = {"dim": 2, "parallelepiped": [{"a": 1e200, "b": 0.4, "c": 0.0, "d": 1e200,
                                              "half_widths": [0.1, 0.1]}],
                 "grid": [8, 8]}
+# Each half-width is positive, but prod 2 W underflows to 0.
+UNDERFLOW_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1],
+                                      "half_widths": [1e-170, 1e-170]}],
+                 "grid": [8, 8]}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -299,13 +303,16 @@ OVERFLOW_DOC = {"dim": 2, "parallelepiped": [{"a": 1e200, "b": 0.4, "c": 0.0, "d
     (["dict", "--config", "{twod}", "--q", "1", "--out", "{taken}/o"], None),
     (["spectrum", "--config", "{overflow}"], None),
     (["verify", "--config", "{overflow}"], None),
+    (["spectrum", "--config", "{underflow}"], None),
+    (["verify", "--config", "{underflow}"], None),
 ], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
         "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap",
         "config-is-a-directory", "config-not-utf8", "validate-config-not-utf8",
         "spectrum-out-is-a-file", "verify-out-is-a-file", "dict-out-is-a-file",
         "spectrum-out-through-a-file", "verify-out-through-a-file",
         "dict-out-through-a-file", "spectrum-determinant-overflows",
-        "verify-determinant-overflows"])
+        "verify-determinant-overflows", "spectrum-measure-underflows",
+        "verify-measure-underflows"])
 def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
                                             capsys):
     if env is not None:
@@ -316,6 +323,7 @@ def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
     paths = {"twod": write_config(tmp_path, TWOD_DOC, "twod.json"),
              "oned": write_config(tmp_path, ONED_DOC, "oned.json"),
              "overflow": write_config(tmp_path, OVERFLOW_DOC, "overflow.json"),
+             "underflow": write_config(tmp_path, UNDERFLOW_DOC, "underflow.json"),
              "folder": str(tmp_path / "folder"), "taken": str(tmp_path / "taken"),
              "latin1": str(tmp_path / "latin1.json")}
     argv = [a.format(**paths) for a in argv]

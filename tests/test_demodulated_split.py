@@ -158,8 +158,8 @@ def test_center_invariance_compares_the_table_and_matrix_routes(solver_sizes):
     shifted = PPOperatorSpec(grid=SamplingGrid((9, 7)),
                              bands=(base.shifted((0.02, -0.02)),))
     assert pp_center_invariance(spec, shifted) <= 1e-13
-    # The shifted operator's real form is rotated into its own even and odd
-    # blocks, and only those are solved.
+    # The shifted operator's complex table is recentred per difference, and
+    # only the even and odd blocks of its real part are solved.
     assert solver_sizes == [32, 31, 32, 31]
 
 

@@ -1,12 +1,14 @@
-"""The translation cross-check solves the shifted operator's complex real
-form as two rotated half blocks, certified by the coupling it drops.
+"""The translation cross-check solves the shifted operator's complex table
+recentred to its band set's centre, as two half blocks, certified by the
+imaginary part it drops.
 
-When the shifted band set has a centre c, the real form R of its complex
-table is ``G diag(Ke, Ko) G^T`` up to roundoff, G the rotation of each
-(even, odd) orbit pair by the centre phase.  ``prolate._rotated_halves``
-returns Ke, Ko and the Frobenius norm of what is left off the diagonal;
-``_shift_deviation`` adds that norm to the split spectrum's deviation, so
-the value bounds the full-size route's deviation from above (Weyl).
+When the shifted band set has a centre c, the table ``T(d) exp(-2 pi i c .
+d)``, made exactly Hermitian (``prolate._recentred``), is the matrix M of
+the operator conjugated by the centre phase, so it has the same spectrum.
+``Re M`` is exactly even and splits into its even and odd blocks;
+``_shift_deviation`` adds the Frobenius norm of ``Im M`` to the split
+spectrum's deviation, so the value bounds the full-size route's deviation
+from above (Weyl).
 """
 
 import numpy as np
@@ -34,10 +36,20 @@ def _spec(dims, geometry):
 
 
 def _full_r(table):
-    """The unrotated full-size real form R of a complex table."""
+    """The full-size real form R of a complex table."""
     [r] = prolate._orbit_blocks(table, prolate._orbits(
         tuple((s + 1) // 2 for s in table.shape), ()))
     return r
+
+
+def _recentred(cov):
+    """The shifted operator's table recentred to its band set's centre."""
+    return prolate._recentred(cov.table, cov.demodulated.center)
+
+
+def _dropped(recentred):
+    """The Frobenius norm of the matrix of ``Im M``."""
+    return np.sqrt(prolate._frobenius_sq(recentred.imag))
 
 
 @pytest.mark.parametrize("dims, geometry", [
@@ -48,45 +60,16 @@ def _full_r(table):
 def test_split_spectrum_matches_the_full_real_form(dims, geometry):
     cov = _materialize(_spec(dims, geometry))
     assert cov.demodulated is not None
-    [even, odd], coupling = prolate._rotated_halves(cov.table,
-                                                   cov.demodulated.center)
+    recentred = _recentred(cov)
     n = cov.size
+    even, odd = prolate._orbit_blocks(np.ascontiguousarray(recentred.real),
+                                      prolate._orbits(cov.dims, ()))
     assert (even.shape, odd.shape) == (((n + 1) // 2,) * 2, ((n // 2),) * 2)
     split = np.sort(np.concatenate([np.linalg.eigvalsh(even),
                                     np.linalg.eigvalsh(odd)]))
     full = np.linalg.eigvalsh(_full_r(cov.table))
     assert np.max(np.abs(split - full)) <= 1e-13
-    assert coupling <= 1e-12
-
-
-@pytest.mark.parametrize("dims, geometry", [
-    ((7,), "intervals"), ((64,), "intervals"), ((9, 7), "matched"),
-    ((5, 4), "readme"), ((8, 8), "readme"),
-], ids=["7", "64", "9x7", "5x4-readme", "8x8-readme"])
-def test_the_blocks_are_the_rotated_full_real_form(dims, geometry):
-    """Ke, Ko and C's norm, written band by band without R, against R
-    rotated by one dense orthogonal matrix M: ``M R M^T``, with ``M[o, o] =
-    M[count + o, count + o] = cos phi_o`` and ``M[o, count + o] = -M[count +
-    o, o] = sin phi_o`` for each free orbit o."""
-    cov = _materialize(_spec(dims, geometry))
-    center = cov.demodulated.center
-    orbits = prolate._orbits(cov.dims, ())
-    free, count = orbits.free, orbits.images.shape[1]
-    coords = np.unravel_index(orbits.images[0, :free], cov.dims, order="F")
-    phi = 2.0 * np.pi * sum(c * (x - (n - 1) / 2.0)
-                            for c, x, n in zip(center, coords, cov.dims))
-    m = np.eye(count + free)
-    o = np.arange(free)
-    m[o, o] = m[count + o, count + o] = np.cos(phi)
-    m[o, count + o], m[count + o, o] = np.sin(phi), -np.sin(phi)
-    rotated = m @ _full_r(cov.table) @ m.T
-    [even, odd], coupling = prolate._rotated_halves(cov.table, center)
-    scale = np.max(np.abs(rotated))
-    assert np.max(np.abs(even - rotated[:count, :count])) <= 1e-14 * scale
-    assert np.max(np.abs(odd - rotated[count:, count:])) <= 1e-14 * scale
-    # C is roundoff on both routes, so only their difference is bounded.
-    assert abs(coupling - np.linalg.norm(rotated[:count, count:])) <= (
-        1e-14 * scale * np.sqrt(count * free))
+    assert _dropped(recentred) <= 1e-12
 
 
 @pytest.mark.parametrize("dims, geometry", [((64,), "intervals"), ((9, 7), "matched")],
@@ -98,8 +81,12 @@ def test_the_value_bounds_the_full_size_deviation(dims, geometry):
     full = np.sort(np.linalg.eigvalsh(_full_r(cov.table)))[::-1]
     value = _shift_deviation(lam, spec)
     assert np.max(np.abs(lam - full)) - 1e-15 <= value <= 1e-13
-    _, coupling = prolate._rotated_halves(cov.table, cov.demodulated.center)
-    assert 0.0 < coupling <= value
+    recentred = _recentred(cov)
+    assert 0.0 < _dropped(recentred) <= value
+    # The value is the split spectrum's deviation plus the dropped norm.
+    split, _ = prolate._eigh(cov.size, False, prolate._Demodulated(
+        cov.demodulated.center, np.ascontiguousarray(recentred.real), ()), cov.dims)
+    assert value == float(np.max(np.abs(lam - split)) + _dropped(recentred))
 
 
 @pytest.mark.parametrize("dims, geometry", [((64,), "intervals"), ((9, 7), "matched")],
@@ -107,9 +94,13 @@ def test_the_value_bounds_the_full_size_deviation(dims, geometry):
 def test_a_centre_off_by_a_thousandth_is_caught(dims, geometry, monkeypatch):
     spec = _spec(dims, geometry)
     lam = spectrum_values(_materialize(spec))
-    rotate = prolate._rotated_halves
-    monkeypatch.setattr(parallelepiped, "_rotated_halves",
-                        lambda table, center: rotate(table, np.add(center, 1e-3)))
+    pairs_of = parallelepiped._mirror_pairs
+
+    def off(bands):
+        center, pairs = pairs_of(bands)
+        return np.add(center, 1e-3), pairs
+
+    monkeypatch.setattr(parallelepiped, "_mirror_pairs", off)
     assert _shift_deviation(lam, spec) > 1e-9
 
 
@@ -137,12 +128,12 @@ def test_a_perturbed_table_entry_is_caught(dims, geometry, offset, monkeypatch):
 
 
 def test_a_table_without_coupling_keeps_its_even_and_odd_blocks():
-    cov = _materialize(OperatorSpec(SamplingGrid((65,)), CubicBandUnion([0.0], [0.1])))
-    orbits = prolate._orbits(cov.dims, ())
-    blocks, coupling = prolate._rotated_halves(cov.table, cov.demodulated.center)
-    assert coupling == 0.0
-    for got, want in zip(blocks, prolate._orbit_blocks(cov.table, orbits)):
-        assert np.array_equal(got, want)
+    """A centred real box recentres to its own table, with ``Im M`` zero,
+    so both routes solve the same even and odd blocks."""
+    spec = OperatorSpec(SamplingGrid((65,)), CubicBandUnion([0.0], [0.1]))
+    cov = _materialize(spec)
+    assert _dropped(_recentred(cov)) == 0.0
+    assert _shift_deviation(spectrum_values(cov), spec) == 0.0
 
 
 def test_a_set_without_a_centre_is_solved_at_full_size(solver_sizes):
