@@ -121,7 +121,7 @@ class DenseCovariance:
     shifted to the centre.  The eigensolver reads that table, or ``table``
     itself for a set without a centre, so a table-backed operator is
     decomposed without gathering, and ``verify`` forms its dense reference
-    from ``table`` too: in the package, only verify's corruption hook reads
+    from ``table`` too: nothing in the package reads a table-backed
     ``matrix``.  A hand-built covariance passes ``matrix`` instead of
     ``table`` and is decomposed from it.
     """

@@ -9,29 +9,26 @@ One suite checks every operator of the configuration's operator list
 reads), whether 1-D multiband, cubic in any dimension or parallelogram.
 It materializes the operator and solves its eigenvalues once, then writes
 the shared block: trace = samples x measure, eigenvalues in [0, 1] and
-(except in 1-D) ``trace - ||.||_F^2 = sum lambda (1 - lambda)``.  On one or
-two axes it adds the logarithmic gap bound, enforced for boxes and only
-compared for parallelograms.  Last come the rows ``_EXTRAS`` lists under
-the operator's name: FFT apply against the dense product, separable
+``trace - ||.||_F^2 = sum lambda (1 - lambda)``.  On one or two axes it
+adds the logarithmic gap bound, enforced for boxes and only compared for
+parallelograms.  Last come the rows ``_EXTRAS`` lists under the
+operator's name: FFT apply against the dense product, separable
 factorization for a single box, transition counts and residual/coherence
-bounds on modulated-DPSS dictionaries (2-D cubic); the log10 bound (1-D);
-Hermitian symmetry of sampled entries (parallelogram); and eigenvalue
-invariance under band translation (1-D, per band, and parallelogram), which
-recentres the translated operator's complex table to its band set's centre
-difference by difference, solves the even and odd blocks of its real part
-and adds the norm of the imaginary part, so that row bounds the deviation
-of the demodulated route from the complex one (1-D n = 512 reads about
-1.5e-14).  No row holds an n x n array: the FFT apply's dense reference is
-summed from table entries a band of rows at a time
-(``prolate._dense_product``), and the half blocks are filled straight from
-the recentred table.  Only the corruption hook gathers a matrix.
+bounds on modulated-DPSS dictionaries (2-D cubic); Hermitian symmetry of
+sampled entries (parallelogram); and eigenvalue invariance under
+translation of the whole band set by :func:`_safe_shift` (1-D and
+parallelogram), which recentres the translated operator's complex table to
+its band set's centre difference by difference, solves the even and odd
+blocks of its real part and adds the norm of the imaginary part, so that
+row bounds the deviation of the demodulated route from the complex one
+(1-D n = 512 reads about 1.9e-14).  No row holds an n x n array or reads
+``.matrix``: the FFT apply's dense reference is summed from table entries
+a band of rows at a time (``prolate._dense_product``), and the half blocks
+are filled straight from the recentred table.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
-in a thread pool instead.  Setting ``MDPROLATE_TEST_CORRUPT`` perturbs a
-copy of every materialized operator in the shared block on purpose and
-checks that copy, so ``trace_rel_err`` fails for every geometry; this is
-how the failure path is exercised end to end.
+in a thread pool instead.
 """
 
 from __future__ import annotations
@@ -46,7 +43,7 @@ from .bands import (BandConfig, ConfigError, CubicBandUnion, ParallelepipedBand,
                     SamplingGrid)
 from .dictionary import (build_psi, cross_band_gram_violations,
                          pseudo_eigen_residuals)
-from .operator import (DenseCovariance, OperatorSpec, apply_cubic, gap_bound,
+from .operator import (OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
 from .parallelepiped import (PPOperatorSpec, _materialize, _operators,
@@ -56,7 +53,6 @@ from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
 
-CORRUPT_ENV = "MDPROLATE_TEST_CORRUPT"
 THREADS_ENV = "MDPROLATE_THREADS"
 
 
@@ -84,10 +80,6 @@ def default_config() -> BandConfig:
     return BandConfig(grid=SamplingGrid((16, 16)), cubic=cubic, parallelepiped=pp)
 
 
-def _corrupt_requested() -> bool:
-    return os.environ.get(CORRUPT_ENV, "") not in ("", "0")
-
-
 def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
     """Every row of one operator: the shared block, the gap bound on one or
     two axes, then the rows ``_EXTRAS`` lists under the operator's name."""
@@ -104,23 +96,14 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
         return ReportRow(experiment, params, metric, value, tolerance,
                          tolerance is None or value <= tolerance)
 
-    cov = checked = _materialize(spec)
-    if _corrupt_requested():
-        # Test hook: force the trace identity to fail on a perturbed copy,
-        # while the extras still read the unperturbed operator.  Gathered
-        # matrices are read-only, and a hand-built covariance is solved
-        # from its matrix.
-        matrix = cov.matrix.copy()
-        matrix[0, 0] += 0.37
-        checked = DenseCovariance(matrix, dims=cov.dims)
-    lam = spectrum_values(checked)
+    cov = _materialize(spec)
+    lam = spectrum_values(cov)
     expected = cov.size * measure
-    gap = checked.trace() - checked.frobenius_sq()
+    gap = cov.trace() - cov.frobenius_sq()
     rows = [row("trace_rel_err", abs(lam.sum() - expected) / expected, 1e-9),
-            row("eigenvalue_range_excess", max(-lam.min(), lam.max() - 1.0), 1e-10)]
-    if grid.dim > 1:
-        rows.append(row("gap_identity_abs_err",
-                        abs(gap - float(np.sum(lam * (1.0 - lam)))), 1e-8))
+            row("eigenvalue_range_excess", max(-lam.min(), lam.max() - 1.0), 1e-10),
+            row("gap_identity_abs_err",
+                abs(gap - float(np.sum(lam * (1.0 - lam)))), 1e-8)]
     if grid.dim <= 2:
         # The closed-form bound is proved for boxes; a parallelogram's gap
         # is only compared with it (informational).
@@ -129,10 +112,10 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
                     if name == "parallelepiped"
                     else row("gap_log_bound_ratio", ratio, 1.0))
     return rows + [row(*extra)
-                   for extra in _EXTRAS[name](spec, cov, lam, gap, eps, seed)]
+                   for extra in _EXTRAS[name](spec, cov, lam, eps, seed)]
 
 
-def _cubic_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
+def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
     """2-D boxes: FFT apply against the dense product, the separable route
     for the first box, transition and plateau counts, and the psi
     dictionary's residual and cross-band Gram rows.  Nothing on three or
@@ -173,27 +156,17 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
     ]
 
 
-def _oned_extras(spec: OperatorSpec, cov, lam, gap, eps, seed):
-    """1-D: the log bound read with log base 10 instead of e
-    (informational), and each band's eigenvalues at frequency 0 against
-    those where it lies (the parallelogram's translation check).  Bands of
-    equal half-width share the frequency-0 solve."""
-    bands, n = spec.bands, spec.grid.dims[0]
-    bound10 = bands.num_bands * 4.0 / np.pi**2 * (3.0 + np.log10(n))
-    bases = {}
-    worst = 0.0
-    for f, w in zip(bands.centers, bands.half_widths):
-        key = float(w[0])
-        if key not in bases:
-            bases[key] = spectrum_values(materialize_cubic(
-                OperatorSpec(spec.grid, CubicBandUnion([0.0], w))))
-        band = OperatorSpec(spec.grid, CubicBandUnion(f, w))
-        worst = max(worst, _shift_deviation(bases[key], band))
-    return [("gap_log10_bound_ratio", gap / bound10, None),
-            ("modulation_invariance_max_err", worst, 1e-9)]
+def _oned_extras(spec: OperatorSpec, cov, lam, eps, seed):
+    """1-D: the eigenvalues against those of the union translated by
+    :func:`_safe_shift`, whose corner reach is ``|c| + w`` per band."""
+    bands = spec.bands
+    delta = _safe_shift(np.abs(bands.centers) + bands.half_widths)
+    shifted = OperatorSpec(spec.grid, CubicBandUnion(bands.centers + delta,
+                                                     bands.half_widths))
+    return [("modulation_invariance_max_err", _shift_deviation(lam, shifted), 1e-9)]
 
 
-def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, gap, eps, seed):
+def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, eps, seed):
     """Parallelograms: Hermitian symmetry of sampled entries, and the
     eigenvalues against those of the bands translated by :func:`_safe_shift`."""
     grid, bands = spec.grid, spec.bands
@@ -204,25 +177,26 @@ def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, gap, eps, seed):
         fwd = pp_entry(band, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
         rev = pp_entry(band, idx[:, 2], idx[:, 3], idx[:, 0], idx[:, 1])
         worst = max(worst, float(np.max(np.abs(fwd - np.conj(rev)))))
-    delta = _safe_shift(bands)
+    delta = _safe_shift(np.vstack([b.corners() for b in bands]))
     shifted = PPOperatorSpec(grid=grid,
                              bands=tuple(b.shifted(delta) for b in bands))
     return [("hermitian_symmetry_max_err", worst, 1e-15),
             ("center_shift_max_dev", _shift_deviation(lam, shifted), 1e-9)]
 
 
-def _safe_shift(bands) -> tuple[float, float]:
-    """A nonzero translation keeping every band inside the Nyquist square."""
-    corners = np.vstack([b.corners() for b in bands])
+def _safe_shift(corners) -> tuple[float, ...]:
+    """A nonzero translation keeping every corner (one row per point, one
+    column per axis) inside the Nyquist cube: the same step on every axis,
+    its sign alternating from + on axis 0."""
+    corners = np.asarray(corners)
     room = 0.5 - np.abs(corners).max()
     step = min(max(room * 0.5, 0.0), 0.02)
-    return (step, -step)
+    return tuple(step if axis % 2 == 0 else -step for axis in range(corners.shape[1]))
 
 
 # Each operator's own rows, by the name ``parallelepiped._operators`` gives
-# it: ``(spec, cov, lam, gap, eps, seed) -> [(metric, value, tolerance[,
-# experiment]), ...]``.  ``cov`` is the unperturbed operator; ``lam`` and
-# ``gap`` are the ones the shared block checked.
+# it: ``(spec, cov, lam, eps, seed) -> [(metric, value, tolerance[,
+# experiment]), ...]``, ``lam`` the eigenvalues the shared block checked.
 _EXTRAS = {"multiband1d": _oned_extras, "cubic": _cubic_extras,
            "parallelepiped": _parallelepiped_extras}
 

@@ -51,6 +51,24 @@ def solver_sizes(monkeypatch):
     return sizes
 
 
+@pytest.fixture
+def corrupted_verify(monkeypatch):
+    """Every operator ``verify`` materializes comes back wrong: the
+    zero-difference entry of its table raised by ``0.37 / size``, so its
+    trace rises by 0.37.  Nothing is gathered; the copy keeps no
+    demodulated table, so it is solved from the perturbed one."""
+    from mdprolate import DenseCovariance, verify
+    materialize = verify._materialize
+
+    def corrupted(spec):
+        cov = materialize(spec)
+        table = cov.table.copy()
+        table[tuple(n - 1 for n in cov.dims)] += 0.37 / cov.size
+        return DenseCovariance(table=table, dims=cov.dims, spec=cov.spec)
+
+    monkeypatch.setattr(verify, "_materialize", corrupted)
+
+
 @pytest.fixture(scope="session")
 def matched_pp_band():
     # area 0.04, same as a (0.1, 0.1) box

@@ -206,20 +206,23 @@ def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
 
 
 def modulation_invariance_reference(n: int, union) -> float:
-    """The 1-D translation row as the package first computed it: each
-    band's hand-built ``sinc_kernel`` at its centre and at frequency 0, both
-    solved from the gathered matrix at full size.  Kept as the reference
-    the row bounds from above: it now solves the band's tables, the shifted
-    one recentred to the band's centre per difference, as the two half
-    blocks of its real part plus the Frobenius norm of its imaginary part
-    (about 1.5e-14 at n = 512)."""
-    from mdprolate import DenseCovariance, sinc_kernel, spectrum_values
-    worst = 0.0
-    for f, w in zip(union.centers[:, 0], union.half_widths[:, 0]):
-        shifted = spectrum_values(DenseCovariance(sinc_kernel(n, f, w), dims=(n,)))
-        base = spectrum_values(DenseCovariance(sinc_kernel(n, 0.0, w), dims=(n,)))
-        worst = max(worst, float(np.max(np.abs(shifted - base))))
-    return worst
+    """The 1-D translation row at full size: the largest deviation of the
+    union's spectrum from that of the union translated by
+    ``verify._safe_shift``, each summed from hand-built ``sinc_kernel``s
+    and solved by a complex ``eigvalsh`` of size n.  Kept as the reference
+    the row bounds from above: it recentres the translated union's table
+    to its centre and solves the two half blocks of its real part, plus
+    the Frobenius norm of its imaginary part (about 1.9e-14 at n = 512)."""
+    from mdprolate import sinc_kernel
+    from mdprolate.verify import _safe_shift
+    [step] = _safe_shift(np.abs(union.centers) + union.half_widths)
+
+    def values(shift):
+        return np.linalg.eigvalsh(sum(
+            sinc_kernel(n, f + shift, w)
+            for f, w in zip(union.centers[:, 0], union.half_widths[:, 0])))
+
+    return float(np.max(np.abs(values(step) - values(0.0))))
 
 
 REF_INTERVALS = ((-0.15, -0.05), (0.15, 0.25))

@@ -187,8 +187,7 @@ def test_verify_one_dimensional_config(oned_config, tmp_path):
     assert all(r["passed"] for r in rows)
 
 
-def test_verify_corrupted_kernel(tmp_path, monkeypatch):
-    monkeypatch.setenv("MDPROLATE_TEST_CORRUPT", "1")
+def test_verify_corrupted_kernel(tmp_path, corrupted_verify):
     assert main(["verify", "--out", str(tmp_path / "out")]) == 1
 
 
@@ -459,7 +458,8 @@ def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
     ({"dim": 1, "cubic": [{"center": [-0.10], "half_widths": [0.05]},
                           {"center": [0.20], "half_widths": [0.05]}],
       "grid": [128]},
-     {("multiband1d", "trace_rel_err"), ("multiband1d", "eigenvalue_range_excess")}),
+     {("multiband1d", "trace_rel_err"), ("multiband1d", "eigenvalue_range_excess"),
+      ("multiband1d", "modulation_invariance_max_err")}),
     ({"dim": 3, "cubic": [{"center": [0.0, 0.1, -0.1],
                            "half_widths": [0.1, 0.08, 0.12]}],
       "grid": [8, 8, 8]},
@@ -467,14 +467,14 @@ def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
     ({"dim": 2, "parallelepiped": [{**SHEAR, "center": [0.0, 0.0]}],
       "grid": [16, 16]},
      {("parallelepiped", "trace_rel_err"), ("parallelepiped", "center_shift_max_dev")}),
-    # apply_vs_dense_rel_err compares against the unperturbed operator, so
-    # it passes under the hook.
-    (None, {("cubic", "trace_rel_err"), ("parallelepiped", "trace_rel_err"),
+    # The dense reference of apply_vs_dense_rel_err is summed from the
+    # perturbed table, so that row fails too.
+    (None, {("cubic", "trace_rel_err"), ("cubic", "apply_vs_dense_rel_err"),
+            ("parallelepiped", "trace_rel_err"),
             ("parallelepiped", "center_shift_max_dev")}),
 ], ids=["1-D-128", "3-D-8", "parallelogram-only-16", "default"])
 def test_corruption_hook_fails_the_trace_row_of_every_geometry(
-        doc, failing, tmp_path, monkeypatch):
-    monkeypatch.setenv("MDPROLATE_TEST_CORRUPT", "1")
+        doc, failing, tmp_path, corrupted_verify):
     out = tmp_path / "out"
     argv = ["verify", "--out", str(out), "--format", "json"]
     if doc is not None:

@@ -46,7 +46,8 @@ def _cubic(dims, union):
 def _readme_pp(dims, shifted=False):
     bands = (README_PP,)
     if shifted:
-        bands = tuple(b.shifted(_safe_shift(bands)) for b in bands)
+        delta = _safe_shift(np.vstack([b.corners() for b in bands]))
+        bands = tuple(b.shifted(delta) for b in bands)
     return pp_materialize(PPOperatorSpec(grid=SamplingGrid(dims), bands=bands))
 
 

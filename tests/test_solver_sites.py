@@ -1,12 +1,12 @@
-"""Every dense eigensolve goes through ``prolate._eigh``, and only the
-dense references gather a matrix.
+"""Every dense eigensolve goes through ``prolate._eigh``, only the dense
+references gather a matrix, and only ``verify.max_workers`` reads the
+environment.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
 call anywhere else in the package would silently bypass it.  Table-backed
 covariances are solved from their tables, so a ``.matrix`` read or a
 ``_gather`` call is allowed only where a dense matrix is the point: the
-hand-built covariance, the public dense kernels and verify's corruption
-hook.
+hand-built covariance and the public dense kernels.
 """
 
 import ast
@@ -15,6 +15,7 @@ from pathlib import Path
 import mdprolate
 
 SOLVERS = {"eigh", "eigvalsh"}
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 PACKAGE = Path(mdprolate.__file__).parent
 
 
@@ -58,6 +59,17 @@ def dense_references(source: str) -> list[str]:
     return _references(source, hit)
 
 
+def environment_references(source: str) -> list[str]:
+    """``function:line`` of every reference to ``os.environ`` or
+    ``os.getenv`` (and their bytes forms) in ``source``, as an attribute, a
+    bare name or an import."""
+    return _references(source, lambda node: (
+        (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+        or (isinstance(node, ast.Name) and node.id in ENVIRONMENT)
+        or (isinstance(node, ast.ImportFrom)
+            and any(alias.name in ENVIRONMENT for alias in node.names))))
+
+
 # Where the package may read a dense matrix: (module, function) -> count.
 DENSE_ALLOWED = {
     # The covariance itself: the gather and the hand-built trace and norm.
@@ -69,8 +81,6 @@ DENSE_ALLOWED = {
     # The public dense kernels.
     ("prolate.py", "sinc_kernel"): 1,
     ("prolate.py", "multiband_kernel"): 1,
-    # verify's corruption hook.
-    ("verify.py", "_suite"): 1,
 }
 
 
@@ -111,3 +121,22 @@ def test_only_the_dense_references_read_a_matrix():
     stray = {key: count for key, count in found.items()
              if count > DENSE_ALLOWED.get(key, 0)}
     assert stray == {}
+
+
+def test_environment_finder_sees_every_spelling():
+    source = ("import os\n"
+              "from os import environ, getenv\n"
+              "def f():\n"
+              "    return os.environ.get('A'), os.getenv('B'), environ['C'], getenv('D')\n")
+    assert environment_references(source) == ["<module>:2", "f:4", "f:4", "f:4", "f:4"]
+
+
+def test_only_the_worker_cap_reads_the_environment():
+    """The package's one environment knob is ``MDPROLATE_THREADS``, read
+    by ``verify.max_workers``; no test or debug switch hides in the code."""
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for ref in environment_references(path.read_text()):
+            key = (path.name, ref.rsplit(":", 1)[0])
+            found[key] = found.get(key, 0) + 1
+    assert found == {("verify.py", "max_workers"): 1}
