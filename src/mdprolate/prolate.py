@@ -13,14 +13,17 @@ so it is centro-Hermitian (``J A J = conj(A)``, J the index reversal) and
 unitarily similar to a real symmetric form of the same size (Cantoni &
 Butler 1976).  One filler, :func:`_orbit_blocks`, writes that form for
 :func:`_eigh`, the one solver entry point, from whatever holds the
-operator: its difference table, or a matrix built by hand.  A complex
-table (a band set without a centre) or matrix gives one real block of
-size n, or an even and an odd block when its coupling is exactly zero;
-the kernels below are gathered only for callers that ask for a matrix,
-and input without that structure takes the dense complex solve.  The
-translation cross-check uses the same filler: it recentres a complex
-table by the centre phase, difference by difference (:func:`_recentred`),
-and solves the even and odd blocks of the real part.
+operator: its difference table, or a matrix built by hand.  The solver
+reads only the lower triangle of each block, so a real table's blocks are
+written as lower triangles alone, two to one rectangular array, as the
+Rectangular Full Packed format stores a triangle (Gustavson et al. 2010).
+A complex table (a band set without a centre) or matrix gives one real
+block of size n, or an even and an odd block when its coupling is exactly
+zero, each written in full; the kernels below are gathered only for
+callers that ask for a matrix, and input without that structure takes the
+dense complex solve.  The translation cross-check uses the same filler: it
+recentres a complex table by the centre phase, difference by difference
+(:func:`_recentred`), and solves the even and odd blocks of the real part.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a
@@ -49,6 +52,7 @@ block-size real products without any eigen-tensor.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
@@ -522,11 +526,24 @@ def _hermitian_exactly(a: np.ndarray) -> bool:
     return True
 
 
-def _character_sums(parts, outs):
+def _write(op, x, y, out, diagonal: int | None) -> None:
+    """``out = op(x, y)`` for a band of a block's rows, or with ``diagonal``
+    only on and below the block's diagonal, which meets the band's first
+    row at that column."""
+    if diagonal is None:
+        op(x, y, out=out)
+        return
+    op(x[:, :diagonal], y[:, :diagonal], out=out[:, :diagonal])
+    op(x[:, diagonal:], y[:, diagonal:], out=out[:, diagonal:],
+       where=np.tri(len(out), dtype=bool))
+
+
+def _character_sums(parts, outs, diagonal: int | None = None):
     """``outs[c] = sum_e chars[c, e] parts[e]`` for every character c of
     :class:`_Orbits`, by the fast Walsh-Hadamard transform: ``log2 |G|``
-    rounds of sums and differences, the last written into ``outs``.
-    ``parts`` are overwritten.  For J alone it is ``[p0 + p1, p0 - p1]``."""
+    rounds of sums and differences, the last written into ``outs`` by
+    :func:`_write`.  ``parts`` are overwritten.  For J alone it is ``[p0 +
+    p1, p0 - p1]``."""
     parts, spare = list(parts), None
     half = len(parts) // 2
     span = 1
@@ -540,18 +557,20 @@ def _character_sums(parts, outs):
                 parts[j + span], spare = spare, b
         span *= 2
     for j in range(half):
-        np.add(parts[j], parts[j + half], out=outs[j])
-        np.subtract(parts[j], parts[j + half], out=outs[j + half])
+        _write(np.add, parts[j], parts[j + half], outs[j], diagonal)
+        _write(np.subtract, parts[j], parts[j + half], outs[j + half], diagonal)
     return outs
 
 
-def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
+def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool, lower: bool):
     """The entries ``A[i, e j]`` of the matrix A of ``source`` that
     :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]`` the
     entries for element e of G: first (``rows`` None) for every orbit i
     against the orbits j with a nontrivial stabiliser, then for each band
     ``rows`` of free orbits i against the free orbits j, about 16 Ki entries
-    per element.
+    per element.  With ``lower`` a band reads only the orbits ``j <
+    rows.stop``, at most 8 Ki entries per element (or one row): about as
+    many bands as full rows of 16 Ki entries would take.
 
     A table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]`` with
     ``o_i`` the table offset of sample i's coordinates and ``z`` that of the
@@ -562,16 +581,25 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
     the 1-D kernels return.
     """
     images, free = orbits.images, orbits.free
-    step = max(1, 16384 // max(free, 1))
-    bands = [slice(lo, min(lo + step, free)) for lo in range(0, free, step)]
+    if lower:
+        # The most rows r from lo with r (lo + r) <= 8 Ki, at least one.
+        bands, lo = [], 0
+        while lo < free:
+            hi = min(free, lo + max(1, (math.isqrt(lo * lo + 32768) - lo) // 2))
+            bands.append(slice(lo, hi))
+            lo = hi
+    else:
+        step = max(1, 16384 // max(free, 1))
+        bands = [slice(lo, min(lo + step, free)) for lo in range(0, free, step)]
+    shapes = [(rows.stop - rows.start, rows.stop if lower else free) for rows in bands]
     tail = images.shape[1] > free
     if matrix:
         def read(rows, cols):
             return [source[_span(images[0, rows]), _span(img[cols])] for img in images]
         if tail:
             yield None, read(slice(None), slice(free, None))
-        for rows in bands:
-            yield rows, read(rows, slice(None, free))
+        for rows, shape in zip(bands, shapes):
+            yield rows, read(rows, slice(None, shape[1]))
         return
     dims = tuple((s + 1) // 2 for s in source.shape)
     flat = source.ravel()
@@ -581,16 +609,18 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
     if tail:
         yield None, flat[zero + off[0, :, None] - off[:, None, free:]]
     # Every index is in range; mode "clip" only lets take write into its out
-    # buffer directly.
-    index = np.empty((step, free), dtype=np.intp)
-    gathered = np.empty((len(off), step, free), dtype=source.dtype)
-    for rows in bands:
-        size = rows.stop - rows.start
+    # buffer directly, which must be contiguous.
+    area = max((r * w for r, w in shapes), default=0)
+    index = np.empty(area, dtype=np.intp)
+    gathered = np.empty((len(off), area), dtype=source.dtype)
+    for rows, shape in zip(bands, shapes):
         at = zero + off[0, rows, None]
-        for o, part in zip(off, gathered):
-            np.subtract(at, o[:free], out=index[:size])
-            np.take(flat, index[:size], out=part[:size], mode="clip")
-        yield rows, gathered[:, :size]
+        at_index = index[:shape[0] * shape[1]].reshape(shape)
+        parts = [part[:at_index.size].reshape(shape) for part in gathered]
+        for o, part in zip(off, parts):
+            np.subtract(at, o[:shape[1]], out=at_index)
+            np.take(flat, at_index, out=part, mode="clip")
+        yield rows, parts
 
 
 def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
@@ -604,42 +634,67 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
     For real input, block c over the orbits with representatives i and j is
     ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the stabiliser
     sizes: the matrix in the orthonormal basis ``sqrt(s / |G|) sum_{distinct
-    e j} chars[c, e] e_{e j}`` of each kept orbit.  The rows of the orbits
-    with a nontrivial stabiliser are the transposed columns.  For G = {1, J}
-    the blocks are the even and odd blocks, ``a11 + a12j`` and ``a11 -
-    a12j``, with the middle column ``sqrt 2 A[:k, k]`` and corner ``A[k, k]``
-    for odd n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
+    e j} chars[c, e] e_{e j}`` of each kept orbit.  For G = {1, J} the
+    blocks are the even and odd blocks, ``a11 + a12j`` and ``a11 - a12j``,
+    with the middle row ``sqrt 2 A[k, :k]`` and corner ``A[k, k]`` for odd
+    n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
+
+    Real input gives only each block's lower triangle, diagonal included,
+    which is all the solver reads (``UPLO="L"``): the blocks of characters
+    2p and 2p + 1, of sizes a and b, share one ``(m + 1) x m`` array ``buf``,
+    m the larger size, as the views ``buf[1:a + 1, :a]`` (strictly below
+    its diagonal) and ``buf[:b, :b]`` turned a half turn (on and above it),
+    so each block's upper triangle holds its partner's entries.  Both
+    blocks' rows are rows of ``buf``, so a band of rows is written
+    contiguously; in a transposed view it would stride down ``buf``'s
+    columns.  |G| is a power of two, so the blocks always pair.  The free
+    orbits' bands read only the columns up to their last row, and each
+    write stops at the diagonal (:func:`_write`): an entry above it would
+    land in the partner.
 
     Complex input has G = {1, J} and ``R = Q^H A Q`` with ``Q = [[I, iI], [J,
     -iJ]] / sqrt 2`` (plus the middle unit vector when n is odd): the even
     and odd blocks of the real parts, coupled through ``Im(A12 J) -
-    Im(A11)`` and, for odd n, the middle column ``sqrt 2 Im A[:k, k]``.  When
-    that coupling is exactly zero the two blocks are returned instead.
+    Im(A11)`` and, for odd n, the middle column ``sqrt 2 Im A[:k, k]``.  R
+    is written in full.  When that coupling is exactly zero the two blocks
+    are returned instead, each in full.
     """
     free, count = orbits.free, orbits.images.shape[1]
-    r = np.empty((count + free,) * 2) if np.iscomplexobj(source) else None
-    blocks = ([np.empty((k.size, k.size)) for k in orbits.keep] if r is None
-              else [r[:count, :count], r[count:, count:]])
-    for rows, parts in _orbit_parts(source, orbits, matrix):
+    lower = not np.iscomplexobj(source)
+    if lower:
+        blocks, sizes = [], [k.size for k in orbits.keep]
+        for a, b in zip(sizes[::2], sizes[1::2]):
+            buf = np.empty((max(a, b) + 1, max(a, b)))
+            blocks += [buf[1:a + 1, :a], buf[b - 1::-1, b - 1::-1]]
+    else:
+        r = np.empty((count + free,) * 2)
+        blocks = [r[:count, :count], r[count:, count:]]
+    for rows, parts in _orbit_parts(source, orbits, matrix, lower):
         real = [p.real for p in parts]
         if rows is not None:
-            _character_sums(real, [b[rows, :free] for b in blocks])
-            if r is not None:
+            width = real[0].shape[1]
+            _character_sums(real, [b[rows, :width] for b in blocks],
+                            rows.start if lower else None)
+            if not lower:
                 # Written as this difference, not as -Im(p0 - p1), which
                 # has the same values but the other sign of zero.
                 np.subtract(parts[1].imag, parts[0].imag, out=r[rows, count:])
             continue
+        # The rows of the orbits with a nontrivial stabiliser, read from the
+        # columns they are the transpose of.
         totals = _character_sums(real, np.empty((len(real),) + real[0].shape))
         for block, keep, total in zip(blocks, orbits.keep, totals):
             tail = keep[free:]
-            weight = np.sqrt(1.0 / np.multiply.outer(orbits.stab[keep],
-                                                     orbits.stab[tail]))
-            np.multiply(total[np.ix_(keep, tail - free)], weight, out=block[:, free:])
-            block[free:, :free] = block[:free, free:].T
-        if r is not None:
+            weight = np.sqrt(1.0 / np.multiply.outer(orbits.stab[tail],
+                                                     orbits.stab[keep]))
+            _write(np.multiply, total.T[np.ix_(tail - free, keep)], weight,
+                   block[free:], free if lower else None)
+            if not lower:
+                block[:free, free:] = block[free:, :free].T
+        if not lower:
             np.multiply(np.sqrt(2.0), parts[0].imag[:free], out=r[count:, free:count])
             r[free:count, count:] = r[count:, free:count].T
-    if r is None:
+    if lower:
         return blocks
     if not r[:count, count:].any():
         return [b.copy() for b in blocks]
@@ -666,7 +721,9 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     conj(a)`` by G = {1, J}.  A complex table (no centre) and such a matrix
     give one real block R of the same size, or the even and odd blocks when
     R's coupling is exactly zero.  Real matrices and complex ones without
-    that structure go to the solver unchanged.
+    that structure go to the solver unchanged.  The solver reads only each
+    block's lower triangle: a real table's blocks hold nothing else, their
+    upper triangles being their partners' (:func:`_orbit_blocks`).
 
     A real table is the operator shifted to the centre of its
     point-symmetric band set, and its eigenvectors are multiplied by the
@@ -686,7 +743,7 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     if demodulated is not None:
         orbits = _orbits(dims, demodulated.symmetries)
         blocks = _orbit_blocks(demodulated.table, orbits)
-        if demodulated.center is not None:
+        if vectors and demodulated.center is not None:
             phase = _phase(dims, demodulated.center)
     elif np.iscomplexobj(a) and _centro_hermitian(a):
         orbits = _orbits(dims, ())
@@ -694,10 +751,12 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     else:
         blocks = [a]
     try:
+        # UPLO="L" is what the packed blocks rely on: their upper triangles
+        # belong to their partners.
         if vectors:
-            parts = [np.linalg.eigh(b) for b in blocks]
+            parts = [np.linalg.eigh(b, UPLO="L") for b in blocks]
         else:
-            parts = [(np.linalg.eigvalsh(b), None) for b in blocks]
+            parts = [(np.linalg.eigvalsh(b, UPLO="L"), None) for b in blocks]
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(
             f"eigendecomposition failed for {n}x{n} matrix: {exc}") from exc

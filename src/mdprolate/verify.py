@@ -158,9 +158,10 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
 
 def _oned_extras(spec: OperatorSpec, cov, lam, eps, seed):
     """1-D: the eigenvalues against those of the union translated by
-    :func:`_safe_shift`, whose corner reach is ``|c| + w`` per band."""
+    :func:`_safe_shift`, whose corners are the band edges ``c -+ w``."""
     bands = spec.bands
-    delta = _safe_shift(np.abs(bands.centers) + bands.half_widths)
+    delta = _safe_shift(np.vstack([bands.centers - bands.half_widths,
+                                   bands.centers + bands.half_widths]))
     shifted = OperatorSpec(spec.grid, CubicBandUnion(bands.centers + delta,
                                                      bands.half_widths))
     return [("modulation_invariance_max_err", _shift_deviation(lam, shifted), 1e-9)]
@@ -186,12 +187,19 @@ def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, eps, seed):
 
 def _safe_shift(corners) -> tuple[float, ...]:
     """A nonzero translation keeping every corner (one row per point, one
-    column per axis) inside the Nyquist cube: the same step on every axis,
-    its sign alternating from + on axis 0."""
+    column per axis) inside the Nyquist cube.  While no corner reaches
+    +-1/2 it is the same step on every axis, its sign alternating from + on
+    axis 0; otherwise each axis moves toward the side with more room, ``1/2
+    - max`` up against ``1/2 + min`` down.  Each step is half the room, at
+    most 0.02, so it is zero only on an axis the bands span."""
     corners = np.asarray(corners)
     room = 0.5 - np.abs(corners).max()
     step = min(max(room * 0.5, 0.0), 0.02)
-    return tuple(step if axis % 2 == 0 else -step for axis in range(corners.shape[1]))
+    if step > 0:
+        return tuple(step if axis % 2 == 0 else -step for axis in range(corners.shape[1]))
+    up, down = 0.5 - corners.max(axis=0), 0.5 + corners.min(axis=0)
+    steps = np.minimum(np.maximum(up, down) * 0.5, 0.02)
+    return tuple(float(s if u >= d else -s) for s, u, d in zip(steps, up, down))
 
 
 # Each operator's own rows, by the name ``parallelepiped._operators`` gives

@@ -205,6 +205,16 @@ def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
     return [(total * weight)[np.ix_(rows, rows)] for total, rows in zip(parts, keep)]
 
 
+def completed(packed: np.ndarray, reference: np.ndarray) -> np.ndarray:
+    """The full block of a packed one, ``tril(packed) + tril(packed, -1).T``,
+    after asserting that ``reference`` is exactly symmetric: a packed
+    block's upper triangle holds its partner's entries, so only its lower
+    triangle can be compared, and the completion is the whole block only
+    for a symmetric reference."""
+    assert reference.tobytes() == np.ascontiguousarray(reference.T).tobytes()
+    return np.tril(packed) + np.tril(packed, -1).T
+
+
 def modulation_invariance_reference(n: int, union) -> float:
     """The 1-D translation row at full size: the largest deviation of the
     union's spectrum from that of the union translated by
@@ -215,7 +225,8 @@ def modulation_invariance_reference(n: int, union) -> float:
     the Frobenius norm of its imaginary part (about 1.9e-14 at n = 512)."""
     from mdprolate import sinc_kernel
     from mdprolate.verify import _safe_shift
-    [step] = _safe_shift(np.abs(union.centers) + union.half_widths)
+    [step] = _safe_shift(np.vstack([union.centers - union.half_widths,
+                                    union.centers + union.half_widths]))
 
     def values(shift):
         return np.linalg.eigvalsh(sum(

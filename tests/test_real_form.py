@@ -8,8 +8,9 @@ unitarily similar to a real symmetric form of the same size, and
 hand-built covariance).  The fill must be bit for bit the package's former
 matrix filler (``oracles.matrix_blocks``) on matrices and complex tables,
 and the fancy-indexed character sums of ``oracles.character_blocks`` on
-real tables.  A band set without a centre must be solved without ever
-gathering its matrix.
+real tables.  A real table's blocks hold only their lower triangles, the
+upper one being their partner's (``oracles.completed``).  A band set
+without a centre must be solved without ever gathering its matrix.
 """
 
 import numpy as np
@@ -65,11 +66,13 @@ def _from_table(cov):
 
 
 def _from_real_table(cov):
+    """The packed blocks, completed from their lower triangles."""
     dm = cov.demodulated
     orbits = _orbits(cov.dims, dm.symmetries)
-    return (_orbit_blocks(dm.table, orbits),
-            oracles.character_blocks(_gather(dm.table), orbits.images,
-                                     orbits.stab, orbits.keep))
+    ref = oracles.character_blocks(_gather(dm.table), orbits.images,
+                                   orbits.stab, orbits.keep)
+    return ([oracles.completed(got, expected)
+             for got, expected in zip(_orbit_blocks(dm.table, orbits), ref)], ref)
 
 
 # name -> () -> (blocks the package fills, the reference blocks)

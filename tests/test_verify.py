@@ -1,5 +1,6 @@
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mdprolate import (DenseCovariance, default_config, operator, parallelepiped,
@@ -157,6 +158,31 @@ def test_oned_verify_solves_twice(widths, monkeypatch):
     [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
     oracle = oracles.modulation_invariance_reference(96, union)
     assert oracle - 1e-13 <= row.value <= 1e-9
+
+
+def test_a_band_edge_at_nyquist_still_translates():
+    """A band reaching 1/2 leaves no room above, so the union moves down
+    and the translation row compares two different band sets."""
+    from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
+    union = CubicBandUnion.from_intervals([(-0.15, -0.05), (0.40, 0.50)])
+    edges = np.vstack([union.centers - union.half_widths,
+                       union.centers + union.half_widths])
+    assert edges.max() == 0.5
+    assert verify._safe_shift(edges) == (-0.02,)
+    rows = verify_config(BandConfig(grid=SamplingGrid((128,)), cubic=union))
+    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    assert row.passed
+    oracle = oracles.modulation_invariance_reference(128, union)
+    assert oracle - 1e-13 <= row.value <= 1e-9
+
+
+@pytest.mark.parametrize("corners, expected", [
+    ([[-0.5, 0.1], [0.2, 0.3]], (0.02, -0.02)),
+    ([[-0.2, -0.1], [0.3, 0.5]], (-0.02, -0.02)),
+    ([[-0.5, -0.5], [0.5, 0.45]], (0.0, 0.02)),
+], ids=["low-edge", "high-edge", "spanned-axis"])
+def test_safe_shift_moves_each_axis_toward_its_room(corners, expected):
+    assert verify._safe_shift(corners) == expected
 
 
 def test_corruption_hook_fails(corrupted_verify):
