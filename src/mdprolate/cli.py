@@ -161,13 +161,17 @@ def cmd_spectrum(args) -> int:
 def _dict_sizing(config: BandConfig, args) -> tuple[int, list[int]]:
     bands = config.cubic
     total = config.grid.size
-    measure = bands.measure()
-    limit = min(1.0, 1.0 / measure - 1.0)
-    if not 0.0 < args.eps < limit:
-        raise ConfigError(f"eps must be in (0, {limit:g}) for this band union")
     if args.p is not None:
         p = args.p
     else:
+        # p stays within the grid only for eps below this limit; q's rule
+        # needs eps < 1, which the parser's (0, 1/2) already keeps.
+        measure = bands.measure()
+        limit = 1.0 / measure - 1.0
+        if args.eps >= limit:
+            fits = f"eps must be in (0, {limit:g})" if limit > 0.0 else "no eps fits"
+            raise ConfigError(f"{fits} for this band union (measure {measure:g}); "
+                              "set the dictionary sizes with --p and --q")
         p = sum(int(np.ceil(total * bands.band(i).measure() * (1.0 + args.eps)))
                 for i in range(bands.num_bands))
     if args.q is not None:

@@ -57,9 +57,13 @@ GRAM_CHECK_MIN_SIZE = 128
 
 RANK_TOL = 1e-10
 
-# approx_mse draws and projects this many trials per pair of GEMMs, which
-# bounds its buffers at three (_TRIAL_BLOCK, M N)-sized complex arrays.
-_TRIAL_BLOCK = 128
+# approx_mse draws and projects this many trials per pair of GEMMs.  For P
+# samples its block-sized scratch is about six (_TRIAL_BLOCK, P) complex
+# arrays, 6144 P bytes: the weights, combine's block-order coefficients and
+# products, the unfold scratch, the signals and their projections (5.4 arrays
+# measured at 32 x 32).  From P = 768 up that is within the 8 P^2 bytes that
+# P real eigenvectors of length P take; below, it is under 4.7 MB.
+_TRIAL_BLOCK = 64
 
 # pseudo_eigen_residuals applies the operator to as many atoms at once as fit
 # in this many bytes of padded (2M - 1, 2N - 1) FFT buffer.  Larger batches
@@ -327,7 +331,6 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
                          f"{basis.dims}")
     tail = float(np.sum(sp.eigenvalues[basis.rank:]))
     q = basis.q
-    q_adj = q.conj().T
     # Signals are read as columns in vec order (first axis fastest), the
     # order of the basis rows; for a solved spectrum that is a view of
     # combine's output.
@@ -347,7 +350,10 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
         for i in range(b):
             w[i] = _weights(roots, seed + start + i)
         x = sp.combine(w[:b]).transpose(to_vec).reshape(b, -1).T
-        np.matmul(q, q_adj @ x, out=px[:, :b])
+        # q^H x as conj(q^T conj(x)): the conjugate goes through px, so no
+        # adjoint copy of the basis is made.
+        np.conjugate(x, out=px[:, :b])
+        np.matmul(q, np.conjugate(q.T @ px[:, :b]), out=px[:, :b])
         x -= px[:, :b]
         total += float(np.vdot(x, x).real)
     return ApproxReport(total / trials, tail)

@@ -179,7 +179,7 @@ def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @functools.cache
 def _tables():
-    """Lookup tables of :func:`_render`; byte strings are NUL-padded words.
+    """Lookup tables of :func:`_render_rows`; byte strings are NUL-padded words.
 
     ``floors[j]`` is the least double at or above 10^(j - 21), and
     ``powers[:, j]`` is 10^j as the sum of its nearest double and a rest,
@@ -298,11 +298,6 @@ def _chunks(values: np.ndarray, index: bool = False) -> Iterator[bytes]:
     for lo in range(0, n, step):
         rows = values[lo:lo + step]
         yield _render_rows(rows, range(lo, lo + len(rows)) if index else None)
-
-
-def _render(values: np.ndarray, index: bool = False) -> str:
-    """The whole CSV body of ``values``, as text; see :func:`_render_rows`."""
-    return b"".join(_chunks(values, index)).decode("ascii")
 
 
 def write_spectrum_csv(path, eigenvalues: np.ndarray) -> None:

@@ -55,6 +55,9 @@ __all__ = ["verify_config", "default_config", "max_workers"]
 
 THREADS_ENV = "MDPROLATE_THREADS"
 
+# How far eigenvalue_range_excess lets an eigenvalue lie outside [0, 1].
+_RANGE_TOL = 1e-10
+
 
 def max_workers() -> int:
     """Worker cap for parallel jobs, from MDPROLATE_THREADS (default 1: jobs
@@ -101,7 +104,8 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
     expected = cov.size * measure
     gap = cov.trace() - cov.frobenius_sq()
     rows = [row("trace_rel_err", abs(lam.sum() - expected) / expected, 1e-9),
-            row("eigenvalue_range_excess", max(-lam.min(), lam.max() - 1.0), 1e-10),
+            row("eigenvalue_range_excess", max(-lam.min(), lam.max() - 1.0),
+                _RANGE_TOL),
             row("gap_identity_abs_err",
                 abs(gap - float(np.sum(lam * (1.0 - lam)))), 1e-8)]
     if grid.dim <= 2:
@@ -134,7 +138,12 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
     sep = separable_eigenvalues(grid.dims[0], grid.dims[1], bands.band(0))
     dense_one = spectrum_values(materialize_cubic(
         OperatorSpec(grid=grid, bands=bands.band(0))))
-    limit = total - int(np.floor(total * bands.measure()))
+    # Each eigenvalue in [0.05, 0.95] adds at least 0.05 * 0.95 to sum lam (1
+    # - lam): the gap, to the identity row's 1e-8, plus at most t (1 + t) for
+    # each eigenvalue the range row lets lie within t of [0, 1].  So this row
+    # holds whenever those two do; an eigenvalue far outside fails it.
+    outside = total * _RANGE_TOL * (1.0 + _RANGE_TOL)
+    limit = (cov.trace() - cov.frobenius_sq() + 1e-8 + outside) / (0.05 * 0.95)
 
     q = [max(1, int(np.floor(total * bands.band(i).measure() * (1.0 - eps))))
          for i in range(bands.num_bands)]
@@ -143,7 +152,7 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
     return [
         ("apply_vs_dense_rel_err", worst, 1e-10),
         ("separable_vs_dense_max_err", np.max(np.abs(sep - dense_one)), 1e-9),
-        ("transition_count_at_0.05", transition_count(lam, 0.05), float(limit)),
+        ("transition_count_at_0.05", transition_count(lam, 0.05), limit),
         # Informational: fraction of the nominal count MN*measure found
         # above 0.95; approaches 1 as the grid grows but has no usable fixed
         # floor at small sizes.

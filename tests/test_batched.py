@@ -158,6 +158,20 @@ def test_approx_mse_parallelepiped_spec():
     assert _rel(rep.empirical_mean, ref_approx_mse(basis, spec, 150, 8, sp)) <= 1e-12
 
 
+def test_approx_loop_fits_in_the_eigenvector_bytes():
+    """The loop's block-sized scratch, at 129 trials more than one block,
+    stays within the 8 n^2 bytes of n real eigenvectors of length n."""
+    spec, sp, basis = _cubic_case((32, 32), README, 100)
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        approx_mse(basis, spec, 129, 4, spec_spectrum=sp)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - entry <= 8 * sp.size ** 2
+
+
 def test_approx_mse_rejects_mismatched_basis():
     spec, sp, _ = APPROX_CASES["readme-8x8"]()
     _, _, basis = APPROX_CASES["readme-5x7"]()

@@ -143,6 +143,25 @@ def test_dict_eps_above_measure_limit(tmp_path):
                  "--eps", "0.1"]) == 0
 
 
+FULL_BAND = {"dim": 2, "cubic": [{"center": [0.0, 0.0], "half_widths": [0.5, 0.5]}],
+             "grid": [8, 8]}
+
+
+def test_dict_with_both_sizes_reads_no_eps(tmp_path):
+    # No eps sizes p for a union of measure 1, but --p and --q need none.
+    out = tmp_path / "out"
+    assert main(["dict", "--config", write_config(tmp_path, FULL_BAND),
+                 "--out", str(out), "--p", "10", "--q", "10"]) == 0
+    assert json.loads((out / "phi" / "manifest.json").read_text())["atom_count"] == 10
+
+
+def test_dict_without_sizes_names_them_when_no_eps_fits(tmp_path, capsys):
+    assert main(["dict", "--config", write_config(tmp_path, FULL_BAND),
+                 "--out", str(tmp_path / "o"), "--q", "10"]) == 2
+    error = json.loads(capsys.readouterr().err.strip())["error"]
+    assert "no eps fits" in error and "--p" in error and "--q" in error
+
+
 def test_dict_sizing_exceeds_total(twod_config, tmp_path):
     assert main(["dict", "--config", twod_config, "--out", str(tmp_path / "o"),
                  "--p", "9999"]) == 2
@@ -185,6 +204,20 @@ def test_verify_one_dimensional_config(oned_config, tmp_path):
     rows = json.loads((out / "verify_report.json").read_text())
     assert {r["experiment"] for r in rows} == {"multiband1d"}
     assert all(r["passed"] for r in rows)
+
+
+def test_verify_passes_a_wide_centred_box(tmp_path):
+    # 34 of its 64 eigenvalues lie in [0.05, 0.95]: more than the 24 = 64 -
+    # floor(64 * 0.64) the transition row once allowed, fewer than the gap's
+    # bound.
+    cfg = write_config(tmp_path, {
+        "dim": 2, "cubic": [{"center": [0.0, 0.0], "half_widths": [0.4, 0.4]}],
+        "grid": [8, 8]})
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out", str(out), "--format", "json"]) == 0
+    row, = [r for r in json.loads((out / "verify_report.json").read_text())
+            if r["metric"] == "transition_count_at_0.05"]
+    assert row["value"] == 34 and row["passed"]
 
 
 def test_verify_corrupted_kernel(tmp_path, corrupted_verify):

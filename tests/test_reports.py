@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mdprolate import (CubicBandUnion, OperatorSpec, SamplingGrid, build_psi,
                        dpss, reports)
-from mdprolate.reports import (ReportRow, _render, export_dictionary,
+from mdprolate.reports import (ReportRow, _chunks, export_dictionary,
                                format_float, report_rows_csv, write_csv,
                                write_json, write_spectrum_csv,
                                write_eigenvectors_csv, write_text_atomic)
@@ -124,6 +124,11 @@ def per_cell(values, index=False):
                    for i, row in enumerate(np.asarray(values).tolist()))
 
 
+def render(values, index=False):
+    """The whole CSV body the streamed writers emit, as text."""
+    return b"".join(_chunks(values, index)).decode("ascii")
+
+
 def halfway_doubles():
     """Doubles whose exact decimal has 18 significant digits ending in 5, so
     rounding to 17 digits is a tie: ``m / 2^q`` with ``m * 5^q`` of 18
@@ -176,8 +181,8 @@ def test_halfway_doubles_are_ties():
 def test_render_hard_cases(index):
     for cols in (1, 7, HARD.size):
         values = HARD[: HARD.size // cols * cols].reshape(-1, cols)
-        assert _render(values, index) == per_cell(values, index)
-    assert _render(np.array([[1e-12, 1.0, 1e-4, 1e-5, -0.0]])) == (
+        assert render(values, index) == per_cell(values, index)
+    assert render(np.array([[1e-12, 1.0, 1e-4, 1e-5, -0.0]])) == (
         "9.9999999999999998e-13,1,0.0001,1.0000000000000001e-05,-0\n")
 
 
@@ -190,7 +195,7 @@ def test_render_hard_cases(index):
 def test_render_matches_per_cell_format(index, cells, cols):
     cols = min(cols, len(cells))
     values = np.array(cells[: len(cells) // cols * cols]).reshape(-1, cols)
-    assert _render(values, index) == per_cell(values, index)
+    assert render(values, index) == per_cell(values, index)
 
 
 def test_render_formats_most_cells_without_percent(monkeypatch):
@@ -202,12 +207,12 @@ def test_render_formats_most_cells_without_percent(monkeypatch):
     monkeypatch.setattr(reports, "_percent", lambda v: seen.append(v) or percent(v))
     rng = np.random.default_rng(3)
     values = rng.standard_normal((20, 64)) * 10.0 ** -np.arange(20)[:, None]
-    assert _render(values) == per_cell(values)
+    assert render(values) == per_cell(values)
     assert sum(v.size for v in seen) < 0.06 * values.size
     seen.clear()
     near = np.array([[p, np.nextafter(p, np.inf), np.nextafter(p, -np.inf)]
                      for p in POWERS[:20]])
-    assert _render(near) == per_cell(near)
+    assert render(near) == per_cell(near)
     assert sum(v.size for v in seen) <= 3
 
 
@@ -228,7 +233,7 @@ def test_render_matches_per_cell_format_on_random_bits():
     assert values.size >= 10 ** 5
     values = values[: values.size // 7 * 7].reshape(-1, 7)
     assert values.size > 10 * reports._CHUNK_CELLS
-    assert _render(values) == per_cell(values)
+    assert render(values) == per_cell(values)
 
 
 def test_render_matches_per_cell_format_next_to_powers_of_ten(monkeypatch):
@@ -244,7 +249,7 @@ def test_render_matches_per_cell_format_next_to_powers_of_ten(monkeypatch):
     values = np.array(near + [-v for v in near]).reshape(-1, 17)
     monkeypatch.setattr(reports, "_CHUNK_CELLS", 5 * 17)
     assert values.size > 9 * reports._CHUNK_CELLS
-    assert _render(values) == per_cell(values)
+    assert render(values) == per_cell(values)
 
 
 def test_dictionary_atoms_rarely_take_percent(monkeypatch, tmp_path):
@@ -288,7 +293,7 @@ def test_index_column_is_rendered_as_integers(monkeypatch, tmp_path):
     rows = (tmp_path / "v.csv").read_text().splitlines()[1:]
     assert [r.split(",")[0] for r in rows] == [str(i) for i in range(20)]
     assert not any(np.any(v == np.rint(v)) for v in seen if v.size)
-    assert _render(np.empty((3, 0)), index=True) == "0\n1\n2\n"
+    assert render(np.empty((3, 0)), index=True) == "0\n1\n2\n"
 
 
 @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")

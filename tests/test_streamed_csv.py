@@ -179,5 +179,5 @@ def test_the_renderer_is_called_only_by_the_chunked_streamer():
             isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id == name))
     assert [ref.split(":")[0] for ref in calls("_render_rows")] == ["_chunks"]
-    # The whole-body text form is for tests only.
+    # No whole-body text form is left for a writer to call.
     assert calls("_render") == []

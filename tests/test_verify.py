@@ -185,6 +185,34 @@ def test_safe_shift_moves_each_axis_toward_its_room(corners, expected):
     assert verify._safe_shift(corners) == expected
 
 
+def _random_union(rng):
+    """One to three 2-D boxes inside the Nyquist square, redrawn until they do not
+    overlap; each half-width is in [0.1, 0.5) over the box count, so wide
+    unions are common."""
+    from mdprolate import BandError, CubicBandUnion
+    while True:
+        count = rng.integers(1, 4)
+        half = rng.uniform(0.1, 0.5, (count, 2)) / count
+        try:
+            return CubicBandUnion(rng.uniform(half - 0.5, 0.5 - half), half)
+        except BandError:
+            continue
+
+
+def test_every_row_passes_on_random_2d_unions():
+    """Correct operators pass every row, the transition bound included:
+    wide 2-D unions on small grids used to count more eigenvalues in [0.05,
+    0.95] than the nominal near-zero count the row allowed.  (1-D and 3-D
+    operators have no transition row.)"""
+    from mdprolate import BandConfig, SamplingGrid
+    rng = np.random.default_rng(2)
+    for _ in range(40):
+        config = BandConfig(grid=SamplingGrid(tuple(rng.integers(4, 13, size=2))),
+                            cubic=_random_union(rng))
+        failed = [r.metric for r in verify_config(config) if not r.passed]
+        assert failed == [], (config, failed)
+
+
 def test_corruption_hook_fails(corrupted_verify):
     rows = verify_config(default_config())
     assert any(not r.passed for r in rows)
