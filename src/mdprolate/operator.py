@@ -270,13 +270,17 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
 
 
 def _decompose(cov: DenseCovariance, vectors: bool):
-    """``_eigh`` of the demodulated table when there is one, else of the
-    table as it is (it needs only the size then); a hand-built covariance
-    is solved from its matrix."""
+    """``_eigh`` of :func:`_solved` (it needs only the size then); a
+    hand-built covariance is solved from its matrix."""
     if cov.table is None:
         return _eigh(cov.matrix, vectors, None, cov.dims)
-    table = cov.demodulated or _Demodulated(None, cov.table, ())
-    return _eigh(cov.size, vectors, table, cov.dims)
+    return _eigh(cov.size, vectors, _solved(cov), cov.dims)
+
+
+def _solved(cov: DenseCovariance) -> _Demodulated:
+    """The table a table-backed covariance is decomposed from: the
+    demodulated one when there is one, else the table as it is."""
+    return cov.demodulated or _Demodulated(None, cov.table, ())
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

@@ -21,9 +21,9 @@ A complex table (a band set without a centre) or matrix gives one real
 block of size n, or an even and an odd block when its coupling is exactly
 zero, each written in full; the kernels below are gathered only for
 callers that ask for a matrix, and input without that structure takes the
-dense complex solve.  The translation cross-check uses the same filler: it
-recentres a complex table by the centre phase, difference by difference
-(:func:`_recentred`), and solves the even and odd blocks of the real part.
+dense complex solve.  The translation cross-check solves nothing: it
+recentres a complex table by a centre phase, difference by difference
+(:func:`_recentred`), and compares it with the table that was solved.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a

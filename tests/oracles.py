@@ -220,9 +220,11 @@ def modulation_invariance_reference(n: int, union) -> float:
     union's spectrum from that of the union translated by
     ``verify._safe_shift``, each summed from hand-built ``sinc_kernel``s
     and solved by a complex ``eigvalsh`` of size n.  Kept as the reference
-    the row bounds from above: it recentres the translated union's table
-    to its centre and solves the two half blocks of its real part, plus
-    the Frobenius norm of its imaginary part (about 1.9e-14 at n = 512)."""
+    the row bounds from above: the row solves nothing, and is the
+    Frobenius norm of the translated union's table, recentred by the step
+    and the solved table's centre, less the solved table, which bounds
+    the 2-norm of the two spectra's difference (about 2.7e-14 at
+    n = 512)."""
     from mdprolate import sinc_kernel
     from mdprolate.verify import _safe_shift
     [step] = _safe_shift(np.vstack([union.centers - union.half_widths,

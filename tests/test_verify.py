@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mdprolate import (DenseCovariance, default_config, operator, parallelepiped,
-                       prolate, verify, verify_config)
+from mdprolate import (DenseCovariance, default_config, operator, prolate,
+                       verify, verify_config)
 from mdprolate.verify import THREADS_ENV, max_workers
 
 import oracles
@@ -137,9 +137,9 @@ def test_oned_translation_row_matches_hand_built_kernels(n):
 
 @pytest.mark.parametrize("widths", [[0.05, 0.05], [0.05, 0.04]],
                          ids=["equal-widths", "unequal-widths"])
-def test_oned_verify_solves_twice(widths, monkeypatch):
-    """The union is solved once for the shared block and once translated
-    for the translation row, whatever its band widths; the row still
+def test_oned_verify_solves_once(widths, monkeypatch):
+    """The union is solved once, for the shared block, whatever its band
+    widths: the translation row is a table certificate, which still
     bounds the hand-built kernels' deviation from above."""
     from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
     union = CubicBandUnion(centers=[[-0.10], [0.20]],
@@ -151,10 +151,10 @@ def test_oned_verify_solves_twice(widths, monkeypatch):
         calls.append(args[0])
         return eigh(*args, **kwargs)
 
-    for module in (prolate, operator, parallelepiped):
+    for module in (prolate, operator):
         monkeypatch.setattr(module, "_eigh", counting)
     rows = verify_config(BandConfig(grid=SamplingGrid((96,)), cubic=union))
-    assert calls == [96, 96]
+    assert calls == [96]
     [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
     oracle = oracles.modulation_invariance_reference(96, union)
     assert oracle - 1e-13 <= row.value <= 1e-9
