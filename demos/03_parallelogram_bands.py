@@ -30,4 +30,5 @@ print(f"transition at 0.05 : {transition_count(lam, 0.05)}")
 shifted = PPOperatorSpec(grid=SamplingGrid((M, N)),
                          bands=(band.shifted((0.1, -0.05)),))
 dev = pp_center_invariance(spec, shifted)
-print(f"\nband moved by (0.1, -0.05): max eigenvalue deviation {dev:.2e}")
+print(f"\nband moved by (0.1, -0.05): Hoffman-Wielandt bound on the 2-norm "
+      f"distance of the spectra {dev:.2e}")

@@ -206,8 +206,7 @@ def cmd_dict(args) -> int:
         raise ConfigError(f"dict requires a 2-D grid, got {config.grid.dim}-D")
     p, q = _dict_sizing(config, args)
     spec = OperatorSpec(grid=config.grid, bands=config.cubic)
-    sp = spectrum(materialize_cubic(spec))
-    phi = dct.build_phi(spec, p, spec_spectrum=sp)
+    phi = dct.build_phi(spec, p)
     psi = dct.build_psi(spec, q)
     export_dictionary(phi, args.out / "phi")
     export_dictionary(psi, args.out / "psi")

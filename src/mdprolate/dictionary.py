@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .operator import (OperatorSpec, SpectrumND, VerificationError,
+from .operator import (OperatorSpec, SpectrumND, VerificationError, _decompose,
                        _dpss_products, ivec, materialize_cubic, spectrum, vec)
 from .parallelepiped import _materialize
 from .prolate import _apply, _boxes, _table, dpss
@@ -121,16 +121,24 @@ def build_phi(spec: OperatorSpec, p: int, *,
     eigenvalue (stable order among ties).
 
     Pass ``spec_spectrum`` to reuse an existing decomposition; only its
-    first p eigen-tensors are written (``SpectrumND.leading``).
+    first p eigen-tensors are written (``SpectrumND.leading``).  Without
+    it the operator is solved for those p alone: each symmetry block keeps
+    only the eigenvectors the first p need, cut right after it is solved
+    (``prolate._eigh``'s ``leading``), so the next block is solved beside
+    them and not beside all of them.  The atoms are bitwise those read
+    from a full :func:`spectrum`.
     """
     total = spec.grid.size
     if not 0 <= p <= total:
         raise ValueError(f"p = {p} outside [0, {total}]")
-    sp = spec_spectrum or spectrum(materialize_cubic(spec))
-    tensors = sp.leading(p)
+    if spec_spectrum is None:
+        eigenvalues, vectors = _decompose(materialize_cubic(spec), True, leading=p)
+        tensors = vectors.tensors(p)
+    else:
+        eigenvalues, tensors = spec_spectrum.eigenvalues, spec_spectrum.leading(p)
     atoms = tuple(
         Atom(tensor=tensors[k], source="phi",
-             eigenvalue=float(sp.eigenvalues[k]), rank=k)
+             eigenvalue=float(eigenvalues[k]), rank=k)
         for k in range(p))
     return Dictionary(atoms=atoms, grid=spec.grid, bands=spec.bands, source="phi")
 

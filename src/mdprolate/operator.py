@@ -174,7 +174,9 @@ class SpectrumND:
     then written from them on first access and cached, one C-contiguous
     ``(P, *dims)`` array; :meth:`leading` writes only the first few, and
     :meth:`combine` forms linear combinations without any eigen-tensor.
-    A spectrum built from ``tensors`` directly reads them in both.
+    A spectrum built from ``tensors`` directly reads them in both.  Every
+    spectrum holds all its eigenvectors: only ``build_phi``, which reads
+    the leading p, solves for those alone, and it makes no spectrum.
     """
 
     def __init__(self, eigenvalues: np.ndarray, tensors: np.ndarray | None = None,
@@ -269,12 +271,13 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
     return _decompose(cov, False)[0]
 
 
-def _decompose(cov: DenseCovariance, vectors: bool):
+def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None):
     """``_eigh`` of :func:`_solved` (it needs only the size then); a
-    hand-built covariance is solved from its matrix."""
+    hand-built covariance is solved from its matrix.  ``leading`` keeps only
+    the eigenvectors the first ``leading`` eigen-tensors need."""
     if cov.table is None:
-        return _eigh(cov.matrix, vectors, None, cov.dims)
-    return _eigh(cov.size, vectors, _solved(cov), cov.dims)
+        return _eigh(cov.matrix, vectors, None, cov.dims, leading)
+    return _eigh(cov.size, vectors, _solved(cov), cov.dims, leading)
 
 
 def _solved(cov: DenseCovariance) -> _Demodulated:

@@ -708,7 +708,7 @@ _ASSEMBLY_CHUNK = 1 << 17
 
 
 def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
-          dims: tuple[int, ...] | None = None):
+          dims: tuple[int, ...] | None = None, leading: int | None = None):
     """Descending eigenvalues of a Hermitian matrix and, when ``vectors``,
     its phase-fixed eigenvectors as an :class:`_Eigenvectors`; the one
     place the package calls a dense eigensolver.
@@ -736,6 +736,17 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     descending order, the centre phase and each vector's pivot factor, and
     ``dims`` (default ``(n,)``) fixes the eigen-tensor shape they are read
     out in.
+
+    With ``leading`` (a count p), only the leading p eigenvectors are
+    wanted.  Right after each block is solved, and before the next one is,
+    its eigenvectors are cut to the columns whose eigenvalue is at least
+    the block's min(p, m)-th largest, m its size (:func:`_leading_columns`;
+    an exact tie at the cut is kept whole), so the next solve runs beside
+    p columns of each block solved before it instead of all of them.  Each
+    of the global first p is among its block's first p, so every one is
+    kept.  All eigenvalues are kept, and the same blocks are solved by the
+    same calls, so the first p eigen-tensors are bitwise those of a full
+    solve; only they can be read (:class:`_Eigenvectors`).
     """
     n = a if demodulated is not None else a.shape[0]
     dims = (n,) if dims is None else tuple(dims)
@@ -754,7 +765,9 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
         # UPLO="L" is what the packed blocks rely on: their upper triangles
         # belong to their partners.
         if vectors:
-            parts = [np.linalg.eigh(b, UPLO="L") for b in blocks]
+            # The full eigenvectors are dropped as soon as they are cut.
+            parts = [_leading_columns(np.linalg.eigh(b, UPLO="L"), leading)
+                     for b in blocks]
         else:
             parts = [(np.linalg.eigvalsh(b, UPLO="L"), None) for b in blocks]
     except np.linalg.LinAlgError as exc:
@@ -765,8 +778,30 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     order = np.argsort(-vals, kind="stable")
     if not vectors:
         return vals[order], None
-    return vals[order], _Eigenvectors([w for _, w in parts], order, dims, phase,
-                                      orbits)
+    kept = n if leading is None else min(leading, n)
+    return vals[order], _Eigenvectors(
+        [w for _, w in parts], order, dims, phase, orbits,
+        [vals.size - w.shape[1] for vals, w in parts], kept)
+
+
+def _leading_columns(solved, count: int | None):
+    """A block's eigenvalues (ascending, as the solver returns them) and
+    eigenvectors ``solved``, the eigenvectors cut to the columns whose
+    eigenvalue is at least the ``count``-th largest, so an exact tie at the
+    cut is kept whole (None keeps all).  The cut is a copy, so the full
+    array can be freed."""
+    vals, w = solved
+    if count is None:
+        return vals, w
+    m = vals.size
+    lo = m if count <= 0 else int(np.searchsorted(vals, vals[max(m - count, 0)]))
+    return vals, w if lo == 0 else w[:, lo:].copy()
+
+
+def _columns(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Columns ``idx`` of w as rows, gathered along w's rows: ``w.T[idx]``
+    would stride down each column, a cache line per entry."""
+    return np.take(w, idx, axis=1).T
 
 
 class _Eigenvectors:
@@ -785,14 +820,24 @@ class _Eigenvectors:
     back only as far as they need: :meth:`tensors` writes eigen-tensors,
     :meth:`combine` forms linear combinations of them with block-size real
     products.
+
+    A solve for the leading ``kept`` vectors only (``_eigh``'s
+    ``leading``) keeps each block without its first ``dropped[b]``
+    columns, those of its lowest eigenvalues, and the column indices are
+    mapped through that.  It reads out ``tensors(count)`` and the pivots
+    for ``count <= kept`` only: :meth:`combine` and a full
+    :meth:`tensors` raise on it.
     """
 
     def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
                  dims: tuple[int, ...], phase: np.ndarray | None,
-                 orbits: _Orbits | None = None):
+                 orbits: _Orbits | None = None, dropped: list[int] | None = None,
+                 kept: int | None = None):
         self.blocks, self.order = blocks, order
         self.dims, self.phase, self.orbits = dims, phase, orbits
         self.n = order.size
+        self.dropped = dropped or [0] * len(blocks)
+        self.kept = self.n if kept is None else kept
         self.reduced = orbits is not None
         # Where the rows of each character start in the concatenated blocks.
         self.starts = np.cumsum([0] + ([k.size for k in orbits.keep] if self.reduced
@@ -806,6 +851,13 @@ class _Eigenvectors:
                             for k in orbits.keep]
             self.free_targets = [_span(img[:orbits.free]) for img in orbits.images]
             self.weight = 1.0 / np.sqrt(len(orbits.chars) / orbits.stab)
+            # Each kept orbit's column among the representatives in ascending
+            # vec order, and the centre phase there, for :meth:`_scale`.
+            by_rep = np.argsort(orbits.images[0])
+            rank = np.empty_like(by_rep)
+            rank[by_rep] = np.arange(by_rep.size)
+            self.rep_cols = [_span(rank[k]) for k in orbits.keep]
+            self.rep_phase = None if phase is None else phase[orbits.images[0, by_rep]]
         self.scale = np.empty(0)
         self.inverse = np.empty_like(order)
         self.inverse[order] = np.arange(self.n)
@@ -817,10 +869,56 @@ class _Eigenvectors:
 
     def pivots(self, count: int) -> np.ndarray:
         """Pivot factors of the first ``count`` eigenvectors, each computed once."""
+        if count > self.kept:
+            raise ValueError(f"only the leading {self.kept} of {self.n} "
+                             f"eigenvectors were kept, {count} asked for")
         self.scale = np.concatenate([self.scale] + [
-            _pivot_scale(self._rows(sel), self.phase)
-            for sel in self._chunks(count, self.scale.size)])
+            self._scale(sel) for sel in self._chunks(count, self.scale.size)])
         return self.scale[:count]
+
+    def _scale(self, sel: np.ndarray) -> np.ndarray:
+        """``_pivot_scale(self._rows(sel), self.phase)``, bitwise, read on a
+        reduced route from the orbit representatives alone.
+
+        The entries of one orbit have exactly equal magnitude, and its
+        representative is its smallest vec index.  So over the
+        representatives in ascending vec order, the first entry of largest
+        magnitude is the representative of the row's pivot, and the pivot's
+        value is the one there.
+        """
+        if not self.reduced:
+            return _pivot_scale(self._rows(sel), self.phase)
+        width, keep = self.orbits.images.shape[1], self.orbits.keep
+        if self.coupled:
+            reps = np.zeros((sel.size, width), dtype=complex)
+            for c, _, u in self._parts(sel):
+                dest = reps.imag if c else reps.real
+                dest[:, self.rep_cols[c]] = u * self.weight[keep[c]]
+            return _pivot_scale(reps, self.rep_phase)
+        # Each vector is in one block, so each block's are read on their own.
+        scale = np.empty(sel.size, dtype=float if self.phase is None else complex)
+        for c, pick, u in self._parts(sel):
+            reps = np.zeros((pick.size, width))
+            reps[:, self.rep_cols[c]] = u * self.weight[keep[c]]
+            scale[pick] = _pivot_scale(reps, self.rep_phase)
+        return scale
+
+    def _parts(self, sel: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
+        """Eigenvectors ``sel`` (indices into the concatenated block
+        spectra) of a reduced route, as ``(c, pick, u)``: rows u of
+        coefficients over character c's kept orbits, of the vectors
+        ``sel[pick]``.  A coupled R gives both characters' parts of every
+        vector, its even and its odd rows."""
+        if self.coupled:
+            u = _columns(self.blocks[0], sel - self.dropped[0])
+            every = np.arange(sel.size)
+            return [(c, every, u[:, lo:hi]) for c, (lo, hi)
+                    in enumerate(zip(self.starts, self.starts[1:]))]
+        which = np.searchsorted(self.starts, sel, side="right") - 1
+        picks = [np.flatnonzero(which == c) for c in range(len(self.blocks))]
+        return [(c, pick, _columns(w, sel[pick] - lo - skip))
+                for c, (pick, w, lo, skip)
+                in enumerate(zip(picks, self.blocks, self.starts, self.dropped))]
 
     def _rows(self, sel: np.ndarray) -> np.ndarray:
         """Eigenvectors ``sel`` (indices into the concatenated block
@@ -835,19 +933,11 @@ class _Eigenvectors:
         block's eigenvectors are the rows themselves.
         """
         if not self.reduced:
-            return self.blocks[0].T[sel]
-        orbits, ws = self.orbits, self.blocks
-        if self.coupled:
-            rows = np.zeros((sel.size, self.n), dtype=complex)
-            parts = [(np.arange(sel.size), ws[0].T[sel, lo:hi], dest) for lo, hi, dest
-                     in zip(self.starts, self.starts[1:], (rows.real, rows.imag))]
-        else:
-            rows = np.zeros((sel.size, self.n))
-            which = np.searchsorted(self.starts, sel, side="right") - 1
-            picks = [np.flatnonzero(which == c) for c in range(len(ws))]
-            parts = [(pick, w.T[sel[pick] - lo], rows)
-                     for pick, w, lo in zip(picks, ws, self.starts)]
-        for c, (pick, u, dest) in enumerate(parts):
+            return _columns(self.blocks[0], sel - self.dropped[0])
+        orbits = self.orbits
+        rows = np.zeros((sel.size, self.n), dtype=complex if self.coupled else float)
+        for c, pick, u in self._parts(sel):
+            dest = rows.imag if c and self.coupled else rows.real
             vals = u * self.weight[orbits.keep[c]]
             for target, sign in zip(self.targets[c], orbits.chars[c]):
                 at = ((pick, target) if isinstance(target, slice)
@@ -860,13 +950,13 @@ class _Eigenvectors:
         one C-contiguous ``(count, *dims)`` array, written a chunk at a
         time straight from the blocks."""
         count = self.n if count is None else count
+        scales = self.pivots(count)
         complex_out = self.reduced or np.iscomplexobj(self.blocks[0])
         out = np.empty((count,) + self.dims, dtype=complex if complex_out else float)
         # Through this transposed view a vec-order vector, reshaped in C order
         # to the reversed dims, lands in its tensor without an index map.
         dest = out.transpose((0,) + tuple(range(len(self.dims), 0, -1)))
         shape = self.dims[::-1]
-        scales = self.pivots(count)
         lo = 0
         for sel in self._chunks(count):
             rows = self._rows(sel)

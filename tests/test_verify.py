@@ -34,7 +34,7 @@ def _readme_config(dims):
 @pytest.mark.parametrize("case", ["readme-32x32", "default"])
 def test_no_row_gathers_a_matrix(case, monkeypatch):
     """The dense reference is formed a band of rows at a time and the
-    translation check fills its half blocks straight from the table."""
+    translation check compares tables, so no row gathers a matrix."""
     def refuse(*args):
         raise AssertionError("verify gathered a dense matrix")
 
