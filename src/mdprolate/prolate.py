@@ -14,14 +14,15 @@ unitarily similar to a real symmetric form of the same size (Cantoni &
 Butler 1976).  One filler, :func:`_orbit_blocks`, writes that form for
 :func:`_eigh`, the one solver entry point, from whatever holds the
 operator: its difference table, or a matrix built by hand.  The solver
-reads only the lower triangle of each block, so a real table's blocks are
-written as lower triangles alone, two to one rectangular array, as the
-Rectangular Full Packed format stores a triangle (Gustavson et al. 2010).
-A complex table (a band set without a centre) or matrix gives one real
-block of size n, or an even and an odd block when its coupling is exactly
-zero, each written in full; the kernels below are gathered only for
-callers that ask for a matrix, and input without that structure takes the
-dense complex solve.  The translation cross-check solves nothing: it
+reads only the lower triangle of each block, so every block is written as
+its lower triangle alone, on one schedule of bands of rows.  A real
+table's blocks share rectangular arrays two to one, as the Rectangular
+Full Packed format stores a triangle (Gustavson et al. 2010).  A complex
+table (a band set without a centre) or an exactly Hermitian matrix gives
+one real block of size n, or an even and an odd block when its coupling
+is exactly zero; the kernels below are gathered only for callers that ask
+for a matrix, and input without that structure takes the dense complex
+solve.  The translation cross-check solves nothing: it
 recentres a complex table by a centre phase, difference by difference
 (:func:`_recentred`), and compares it with the table that was solved.
 
@@ -562,15 +563,13 @@ def _character_sums(parts, outs, diagonal: int | None = None):
     return outs
 
 
-def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool, lower: bool):
+def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
     """The entries ``A[i, e j]`` of the matrix A of ``source`` that
     :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]`` the
     entries for element e of G: first (``rows`` None) for every orbit i
     against the orbits j with a nontrivial stabiliser, then for each band
-    ``rows`` of free orbits i against the free orbits j, about 16 Ki entries
-    per element.  With ``lower`` a band reads only the orbits ``j <
-    rows.stop``, at most 8 Ki entries per element (or one row): about as
-    many bands as full rows of 16 Ki entries would take.
+    ``rows`` of free orbits i against the free orbits ``j < rows.stop``, at
+    most 8 Ki entries per element (or one row).
 
     A table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]`` with
     ``o_i`` the table offset of sample i's coordinates and ``z`` that of the
@@ -581,25 +580,21 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool, lower: bool)
     the 1-D kernels return.
     """
     images, free = orbits.images, orbits.free
-    if lower:
-        # The most rows r from lo with r (lo + r) <= 8 Ki, at least one.
-        bands, lo = [], 0
-        while lo < free:
-            hi = min(free, lo + max(1, (math.isqrt(lo * lo + 32768) - lo) // 2))
-            bands.append(slice(lo, hi))
-            lo = hi
-    else:
-        step = max(1, 16384 // max(free, 1))
-        bands = [slice(lo, min(lo + step, free)) for lo in range(0, free, step)]
-    shapes = [(rows.stop - rows.start, rows.stop if lower else free) for rows in bands]
+    # The most rows r from lo with r (lo + r) <= 8 Ki, at least one.
+    bands, lo = [], 0
+    while lo < free:
+        hi = min(free, lo + max(1, (math.isqrt(lo * lo + 32768) - lo) // 2))
+        bands.append(slice(lo, hi))
+        lo = hi
+    shapes = [(rows.stop - rows.start, rows.stop) for rows in bands]
     tail = images.shape[1] > free
     if matrix:
         def read(rows, cols):
             return [source[_span(images[0, rows]), _span(img[cols])] for img in images]
         if tail:
             yield None, read(slice(None), slice(free, None))
-        for rows, shape in zip(bands, shapes):
-            yield rows, read(rows, slice(None, shape[1]))
+        for rows in bands:
+            yield rows, read(rows, slice(rows.stop))
         return
     dims = tuple((s + 1) // 2 for s in source.shape)
     flat = source.ravel()
@@ -625,11 +620,11 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool, lower: bool)
 
 def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
                   matrix: bool = False) -> list[np.ndarray]:
-    """The real form of the matrix A of a table invariant under G, or of a
-    centro-Hermitian matrix (``matrix``, G = {1, J}): one real block per
-    character of G, or for complex input with a nonzero coupling one block
-    R of A's size.  Read by :func:`_orbit_parts`, so no n x n array but the
-    output is allocated.
+    """The real form of the matrix A of a table invariant under G, or of an
+    exactly Hermitian, centro-Hermitian matrix (``matrix``, G = {1, J}):
+    one real block per character of G, or for complex input with a nonzero
+    coupling one block R of A's size.  Read by :func:`_orbit_parts`, so no
+    n x n array but the output is allocated.
 
     For real input, block c over the orbits with representatives i and j is
     ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the stabiliser
@@ -639,46 +634,48 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
     with the middle row ``sqrt 2 A[k, :k]`` and corner ``A[k, k]`` for odd
     n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
 
-    Real input gives only each block's lower triangle, diagonal included,
-    which is all the solver reads (``UPLO="L"``): the blocks of characters
-    2p and 2p + 1, of sizes a and b, share one ``(m + 1) x m`` array ``buf``,
-    m the larger size, as the views ``buf[1:a + 1, :a]`` (strictly below
-    its diagonal) and ``buf[:b, :b]`` turned a half turn (on and above it),
-    so each block's upper triangle holds its partner's entries.  Both
-    blocks' rows are rows of ``buf``, so a band of rows is written
-    contiguously; in a transposed view it would stride down ``buf``'s
-    columns.  |G| is a power of two, so the blocks always pair.  The free
-    orbits' bands read only the columns up to their last row, and each
-    write stops at the diagonal (:func:`_write`): an entry above it would
-    land in the partner.
-
     Complex input has G = {1, J} and ``R = Q^H A Q`` with ``Q = [[I, iI], [J,
     -iJ]] / sqrt 2`` (plus the middle unit vector when n is odd): the even
-    and odd blocks of the real parts, coupled through ``Im(A12 J) -
-    Im(A11)`` and, for odd n, the middle column ``sqrt 2 Im A[:k, k]``.  R
-    is written in full.  When that coupling is exactly zero the two blocks
-    are returned instead, each in full.
+    and odd blocks of the real parts, and below them their coupling ``low[j,
+    i] = Im A[i, J j] - Im A[i, j]`` (odd row j, even column i) with, for
+    odd n, the middle column ``sqrt 2 Im A[:k, k]``.  When the coupling is
+    exactly zero the two blocks are returned instead.
+
+    Every block holds only its lower triangle, diagonal included, which is
+    all the solver reads (``UPLO="L"``).  A band of free rows i reads
+    ``A[i, e j]`` only for ``j < rows.stop``, and each write stops at the
+    diagonal (:func:`_write`).  A real table's blocks of characters 2p and
+    2p + 1, of sizes a and b, share one ``(m + 1) x m`` array ``buf``, m the
+    larger size, as the views ``buf[1:a + 1, :a]`` (strictly below its
+    diagonal) and ``buf[:b, :b]`` turned a half turn (on and above it), so
+    each block's upper triangle holds its partner's entries, and a band of
+    rows is written along ``buf``'s rows.  |G| is a power of two, so the
+    blocks always pair.  R's coupling past a band's rows comes from the same
+    reads by exact Hermitian symmetry: ``A[j, i] = conj A[i, j]`` and
+    ``A[j, J i] = conj A[J j, i] = A[i, J j]``, so ``low[i, j] = Im A[i, J
+    j] + Im A[i, j]``.  Each band writes that into its rows of ``low``,
+    then the difference into its columns over it, so its own square keeps
+    the difference, with its sign of zero.
     """
     free, count = orbits.free, orbits.images.shape[1]
-    lower = not np.iscomplexobj(source)
-    if lower:
+    coupled = np.iscomplexobj(source)
+    if coupled:
+        r = np.empty((count + free,) * 2)
+        blocks, low = [r[:count, :count], r[count:, count:]], r[count:, :count]
+    else:
         blocks, sizes = [], [k.size for k in orbits.keep]
         for a, b in zip(sizes[::2], sizes[1::2]):
             buf = np.empty((max(a, b) + 1, max(a, b)))
             blocks += [buf[1:a + 1, :a], buf[b - 1::-1, b - 1::-1]]
-    else:
-        r = np.empty((count + free,) * 2)
-        blocks = [r[:count, :count], r[count:, count:]]
-    for rows, parts in _orbit_parts(source, orbits, matrix, lower):
+    for rows, parts in _orbit_parts(source, orbits, matrix):
         real = [p.real for p in parts]
         if rows is not None:
-            width = real[0].shape[1]
-            _character_sums(real, [b[rows, :width] for b in blocks],
-                            rows.start if lower else None)
-            if not lower:
+            _character_sums(real, [b[rows, :rows.stop] for b in blocks], rows.start)
+            if coupled:
+                np.add(parts[1].imag, parts[0].imag, out=low[rows, :rows.stop])
                 # Written as this difference, not as -Im(p0 - p1), which
                 # has the same values but the other sign of zero.
-                np.subtract(parts[1].imag, parts[0].imag, out=r[rows, count:])
+                np.subtract(parts[1].imag, parts[0].imag, out=low[:rows.stop, rows].T)
             continue
         # The rows of the orbits with a nontrivial stabiliser, read from the
         # columns they are the transpose of.
@@ -688,18 +685,12 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
             weight = np.sqrt(1.0 / np.multiply.outer(orbits.stab[tail],
                                                      orbits.stab[keep]))
             _write(np.multiply, total.T[np.ix_(tail - free, keep)], weight,
-                   block[free:], free if lower else None)
-            if not lower:
-                block[:free, free:] = block[free:, :free].T
-        if not lower:
-            np.multiply(np.sqrt(2.0), parts[0].imag[:free], out=r[count:, free:count])
-            r[free:count, count:] = r[count:, free:count].T
-    if lower:
-        return blocks
-    if not r[:count, count:].any():
+                   block[free:], free)
+        if coupled:
+            np.multiply(np.sqrt(2.0), parts[0].imag[:free], out=low[:, free:])
+    if coupled and not low.any():
         return [b.copy() for b in blocks]
-    r[count:, :count] = r[:count, count:].T
-    return [r]
+    return [r] if coupled else blocks
 
 
 # Pivots are found and eigen-tensors assembled this many entries at a time,
@@ -717,13 +708,12 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     (``a`` is then only the size n), else from the matrix ``a``.  Either is
     reduced to its real form by :func:`_orbit_blocks` and solved in
     float64: a table by the group G that J and its axis symmetries generate,
-    one block per character, and a complex matrix with ``J a J ==
-    conj(a)`` by G = {1, J}.  A complex table (no centre) and such a matrix
-    give one real block R of the same size, or the even and odd blocks when
-    R's coupling is exactly zero.  Real matrices and complex ones without
-    that structure go to the solver unchanged.  The solver reads only each
-    block's lower triangle: a real table's blocks hold nothing else, their
-    upper triangles being their partners' (:func:`_orbit_blocks`).
+    one block per character, and an exactly Hermitian complex matrix with
+    ``J a J == conj(a)`` by G = {1, J}.  A complex table (no centre) and
+    such a matrix give one real block R of the same size, or the even and
+    odd blocks when R's coupling is exactly zero.  Any other matrix goes to
+    the solver unchanged.  Every route reads only the lower triangle of
+    what it solves, which is all :func:`_orbit_blocks` writes.
 
     A real table is the operator shifted to the centre of its
     point-symmetric band set, and its eigenvectors are multiplied by the
@@ -756,14 +746,14 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
         blocks = _orbit_blocks(demodulated.table, orbits)
         if vectors and demodulated.center is not None:
             phase = _phase(dims, demodulated.center)
-    elif np.iscomplexobj(a) and _centro_hermitian(a):
+    elif np.iscomplexobj(a) and _hermitian_exactly(a) and _centro_hermitian(a):
         orbits = _orbits(dims, ())
         blocks = _orbit_blocks(a, orbits, matrix=True)
     else:
         blocks = [a]
     try:
-        # UPLO="L" is what the packed blocks rely on: their upper triangles
-        # belong to their partners.
+        # UPLO="L" is what the real forms rely on: their upper triangles are
+        # their partners' or never written.
         if vectors:
             # The full eigenvectors are dropped as soon as they are cut.
             parts = [_leading_columns(np.linalg.eigh(b, UPLO="L"), leading)
@@ -796,6 +786,11 @@ def _leading_columns(solved, count: int | None):
     m = vals.size
     lo = m if count <= 0 else int(np.searchsorted(vals, vals[max(m - count, 0)]))
     return vals, w if lo == 0 else w[:, lo:].copy()
+
+
+def _at(rows: np.ndarray, cols):
+    """The index of the entries at ``rows`` x ``cols`` (a slice or indices)."""
+    return (rows, cols) if isinstance(cols, slice) else np.ix_(rows, cols)
 
 
 def _columns(w: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -888,20 +883,12 @@ class _Eigenvectors:
         """
         if not self.reduced:
             return _pivot_scale(self._rows(sel), self.phase)
-        width, keep = self.orbits.images.shape[1], self.orbits.keep
-        if self.coupled:
-            reps = np.zeros((sel.size, width), dtype=complex)
-            for c, _, u in self._parts(sel):
-                dest = reps.imag if c else reps.real
-                dest[:, self.rep_cols[c]] = u * self.weight[keep[c]]
-            return _pivot_scale(reps, self.rep_phase)
-        # Each vector is in one block, so each block's are read on their own.
-        scale = np.empty(sel.size, dtype=float if self.phase is None else complex)
+        reps = np.zeros((sel.size, self.orbits.images.shape[1]),
+                        dtype=complex if self.coupled else float)
         for c, pick, u in self._parts(sel):
-            reps = np.zeros((pick.size, width))
-            reps[:, self.rep_cols[c]] = u * self.weight[keep[c]]
-            scale[pick] = _pivot_scale(reps, self.rep_phase)
-        return scale
+            dest = reps.imag if c and self.coupled else reps.real
+            dest[_at(pick, self.rep_cols[c])] = u * self.weight[self.orbits.keep[c]]
+        return _pivot_scale(reps, self.rep_phase)
 
     def _parts(self, sel: np.ndarray) -> list[tuple[int, np.ndarray, np.ndarray]]:
         """Eigenvectors ``sel`` (indices into the concatenated block
@@ -940,9 +927,7 @@ class _Eigenvectors:
             dest = rows.imag if c and self.coupled else rows.real
             vals = u * self.weight[orbits.keep[c]]
             for target, sign in zip(self.targets[c], orbits.chars[c]):
-                at = ((pick, target) if isinstance(target, slice)
-                      else np.ix_(pick, target))
-                dest[at] = vals if sign > 0 else -vals
+                dest[_at(pick, target)] = vals if sign > 0 else -vals
         return rows
 
     def tensors(self, count: int | None = None) -> np.ndarray:

@@ -166,8 +166,12 @@ def report_rows_json(path, rows: Sequence[ReportRow]) -> None:
 
 
 def _check_finite(values: np.ndarray) -> None:
-    if not np.isfinite(values).all():
-        format_float(values[~np.isfinite(values)][0])  # raises
+    """Raise as :func:`format_float` does on the first non-finite value, the
+    real part of a complex one first, without copying ``values``."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        bad = values[~finite][0]
+        format_float(bad.real if not np.isfinite(bad.real) else bad.imag)  # raises
 
 
 def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -245,37 +249,42 @@ def _render_rows(values: np.ndarray, numbers: range | None = None) -> bytes:
     # log10 can be one off next to a power of ten; the floors make k exact.
     j = np.floor(np.log10(mag)).astype(np.int64)
     k = 16 - j + (mag < floors[j + 21]) - (mag >= floors[j + 22])
+    # Scratch is released as soon as it is spent, to keep a chunk's peak low.
+    del j
     # 10^k is p + rest; p and |x| are split in halves for Dekker's product.
     p, rest, p_hi, p_lo = powers.take(k, axis=1)
     m_hi, m_lo = _halves(mag)
     head = mag * p
     tail = ((m_hi * p_hi - head) + m_hi * p_lo + m_lo * p_hi) + m_lo * p_lo + mag * rest
+    del mag, p, rest, p_hi, p_lo, m_hi, m_lo
     rounded = np.rint(tail)
     digits = head.astype(np.int64) + rounded.astype(np.int64)
     # D = 1e17 (from a double just below a power of ten) is left to %.17g.
     fast = nonzero & (np.abs(tail - rounded) < 0.5 - 2.0 ** -20) & (digits < 10 ** 17)
     digits = np.where(fast, digits, 0)
     neg = np.where(fast, k - 16, 0)
-    # Scratch is released as soon as it is spent, to keep a chunk's peak low.
-    del mag, j, k, p, rest, p_hi, p_lo, m_hi, m_lo, head, tail, rounded, nonzero
+    del k, head, tail, rounded, nonzero
 
     first, frac = np.divmod(digits, 10 ** 16)
-    # The 16 fraction digits as four groups of four, two per uint32 half.
-    high, low = (half.astype(np.uint32) for half in np.divmod(frac, 10 ** 8))
-    high_top, low_top = high // 10 ** 4, low // 10 ** 4
-    high_end, low_end = high - high_top * 10 ** 4, low - low_top * 10 ** 4
+    del digits
     slots = np.empty((x.size, 4), np.uint64)
     slots[:, 0] = prefix[((np.signbit(x) * 21 + neg) * 10 + first) * 2 + (frac > 0)]
+    # The 16 fraction digits as four groups of four, two per uint32 half.
+    high, low = (half.astype(np.uint32) for half in np.divmod(frac, 10 ** 8))
+    del first, frac
+    high_top, low_top = high // 10 ** 4, low // 10 ** 4
+    high_end, low_end = high - high_top * 10 ** 4, low - low_top * 10 ** 4
     # Each group of four digits is stripped when every later digit is zero.
     words = slots.view(np.uint32)
     words[:, 2] = quads[high_top + 10 ** 4 * ((high_end | low) == 0)]
     words[:, 3] = quads[high_end + 10 ** 4 * (low == 0)]
     words[:, 4] = quads[low_top + 10 ** 4 * (low_end == 0)]
     words[:, 5] = quads[low_end + 10 ** 4]
-    del digits, first, frac, high, low, high_top, low_top, high_end, low_end
+    del words, high, low, high_top, low_top, high_end, low_end
     ends = 2 * neg.reshape(n, cols)
     ends[:, -1] += 1
     slots[:, 3] = suffix[ends.ravel()]
+    del neg, ends
     slow = np.flatnonzero(~fast & (x != 0))
     if slow.size:
         slots[slow, :3] = _percent(x[slow]).view(np.uint64).reshape(-1, 3)
@@ -291,12 +300,16 @@ def _render_rows(values: np.ndarray, numbers: range | None = None) -> bytes:
 _CHUNK_CELLS = 1 << 13
 
 
-def _chunks(values: np.ndarray, index: bool = False) -> Iterator[bytes]:
-    """``values`` rendered (rows numbered when ``index``) a chunk at a time."""
+def _chunks(values: np.ndarray, index: bool = False,
+            pairs: bool = False) -> Iterator[bytes]:
+    """``values`` rendered (rows numbered when ``index``) a chunk at a time;
+    with ``pairs``, each entry as two cells, its real and imaginary parts,
+    interleaved a chunk at a time, so a strided ``values`` (a transposed
+    matrix) is never copied whole."""
     n, cols = values.shape
-    step = max(1, _CHUNK_CELLS // max(cols, 1))
+    step = max(1, _CHUNK_CELLS // max(cols * (1 + pairs), 1))
     for lo in range(0, n, step):
-        rows = values[lo:lo + step]
+        rows = _interleaved(values[lo:lo + step]) if pairs else values[lo:lo + step]
         yield _render_rows(rows, range(lo, lo + len(rows)) if index else None)
 
 
@@ -327,10 +340,10 @@ def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
     Every cell renders exactly as :func:`format_float` (an integral index
     as ``str``).
     """
-    values = _interleaved(a)
-    _check_finite(values)
-    header = _matrix_header(values.shape[1] // 2, prefix, index)
-    write_text_atomic(path, itertools.chain([header], _chunks(values, index)))
+    a = np.asarray(a)
+    _check_finite(a)
+    header = _matrix_header(a.shape[1], prefix, index)
+    write_text_atomic(path, itertools.chain([header], _chunks(a, index, pairs=True)))
 
 
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:

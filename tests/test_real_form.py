@@ -8,9 +8,11 @@ unitarily similar to a real symmetric form of the same size, and
 hand-built covariance).  The fill must be bit for bit the package's former
 matrix filler (``oracles.matrix_blocks``) on matrices and complex tables,
 and the fancy-indexed character sums of ``oracles.character_blocks`` on
-real tables.  A real table's blocks hold only their lower triangles, the
-upper one being their partner's (``oracles.completed``).  A band set
-without a centre must be solved without ever gathering its matrix.
+real tables.  Every block holds only its lower triangle, all the solver
+reads: a real table's upper one is its partner's, and R's is never
+written.  So blocks are compared completed from their lower triangles
+(``oracles.completed``).  A band set without a centre must be solved
+without ever gathering its matrix.
 """
 
 import numpy as np
@@ -53,16 +55,18 @@ def _readme_pp(dims, shifted=False):
 
 
 def _from_matrix(a, dims):
-    return (_orbit_blocks(a, _orbits(dims, ()), matrix=True),
-            oracles.matrix_blocks(a))
+    ref = oracles.matrix_blocks(a)
+    return ([oracles.completed(got, expected) for got, expected in
+             zip(_orbit_blocks(a, _orbits(dims, ()), matrix=True), ref)], ref)
 
 
 def _from_table(cov):
     """The operator's own complex table, as a set without a centre and the
     centre-shift check solve it."""
     assert np.iscomplexobj(cov.table)
-    return (_orbit_blocks(cov.table, _orbits(cov.dims, ())),
-            oracles.matrix_blocks(cov.matrix))
+    ref = oracles.matrix_blocks(cov.matrix)
+    return ([oracles.completed(got, expected) for got, expected in
+             zip(_orbit_blocks(cov.table, _orbits(cov.dims, ())), ref)], ref)
 
 
 def _from_real_table(cov):

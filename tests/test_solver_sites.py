@@ -1,12 +1,14 @@
-"""Every dense eigensolve goes through ``prolate._eigh``, only the dense
-references gather a matrix, and only ``verify.max_workers`` reads the
-environment.
+"""Every dense eigensolve goes through ``prolate._eigh`` and reads only the
+lower triangle, only the dense references gather a matrix, and only
+``verify.max_workers`` reads the environment.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
-call anywhere else in the package would silently bypass it.  Table-backed
-covariances are solved from their tables, so a ``.matrix`` read or a
-``_gather`` call is allowed only where a dense matrix is the point: the
-hand-built covariance and the public dense kernels.
+call anywhere else in the package would silently bypass it.  Its real
+forms hold nothing but their lower triangles, so every solver call passes
+``UPLO="L"``.  Table-backed covariances are solved from their tables, so
+a ``.matrix`` read or a ``_gather`` call is allowed only where a dense
+matrix is the point: the hand-built covariance and the public dense
+kernels.
 """
 
 import ast
@@ -43,6 +45,20 @@ def solver_references(source: str) -> list[str]:
         or (isinstance(node, ast.Name) and node.id in SOLVERS)
         or (isinstance(node, ast.ImportFrom)
             and any(alias.name in SOLVERS for alias in node.names))))
+
+
+def upper_solves(source: str) -> list[str]:
+    """``function:line`` of every solver call in ``source`` that does not
+    pass ``UPLO="L"`` as a keyword."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in SOLVERS and not any(
+            k.arg == "UPLO" and isinstance(k.value, ast.Constant) and k.value.value == "L"
+            for k in node.keywords)
+    return _references(source, hit)
 
 
 def dense_references(source: str) -> list[str]:
@@ -102,6 +118,23 @@ def test_only_the_reducing_entry_point_calls_a_solver():
         if refs:
             stray[path.name] = refs
     assert stray == {}
+
+
+def test_upper_finder_sees_every_spelling():
+    source = ("import numpy as np\n"
+              "from numpy.linalg import eigvalsh\n"
+              "def f(a):\n"
+              "    np.linalg.eigh(a, UPLO='L'), eigvalsh(a, UPLO='L')\n"
+              "    return np.linalg.eigh(a), eigvalsh(a, 'L'), eigvalsh(a, UPLO='U')\n")
+    assert upper_solves(source) == ["f:5", "f:5", "f:5"]
+
+
+def test_every_solve_reads_the_lower_triangle():
+    found = {path.name: upper_solves(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert sum(len(solver_references(path.read_text()))
+               for path in PACKAGE.glob("*.py")) >= 2
+    assert {name: refs for name, refs in found.items() if refs} == {}
 
 
 def test_dense_finder_sees_every_spelling():

@@ -171,6 +171,23 @@ def test_eigenvector_csv_memory_does_not_grow_with_the_file(tmp_path):
     assert peak < 3 * vectors.nbytes
 
 
+def test_a_transposed_matrix_is_not_copied_whole(tmp_path):
+    """``spectrum --vectors`` writes the transpose of the eigen-tensor stack,
+    which is not C-contiguous: it is interleaved a chunk at a time."""
+    m = _values((512, 512), 4)
+    # This write also builds the renderer's lookup tables, once per process.
+    write_eigenvectors_csv(tmp_path / "contiguous.csv", np.ascontiguousarray(m.T))
+    tracemalloc.start()
+    try:
+        write_eigenvectors_csv(tmp_path / "transposed.csv", m.T)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < m.nbytes / 4
+    assert ((tmp_path / "transposed.csv").read_bytes()
+            == (tmp_path / "contiguous.csv").read_bytes())
+
+
 def test_the_renderer_is_called_only_by_the_chunked_streamer():
     source = open(reports.__file__).read()
 
