@@ -132,8 +132,8 @@ def cmd_spectrum(args) -> int:
     jobs = _operators(config)
 
     def run(job):
-        # Summarize inside the job so its n x n covariance is freed before
-        # the next job materializes another.
+        # Summarize inside the job so only its spectrum outlives it: the
+        # covariance's tables are freed before the next job builds its own.
         name, spec = job
         cov = _materialize(spec)
         if args.vectors:

@@ -17,14 +17,15 @@ takes its trace and Frobenius norm from the table; :func:`apply_cubic`
 applies the table to a tensor of any dimension by FFT circulant embedding.
 
 The dense route is intentionally exact-over-fast: operators are
-materialized up to a configurable size cap (default 4096 total samples),
-which also holds for 1-D grids, and decomposed through ``prolate._eigh``:
-a dense real symmetric eigensolve of the same size, exact up to roundoff,
-because every operator is centro-Hermitian.  :func:`spectrum` and
-:func:`spectrum_values` fill that real form straight from the table and
-never gather the matrix (``prolate._orbit_blocks``, the one filler, which
-also serves hand-built matrices).  A set without a centre is solved from
-its complex table as one real block of the same size.  When the boxes pair
+materialized up to a fixed size cap, ``DEFAULT_SIZE_CAP`` (4096 total
+samples), which also holds for 1-D grids, and decomposed through
+``prolate._eigh``: a dense real symmetric eigensolve of the same size,
+exact up to roundoff, because every operator is centro-Hermitian.
+:func:`spectrum` and :func:`spectrum_values` fill that real form straight
+from the table and never gather the matrix (``prolate._orbit_blocks``, the
+one filler).  A set without a centre is solved from its complex table as
+one real block of the same size, and so is a hand-built matrix, from its
+own table (``prolate._toeplitz_table``).  When the boxes pair
 up as mirrors about one centre, the materialization also keeps the
 operator's real table demodulated to that centre, and the real form falls
 apart into one block per character of the group that J and the table's
@@ -123,7 +124,9 @@ class DenseCovariance:
     decomposed without gathering, and ``verify`` forms its dense reference
     from ``table`` too: nothing in the package reads a table-backed
     ``matrix``.  A hand-built covariance passes ``matrix`` instead of
-    ``table`` and is decomposed from it.
+    ``table``.  It is decomposed from the matrix's own difference table
+    when the matrix is exactly that table's gather, as every kernel the
+    package builds is, and from the matrix itself otherwise.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
@@ -260,7 +263,7 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     group (an even and an odd one for J alone) from its demodulated table,
     any other band set as one real block from its complex table, both
     without gathering ``cov.matrix``; a hand-built covariance from its
-    matrix.
+    matrix, through the matrix's own table when it has one.
     """
     vals, vectors = _decompose(cov, True)
     return SpectrumND(vals, vectors=vectors)
@@ -272,12 +275,12 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
 
 
 def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None):
-    """``_eigh`` of :func:`_solved` (it needs only the size then); a
-    hand-built covariance is solved from its matrix.  ``leading`` keeps only
-    the eigenvectors the first ``leading`` eigen-tensors need."""
-    if cov.table is None:
-        return _eigh(cov.matrix, vectors, None, cov.dims, leading)
-    return _eigh(cov.size, vectors, _solved(cov), cov.dims, leading)
+    """``_eigh`` of :func:`_solved`, or of a hand-built covariance's matrix,
+    which it solves from the matrix's own table when it has one.
+    ``leading`` keeps only the eigenvectors the first ``leading``
+    eigen-tensors need."""
+    a = cov.matrix if cov.table is None else _solved(cov)
+    return _eigh(a, vectors, cov.dims, leading)
 
 
 def _solved(cov: DenseCovariance) -> _Demodulated:

@@ -12,17 +12,17 @@ a dense eigensolver.  Every operator is Hermitian and multilevel Toeplitz,
 so it is centro-Hermitian (``J A J = conj(A)``, J the index reversal) and
 unitarily similar to a real symmetric form of the same size (Cantoni &
 Butler 1976).  One filler, :func:`_orbit_blocks`, writes that form for
-:func:`_eigh`, the one solver entry point, from whatever holds the
-operator: its difference table, or a matrix built by hand.  The solver
-reads only the lower triangle of each block, so every block is written as
-its lower triangle alone, on one schedule of bands of rows.  A real
-table's blocks share rectangular arrays two to one, as the Rectangular
-Full Packed format stores a triangle (Gustavson et al. 2010).  A complex
-table (a band set without a centre) or an exactly Hermitian matrix gives
-one real block of size n, or an even and an odd block when its coupling
-is exactly zero; the kernels below are gathered only for callers that ask
-for a matrix, and input without that structure takes the dense complex
-solve.  The translation cross-check solves nothing: it
+:func:`_eigh`, the one solver entry point, from the operator's difference
+table; a matrix built by hand is read as its own table
+(:func:`_toeplitz_table`).  The solver reads only the lower triangle of
+each block, so every block is written as its lower triangle alone, on one
+schedule of bands of rows.  A real table's blocks share rectangular arrays
+two to one, as the Rectangular Full Packed format stores a triangle
+(Gustavson et al. 2010).  A complex table (a band set without a centre)
+gives one real block of size n, or an even and an odd block when its
+coupling is exactly zero; the kernels below are gathered only for callers
+that ask for a matrix, and a matrix without a Hermitian table takes the
+dense complex solve.  The translation cross-check solves nothing: it
 recentres a complex table by a centre phase, difference by difference
 (:func:`_recentred`), and compares it with the table that was solved.
 
@@ -202,7 +202,8 @@ class _Demodulated(NamedTuple):
     besides J the table is invariant under (see :func:`_axis_symmetries`),
     in the order they were accepted.  With ``center`` None it is an
     operator's own table, complex in general and without symmetries, as
-    :func:`_eigh` reads the tables of sets without a centre."""
+    :func:`_eigh` reads the tables of sets without a centre and of
+    hand-built matrices."""
 
     center: np.ndarray
     table: np.ndarray
@@ -424,21 +425,48 @@ def _gather(table: np.ndarray) -> np.ndarray:
     return matrix
 
 
-def _dense_product(table: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """``_gather(table) @ v`` for v of shape ``(n, k)``, formed a band of
-    rows at a time from the same entries, so no n x n array is allocated.
-
-    A band is a run of indices of the last axis, whose rows are contiguous
-    in vec order, of about 64 Ki entries (at least one index)."""
+def _row_bands(table: np.ndarray):
+    """A table's matrix as ``(rows, band)`` pairs, ``band`` the matrix rows
+    ``rows`` (a slice) read from the same entries, so no n x n array is
+    allocated.  A band is a run of indices of the last axis, whose rows are
+    contiguous in vec order, of about 64 Ki entries (at least one index)."""
     view = _strided(table)
-    total = v.shape[0]
+    total = int(np.prod(view.shape[:table.ndim]))
     per = total // view.shape[0]
     step = max(1, 65536 // (per * total))
-    out = np.empty((total, v.shape[1]), dtype=np.result_type(table, v))
     for lo in range(0, view.shape[0], step):
         hi = min(lo + step, view.shape[0])
-        np.matmul(view[lo:hi].reshape(-1, total), v, out=out[lo * per:hi * per])
+        yield slice(lo * per, hi * per), view[lo:hi].reshape(-1, total)
+
+
+def _dense_product(table: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``_gather(table) @ v`` for v of shape ``(n, k)``, formed a band of
+    rows at a time (:func:`_row_bands`)."""
+    out = np.empty(v.shape, dtype=np.result_type(table, v))
+    for rows, band in _row_bands(table):
+        np.matmul(band, v, out=out[rows])
     return out
+
+
+def _toeplitz_table(a: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
+    """The difference table of a matrix over the grid ``dims``, or None
+    when ``a`` is not exactly the matrix of an exactly Hermitian table.
+
+    Difference d is read at ``a[vec(max(d, 0)), vec(max(-d, 0))]``, one
+    entry per difference.  The table is returned only when ``T[-d] == conj
+    T[d]`` holds exactly and its matrix equals ``a`` as values, compared a
+    band of rows at a time (:func:`_row_bands`)."""
+    n = int(np.prod(dims))
+    if a.shape != (n, n):
+        return None
+    diffs = np.ix_(*[np.arange(1 - m, m) for m in dims])
+    steps = np.cumprod((1,) + tuple(dims[:-1]))
+    table = a[sum(np.maximum(d, 0) * s for d, s in zip(diffs, steps)),
+              sum(np.maximum(-d, 0) * s for d, s in zip(diffs, steps))]
+    if not np.array_equal(table, table[(slice(None, None, -1),) * table.ndim].conj()):
+        return None
+    equal = all(np.array_equal(band, a[rows]) for rows, band in _row_bands(table))
+    return table if equal else None
 
 
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -496,24 +524,6 @@ def _pivot_scale(rows: np.ndarray, phase: np.ndarray | None = None) -> np.ndarra
     return np.where(mags > 0, np.conj(pivots) / safe, 1.0)
 
 
-def _centro_hermitian(a: np.ndarray) -> bool:
-    """Whether ``J a J == conj(a)`` holds exactly, J the full index reversal.
-
-    Compares each block of top rows with its mirrored bottom rows, so no
-    full-size copy is made.
-    """
-    n = a.shape[0]
-    half = (n + 1) // 2
-    step = max(1, 65536 // n)
-    for lo in range(0, half, step):
-        hi = min(lo + step, half)
-        top, mirror = a[lo:hi], a[n - hi:n - lo][::-1, ::-1]
-        if not (np.array_equal(mirror.real, top.real)
-                and np.array_equal(mirror.imag, -top.imag)):
-            return False
-    return True
-
-
 def _hermitian_exactly(a: np.ndarray) -> bool:
     """Whether ``a == a^H`` holds exactly, compared a block of rows at a
     time so no full-size copy is made."""
@@ -563,21 +573,19 @@ def _character_sums(parts, outs, diagonal: int | None = None):
     return outs
 
 
-def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
-    """The entries ``A[i, e j]`` of the matrix A of ``source`` that
-    :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]`` the
-    entries for element e of G: first (``rows`` None) for every orbit i
-    against the orbits j with a nontrivial stabiliser, then for each band
+def _orbit_parts(source: np.ndarray, orbits: _Orbits):
+    """The entries ``A[i, e j]`` of the matrix A of the table ``source``
+    that :func:`_orbit_blocks` sums, as ``(rows, parts)`` with ``parts[e]``
+    the entries for element e of G: first (``rows`` None) for every orbit
+    i against the orbits j with a nontrivial stabiliser, then for each band
     ``rows`` of free orbits i against the free orbits ``j < rows.stop``, at
     most 8 Ki entries per element (or one row).
 
-    A table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]`` with
-    ``o_i`` the table offset of sample i's coordinates and ``z`` that of the
-    zero difference, into buffers reused by every band: fresh band-sized
-    arrays would each be mapped and faulted in anew.  The tail is read
-    before those buffers exist, which lowers a fill's peak.  A matrix is
-    read through slices, as views: ``ravel`` would copy the strided views
-    the 1-D kernels return.
+    The table is read by index arithmetic, ``A[i, j] = T[z + o_i - o_j]``
+    with ``o_i`` the table offset of sample i's coordinates and ``z`` that
+    of the zero difference, into buffers reused by every band: fresh
+    band-sized arrays would each be mapped and faulted in anew.  The tail
+    is read before those buffers exist, which lowers a fill's peak.
     """
     images, free = orbits.images, orbits.free
     # The most rows r from lo with r (lo + r) <= 8 Ki, at least one.
@@ -588,14 +596,6 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
         lo = hi
     shapes = [(rows.stop - rows.start, rows.stop) for rows in bands]
     tail = images.shape[1] > free
-    if matrix:
-        def read(rows, cols):
-            return [source[_span(images[0, rows]), _span(img[cols])] for img in images]
-        if tail:
-            yield None, read(slice(None), slice(free, None))
-        for rows in bands:
-            yield rows, read(rows, slice(rows.stop))
-        return
     dims = tuple((s + 1) // 2 for s in source.shape)
     flat = source.ravel()
     steps = np.cumprod((1,) + source.shape[:0:-1])[::-1]
@@ -618,27 +618,25 @@ def _orbit_parts(source: np.ndarray, orbits: _Orbits, matrix: bool):
         yield rows, parts
 
 
-def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
-                  matrix: bool = False) -> list[np.ndarray]:
-    """The real form of the matrix A of a table invariant under G, or of an
-    exactly Hermitian, centro-Hermitian matrix (``matrix``, G = {1, J}):
-    one real block per character of G, or for complex input with a nonzero
-    coupling one block R of A's size.  Read by :func:`_orbit_parts`, so no
-    n x n array but the output is allocated.
+def _orbit_blocks(source: np.ndarray, orbits: _Orbits) -> list[np.ndarray]:
+    """The real form of the matrix A of an exactly Hermitian table invariant
+    under G: one real block per character of G, or for a complex table
+    (G = {1, J}) with a nonzero coupling one block R of A's size.  Read by
+    :func:`_orbit_parts`, so no n x n array but the output is allocated.
 
-    For real input, block c over the orbits with representatives i and j is
-    ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the stabiliser
-    sizes: the matrix in the orthonormal basis ``sqrt(s / |G|) sum_{distinct
-    e j} chars[c, e] e_{e j}`` of each kept orbit.  For G = {1, J} the
+    For a real table, block c over the orbits with representatives i and j
+    is ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the
+    stabiliser sizes: the matrix in the orthonormal basis ``sqrt(s / |G|)
+    sum_{distinct e j} chars[c, e] e_{e j}`` of each kept orbit.  For G = {1, J} the
     blocks are the even and odd blocks, ``a11 + a12j`` and ``a11 - a12j``,
     with the middle row ``sqrt 2 A[k, :k]`` and corner ``A[k, k]`` for odd
     n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
 
-    Complex input has G = {1, J} and ``R = Q^H A Q`` with ``Q = [[I, iI], [J,
-    -iJ]] / sqrt 2`` (plus the middle unit vector when n is odd): the even
-    and odd blocks of the real parts, and below them their coupling ``low[j,
-    i] = Im A[i, J j] - Im A[i, j]`` (odd row j, even column i) with, for
-    odd n, the middle column ``sqrt 2 Im A[:k, k]``.  When the coupling is
+    A complex table gives ``R = Q^H A Q`` with ``Q = [[I, iI], [J, -iJ]] /
+    sqrt 2`` (plus the middle unit vector when n is odd): the even and odd
+    blocks of the real parts, and below them their coupling ``low[j, i] =
+    Im A[i, J j] - Im A[i, j]`` (odd row j, even column i) with, for odd n,
+    the middle column ``sqrt 2 Im A[:k, k]``.  When the coupling is
     exactly zero the two blocks are returned instead.
 
     Every block holds only its lower triangle, diagonal included, which is
@@ -667,7 +665,7 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
         for a, b in zip(sizes[::2], sizes[1::2]):
             buf = np.empty((max(a, b) + 1, max(a, b)))
             blocks += [buf[1:a + 1, :a], buf[b - 1::-1, b - 1::-1]]
-    for rows, parts in _orbit_parts(source, orbits, matrix):
+    for rows, parts in _orbit_parts(source, orbits):
         real = [p.real for p in parts]
         if rows is not None:
             _character_sums(real, [b[rows, :rows.stop] for b in blocks], rows.start)
@@ -698,22 +696,22 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits,
 _ASSEMBLY_CHUNK = 1 << 17
 
 
-def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
-          dims: tuple[int, ...] | None = None, leading: int | None = None):
-    """Descending eigenvalues of a Hermitian matrix and, when ``vectors``,
+def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
+          leading: int | None = None):
+    """Descending eigenvalues of a Hermitian operator and, when ``vectors``,
     its phase-fixed eigenvectors as an :class:`_Eigenvectors`; the one
     place the package calls a dense eigensolver.
 
-    The operator is read from the table ``demodulated`` when there is one
-    (``a`` is then only the size n), else from the matrix ``a``.  Either is
-    reduced to its real form by :func:`_orbit_blocks` and solved in
-    float64: a table by the group G that J and its axis symmetries generate,
-    one block per character, and an exactly Hermitian complex matrix with
-    ``J a J == conj(a)`` by G = {1, J}.  A complex table (no centre) and
-    such a matrix give one real block R of the same size, or the even and
-    odd blocks when R's coupling is exactly zero.  Any other matrix goes to
-    the solver unchanged.  Every route reads only the lower triangle of
-    what it solves, which is all :func:`_orbit_blocks` writes.
+    The operator ``a`` is a table (a :class:`_Demodulated`) or a matrix.  A
+    complex matrix that is exactly the matrix of an exactly Hermitian table
+    over ``dims`` (:func:`_toeplitz_table`) is solved from that table, with
+    no centre, as a band set without a centre is.  A table is reduced to
+    its real form by :func:`_orbit_blocks` and solved in float64, over the
+    group G that J and its axis symmetries generate, one block per
+    character; a complex table gives one real block R of the same size, or
+    the even and odd blocks when R's coupling is exactly zero.  Any other
+    matrix goes to the solver unchanged.  Every route reads only the lower
+    triangle of what it solves, which is all :func:`_orbit_blocks` writes.
 
     A real table is the operator shifted to the centre of its
     point-symmetric band set, and its eigenvectors are multiplied by the
@@ -724,8 +722,8 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     lower character first among ties).  The eigenvectors are not mapped
     back here: the solved blocks' eigenvectors are kept, with the
     descending order, the centre phase and each vector's pivot factor, and
-    ``dims`` (default ``(n,)``) fixes the eigen-tensor shape they are read
-    out in.
+    ``dims`` (a table's grid; default ``(n,)`` for a matrix of size n)
+    fixes the eigen-tensor shape they are read out in.
 
     With ``leading`` (a count p), only the leading p eigenvectors are
     wanted.  Right after each block is solved, and before the next one is,
@@ -738,17 +736,17 @@ def _eigh(a, vectors: bool, demodulated: _Demodulated | None = None,
     same calls, so the first p eigen-tensors are bitwise those of a full
     solve; only they can be read (:class:`_Eigenvectors`).
     """
-    n = a if demodulated is not None else a.shape[0]
-    dims = (n,) if dims is None else tuple(dims)
+    dims = (a.shape[0],) if dims is None else tuple(dims)
+    if not isinstance(a, _Demodulated) and np.iscomplexobj(a):
+        table = _toeplitz_table(a, dims)
+        a = a if table is None else _Demodulated(None, table, ())
+    n = int(np.prod(dims))
     orbits, phase = None, None
-    if demodulated is not None:
-        orbits = _orbits(dims, demodulated.symmetries)
-        blocks = _orbit_blocks(demodulated.table, orbits)
-        if vectors and demodulated.center is not None:
-            phase = _phase(dims, demodulated.center)
-    elif np.iscomplexobj(a) and _hermitian_exactly(a) and _centro_hermitian(a):
-        orbits = _orbits(dims, ())
-        blocks = _orbit_blocks(a, orbits, matrix=True)
+    if isinstance(a, _Demodulated):
+        orbits = _orbits(dims, a.symmetries)
+        blocks = _orbit_blocks(a.table, orbits)
+        if vectors and a.center is not None:
+            phase = _phase(dims, a.center)
     else:
         blocks = [a]
     try:

@@ -332,23 +332,18 @@ def _matrix_header(k: int, prefix: str, index: bool) -> bytes:
     return (",".join(["index"] * index + names) + "\n").encode()
 
 
-def _matrix_csv(path, a: np.ndarray, *, prefix: str = "c",
-                index: bool = False) -> None:
-    """One CSV row per matrix row: an optional index column, then a
-    ``<prefix><j>_re, <prefix><j>_im`` column pair per matrix column.
-
-    Every cell renders exactly as :func:`format_float` (an integral index
-    as ``str``).
-    """
-    a = np.asarray(a)
-    _check_finite(a)
-    header = _matrix_header(a.shape[1], prefix, index)
-    write_text_atomic(path, itertools.chain([header], _chunks(a, index, pairs=True)))
-
-
 def write_eigenvectors_csv(path, vectors: np.ndarray) -> None:
-    """Eigenvector matrix (columns are vectors) with re/im column pairs."""
-    _matrix_csv(path, vectors, prefix="v", index=True)
+    """Eigenvector matrix (columns are vectors), one CSV row per matrix row:
+    an index column, then a ``v<j>_re, v<j>_im`` column pair per vector.
+
+    Every cell renders exactly as :func:`format_float` (the index as
+    ``str``).
+    """
+    vectors = np.asarray(vectors)
+    _check_finite(vectors)
+    header = _matrix_header(vectors.shape[1], "v", True)
+    write_text_atomic(path, itertools.chain([header],
+                                            _chunks(vectors, True, pairs=True)))
 
 
 def export_dictionary(d, directory) -> Path:

@@ -206,13 +206,21 @@ def character_blocks(a: np.ndarray, images, stab, keep) -> list[np.ndarray]:
 
 
 def completed(packed: np.ndarray, reference: np.ndarray) -> np.ndarray:
-    """The full block of a packed one, ``tril(packed) + tril(packed, -1).T``,
-    after asserting that ``reference`` is exactly symmetric: a packed
-    block's upper triangle holds its partner's entries, so only its lower
-    triangle can be compared, and the completion is the whole block only
-    for a symmetric reference."""
+    """The full block of a packed one, its lower triangle mirrored above
+    the diagonal, after asserting that ``reference`` is exactly symmetric:
+    a packed block's upper triangle holds its partner's entries, so only
+    its lower triangle can be compared, and the completion is the whole
+    block only for a symmetric reference.  Entries are picked, not added
+    to zeros, so the sign of a zero survives."""
     assert reference.tobytes() == np.ascontiguousarray(reference.T).tobytes()
-    return np.tril(packed) + np.tril(packed, -1).T
+    return np.where(np.tri(len(packed), dtype=bool), packed, packed.T)
+
+
+def centro_hermitian(a: np.ndarray) -> bool:
+    """Whether ``J a J == conj(a)`` holds exactly (as values), J the full
+    index reversal."""
+    a = np.asarray(a)
+    return np.array_equal(a[::-1, ::-1], a.conj())
 
 
 def modulation_invariance_reference(n: int, union) -> float:

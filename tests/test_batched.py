@@ -26,7 +26,7 @@ from mdprolate import dictionary
 from mdprolate.cli import main
 from mdprolate.dictionary import SubspaceBasis
 from mdprolate.prolate import _apply, _boxes, _table
-from mdprolate.reports import _matrix_csv, write_csv, write_eigenvectors_csv
+from mdprolate.reports import write_csv, write_eigenvectors_csv
 
 import pinned
 
@@ -273,21 +273,6 @@ def test_dict_projection_residual_matches_loop(tmp_path):
 
 # --- complex CSV writers ---------------------------------------------------
 
-def ref_matrix_csv(path, a):
-    a = np.asarray(a)
-    header = []
-    for j in range(a.shape[1]):
-        header += [f"c{j:03d}_re", f"c{j:03d}_im"]
-    rows = []
-    for i in range(a.shape[0]):
-        row = []
-        for j in range(a.shape[1]):
-            z = complex(a[i, j])
-            row += [z.real, z.imag]
-        rows.append(row)
-    write_csv(path, header, rows)
-
-
 def ref_eigenvectors_csv(path, vectors):
     vectors = np.asarray(vectors)
     n, k = vectors.shape
@@ -328,11 +313,9 @@ MATRICES = {
 @pytest.mark.parametrize("name", list(MATRICES))
 def test_complex_csv_bytes_match_per_cell_writer(name, tmp_path):
     a = MATRICES[name]()
-    for fast, ref in ((_matrix_csv, ref_matrix_csv),
-                      (write_eigenvectors_csv, ref_eigenvectors_csv)):
-        fast(tmp_path / "fast.csv", a)
-        ref(tmp_path / "ref.csv", a)
-        assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    write_eigenvectors_csv(tmp_path / "fast.csv", a)
+    ref_eigenvectors_csv(tmp_path / "ref.csv", a)
+    assert (tmp_path / "fast.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -340,9 +323,8 @@ def test_complex_csv_bytes_match_per_cell_writer(name, tmp_path):
 def test_complex_csv_rejects_non_finite_before_writing(bad, part, tmp_path):
     a = _edge_matrix()
     a[5, 7] = complex(bad, 1.0) if part == "real" else complex(1.0, bad)
-    for fast in (_matrix_csv, write_eigenvectors_csv):
-        path = tmp_path / "bad.csv"
-        with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
-            fast(path, a)
-        assert not path.exists()
-        assert list(tmp_path.iterdir()) == []
+    path = tmp_path / "bad.csv"
+    with pytest.raises(ValueError, match=f"non-finite value {bad!r}"):
+        write_eigenvectors_csv(path, a)
+    assert not path.exists()
+    assert list(tmp_path.iterdir()) == []

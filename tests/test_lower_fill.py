@@ -18,6 +18,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        spectrum_values)
 from mdprolate import prolate
 
+import oracles
+
 # No centre: the bands do not pair up as mirrors.
 ASYMMETRIC = CubicBandUnion(
     centers=[[-0.25, -0.2], [0.2, 0.15], [0.1, -0.3]],
@@ -86,6 +88,6 @@ def test_a_matrix_that_is_not_hermitian_is_solved_as_it_is():
     a = np.array(sinc_kernel(9, 0.2, 0.1))
     a[0, 2] += 0.01 + 0.02j
     a[8, 6] = np.conj(a[0, 2])
-    assert prolate._centro_hermitian(a) and not prolate._hermitian_exactly(a)
+    assert oracles.centro_hermitian(a) and not prolate._hermitian_exactly(a)
     expected = np.linalg.eigvalsh(a, UPLO="L")[::-1]
     assert np.max(np.abs(spectrum_values(_matrix(a)) - expected)) <= 1e-14

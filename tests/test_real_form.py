@@ -3,16 +3,17 @@
 Every Hermitian multilevel Toeplitz operator is centro-Hermitian, so it is
 unitarily similar to a real symmetric form of the same size, and
 ``prolate._orbit_blocks`` is the one code that fills it: from a real table
-(one block per character of its symmetry group), from a complex table
-(a band set without a centre) or from a centro-Hermitian matrix (a
-hand-built covariance).  The fill must be bit for bit the package's former
-matrix filler (``oracles.matrix_blocks``) on matrices and complex tables,
-and the fancy-indexed character sums of ``oracles.character_blocks`` on
-real tables.  Every block holds only its lower triangle, all the solver
-reads: a real table's upper one is its partner's, and R's is never
-written.  So blocks are compared completed from their lower triangles
-(``oracles.completed``).  A band set without a centre must be solved
-without ever gathering its matrix.
+(one block per character of its symmetry group) or from a complex table:
+a band set's without a centre, or a hand-built covariance's, read from its
+matrix by ``prolate._toeplitz_table``.  The fill must be bit for bit the
+package's former matrix filler (``oracles.matrix_blocks``) on matrices and
+complex tables, and the fancy-indexed character sums of
+``oracles.character_blocks`` on real tables.  Every block holds only its
+lower triangle, all the solver reads: a real table's upper one is its
+partner's, and R's is never written.  So blocks are compared completed
+from their lower triangles (``oracles.completed``), which keeps the sign
+of every zero.  A band set without a centre must be solved without ever
+gathering its matrix.
 """
 
 import numpy as np
@@ -23,7 +24,7 @@ from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
                        pp_materialize, sinc_kernel, spectrum, spectrum_values,
                        vec)
 from mdprolate import operator, prolate
-from mdprolate.prolate import _gather, _orbit_blocks, _orbits
+from mdprolate.prolate import _gather, _orbit_blocks, _orbits, _toeplitz_table
 from mdprolate.verify import _safe_shift
 
 import oracles
@@ -54,19 +55,25 @@ def _readme_pp(dims, shifted=False):
     return pp_materialize(PPOperatorSpec(grid=SamplingGrid(dims), bands=bands))
 
 
-def _from_matrix(a, dims):
+def _coupled(table, a, dims):
+    """The blocks of a complex table, against the reference read from its
+    matrix a."""
     ref = oracles.matrix_blocks(a)
     return ([oracles.completed(got, expected) for got, expected in
-             zip(_orbit_blocks(a, _orbits(dims, ()), matrix=True), ref)], ref)
+             zip(_orbit_blocks(table, _orbits(dims, ())), ref)], ref)
+
+
+def _from_matrix(a, dims):
+    """A hand-built matrix, read through its own table as ``_eigh`` reads
+    it."""
+    return _coupled(_toeplitz_table(a, dims), a, dims)
 
 
 def _from_table(cov):
     """The operator's own complex table, as a set without a centre and the
     centre-shift check solve it."""
     assert np.iscomplexobj(cov.table)
-    ref = oracles.matrix_blocks(cov.matrix)
-    return ([oracles.completed(got, expected) for got, expected in
-             zip(_orbit_blocks(cov.table, _orbits(cov.dims, ())), ref)], ref)
+    return _coupled(cov.table, cov.matrix, cov.dims)
 
 
 def _from_real_table(cov):
@@ -151,3 +158,9 @@ def test_sets_without_a_centre_are_solved_without_a_gather(name, monkeypatch):
     rng = np.random.default_rng(5)
     c = rng.standard_normal((4, sp.size)) + 1j * rng.standard_normal((4, sp.size))
     assert np.max(np.abs(sp.combine(c) - np.tensordot(c, sp.tensors, axes=1))) <= 1e-12
+
+
+def test_completion_keeps_the_sign_of_a_zero():
+    packed = np.array([[1.0, np.nan], [-0.0, 2.0]])
+    full = oracles.completed(packed, np.array([[1.0, -0.0], [-0.0, 2.0]]))
+    assert full.tobytes() == np.array([[1.0, -0.0], [-0.0, 2.0]]).tobytes()

@@ -92,7 +92,7 @@ DENSE_ALLOWED = {
     ("operator.py", "DenseCovariance.matrix"): 1,
     ("operator.py", "DenseCovariance.trace"): 1,
     ("operator.py", "DenseCovariance.frobenius_sq"): 2,
-    # A hand-built covariance has no table to solve from.
+    # A hand-built covariance is read from its matrix.
     ("operator.py", "_decompose"): 1,
     # The public dense kernels.
     ("prolate.py", "sinc_kernel"): 1,

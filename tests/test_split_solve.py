@@ -16,9 +16,11 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
                        decompose, dpss, materialize_cubic, pp_materialize,
                        sinc_kernel, spectrum, spectrum_values, vec)
-from mdprolate.prolate import (_axis_table, _centro_hermitian, _gather,
-                               _hermitian, _pivot_scale)
+from mdprolate import prolate
+from mdprolate.prolate import (_axis_table, _gather, _hermitian, _pivot_scale,
+                               _toeplitz_table)
 
+import oracles
 import pinned
 
 README = CubicBandUnion(centers=pinned.REF_2D_CENTERS,
@@ -57,17 +59,24 @@ def _split_sizes(n):
 
 
 def _pairs(cov):
-    """(values, vectors as columns) from both ``spectrum`` and ``decompose``."""
-    sp = spectrum(cov)
-    one = decompose(cov.matrix)
-    return [(sp.eigenvalues, np.stack([vec(t) for t in sp.tensors], axis=1)),
-            (one.eigenvalues, one.eigenvectors)]
+    """(values, vectors as columns) from ``spectrum`` on the covariance and
+    on a hand-built copy of its matrix, and for a 1-D grid from
+    ``decompose``: a 2-D matrix is no 1-D Toeplitz matrix, so ``decompose``
+    solves it unreduced."""
+    pairs = []
+    for one in (cov, DenseCovariance(matrix=cov.matrix, dims=cov.dims)):
+        sp = spectrum(one)
+        pairs.append((sp.eigenvalues, np.stack([vec(t) for t in sp.tensors], axis=1)))
+    if len(cov.dims) == 1:
+        one = decompose(cov.matrix)
+        pairs.append((one.eigenvalues, one.eigenvectors))
+    return pairs
 
 
 @pytest.mark.parametrize("name", list(SPLIT))
 def test_split_eigenvalues_match_complex_solve(name, solver_sizes):
     cov = SPLIT[name]()
-    assert _centro_hermitian(cov.matrix)
+    assert oracles.centro_hermitian(cov.matrix)
     lam = spectrum_values(cov)
     assert solver_sizes == _split_sizes(cov.size)
     expected = np.linalg.eigvalsh(cov.matrix)[::-1]
@@ -114,17 +123,26 @@ def test_solver_sizes_per_path(solver_sizes):
 
 
 @pytest.mark.parametrize("name", list(SPLIT))
-def test_nonzero_coupling_takes_the_full_solve(name, solver_sizes):
-    a = SPLIT[name]().matrix.copy()
-    n = a.shape[0]
-    # Entry (0, 1) of the top-left block, with its Hermitian partner and
-    # both mirror images, so the matrix stays Hermitian and centro-Hermitian.
-    a[0, 1] += 1e-300j
-    a[1, 0] -= 1e-300j
-    a[n - 1, n - 2] -= 1e-300j
-    a[n - 2, n - 1] += 1e-300j
-    assert _centro_hermitian(a) and np.array_equal(a, a.conj().T)
-    lam = spectrum_values(DenseCovariance(matrix=a, dims=(n,), spec=None))
+def test_nonzero_coupling_takes_the_full_solve(name, solver_sizes, monkeypatch):
+    cov = SPLIT[name]()
+    table = _toeplitz_table(cov.matrix, cov.dims)
+    # The difference (1, 0, ...) and its Hermitian partner, so the matrix
+    # stays Hermitian and multilevel Toeplitz, hence centro-Hermitian.
+    zero = tuple(n - 1 for n in cov.dims)
+    table[(zero[0] + 1,) + zero[1:]] += 1e-300j
+    table[(zero[0] - 1,) + zero[1:]] -= 1e-300j
+    a = _gather(table)
+    assert oracles.centro_hermitian(a) and np.array_equal(a, a.conj().T)
+    filled, fill = [], prolate._orbit_blocks
+
+    def recording(*args):
+        filled.append(fill(*args))
+        return filled[-1]
+    monkeypatch.setattr(prolate, "_orbit_blocks", recording)
+    lam = spectrum_values(DenseCovariance(matrix=a, dims=cov.dims, spec=None))
+    n = cov.size
+    # One coupled R, filled from the matrix's table.
+    assert [[b.shape for b in blocks] for blocks in filled] == [[(n, n)]]
     assert solver_sizes == [n]
     assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[::-1])) <= 1e-13
 

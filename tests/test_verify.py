@@ -147,14 +147,14 @@ def test_oned_verify_solves_once(widths, monkeypatch):
     calls = []
     eigh = prolate._eigh
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return eigh(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(a.table.shape)
+        return eigh(a, *args, **kwargs)
 
     for module in (prolate, operator):
         monkeypatch.setattr(module, "_eigh", counting)
     rows = verify_config(BandConfig(grid=SamplingGrid((96,)), cubic=union))
-    assert calls == [96]
+    assert calls == [(191,)]  # one table of the 96-sample grid
     [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
     oracle = oracles.modulation_invariance_reference(96, union)
     assert oracle - 1e-13 <= row.value <= 1e-9
