@@ -1049,6 +1049,8 @@ def decompose(kernel: np.ndarray) -> Spectrum1D:
     as it is, which gives the same result without the copy.
     """
     kernel = np.asarray(kernel)
+    if kernel.ndim != 2 or not 0 < kernel.shape[0] == kernel.shape[1]:
+        raise ValueError("kernel must be a non-empty square matrix")
     if not _hermitian_exactly(kernel):
         kernel = _hermitize(kernel)
     vals, vecs = _eigh(kernel, True)

@@ -120,6 +120,13 @@ def test_bandpass_spectrum_equals_baseband():
     np.testing.assert_allclose(shifted, base, atol=1e-9)
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (3, 4), (3,), (2, 2, 2)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_decompose_rejects_a_kernel_that_is_not_a_square_matrix(shape, dtype):
+    with pytest.raises(ValueError, match="non-empty square matrix"):
+        decompose(np.zeros(shape, dtype=dtype))
+
+
 def test_modulate_zero_frequency_identity():
     v = np.arange(5.0)
     np.testing.assert_allclose(modulate(v, 0.0), v, atol=0)
