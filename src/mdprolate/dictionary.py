@@ -3,8 +3,7 @@
 Two dictionaries represent a multiband 2-D process:
 
 * ``phi`` - the exact route: leading eigen-tensors of the materialized
-  operator, from one dense solve per symmetry block of its real form, each
-  cut to the eigenvectors the leading tensors need.
+  operator, from one dense solve per symmetry block of its real form.
 * ``psi`` - the cheap route: per band, outer products of modulated DPSS
   vectors ``(E_f0 s_l)(E_f1 s_k)^T`` ranked by the eigenvalue product
   ``lambda_l * lambda_k``, built from 1-D decompositions only.

@@ -18,18 +18,18 @@ applies the table to a tensor of any dimension by FFT circulant embedding.
 
 The dense route is intentionally exact-over-fast: operators are
 materialized up to a fixed size cap, ``DEFAULT_SIZE_CAP`` (4096 total
-samples), which also holds for 1-D grids, and decomposed through
-``prolate._eigh``: a dense real symmetric eigensolve of the same size,
-exact up to roundoff, because every operator is centro-Hermitian.
-:func:`spectrum` and :func:`spectrum_values` fill that real form straight
-from the table and never gather the matrix (``prolate._orbit_blocks``, the
-one filler).  A set without a centre is solved from its complex table as
-one real block of the same size, and so is a hand-built matrix, from its
-own table (``prolate._toeplitz_table``).  When the boxes pair
-up as mirrors about one centre, the materialization also keeps the
-operator's real table demodulated to that centre, and the real form falls
-apart into one block per character of the group that J and the table's
-commuting axis symmetries generate.  A set with J alone, such as the
+samples, 1-D grids too), and decomposed through ``prolate._eigh``: a
+dense real symmetric eigensolve of the same size, exact up to roundoff,
+because every operator is centro-Hermitian.  :func:`spectrum` and
+:func:`spectrum_values` fill that real form straight from the table
+(``prolate._orbit_blocks``, the one filler) and never gather the matrix.
+A set without a centre is solved from its complex table as one real block
+of the same size, and so is a hand-built matrix, from its own table
+(``prolate._toeplitz_table``).  When the boxes pair up as mirrors about
+one centre, the materialization also keeps the operator's real table
+demodulated to that centre, and the real form falls apart into one block
+per character of the group that J and the table's commuting axis
+symmetries generate.  A set with J alone, such as the
 README union, gives an even and an odd block of half the size.  A single
 2-D box also has the reversal of axis 0, and so four blocks; the 3-D
 two-box union on a cube has the swap of axes 1 and 2, and four blocks
@@ -124,9 +124,8 @@ class DenseCovariance:
     decomposed without gathering, and ``verify`` forms its dense reference
     from ``table`` too: nothing in the package reads a table-backed
     ``matrix``.  A hand-built covariance passes ``matrix`` instead of
-    ``table``.  It is decomposed from the matrix's own difference table
-    when the matrix is exactly that table's gather, as every kernel the
-    package builds is, and from the matrix itself otherwise.
+    ``table``, and is decomposed from the matrix's own table when it has
+    one, as every gathered kernel does.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
@@ -263,7 +262,7 @@ def spectrum(cov: DenseCovariance) -> SpectrumND:
     group (an even and an odd one for J alone) from its demodulated table,
     any other band set as one real block from its complex table, both
     without gathering ``cov.matrix``; a hand-built covariance from its
-    matrix, through the matrix's own table when it has one.
+    matrix's own table when it has one, else from the matrix.
     """
     vals, vectors = _decompose(cov, True)
     return SpectrumND(vals, vectors=vectors)
@@ -275,8 +274,7 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
 
 
 def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None):
-    """``_eigh`` of :func:`_solved`, or of a hand-built covariance's matrix,
-    which it solves from the matrix's own table when it has one.
+    """``_eigh`` of :func:`_solved`, or of a hand-built covariance's matrix;
     ``leading`` keeps only the eigenvectors the first ``leading``
     eigen-tensors need."""
     a = cov.matrix if cov.table is None else _solved(cov)

@@ -13,18 +13,17 @@ so it is centro-Hermitian (``J A J = conj(A)``, J the index reversal) and
 unitarily similar to a real symmetric form of the same size (Cantoni &
 Butler 1976).  One filler, :func:`_orbit_blocks`, writes that form for
 :func:`_eigh`, the one solver entry point, from the operator's difference
-table; a matrix built by hand is read as its own table
-(:func:`_toeplitz_table`).  The solver reads only the lower triangle of
-each block, so every block is written as its lower triangle alone, on one
-schedule of bands of rows.  A real table's blocks share rectangular arrays
-two to one, as the Rectangular Full Packed format stores a triangle
-(Gustavson et al. 2010).  A complex table (a band set without a centre)
-gives one real block of size n, or an even and an odd block when its
-coupling is exactly zero; the kernels below are gathered only for callers
-that ask for a matrix, and a matrix without a Hermitian table takes the
-dense complex solve.  The translation cross-check solves nothing: it
-recentres a complex table by a centre phase, difference by difference
-(:func:`_recentred`), and compares it with the table that was solved.
+table; a matrix (hand-built, or passed to :func:`decompose`) is read as
+its own table over the grid its rows show (:func:`_toeplitz_table`), and
+one without such a table takes the dense complex solve.  Every block is
+written as its lower triangle alone, all the solver reads, on one
+schedule of bands of rows; a real table's blocks share arrays two to one,
+as the Rectangular Full Packed format stores a triangle (Gustavson et al.
+2010).  A complex table (a band set without a centre) gives one real block
+of size n, or an even and an odd block when its coupling is exactly zero.
+The translation cross-check solves nothing: it recentres a complex table
+by a centre phase, difference by difference (:func:`_recentred`), and
+compares it with the table that was solved.
 
 Modulating every band by a common ``exp(2 pi i c . x)`` moves no
 eigenvalue.  So when the bands pair up as mirrors about some centre c (a
@@ -201,9 +200,8 @@ class _Demodulated(NamedTuple):
     the sample coordinates x in vec order.  ``symmetries`` are the axis maps
     besides J the table is invariant under (see :func:`_axis_symmetries`),
     in the order they were accepted.  With ``center`` None it is an
-    operator's own table, complex in general and without symmetries, as
-    :func:`_eigh` reads the tables of sets without a centre and of
-    hand-built matrices."""
+    operator's own complex table, without symmetries: a set's without a
+    centre, or a matrix's (:func:`_toeplitz_table`)."""
 
     center: np.ndarray
     table: np.ndarray
@@ -426,10 +424,9 @@ def _gather(table: np.ndarray) -> np.ndarray:
 
 
 def _row_bands(table: np.ndarray):
-    """A table's matrix as ``(rows, band)`` pairs, ``band`` the matrix rows
-    ``rows`` (a slice) read from the same entries, so no n x n array is
-    allocated.  A band is a run of indices of the last axis, whose rows are
-    contiguous in vec order, of about 64 Ki entries (at least one index)."""
+    """A table's matrix as ``(rows, band)`` pairs, ``band`` the rows
+    ``rows`` (a slice), so no n x n array is allocated: a run of indices of
+    the last axis, contiguous in vec order, of about 64 Ki entries."""
     view = _strided(table)
     total = int(np.prod(view.shape[:table.ndim]))
     per = total // view.shape[0]
@@ -448,14 +445,26 @@ def _dense_product(table: np.ndarray, v: np.ndarray) -> np.ndarray:
     return out
 
 
-def _toeplitz_table(a: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
-    """The difference table of a matrix over the grid ``dims``, or None
-    when ``a`` is not exactly the matrix of an exactly Hermitian table.
+def _toeplitz_grid(a: np.ndarray) -> tuple[int, ...]:
+    """The grid a square matrix reads as multilevel Toeplitz over, if any.
 
-    Difference d is read at ``a[vec(max(d, 0)), vec(max(-d, 0))]``, one
-    entry per difference.  The table is returned only when ``T[-d] == conj
-    T[d]`` holds exactly and its matrix equals ``a`` as values, compared a
-    band of rows at a time (:func:`_row_bands`)."""
+    Row s, the product of the first k sizes, is row 0 moved s columns on
+    up to ``j = (dims[k] - 1) s``, where axis k wraps: the first mismatch
+    fixes ``dims[k]``.  Only :func:`_toeplitz_table` proves the grid."""
+    n, step, dims = a.shape[0], 1, ()
+    while step < n:
+        off = np.flatnonzero(a[step, step:] != a[0, :n - step])
+        dims += (max(2, off[0] // step + 1 if off.size else n // step),)
+        step *= dims[-1]
+    return dims or (n,)
+
+
+def _toeplitz_table(a: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
+    """The difference table of a matrix over the grid ``dims``, read at
+    ``a[vec(max(d, 0)), vec(max(-d, 0))]`` for difference d, or None unless
+    ``T[-d] == conj T[d]`` and its matrix equals ``a``, compared a band of
+    rows at a time (:func:`_row_bands`).  Both hold as values, not bits: an
+    unread entry may differ from the read one in the sign of a zero."""
     n = int(np.prod(dims))
     if a.shape != (n, n):
         return None
@@ -527,10 +536,8 @@ def _pivot_scale(rows: np.ndarray, phase: np.ndarray | None = None) -> np.ndarra
 def _hermitian_exactly(a: np.ndarray) -> bool:
     """Whether ``a == a^H`` holds exactly, compared a block of rows at a
     time so no full-size copy is made."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
     n = a.shape[0]
-    step = max(1, 65536 // max(n, 1))
+    step = max(1, 65536 // n)
     for lo in range(0, n, step):
         if not np.array_equal(a[lo:lo + step], a[:, lo:lo + step].T.conj()):
             return False
@@ -627,10 +634,10 @@ def _orbit_blocks(source: np.ndarray, orbits: _Orbits) -> list[np.ndarray]:
     For a real table, block c over the orbits with representatives i and j
     is ``sum_e chars[c, e] A[i, e j] / sqrt(s_i s_j)``, with s the
     stabiliser sizes: the matrix in the orthonormal basis ``sqrt(s / |G|)
-    sum_{distinct e j} chars[c, e] e_{e j}`` of each kept orbit.  For G = {1, J} the
-    blocks are the even and odd blocks, ``a11 + a12j`` and ``a11 - a12j``,
-    with the middle row ``sqrt 2 A[k, :k]`` and corner ``A[k, k]`` for odd
-    n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
+    sum_{distinct e j} chars[c, e] e_{e j}`` of each kept orbit.  For G =
+    {1, J} they are the even and odd blocks, ``a11 + a12j`` and ``a11 -
+    a12j``, with the middle row ``sqrt 2 A[k, :k]`` and corner ``A[k, k]``
+    for odd n (``sqrt(1/4)`` is exact and ``sqrt(1/2) = sqrt(2) / 2``).
 
     A complex table gives ``R = Q^H A Q`` with ``Q = [[I, iI], [J, -iJ]] /
     sqrt 2`` (plus the middle unit vector when n is odd): the even and odd
@@ -703,15 +710,15 @@ def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
     place the package calls a dense eigensolver.
 
     The operator ``a`` is a table (a :class:`_Demodulated`) or a matrix.  A
-    complex matrix that is exactly the matrix of an exactly Hermitian table
-    over ``dims`` (:func:`_toeplitz_table`) is solved from that table, with
-    no centre, as a band set without a centre is.  A table is reduced to
-    its real form by :func:`_orbit_blocks` and solved in float64, over the
-    group G that J and its axis symmetries generate, one block per
-    character; a complex table gives one real block R of the same size, or
-    the even and odd blocks when R's coupling is exactly zero.  Any other
-    matrix goes to the solver unchanged.  Every route reads only the lower
-    triangle of what it solves, which is all :func:`_orbit_blocks` writes.
+    complex matrix with a table over the grid its rows show
+    (:func:`_toeplitz_grid`, :func:`_toeplitz_table`) is solved from that
+    table, with no centre, as a band set without a centre is; any other
+    matrix goes to the solver unchanged.  A table is reduced to its real
+    form by :func:`_orbit_blocks`, over the group G that J and its axis
+    symmetries generate, one block per character; a complex table gives one
+    block R of the same size, or the even and odd blocks when R's coupling
+    is exactly zero.  Every route reads only the lower triangle of what it
+    solves, which is all :func:`_orbit_blocks` writes.
 
     A real table is the operator shifted to the centre of its
     point-symmetric band set, and its eigenvectors are multiplied by the
@@ -719,36 +726,31 @@ def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
     in G, chi the block's character.
 
     Eigenvalues are sorted descending by a stable sort (the block of the
-    lower character first among ties).  The eigenvectors are not mapped
-    back here: the solved blocks' eigenvectors are kept, with the
-    descending order, the centre phase and each vector's pivot factor, and
-    ``dims`` (a table's grid; default ``(n,)`` for a matrix of size n)
-    fixes the eigen-tensor shape they are read out in.
+    lower character first among ties).  The blocks' eigenvectors are kept,
+    not mapped back, with the order, the centre phase and the pivot
+    factors; ``dims`` (default ``(n,)``) is the eigen-tensor shape.
 
-    With ``leading`` (a count p), only the leading p eigenvectors are
-    wanted.  Right after each block is solved, and before the next one is,
-    its eigenvectors are cut to the columns whose eigenvalue is at least
-    the block's min(p, m)-th largest, m its size (:func:`_leading_columns`;
-    an exact tie at the cut is kept whole), so the next solve runs beside
-    p columns of each block solved before it instead of all of them.  Each
-    of the global first p is among its block's first p, so every one is
-    kept.  All eigenvalues are kept, and the same blocks are solved by the
-    same calls, so the first p eigen-tensors are bitwise those of a full
-    solve; only they can be read (:class:`_Eigenvectors`).
+    With ``leading`` (a count p), right after each block is solved, and
+    before the next one is, its eigenvectors are cut to the columns whose
+    eigenvalue is at least the block's min(p, m)-th largest, m its size
+    (:func:`_leading_columns`; an exact tie at the cut is kept whole), so
+    the next solve runs beside p columns of each block solved before it.
+    Each of the global first p is among its block's first p.  All
+    eigenvalues are kept and the same blocks are solved by the same calls,
+    so the first p eigen-tensors are bitwise those of a full solve; only
+    they can be read (:class:`_Eigenvectors`).
     """
     dims = (a.shape[0],) if dims is None else tuple(dims)
     if not isinstance(a, _Demodulated) and np.iscomplexobj(a):
-        table = _toeplitz_table(a, dims)
+        table = _toeplitz_table(a, _toeplitz_grid(a))
         a = a if table is None else _Demodulated(None, table, ())
     n = int(np.prod(dims))
-    orbits, phase = None, None
+    orbits, phase, blocks = None, None, [a]
     if isinstance(a, _Demodulated):
         orbits = _orbits(dims, a.symmetries)
         blocks = _orbit_blocks(a.table, orbits)
         if vectors and a.center is not None:
             phase = _phase(dims, a.center)
-    else:
-        blocks = [a]
     try:
         # UPLO="L" is what the real forms rely on: their upper triangles are
         # their partners' or never written.
@@ -1045,8 +1047,9 @@ def decompose(kernel: np.ndarray) -> Spectrum1D:
     """Full dense Hermitian eigendecomposition, descending order.
 
     Input that is not exactly Hermitian is replaced by its Hermitian part
-    first; exactly Hermitian input, such as any gathered kernel, is used
-    as it is, which gives the same result without the copy.
+    first.  A complex kernel that is multilevel Toeplitz over the grid its
+    rows show, as a gathered kernel of any dimension is, is solved through
+    its real form; any other by the dense complex solve.
     """
     kernel = np.asarray(kernel)
     if kernel.ndim != 2 or not 0 < kernel.shape[0] == kernel.shape[1]:

@@ -60,17 +60,14 @@ def _split_sizes(n):
 
 def _pairs(cov):
     """(values, vectors as columns) from ``spectrum`` on the covariance and
-    on a hand-built copy of its matrix, and for a 1-D grid from
-    ``decompose``: a 2-D matrix is no 1-D Toeplitz matrix, so ``decompose``
-    solves it unreduced."""
+    on a hand-built copy of its matrix, and from ``decompose``, which reads
+    the matrix over the grid it finds in the matrix's rows."""
     pairs = []
     for one in (cov, DenseCovariance(matrix=cov.matrix, dims=cov.dims)):
         sp = spectrum(one)
         pairs.append((sp.eigenvalues, np.stack([vec(t) for t in sp.tensors], axis=1)))
-    if len(cov.dims) == 1:
-        one = decompose(cov.matrix)
-        pairs.append((one.eigenvalues, one.eigenvectors))
-    return pairs
+    one = decompose(cov.matrix)
+    return pairs + [(one.eigenvalues, one.eigenvectors)]
 
 
 @pytest.mark.parametrize("name", list(SPLIT))

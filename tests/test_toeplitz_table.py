@@ -5,8 +5,11 @@ difference and returns that table only when the table is exactly Hermitian
 and its matrix is the input, entry for entry.  A gathered table comes back
 bit for bit; a matrix one entry off, a Toeplitz matrix that is not
 Hermitian, a multilevel matrix read over the wrong grid and a non-square
-input give None.  A Hermitian, centro-Hermitian matrix that is not
-Toeplitz has no table, so it takes the plain dense solve.
+input give None.  ``prolate._toeplitz_grid`` finds a gathered matrix's own
+grid in its rows, so ``decompose`` reduces a 2-D or 3-D matrix too; a
+table with a tie where the grid is read gives a grid the table check
+rejects.  A Hermitian, centro-Hermitian matrix that is not Toeplitz has no
+table, so it takes the plain dense solve.
 """
 
 import numpy as np
@@ -14,10 +17,10 @@ import pytest
 
 from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
-                       materialize_cubic, pp_materialize, sinc_kernel,
-                       spectrum_values)
+                       decompose, materialize_cubic, pp_materialize,
+                       sinc_kernel, spectrum_values)
 from mdprolate import prolate
-from mdprolate.prolate import _gather, _toeplitz_table
+from mdprolate.prolate import _gather, _toeplitz_grid, _toeplitz_table
 
 import oracles
 import pinned
@@ -55,6 +58,45 @@ def test_a_gathered_table_is_read_back_bitwise(name):
     got = _toeplitz_table(np.array(cov.matrix), cov.dims)
     assert got.dtype == cov.table.dtype and got.shape == cov.table.shape
     assert got.tobytes() == cov.table.tobytes()
+
+
+@pytest.mark.parametrize("name", list(GATHERED))
+def test_a_gathered_matrix_reads_its_own_grid(name):
+    cov = GATHERED[name]()
+    assert _toeplitz_grid(np.array(cov.matrix)) == cov.dims
+
+
+@pytest.mark.parametrize("name", ["readme-9x7", "asymmetric-12x11", "pp-9x8",
+                                  "asymmetric-4x5x6"])
+def test_decompose_reduces_a_multilevel_matrix(name, solver_sizes, monkeypatch):
+    cov = GATHERED[name]()
+    filled, fill = [], prolate._orbit_blocks
+
+    def recording(table, orbits):
+        filled.append(table.shape)
+        return fill(table, orbits)
+    monkeypatch.setattr(prolate, "_orbit_blocks", recording)
+    sp = decompose(cov.matrix)
+    assert filled == [cov.table.shape] and sum(solver_sizes) == cov.size
+    expected = np.linalg.eigvalsh(cov.matrix)[::-1]
+    assert np.max(np.abs(sp.eigenvalues - expected)) <= 1e-13
+
+
+def test_a_tie_where_the_grid_is_read_takes_the_plain_solve(solver_sizes):
+    """Over (5, 4), row 1 first leaves row 0's shift at column 4, where it
+    reads difference (1, -1) against (-4, 0): equal here, so the grid read
+    is wrong and the matrix is solved as it is, to the same spectrum."""
+    rng = np.random.default_rng(6)
+    table = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
+    table = (table + table[::-1, ::-1].conj()) / 2.0
+    table[5, 2] = table[0, 3]
+    table[3, 4] = table[8, 3]
+    a = np.array(_gather(table))
+    assert np.array_equal(a, a.conj().T) and _toeplitz_table(a, (5, 4)) is not None
+    assert _toeplitz_grid(a) != (5, 4)
+    sp = decompose(a)
+    assert solver_sizes == [20]
+    assert np.max(np.abs(sp.eigenvalues - np.linalg.eigvalsh(a)[::-1])) <= 1e-13
 
 
 @pytest.mark.parametrize("name", ["1-d-65", "asymmetric-12x11", "asymmetric-4x5x6"])
