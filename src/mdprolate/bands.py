@@ -210,10 +210,8 @@ class ParallelepipedBand:
 
     def corners(self) -> np.ndarray:
         """(4, 2) vertices of the parallelogram, in cyclic order."""
-        w0, w1 = self.half_widths
-        inv = np.linalg.inv(np.array([[self.a, self.b], [self.c, self.d]]))
-        uv = np.array([[w0, w1], [-w0, w1], [-w0, -w1], [w0, -w1]])
-        return uv @ inv.T + np.asarray(self.center)
+        return _pp_corners(self.a, self.b, self.c, self.d, self.half_widths,
+                           self.center)
 
     def shifted(self, delta: tuple[float, float]) -> "ParallelepipedBand":
         """Same band translated by ``delta`` (re-validated)."""
@@ -277,6 +275,15 @@ def cubic_violations(centers, half_widths, *,
     return out
 
 
+def _pp_corners(a, b, c, d, half_widths, center) -> np.ndarray:
+    """(4, 2) vertices, in cyclic order, of ``{|a f + b g| <= W0, |c f + d g|
+    <= W1}`` translated by ``center``."""
+    w0, w1 = half_widths
+    inv = np.linalg.inv(np.array([[a, b], [c, d]], dtype=float))
+    uv = np.array([[w0, w1], [-w0, w1], [-w0, -w1], [w0, -w1]])
+    return uv @ inv.T + np.asarray(center, dtype=float)
+
+
 def _pp_band_violations(idx, a, b, c, d, half_widths, center) -> list[Violation]:
     out: list[Violation] = []
     w0, w1 = float(half_widths[0]), float(half_widths[1])
@@ -300,10 +307,7 @@ def _pp_band_violations(idx, a, b, c, d, half_widths, center) -> list[Violation]
         return [Violation("transform", (idx,),
                           f"band {idx}: band area 4 W0 W1 / |ad - bc| is not "
                           f"positive (|ad - bc| = {abs(det):.3e})")]
-    inv = np.linalg.inv(np.array([[a, b], [c, d]], dtype=float))
-    uv = np.array([[w0, w1], [-w0, w1], [-w0, -w1], [w0, -w1]])
-    corners = uv @ inv.T + np.asarray(center, dtype=float)
-    if np.any(np.abs(corners) > 0.5 + TOUCH_TOL):
+    if np.any(np.abs(_pp_corners(a, b, c, d, (w0, w1), center)) > 0.5 + TOUCH_TOL):
         out.append(Violation("range", (idx,),
                              f"band {idx}: parallelogram exceeds [-1/2, 1/2]^2"))
     return out

@@ -192,9 +192,7 @@ def _phi_basis(phi: dct.Dictionary) -> dct.SubspaceBasis:
     """The span of a phi dictionary: its atoms are orthonormal eigen-tensors
     already, so they are stacked as the basis as they are, with no SVD and
     no rank cut."""
-    q = (phi.stacked() if len(phi) else
-         np.zeros((phi.grid.size, 0), dtype=complex))
-    return dct.SubspaceBasis(q=q, dims=phi.grid.dims, rank=len(phi),
+    return dct.SubspaceBasis(q=phi.stacked(), dims=phi.grid.dims, rank=len(phi),
                              tolerance=0.0)
 
 

@@ -97,7 +97,10 @@ class Dictionary:
         return len(self.atoms)
 
     def stacked(self) -> np.ndarray:
-        """(M N, K) matrix whose columns are the vectorized atoms."""
+        """(M N, K) matrix whose columns are the vectorized atoms; complex
+        (M N, 0) when there are none."""
+        if not self.atoms:
+            return np.zeros((self.grid.size, 0), dtype=complex)
         return np.column_stack([vec(a.tensor) for a in self.atoms])
 
     def gram(self) -> np.ndarray:

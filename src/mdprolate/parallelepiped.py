@@ -117,7 +117,7 @@ def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
     """Bound on the 2-norm distance between the sorted spectra of two specs
     that differ only in band centers, taken from their tables without any
-    eigensolve (:func:`_shift_deviation`).
+    eigensolve (:func:`_shift_deviation` on ``shifted``'s band set).
 
     One common translation moves no eigenvalue (the center phase is a
     unitary diagonal conjugation), and the bound is then tight: a pure
@@ -127,33 +127,33 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
-    for i, (a, b) in enumerate(zip(_parallelograms(spec).shapes,
-                                   _parallelograms(shifted).shapes)):
+    moved = _parallelograms(shifted)
+    for i, (a, b) in enumerate(zip(_parallelograms(spec).shapes, moved.shapes)):
         if a != b:
             raise ValueError(f"band {i} differs in shape, not only in center")
-    return _shift_deviation(pp_materialize(spec), shifted)
+    return _shift_deviation(pp_materialize(spec), moved)
 
 
-def _shift_deviation(cov: DenseCovariance, shifted) -> float:
+def _shift_deviation(cov: DenseCovariance, moved: _BandSet) -> float:
     """Bound on ``||lam - lam'||_2``, lam the spectrum ``_eigh`` solves for
-    ``cov`` and lam' that of ``shifted`` (any spec :func:`_band_set` takes
-    with the bands of ``cov.spec`` moved), without an eigensolve.
+    ``cov`` and lam' that of ``moved``, the band set of ``cov.spec`` with
+    its bands moved, without an eigensolve.
 
     Moving every band by one step conjugates the operator by a unitary
-    diagonal modulation, which moves no eigenvalue.  So the shifted set's
-    complex table, recentred (``prolate._recentred``) by the step between
-    the two sets' mean band centres plus the centre of the table ``cov``
-    is solved from (``operator._solved``), is that table up to roundoff.
-    The Frobenius norm of the difference, summed over the table with each
-    difference's multiplicity, bounds ``||lam - lam'||_2`` (Hoffman &
-    Wielandt 1953).
+    diagonal modulation, which moves no eigenvalue.  A band term is defined
+    at any centre and is periodic in it, so the moved set need not lie
+    inside the Nyquist cube.  Its complex table, recentred
+    (``prolate._recentred``) by the step between the two sets' mean band
+    centres plus the centre of the table ``cov`` is solved from
+    (``operator._solved``), is that table up to roundoff.  The Frobenius
+    norm of the difference, summed over the table with each difference's
+    multiplicity, bounds ``||lam - lam'||_2`` (Hoffman & Wielandt 1953).
     """
-    bands, solved = _band_set(shifted), _solved(cov)
-    step = bands.centers.mean(axis=0) - _band_set(cov.spec).centers.mean(axis=0)
+    solved = _solved(cov)
+    step = moved.centers.mean(axis=0) - _band_set(cov.spec).centers.mean(axis=0)
     if solved.center is not None:
         step = step + solved.center
-    moved = _recentred(_table(bands), step)
-    return float(np.sqrt(_frobenius_sq(moved - solved.table)))
+    return float(np.sqrt(_frobenius_sq(_recentred(_table(moved), step) - solved.table)))
 
 
 def _operators(config: BandConfig) -> list[tuple[str, object]]:

@@ -16,12 +16,14 @@ operator's name: FFT apply against the dense product, separable
 factorization for a single box, transition counts and residual/coherence
 bounds on modulated-DPSS dictionaries (2-D cubic); Hermitian symmetry of
 sampled entries (parallelogram); and eigenvalue invariance under
-translation of the whole band set by :func:`_safe_shift` (1-D and
-parallelogram), certified from the tables with no second eigensolve
-(``parallelepiped._shift_deviation``): the translated operator's complex
-table, recentred by the step and the solved table's centre, minus the
-table the shared block solved, has a Frobenius norm that bounds the
-2-norm of the two spectra's difference (1-D n = 512 reads about 2.7e-14).
+translation of the whole band set by ``_STEP`` (1-D and parallelogram).
+No configuration is built for the moved set: a band term is periodic in
+its centre, so a band moved past 1/2 is the same spectrum, moved.  The
+row is certified from the tables with no second eigensolve
+(``parallelepiped._shift_deviation``): the moved set's complex table,
+recentred by the step and the solved table's centre, minus the table the
+shared block solved, has a Frobenius norm that bounds the 2-norm of the
+two spectra's difference (1-D n = 512 reads about 2.7e-14).
 No row holds an n x n array or reads ``.matrix``: the FFT apply's dense
 reference is summed from table entries a band of rows at a time
 (``prolate._dense_product``).
@@ -46,7 +48,7 @@ from .dictionary import (build_psi, cross_band_gram_violations,
 from .operator import (OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
-from .parallelepiped import (PPOperatorSpec, _materialize, _operators,
+from .parallelepiped import (PPOperatorSpec, _band_set, _materialize, _operators,
                              _shift_deviation, pp_entry)
 from .prolate import _dense_product
 from .reports import ReportRow
@@ -57,6 +59,8 @@ THREADS_ENV = "MDPROLATE_THREADS"
 
 # How far eigenvalue_range_excess lets an eigenvalue lie outside [0, 1].
 _RANGE_TOL = 1e-10
+# How far the translation rows move every band, per axis (signs alternate).
+_STEP = 0.02
 
 
 def max_workers() -> int:
@@ -166,19 +170,13 @@ def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
 
 
 def _oned_extras(spec: OperatorSpec, cov, lam, eps, seed):
-    """1-D: the solved table against that of the union translated by
-    :func:`_safe_shift`, whose corners are the band edges ``c -+ w``."""
-    bands = spec.bands
-    delta = _safe_shift(np.vstack([bands.centers - bands.half_widths,
-                                   bands.centers + bands.half_widths]))
-    shifted = OperatorSpec(spec.grid, CubicBandUnion(bands.centers + delta,
-                                                     bands.half_widths))
-    return [("modulation_invariance_max_err", _shift_deviation(cov, shifted), 1e-9)]
+    """1-D: the solved table against that of the union moved by :data:`_STEP`."""
+    return [("modulation_invariance_max_err", _translation_deviation(cov), 1e-9)]
 
 
 def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, eps, seed):
     """Parallelograms: Hermitian symmetry of sampled entries, and the
-    solved table against that of the bands translated by :func:`_safe_shift`."""
+    solved table against that of the bands moved by :data:`_STEP`."""
     grid, bands = spec.grid, spec.bands
     rng = np.random.default_rng(7)
     worst = 0.0
@@ -187,28 +185,16 @@ def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, eps, seed):
         fwd = pp_entry(band, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
         rev = pp_entry(band, idx[:, 2], idx[:, 3], idx[:, 0], idx[:, 1])
         worst = max(worst, float(np.max(np.abs(fwd - np.conj(rev)))))
-    delta = _safe_shift(np.vstack([b.corners() for b in bands]))
-    shifted = PPOperatorSpec(grid=grid,
-                             bands=tuple(b.shifted(delta) for b in bands))
     return [("hermitian_symmetry_max_err", worst, 1e-15),
-            ("center_shift_max_dev", _shift_deviation(cov, shifted), 1e-9)]
+            ("center_shift_max_dev", _translation_deviation(cov), 1e-9)]
 
 
-def _safe_shift(corners) -> tuple[float, ...]:
-    """A nonzero translation keeping every corner (one row per point, one
-    column per axis) inside the Nyquist cube.  While no corner reaches
-    +-1/2 it is the same step on every axis, its sign alternating from + on
-    axis 0; otherwise each axis moves toward the side with more room, ``1/2
-    - max`` up against ``1/2 + min`` down.  Each step is half the room, at
-    most 0.02, so it is zero only on an axis the bands span."""
-    corners = np.asarray(corners)
-    room = 0.5 - np.abs(corners).max()
-    step = min(max(room * 0.5, 0.0), 0.02)
-    if step > 0:
-        return tuple(step if axis % 2 == 0 else -step for axis in range(corners.shape[1]))
-    up, down = 0.5 - corners.max(axis=0), 0.5 + corners.min(axis=0)
-    steps = np.minimum(np.maximum(up, down) * 0.5, 0.02)
-    return tuple(float(s if u >= d else -s) for s, u, d in zip(steps, up, down))
+def _translation_deviation(cov) -> float:
+    """``_shift_deviation`` of ``cov`` against its own band set moved by
+    :data:`_STEP` on every axis, the sign alternating from + on axis 0."""
+    bands = _band_set(cov.spec)
+    step = _STEP * (-1.0) ** np.arange(bands.centers.shape[1])
+    return _shift_deviation(cov, bands._replace(centers=bands.centers + step))
 
 
 # Each operator's own rows, by the name ``parallelepiped._operators`` gives

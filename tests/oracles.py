@@ -1,7 +1,8 @@
 """Independent oracles used to pin expected values.
 
 Everything here deliberately avoids the library's code paths: kernels are
-assembled from Toeplitz structure or per-entry complex arithmetic,
+assembled from Toeplitz structure or per-entry complex arithmetic (so a
+band moved past 1/2, which the library's kernels reject, is still built),
 integrals are evaluated by scipy's adaptive quadrature, and
 eigendecompositions go through scipy.linalg instead of numpy.linalg.
 
@@ -23,15 +24,20 @@ def toeplitz_multiband_kernel(n: int, intervals) -> np.ndarray:
     """1-D multiband kernel via scipy.linalg.toeplitz, one band at a time."""
     acc = np.zeros((n, n), dtype=complex)
     for lo, hi in intervals:
-        f_c = (lo + hi) / 2.0
-        w = (hi - lo) / 2.0
-        k = np.arange(n)
-        col = np.empty(n, dtype=complex)
-        col[0] = 2.0 * w
-        col[1:] = (np.exp(2j * np.pi * f_c * k[1:])
-                   * np.sin(2.0 * np.pi * w * k[1:]) / (np.pi * k[1:]))
-        acc += scipy.linalg.toeplitz(col, col.conj())
+        acc += modulated_sinc(n, (lo + hi) / 2.0, (hi - lo) / 2.0)
     return acc
+
+
+def modulated_sinc(n: int, f_c: float, w: float) -> np.ndarray:
+    """Kernel of the band ``[f_c - w, f_c + w]`` via scipy.linalg.toeplitz,
+    entry (m, k) ``exp(2j pi f_c (m-k)) sin(2 pi w (m-k)) / (pi (m-k))``.
+    Defined for any centre, including one past 1/2."""
+    k = np.arange(n)
+    col = np.empty(n, dtype=complex)
+    col[0] = 2.0 * w
+    col[1:] = (np.exp(2j * np.pi * f_c * k[1:])
+               * np.sin(2.0 * np.pi * w * k[1:]) / (np.pi * k[1:]))
+    return scipy.linalg.toeplitz(col, col.conj())
 
 
 def eigh_descending(a: np.ndarray):
@@ -225,25 +231,20 @@ def centro_hermitian(a: np.ndarray) -> bool:
 
 def modulation_invariance_reference(n: int, union) -> float:
     """The 1-D translation row at full size: the largest deviation of the
-    union's spectrum from that of the union translated by
-    ``verify._safe_shift``, each summed from hand-built ``sinc_kernel``s
-    and solved by a complex ``eigvalsh`` of size n.  Kept as the reference
-    the row bounds from above: the row solves nothing, and is the
-    Frobenius norm of the translated union's table, recentred by the step
-    and the solved table's centre, less the solved table, which bounds
-    the 2-norm of the two spectra's difference (about 2.7e-14 at
-    n = 512)."""
-    from mdprolate import sinc_kernel
-    from mdprolate.verify import _safe_shift
-    [step] = _safe_shift(np.vstack([union.centers - union.half_widths,
-                                    union.centers + union.half_widths]))
-
+    union's spectrum from that of the union moved by verify's fixed step
+    0.02, each summed from hand-built :func:`modulated_sinc` kernels (a
+    moved band may pass 1/2) and solved by a complex ``eigvalsh`` of size
+    n.  Kept as the reference the row bounds from above: the row solves
+    nothing, and is the Frobenius norm of the moved union's table,
+    recentred by the step and the solved table's centre, less the solved
+    table, which bounds the 2-norm of the two spectra's difference (about
+    2.7e-14 at n = 512)."""
     def values(shift):
         return np.linalg.eigvalsh(sum(
-            sinc_kernel(n, f + shift, w)
+            modulated_sinc(n, f + shift, w)
             for f, w in zip(union.centers[:, 0], union.half_widths[:, 0])))
 
-    return float(np.max(np.abs(values(step) - values(0.0))))
+    return float(np.max(np.abs(values(0.02) - values(0.0))))
 
 
 REF_INTERVALS = ((-0.15, -0.05), (0.15, 0.25))

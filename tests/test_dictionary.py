@@ -72,6 +72,18 @@ def test_psi_autocheck_runs_at_large_sizes(ref_union_2d):
     assert len(psi.atoms) == 4
 
 
+def test_an_empty_psi_dictionary_stacks_and_checks(ref_union_2d):
+    """Zero atoms at a size where the coherence auto-check engages: an
+    (MN, 0) complex stack, an empty Gram matrix and no violations."""
+    spec = OperatorSpec(grid=SamplingGrid((128, 128)), bands=ref_union_2d)
+    psi = build_psi(spec, 0)
+    assert len(psi) == 0
+    stacked = psi.stacked()
+    assert (stacked.shape, stacked.dtype) == ((128 * 128, 0), np.complex128)
+    assert psi.gram().shape == (0, 0)
+    assert cross_band_gram_violations(psi) == []
+
+
 def test_orthonormalize_ranks(spec8, spectrum8):
     phi = build_phi(spec8, 10, spec_spectrum=spectrum8)
     assert orthonormalize(phi).rank == 10

@@ -25,7 +25,6 @@ from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
                        vec)
 from mdprolate import operator, prolate
 from mdprolate.prolate import _gather, _orbit_blocks, _orbits, _toeplitz_table
-from mdprolate.verify import _safe_shift
 
 import oracles
 import pinned
@@ -48,11 +47,9 @@ def _cubic(dims, union):
 
 
 def _readme_pp(dims, shifted=False):
-    bands = (README_PP,)
-    if shifted:
-        delta = _safe_shift(np.vstack([b.corners() for b in bands]))
-        bands = tuple(b.shifted(delta) for b in bands)
-    return pp_materialize(PPOperatorSpec(grid=SamplingGrid(dims), bands=bands))
+    """The README parallelogram, moved by verify's step when ``shifted``."""
+    band = README_PP.shifted((0.02, -0.02)) if shifted else README_PP
+    return pp_materialize(PPOperatorSpec(grid=SamplingGrid(dims), bands=(band,)))
 
 
 def _coupled(table, a, dims):

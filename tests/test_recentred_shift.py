@@ -7,9 +7,11 @@ centres plus the centre of the table the original is solved from, is that
 table up to roundoff.  ``_shift_deviation`` returns the Frobenius norm of
 the difference, summed over the table with each difference's multiplicity:
 by Hoffman and Wielandt a bound on the 2-norm of the difference of the two
-sorted spectra, reached with no eigensolve.  The recentred table of a
-point-symmetric set has an exactly even real part, which still splits into
-the even and odd blocks of the full-size real form.
+sorted spectra, reached with no eigensolve.  It takes the moved band set
+itself, so no configuration is built for it, and a band may be moved past
+1/2.  The recentred table of a point-symmetric set has an exactly even
+real part, which still splits into the even and odd blocks of the
+full-size real form.
 """
 
 import numpy as np
@@ -21,7 +23,6 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
 from mdprolate import parallelepiped, prolate
 from mdprolate.bands import BandError
 from mdprolate.parallelepiped import _band_set, _materialize, _shift_deviation
-from mdprolate.verify import _safe_shift
 
 from conftest import random_cubic_union, random_pp_bands
 import pinned
@@ -60,9 +61,11 @@ def _corners(spec):
 
 
 def _translated(spec):
-    """``spec`` with every band moved by ``verify._safe_shift``'s step."""
-    step = _safe_shift(_corners(spec))
-    return _moved(spec, np.tile(step, (len(_band_set(spec).centers), 1)))
+    """``spec``'s band set with every band moved by verify's fixed step,
+    0.02 with its sign alternating by axis."""
+    bands = _band_set(spec)
+    step = 0.02 * (-1.0) ** np.arange(spec.grid.dim)
+    return bands._replace(centers=bands.centers + step)
 
 
 def _full_r(table):
@@ -115,7 +118,7 @@ def test_the_value_bounds_the_full_size_deviation(dims, geometry, solver_sizes):
     del solver_sizes[:]
     value = _shift_deviation(cov, shifted)
     assert solver_sizes == []
-    full = np.sort(np.linalg.eigvalsh(_full_r(_materialize(shifted).table)))[::-1]
+    full = np.sort(np.linalg.eigvalsh(_full_r(prolate._table(shifted))))[::-1]
     assert np.max(np.abs(lam - full)) - 2 * cov.size * EPS <= value <= 1e-13
     assert value > 0.0
 
@@ -164,7 +167,7 @@ def test_a_centred_real_box_reads_zero():
     spec = OperatorSpec(SamplingGrid((65,)), CubicBandUnion([0.0], [0.1]))
     cov = _materialize(spec)
     assert _dropped(_recentred(cov)) == 0.0
-    assert _shift_deviation(cov, spec) == 0.0
+    assert _shift_deviation(cov, _band_set(spec)) == 0.0
 
 
 def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
@@ -174,7 +177,7 @@ def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
     spec = OperatorSpec(SamplingGrid((48,)), union)
     cov = _materialize(spec)
     assert cov.demodulated is None
-    assert _shift_deviation(cov, spec) == 0.0
+    assert _shift_deviation(cov, _band_set(spec)) == 0.0
     assert 0.0 < _shift_deviation(cov, _translated(spec)) <= 1e-13
     assert solver_sizes == []
 
@@ -226,7 +229,7 @@ def test_the_value_bounds_the_dense_deviation(seed, kind, common):
     cov, moved = _materialize(spec), _materialize(shifted)
     lam = np.linalg.eigvalsh(prolate._gather(cov.table))
     lam_moved = np.linalg.eigvalsh(prolate._gather(moved.table))
-    value = _shift_deviation(cov, shifted)
+    value = _shift_deviation(cov, _band_set(shifted))
     assert np.max(np.abs(lam - lam_moved)) - 2 * cov.size * EPS <= value
     if common:
         assert value <= 1e-12

@@ -1,6 +1,7 @@
 """Every dense eigensolve goes through ``prolate._eigh`` and reads only the
-lower triangle, only the dense references gather a matrix, and only
-``verify.max_workers`` reads the environment.
+lower triangle, only the dense references gather a matrix, only
+``verify.max_workers`` reads the environment, and ``verify`` builds no
+configuration beyond its default and one single-box spec.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
 call anywhere else in the package would silently bypass it.  Its real
@@ -8,7 +9,9 @@ forms hold nothing but their lower triangles, so every solver call passes
 ``UPLO="L"``.  Table-backed covariances are solved from their tables, so
 a ``.matrix`` read or a ``_gather`` call is allowed only where a dense
 matrix is the point: the hand-built covariance and the public dense
-kernels.
+kernels.  The translation rows move the solved band set itself, so
+``verify`` constructs no band union or spec for them and calls no
+``.shifted``.
 """
 
 import ast
@@ -18,6 +21,7 @@ import mdprolate
 
 SOLVERS = {"eigh", "eigvalsh"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+BUILDERS = {"CubicBandUnion", "OperatorSpec", "PPOperatorSpec", "shifted"}
 PACKAGE = Path(mdprolate.__file__).parent
 
 
@@ -86,6 +90,18 @@ def environment_references(source: str) -> list[str]:
             and any(alias.name in ENVIRONMENT for alias in node.names))))
 
 
+def builder_calls(source: str) -> list[str]:
+    """``function:line`` of every call in ``source`` to a band-union or spec
+    constructor, or to ``.shifted``, bare or as an attribute."""
+    def hit(node):
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in BUILDERS
+    return _references(source, hit)
+
+
 # Where the package may read a dense matrix: (module, function) -> count.
 DENSE_ALLOWED = {
     # The covariance itself: the gather and the hand-built trace and norm.
@@ -97,6 +113,15 @@ DENSE_ALLOWED = {
     # The public dense kernels.
     ("prolate.py", "sinc_kernel"): 1,
     ("prolate.py", "multiband_kernel"): 1,
+}
+
+
+# Where verify may build a configuration: function -> count.
+VERIFY_BUILDS_ALLOWED = {
+    # The built-in configuration's box union.
+    "default_config": 1,
+    # The first box alone, for the separable route.
+    "_cubic_extras": 1,
 }
 
 
@@ -173,3 +198,21 @@ def test_only_the_worker_cap_reads_the_environment():
             key = (path.name, ref.rsplit(":", 1)[0])
             found[key] = found.get(key, 0) + 1
     assert found == {("verify.py", "max_workers"): 1}
+
+
+def test_builder_finder_sees_every_spelling():
+    source = ("from .bands import CubicBandUnion\n"
+              "def f(spec, u, c, w, band):\n"
+              "    bands.CubicBandUnion(c, w), OperatorSpec(spec.grid, u)\n"
+              "    return PPOperatorSpec(spec.grid, ()), band.shifted((0.0, 0.0))\n")
+    assert builder_calls(source) == ["f:3", "f:3", "f:4", "f:4"]
+
+
+def test_verify_builds_no_configuration_for_the_translation_rows():
+    found = {}
+    for ref in builder_calls((PACKAGE / "verify.py").read_text()):
+        scope = ref.rsplit(":", 1)[0]
+        found[scope] = found.get(scope, 0) + 1
+    stray = {scope: count for scope, count in found.items()
+             if count > VERIFY_BUILDS_ALLOWED.get(scope, 0)}
+    assert stray == {}

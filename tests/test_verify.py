@@ -161,14 +161,13 @@ def test_oned_verify_solves_once(widths, monkeypatch):
 
 
 def test_a_band_edge_at_nyquist_still_translates():
-    """A band reaching 1/2 leaves no room above, so the union moves down
-    and the translation row compares two different band sets."""
+    """A band reaching 1/2 is moved past it like every other band: its
+    term is periodic in the centre, so the moved union is the same
+    spectrum, translated, and the row still bounds the hand-built
+    kernels' deviation."""
     from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
     union = CubicBandUnion.from_intervals([(-0.15, -0.05), (0.40, 0.50)])
-    edges = np.vstack([union.centers - union.half_widths,
-                       union.centers + union.half_widths])
-    assert edges.max() == 0.5
-    assert verify._safe_shift(edges) == (-0.02,)
+    assert (union.centers + union.half_widths).max() == 0.5
     rows = verify_config(BandConfig(grid=SamplingGrid((128,)), cubic=union))
     [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
     assert row.passed
@@ -176,13 +175,35 @@ def test_a_band_edge_at_nyquist_still_translates():
     assert oracle - 1e-13 <= row.value <= 1e-9
 
 
-@pytest.mark.parametrize("corners, expected", [
-    ([[-0.5, 0.1], [0.2, 0.3]], (0.02, -0.02)),
-    ([[-0.2, -0.1], [0.3, 0.5]], (-0.02, -0.02)),
-    ([[-0.5, -0.5], [0.5, 0.45]], (0.0, 0.02)),
-], ids=["low-edge", "high-edge", "spanned-axis"])
-def test_safe_shift_moves_each_axis_toward_its_room(corners, expected):
-    assert verify._safe_shift(corners) == expected
+@pytest.mark.parametrize("case", ["full-1-D-band", "full-square-parallelogram"])
+def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
+    """A band set with no room to 1/2 is moved by the same fixed step, 0.02
+    with its sign alternating by axis, as every other set, and the row
+    passes."""
+    from mdprolate import (BandConfig, CubicBandUnion, ParallelepipedBand,
+                           SamplingGrid)
+    from mdprolate.parallelepiped import _band_set
+    if case == "full-1-D-band":
+        config = BandConfig(grid=SamplingGrid((64,)),
+                            cubic=CubicBandUnion([[0.0]], [[0.5]]))
+        metric, step = "modulation_invariance_max_err", [0.02]
+    else:
+        config = BandConfig(grid=SamplingGrid((8, 8)), parallelepiped=(
+            ParallelepipedBand(1.0, 0.0, 0.0, 1.0, (0.5, 0.5)),))
+        metric, step = "center_shift_max_dev", [0.02, -0.02]
+    moves = []
+    deviation = verify._shift_deviation
+
+    def recording(cov, moved):
+        moves.append(moved.centers - _band_set(cov.spec).centers)
+        return deviation(cov, moved)
+
+    monkeypatch.setattr(verify, "_shift_deviation", recording)
+    rows = verify_config(config)
+    [row] = [r for r in rows if r.metric == metric]
+    assert row.passed
+    [move] = moves
+    assert move.tolist() == [step]
 
 
 def _random_union(rng):
