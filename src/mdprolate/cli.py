@@ -158,9 +158,10 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
-def _dict_sizing(config: BandConfig, args) -> tuple[int, list[int]]:
-    bands = config.cubic
-    total = config.grid.size
+def _dict_sizing(spec: OperatorSpec, args) -> tuple[int, list[int]]:
+    bands = spec.bands
+    total = spec.grid.size
+    p, q = dct._sizes(spec, args.eps)
     if args.p is not None:
         p = args.p
     else:
@@ -172,15 +173,10 @@ def _dict_sizing(config: BandConfig, args) -> tuple[int, list[int]]:
             fits = f"eps must be in (0, {limit:g})" if limit > 0.0 else "no eps fits"
             raise ConfigError(f"{fits} for this band union (measure {measure:g}); "
                               "set the dictionary sizes with --p and --q")
-        p = sum(int(np.ceil(total * bands.band(i).measure() * (1.0 + args.eps)))
-                for i in range(bands.num_bands))
     if args.q is not None:
         if len(args.q) != bands.num_bands:
             raise ConfigError(f"--q needs {bands.num_bands} counts")
         q = list(args.q)
-    else:
-        q = [int(np.floor(total * bands.band(i).measure() * (1.0 - args.eps)))
-             for i in range(bands.num_bands)]
     if not 0 < p <= total:
         raise ConfigError(f"dictionary size p = {p} outside (0, {total}]")
     if any(not 0 < qi <= total for qi in q):
@@ -202,8 +198,8 @@ def cmd_dict(args) -> int:
         raise ConfigError("dict requires cubic bands")
     if config.grid.dim != 2:
         raise ConfigError(f"dict requires a 2-D grid, got {config.grid.dim}-D")
-    p, q = _dict_sizing(config, args)
     spec = OperatorSpec(grid=config.grid, bands=config.cubic)
+    p, q = _dict_sizing(spec, args)
     phi = dct.build_phi(spec, p)
     psi = dct.build_psi(spec, q)
     export_dictionary(phi, args.out / "phi")
@@ -238,11 +234,7 @@ def cmd_approx(args) -> int:
         raise ConfigError("approx requires cubic bands")
     spec = OperatorSpec(grid=config.grid, bands=config.cubic)
     total = config.grid.size
-    if args.p is not None:
-        p = args.p
-    else:
-        p = min(total, int(np.ceil(total * config.cubic.measure()
-                                   * (1.0 + args.eps))))
+    p = args.p if args.p is not None else min(total, dct._sizes(spec, args.eps)[0])
     if not 0 <= p <= total:
         raise ConfigError(f"p = {p} outside [0, {total}]")
     sp = spectrum(materialize_cubic(spec))

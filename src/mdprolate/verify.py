@@ -8,22 +8,24 @@ One suite checks every operator of the configuration's operator list
 (``parallelepiped._operators``, the one the CLI's ``spectrum`` also
 reads), whether 1-D multiband, cubic in any dimension or parallelogram.
 It materializes the operator and solves its eigenvalues once, then writes
-the shared block: trace = samples x measure, eigenvalues in [0, 1] and
-``trace - ||.||_F^2 = sum lambda (1 - lambda)``.  On one or two axes it
-adds the logarithmic gap bound, enforced for boxes and only compared for
-parallelograms.  Last come the rows ``_EXTRAS`` lists under the
-operator's name: FFT apply against the dense product, separable
-factorization for a single box, transition counts and residual/coherence
-bounds on modulated-DPSS dictionaries (2-D cubic); Hermitian symmetry of
-sampled entries (parallelogram); and eigenvalue invariance under
-translation of the whole band set by ``_STEP`` (1-D and parallelogram).
-No configuration is built for the moved set: a band term is periodic in
-its centre, so a band moved past 1/2 is the same spectrum, moved.  The
-row is certified from the tables with no second eigensolve
+the shared block, the same rows for every operator: trace = samples x
+measure, eigenvalues in [0, 1], ``trace - ||.||_F^2 = sum lambda (1 -
+lambda)``, the count of eigenvalues in [0.05, 0.95] against the bound that
+gap gives, the fraction of the nominal count above 0.95, and eigenvalue
+invariance under translation of the whole band set by ``_STEP``.  No
+configuration is built for the moved set: a band term is periodic in its
+centre, so a band moved past 1/2 is the same spectrum, moved.  The
+translation row is certified from the tables with no second eigensolve
 (``parallelepiped._shift_deviation``): the moved set's complex table,
 recentred by the step and the solved table's centre, minus the table the
 shared block solved, has a Frobenius norm that bounds the 2-norm of the
-two spectra's difference (1-D n = 512 reads about 2.7e-14).
+two spectra's difference (1-D n = 512 reads about 2.7e-14).  On one or two
+axes the logarithmic gap bound follows, enforced for boxes and only
+compared for parallelograms.  Two geometry groups close the suite: on
+2-D boxes, FFT apply against the dense product, the separable
+factorization of the first box and residual/coherence bounds on
+modulated-DPSS dictionaries; on parallelograms, Hermitian symmetry of
+sampled entries.
 No row holds an n x n array or reads ``.matrix``: the FFT apply's dense
 reference is summed from table entries a band of rows at a time
 (``prolate._dense_product``).
@@ -43,7 +45,7 @@ import numpy as np
 
 from .bands import (BandConfig, ConfigError, CubicBandUnion, ParallelepipedBand,
                     SamplingGrid)
-from .dictionary import (build_psi, cross_band_gram_violations,
+from .dictionary import (_sizes, build_psi, cross_band_gram_violations,
                          pseudo_eigen_residuals)
 from .operator import (OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
@@ -89,9 +91,10 @@ def default_config() -> BandConfig:
 
 def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
     """Every row of one operator: the shared block, the gap bound on one or
-    two axes, then the rows ``_EXTRAS`` lists under the operator's name."""
+    two axes, then the 2-D box rows or the parallelogram's Hermitian row."""
     grid = spec.grid
-    if isinstance(spec, PPOperatorSpec):
+    pp = isinstance(spec, PPOperatorSpec)
+    if pp:
         count, measure = len(spec.bands), spec.measure()
     else:
         count, measure = spec.bands.num_bands, spec.bands.measure()
@@ -107,86 +110,68 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
     lam = spectrum_values(cov)
     expected = cov.size * measure
     gap = cov.trace() - cov.frobenius_sq()
+    # Each eigenvalue in [0.05, 0.95] adds at least 0.05 * 0.95 to sum lam (1
+    # - lam): the gap, to the identity row's 1e-8, plus at most t (1 + t) for
+    # each eigenvalue the range row lets lie within t of [0, 1].  So the
+    # transition row holds whenever those two do; an eigenvalue far outside
+    # fails it.
+    outside = cov.size * _RANGE_TOL * (1.0 + _RANGE_TOL)
     rows = [row("trace_rel_err", abs(lam.sum() - expected) / expected, 1e-9),
             row("eigenvalue_range_excess", max(-lam.min(), lam.max() - 1.0),
                 _RANGE_TOL),
             row("gap_identity_abs_err",
-                abs(gap - float(np.sum(lam * (1.0 - lam)))), 1e-8)]
+                abs(gap - float(np.sum(lam * (1.0 - lam)))), 1e-8),
+            row("center_shift_max_dev", _translation_deviation(cov), 1e-9),
+            row("transition_count_at_0.05", transition_count(lam, 0.05),
+                (gap + 1e-8 + outside) / (0.05 * 0.95)),
+            # Informational: fraction of the nominal count N * measure found
+            # above 0.95; approaches 1 as the grid grows but has no usable
+            # fixed floor at small sizes.
+            row("near_one_fraction_at_0.95",
+                np.count_nonzero(lam > 0.95) / expected, None)]
     if grid.dim <= 2:
         # The closed-form bound is proved for boxes; a parallelogram's gap
         # is only compared with it (informational).
         ratio = gap / gap_bound(grid.dims, count)
-        rows.append(row("gap_vs_cubic_bound_ratio", ratio, None)
-                    if name == "parallelepiped"
+        rows.append(row("gap_vs_cubic_bound_ratio", ratio, None) if pp
                     else row("gap_log_bound_ratio", ratio, 1.0))
-    return rows + [row(*extra)
-                   for extra in _EXTRAS[name](spec, cov, lam, eps, seed)]
-
-
-def _cubic_extras(spec: OperatorSpec, cov, lam, eps, seed):
-    """2-D boxes: FFT apply against the dense product, the separable route
-    for the first box, transition and plateau counts, and the psi
-    dictionary's residual and cross-band Gram rows.  Nothing on three or
-    more axes (no separable route or psi dictionary there)."""
-    grid, bands = spec.grid, spec.bands
-    if grid.dim > 2:
-        return []
-    total = grid.size
-    rng = np.random.default_rng(seed)
-    ys = [rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
-          for _ in range(3)]
-    via_dense = _dense_product(cov.table, np.stack([vec(y) for y in ys], axis=1))
-    worst = max(float(np.linalg.norm(vec(apply_cubic(spec, y)) - dense)
-                      / np.linalg.norm(dense)) for y, dense in zip(ys, via_dense.T))
-
-    sep = separable_eigenvalues(grid.dims[0], grid.dims[1], bands.band(0))
-    dense_one = spectrum_values(materialize_cubic(
-        OperatorSpec(grid=grid, bands=bands.band(0))))
-    # Each eigenvalue in [0.05, 0.95] adds at least 0.05 * 0.95 to sum lam (1
-    # - lam): the gap, to the identity row's 1e-8, plus at most t (1 + t) for
-    # each eigenvalue the range row lets lie within t of [0, 1].  So this row
-    # holds whenever those two do; an eigenvalue far outside fails it.
-    outside = total * _RANGE_TOL * (1.0 + _RANGE_TOL)
-    limit = (cov.trace() - cov.frobenius_sq() + 1e-8 + outside) / (0.05 * 0.95)
-
-    q = [max(1, int(np.floor(total * bands.band(i).measure() * (1.0 - eps))))
-         for i in range(bands.num_bands)]
-    psi = build_psi(spec, q, check_gram=False)
-    resid = pseudo_eigen_residuals(spec, psi)
-    return [
-        ("apply_vs_dense_rel_err", worst, 1e-10),
-        ("separable_vs_dense_max_err", np.max(np.abs(sep - dense_one)), 1e-9),
-        ("transition_count_at_0.05", transition_count(lam, 0.05), limit),
-        # Informational: fraction of the nominal count MN*measure found
-        # above 0.95; approaches 1 as the grid grows but has no usable fixed
-        # floor at small sizes.
-        ("near_one_fraction_at_0.95",
-         np.count_nonzero(lam > 0.95) / (total * bands.measure()), None),
-        ("pseudo_eigen_residual_excess", np.max(resid[:, 0] - resid[:, 1]), 1e-8,
-         "dictionary"),
-        ("cross_band_gram_violations", len(cross_band_gram_violations(psi)), 0.0,
-         "dictionary"),
-    ]
-
-
-def _oned_extras(spec: OperatorSpec, cov, lam, eps, seed):
-    """1-D: the solved table against that of the union moved by :data:`_STEP`."""
-    return [("modulation_invariance_max_err", _translation_deviation(cov), 1e-9)]
-
-
-def _parallelepiped_extras(spec: PPOperatorSpec, cov, lam, eps, seed):
-    """Parallelograms: Hermitian symmetry of sampled entries, and the
-    solved table against that of the bands moved by :data:`_STEP`."""
-    grid, bands = spec.grid, spec.bands
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for band in bands:
-        idx = rng.integers(0, min(grid.dims), size=(8, 4))
-        fwd = pp_entry(band, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
-        rev = pp_entry(band, idx[:, 2], idx[:, 3], idx[:, 0], idx[:, 1])
-        worst = max(worst, float(np.max(np.abs(fwd - np.conj(rev)))))
-    return [("hermitian_symmetry_max_err", worst, 1e-15),
-            ("center_shift_max_dev", _translation_deviation(cov), 1e-9)]
+    if pp:
+        # Hermitian symmetry of sampled parallelogram entries.
+        rng = np.random.default_rng(7)
+        worst = 0.0
+        for band in spec.bands:
+            idx = rng.integers(0, min(grid.dims), size=(8, 4))
+            fwd = pp_entry(band, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
+            rev = pp_entry(band, idx[:, 2], idx[:, 3], idx[:, 0], idx[:, 1])
+            worst = max(worst, float(np.max(np.abs(fwd - np.conj(rev)))))
+        rows.append(row("hermitian_symmetry_max_err", worst, 1e-15))
+    elif grid.dim == 2:
+        # 2-D boxes: FFT apply against the dense product, the separable route
+        # for the first box, and the psi dictionary's residual and
+        # cross-band Gram rows (no separable route or psi past two axes).
+        rng = np.random.default_rng(seed)
+        ys = [rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
+              for _ in range(3)]
+        via_dense = _dense_product(cov.table,
+                                   np.stack([vec(y) for y in ys], axis=1))
+        worst = max(float(np.linalg.norm(vec(apply_cubic(spec, y)) - dense)
+                          / np.linalg.norm(dense))
+                    for y, dense in zip(ys, via_dense.T))
+        first = spec.bands.band(0)
+        sep = separable_eigenvalues(grid.dims[0], grid.dims[1], first)
+        dense_one = spectrum_values(materialize_cubic(
+            OperatorSpec(grid=grid, bands=first)))
+        psi = build_psi(spec, [max(1, q) for q in _sizes(spec, eps)[1]],
+                        check_gram=False)
+        resid = pseudo_eigen_residuals(spec, psi)
+        rows += [
+            row("apply_vs_dense_rel_err", worst, 1e-10),
+            row("separable_vs_dense_max_err", np.max(np.abs(sep - dense_one)), 1e-9),
+            row("pseudo_eigen_residual_excess", np.max(resid[:, 0] - resid[:, 1]),
+                1e-8, "dictionary"),
+            row("cross_band_gram_violations", len(cross_band_gram_violations(psi)),
+                0.0, "dictionary")]
+    return rows
 
 
 def _translation_deviation(cov) -> float:
@@ -195,13 +180,6 @@ def _translation_deviation(cov) -> float:
     bands = _band_set(cov.spec)
     step = _STEP * (-1.0) ** np.arange(bands.centers.shape[1])
     return _shift_deviation(cov, bands._replace(centers=bands.centers + step))
-
-
-# Each operator's own rows, by the name ``parallelepiped._operators`` gives
-# it: ``(spec, cov, lam, eps, seed) -> [(metric, value, tolerance[,
-# experiment]), ...]``, ``lam`` the eigenvalues the shared block checked.
-_EXTRAS = {"multiband1d": _oned_extras, "cubic": _cubic_extras,
-           "parallelepiped": _parallelepiped_extras}
 
 
 def verify_config(config: BandConfig, *, eps: float = 0.2,

@@ -169,7 +169,7 @@ def test_operator_list_names(config, names):
             assert isinstance(spec, PPOperatorSpec) and spec.bands == config.parallelepiped
         else:
             assert isinstance(spec, OperatorSpec) and spec.bands is config.cubic
-    assert set(names) <= set(verify._EXTRAS)
+    assert set(names) <= {r.experiment for r in verify_config(config)}
 
 
 def _call_sites(predicate) -> list[str]:
@@ -261,7 +261,8 @@ def test_transition_count_is_the_middle_cluster_count():
 def test_verify_center_shift_row_is_the_center_invariance():
     config = default_config()
     rows = verify_config(config)
-    dev = next(r.value for r in rows if r.metric == "center_shift_max_dev")
+    [dev] = [r.value for r in rows if r.metric == "center_shift_max_dev"
+             and r.experiment == "parallelepiped"]
     spec = PPOperatorSpec(grid=config.grid, bands=config.parallelepiped)
     shifted = PPOperatorSpec(grid=config.grid, bands=tuple(
         b.shifted((0.02, -0.02)) for b in spec.bands))

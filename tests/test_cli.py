@@ -492,18 +492,18 @@ def test_grid_past_int64_hits_the_size_cap(band, tmp_path, capsys):
                           {"center": [0.20], "half_widths": [0.05]}],
       "grid": [128]},
      {("multiband1d", "trace_rel_err"), ("multiband1d", "eigenvalue_range_excess"),
-      ("multiband1d", "modulation_invariance_max_err")}),
+      ("multiband1d", "center_shift_max_dev")}),
     ({"dim": 3, "cubic": [{"center": [0.0, 0.1, -0.1],
                            "half_widths": [0.1, 0.08, 0.12]}],
       "grid": [8, 8, 8]},
-     {("cubic", "trace_rel_err")}),
+     {("cubic", "trace_rel_err"), ("cubic", "center_shift_max_dev")}),
     ({"dim": 2, "parallelepiped": [{**SHEAR, "center": [0.0, 0.0]}],
       "grid": [16, 16]},
      {("parallelepiped", "trace_rel_err"), ("parallelepiped", "center_shift_max_dev")}),
     # The dense reference of apply_vs_dense_rel_err is summed from the
     # perturbed table, so that row fails too.
     (None, {("cubic", "trace_rel_err"), ("cubic", "apply_vs_dense_rel_err"),
-            ("parallelepiped", "trace_rel_err"),
+            ("cubic", "center_shift_max_dev"), ("parallelepiped", "trace_rel_err"),
             ("parallelepiped", "center_shift_max_dev")}),
 ], ids=["1-D-128", "3-D-8", "parallelogram-only-16", "default"])
 def test_corruption_hook_fails_the_trace_row_of_every_geometry(
@@ -702,3 +702,14 @@ def test_dict_report_csv_reads_back_with_the_csv_module(tmp_path):
                        "passed"]
     assert len(rows) == 4 and all(len(row) == 6 for row in rows)
     assert {row[1] for row in rows[1:]} == {"grid=32x32;eps=0.2;p=100;q=32,32"}
+
+
+def test_approx_sizes_phi_as_dict_does(tmp_path):
+    """approx, dict and verify read one (1 +/- eps) rule: p = 100 on the
+    README union at 32x32, where ceil(N * measure * (1 + eps)) is 99."""
+    out = tmp_path / "o"
+    assert main(["approx", "--config", write_config(tmp_path, README_DOC),
+                 "--out", str(out), "--trials", "200", "--format", "json"]) == 0
+    rows = json.loads((out / "approx_report.json").read_text())
+    assert {row["params"] for row in rows} == {
+        "grid=32x32;p=100;rank=100;trials=200;seed=0"}

@@ -121,7 +121,7 @@ VERIFY_BUILDS_ALLOWED = {
     # The built-in configuration's box union.
     "default_config": 1,
     # The first box alone, for the separable route.
-    "_cubic_extras": 1,
+    "_suite": 1,
 }
 
 

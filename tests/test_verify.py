@@ -65,19 +65,15 @@ def test_rows_deterministic_order():
     assert [r.key() for r in a] == sorted(r.key() for r in a)
 
 
-SHARED = ("trace_rel_err", "eigenvalue_range_excess", "gap_identity_abs_err")
-CUBIC_2D = (*SHARED, "gap_log_bound_ratio", "apply_vs_dense_rel_err",
-            "separable_vs_dense_max_err", "transition_count_at_0.05",
-            "near_one_fraction_at_0.95")
+# Every operator writes the shared block; beside it, the gap bound on one or
+# two axes and the two geometry groups.
+SHARED = ("trace_rel_err", "eigenvalue_range_excess", "gap_identity_abs_err",
+          "center_shift_max_dev", "transition_count_at_0.05",
+          "near_one_fraction_at_0.95")
+BOX_2D = ("gap_log_bound_ratio", "apply_vs_dense_rel_err",
+          "separable_vs_dense_max_err")
 DICTIONARY = ("pseudo_eigen_residual_excess", "cross_band_gram_violations")
-PARALLELOGRAM = (*SHARED, "gap_vs_cubic_bound_ratio", "hermitian_symmetry_max_err",
-                 "center_shift_max_dev")
-
-
-def _inventory(*groups):
-    """``(experiment, metric, params)`` of every row the groups name."""
-    return {(experiment, metric, params)
-            for experiment, params, metrics in groups for metric in metrics}
+PARALLELOGRAM = ("gap_vs_cubic_bound_ratio", "hermitian_symmetry_max_err")
 
 
 def _config(case):
@@ -98,27 +94,34 @@ def _config(case):
             grid=SamplingGrid((16, 16)),
             parallelepiped=(ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1)),)),
         "default": default,
+        "readme-32x32": _readme_config((32, 32)),
     }[case]
 
 
 GRID_16 = "grid=16x16;J=2;eps=0.2"
 PP_16 = "grid=16x16;J=1;eps=0.2"
+GRID_32 = "grid=32x32;J=2;eps=0.2"
+PP_32 = "grid=32x32;J=1;eps=0.2"
 
 
-@pytest.mark.parametrize("case, expected", [
-    ("3-D", _inventory(("cubic", "grid=4x5x6;J=1;eps=0.2", SHARED))),
-    ("1-D-128", _inventory(("multiband1d", "n=128;J=2;eps=0.2", (
-        *SHARED, "gap_log_bound_ratio", "modulation_invariance_max_err")))),
-    ("2-D-cubic", _inventory(("cubic", GRID_16, CUBIC_2D),
-                             ("dictionary", GRID_16, DICTIONARY))),
-    ("parallelogram-only-16", _inventory(("parallelepiped", PP_16, PARALLELOGRAM))),
-    ("default", _inventory(("cubic", GRID_16, CUBIC_2D),
-                           ("dictionary", GRID_16, DICTIONARY),
-                           ("parallelepiped", PP_16, PARALLELOGRAM))),
-], ids=["3-D", "1-D-128", "2-D-cubic", "parallelogram-only-16", "default"])
-def test_row_inventory_per_geometry(case, expected):
+@pytest.mark.parametrize("case, experiments", [
+    ("3-D", {"cubic": ("grid=4x5x6;J=1;eps=0.2", ())}),
+    ("1-D-128", {"multiband1d": ("n=128;J=2;eps=0.2", ("gap_log_bound_ratio",))}),
+    ("2-D-cubic", {"cubic": (GRID_16, BOX_2D), "dictionary": (GRID_16, DICTIONARY)}),
+    ("parallelogram-only-16", {"parallelepiped": (PP_16, PARALLELOGRAM)}),
+    ("default", {"cubic": (GRID_16, BOX_2D), "dictionary": (GRID_16, DICTIONARY),
+                 "parallelepiped": (PP_16, PARALLELOGRAM)}),
+    ("readme-32x32", {"cubic": (GRID_32, BOX_2D), "dictionary": (GRID_32, DICTIONARY),
+                      "parallelepiped": (PP_32, PARALLELOGRAM)}),
+], ids=["3-D", "1-D-128", "2-D-cubic", "parallelogram-only-16", "default",
+        "readme-32x32"])
+def test_row_inventory_per_geometry(case, experiments):
+    """Every operator, in any d, writes the full shared block and then its
+    own geometry's rows, and every row passes."""
     rows = verify_config(_config(case))
-    assert all(r.passed for r in rows)
+    assert [r for r in rows if not r.passed] == []
+    expected = {(name, metric, params) for name, (params, own) in experiments.items()
+                for metric in (own if name == "dictionary" else SHARED + own)}
     assert len(rows) == len(expected)
     assert {(r.experiment, r.metric, r.params) for r in rows} == expected
 
@@ -128,7 +131,7 @@ def test_oned_translation_row_matches_hand_built_kernels(n):
     from mdprolate import BandConfig, SamplingGrid
     union = _config("1-D-128").cubic
     rows = verify_config(BandConfig(grid=SamplingGrid((n,)), cubic=union))
-    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    [row] = [r for r in rows if r.metric == "center_shift_max_dev"]
     # The row bounds the hand-built kernels' deviation from above, up to
     # the solvers' roundoff.
     oracle = oracles.modulation_invariance_reference(n, union)
@@ -155,7 +158,7 @@ def test_oned_verify_solves_once(widths, monkeypatch):
         monkeypatch.setattr(module, "_eigh", counting)
     rows = verify_config(BandConfig(grid=SamplingGrid((96,)), cubic=union))
     assert calls == [(191,)]  # one table of the 96-sample grid
-    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    [row] = [r for r in rows if r.metric == "center_shift_max_dev"]
     oracle = oracles.modulation_invariance_reference(96, union)
     assert oracle - 1e-13 <= row.value <= 1e-9
 
@@ -169,7 +172,7 @@ def test_a_band_edge_at_nyquist_still_translates():
     union = CubicBandUnion.from_intervals([(-0.15, -0.05), (0.40, 0.50)])
     assert (union.centers + union.half_widths).max() == 0.5
     rows = verify_config(BandConfig(grid=SamplingGrid((128,)), cubic=union))
-    [row] = [r for r in rows if r.metric == "modulation_invariance_max_err"]
+    [row] = [r for r in rows if r.metric == "center_shift_max_dev"]
     assert row.passed
     oracle = oracles.modulation_invariance_reference(128, union)
     assert oracle - 1e-13 <= row.value <= 1e-9
@@ -186,11 +189,11 @@ def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
     if case == "full-1-D-band":
         config = BandConfig(grid=SamplingGrid((64,)),
                             cubic=CubicBandUnion([[0.0]], [[0.5]]))
-        metric, step = "modulation_invariance_max_err", [0.02]
+        step = [0.02]
     else:
         config = BandConfig(grid=SamplingGrid((8, 8)), parallelepiped=(
             ParallelepipedBand(1.0, 0.0, 0.0, 1.0, (0.5, 0.5)),))
-        metric, step = "center_shift_max_dev", [0.02, -0.02]
+        step = [0.02, -0.02]
     moves = []
     deviation = verify._shift_deviation
 
@@ -200,20 +203,20 @@ def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
 
     monkeypatch.setattr(verify, "_shift_deviation", recording)
     rows = verify_config(config)
-    [row] = [r for r in rows if r.metric == metric]
+    [row] = [r for r in rows if r.metric == "center_shift_max_dev"]
     assert row.passed
     [move] = moves
     assert move.tolist() == [step]
 
 
-def _random_union(rng):
-    """One to three 2-D boxes inside the Nyquist square, redrawn until they do not
+def _random_union(rng, dim=2):
+    """One to three boxes inside the Nyquist cube, redrawn until they do not
     overlap; each half-width is in [0.1, 0.5) over the box count, so wide
     unions are common."""
     from mdprolate import BandError, CubicBandUnion
     while True:
         count = rng.integers(1, 4)
-        half = rng.uniform(0.1, 0.5, (count, 2)) / count
+        half = rng.uniform(0.1, 0.5, (count, dim)) / count
         try:
             return CubicBandUnion(rng.uniform(half - 0.5, 0.5 - half), half)
         except BandError:
@@ -223,13 +226,24 @@ def _random_union(rng):
 def test_every_row_passes_on_random_2d_unions():
     """Correct operators pass every row, the transition bound included:
     wide 2-D unions on small grids used to count more eigenvalues in [0.05,
-    0.95] than the nominal near-zero count the row allowed.  (1-D and 3-D
-    operators have no transition row.)"""
+    0.95] than the nominal near-zero count the row allowed."""
     from mdprolate import BandConfig, SamplingGrid
     rng = np.random.default_rng(2)
     for _ in range(40):
         config = BandConfig(grid=SamplingGrid(tuple(rng.integers(4, 13, size=2))),
                             cubic=_random_union(rng))
+        failed = [r.metric for r in verify_config(config) if not r.passed]
+        assert failed == [], (config, failed)
+
+
+@pytest.mark.parametrize("dim, sizes", [(1, (4, 97)), (3, (3, 8))], ids=["1-D", "3-D"])
+def test_every_row_passes_on_random_unions_off_two_axes(dim, sizes):
+    """The translation and count rows hold on 1-D and 3-D unions too."""
+    from mdprolate import BandConfig, SamplingGrid
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        config = BandConfig(grid=SamplingGrid(tuple(rng.integers(*sizes, size=dim))),
+                            cubic=_random_union(rng, dim))
         failed = [r.metric for r in verify_config(config) if not r.passed]
         assert failed == [], (config, failed)
 
