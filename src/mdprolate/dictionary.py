@@ -32,7 +32,7 @@ from .bands import CubicBandUnion, SamplingGrid
 from .operator import (OperatorSpec, SpectrumND, VerificationError, _decompose,
                        _dpss_products, ivec, materialize_cubic, spectrum, vec)
 from .parallelepiped import _materialize
-from .prolate import _apply, _boxes, _fast_length, _table, dpss
+from .prolate import _apply, _boxes, _table, dpss
 
 __all__ = [
     "Atom",
@@ -66,9 +66,9 @@ RANK_TOL = 1e-10
 _TRIAL_BLOCK = 64
 
 # pseudo_eigen_residuals applies the operator to as many atoms at once as fit
-# in this many bytes of FFT buffer, padded per axis to prolate._fast_length.
-# Larger batches are no faster at 32 x 32 and leave a fragmented heap that
-# raises the peak RSS of later, larger solves.
+# in this many bytes of padded (2M - 1, 2N - 1) FFT buffer.  Larger batches
+# are no faster at 32 x 32 and leave a fragmented heap that raises the peak
+# RSS of later, larger solves.
 _APPLY_BLOCK_BYTES = 1 << 19
 
 
@@ -223,8 +223,7 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
     lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
     rows[:, 1] = 1.0 - lam * lam
-    padded = int(np.prod([_fast_length(m) for m in table.shape]))
-    block = max(1, _APPLY_BLOCK_BYTES // (16 * padded))
+    block = max(1, _APPLY_BLOCK_BYTES // (16 * table.size))
     for start in range(0, len(d.atoms), block):
         y = np.stack([a.tensor for a in d.atoms[start:start + block]])
         if y.shape[1:] != dims:

@@ -478,33 +478,17 @@ def _toeplitz_table(a: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
     return table if equal else None
 
 
-def _fast_length(n: int) -> int:
-    """The smallest ``2^a 3^b 5^c >= n``: pocketfft is slow at large prime
-    lengths, and ``2 m - 1`` is prime at m = 64 and m = 4096."""
-    while True:
-        rest = n
-        for factor in (2, 3, 5):
-            while rest % factor == 0:
-                rest //= factor
-        if rest == 1:
-            return n
-        n += 1
-
-
 def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Matrix-free product of a table's matrix with a tensor y, through a
-    circulant embedding of :func:`_fast_length` per axis (any d).
+    circulant embedding of size ``table.shape`` (any d).
 
     Axes of y before its last ``table.ndim`` are batch axes: every tensor
     in the batch is multiplied by the same matrix, in one batched FFT.
     """
     axes = tuple(range(y.ndim - table.ndim, y.ndim))
-    shape = tuple(_fast_length(m) for m in table.shape)
-    circulant = np.zeros(shape, table.dtype)
-    circulant[np.ix_(*[np.arange(-(m // 2), m // 2 + 1) % s
-                       for m, s in zip(table.shape, shape)])] = table
-    padded = np.fft.fftn(y, s=shape, axes=axes)
-    full = np.fft.ifftn(np.fft.fftn(circulant) * padded, axes=axes)
+    transfer = np.fft.fftn(np.fft.ifftshift(table))
+    padded = np.fft.fftn(y, s=table.shape, axes=axes)
+    full = np.fft.ifftn(transfer * padded, axes=axes)
     return full[(...,) + tuple(slice(0, n) for n in y.shape[-table.ndim:])]
 
 
