@@ -189,10 +189,14 @@ class ParallelepipedBand:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        object.__setattr__(self, "half_widths",
-                           (float(self.half_widths[0]), float(self.half_widths[1])))
-        object.__setattr__(self, "center",
-                           (float(self.center[0]), float(self.center[1])))
+        for name in ("half_widths", "center"):
+            try:
+                x, y = (float(v) for v in getattr(self, name))
+            except (TypeError, ValueError) as exc:
+                raise BandError([Violation(
+                    "malformed", (0,),
+                    f"band 0: {name} must hold exactly two numbers ({exc!r})")]) from None
+            object.__setattr__(self, name, (x, y))
         for name in ("a", "b", "c", "d"):
             object.__setattr__(self, name, float(getattr(self, name)))
         bad = _pp_band_violations(0, self.a, self.b, self.c, self.d,

@@ -36,7 +36,7 @@ from .bands import (BandConfig, BandError, ConfigError, SamplingGrid,
                     load_band_config)
 from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
                        materialize_cubic, spectrum, spectrum_values)
-from .parallelepiped import _materialize, _operators
+from .parallelepiped import _operators
 from .prolate import cluster_counts
 from .reports import (ReportRow, export_dictionary, report_rows_csv,
                       report_rows_json, write_eigenvectors_csv, write_json,
@@ -134,8 +134,8 @@ def cmd_spectrum(args) -> int:
     def run(job):
         # Summarize inside the job so only its spectrum outlives it: the
         # covariance's tables are freed before the next job builds its own.
-        name, spec = job
-        cov = _materialize(spec)
+        name, spec, materialize = job
+        cov = materialize(spec)
         if args.vectors:
             sp = spectrum(cov)
             lam, vectors = sp.eigenvalues, sp.tensors.T

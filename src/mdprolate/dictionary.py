@@ -29,10 +29,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
-from .operator import (OperatorSpec, SpectrumND, VerificationError, _decompose,
-                       _dpss_products, ivec, materialize_cubic, spectrum, vec)
-from .parallelepiped import _materialize
-from .prolate import _apply, _boxes, _table, dpss
+from .operator import (OperatorSpec, SpectrumND, VerificationError, _covariance,
+                       _decompose, _dpss_products, ivec, materialize_cubic,
+                       spectrum, vec)
+from .prolate import _apply, _table, dpss
 
 __all__ = [
     "Atom",
@@ -219,7 +219,7 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
     built once and applied to blocks of stacked atoms by batched FFT.
     """
     dims = spec.grid.dims
-    table = _table(_boxes(dims, spec.bands))
+    table = _table(spec._band_set())
     lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
     rows[:, 1] = 1.0 - lam * lam
@@ -318,7 +318,7 @@ def sample_signal(spec, seed: int, *,
     specs; pass ``spec_spectrum`` to amortize the decomposition.  Drawn
     through ``SpectrumND.combine``, as in ``approx_mse``: no eigen-tensor.
     """
-    sp = spec_spectrum or spectrum(_materialize(spec))
+    sp = spec_spectrum or spectrum(_covariance(spec))
     return sp.combine(_weights(_roots(sp.eigenvalues), seed)[None])[0]
 
 
@@ -346,7 +346,7 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sp = spec_spectrum or spectrum(_materialize(spec))
+    sp = spec_spectrum or spectrum(_covariance(spec))
     if tuple(basis.dims) != sp.dims:
         raise ValueError(f"input shape {sp.dims} does not match basis dims "
                          f"{basis.dims}")

@@ -10,11 +10,12 @@ near 1 and 0.
 
 Every entry depends only on the index difference, so the operator is built
 once as a difference table (see :mod:`mdprolate.prolate`): a band-sum of
-outer products of per-axis 1-D sinc tables.  The materializer every
-geometry shares keeps a band set's table in a :class:`DenseCovariance`,
-which gathers the dense matrix only when ``.matrix`` is first read and
-takes its trace and Frobenius norm from the table; :func:`apply_cubic`
-applies the table to a tensor of any dimension by FFT circulant embedding.
+outer products of per-axis 1-D sinc tables.  Every spec builds its own
+band set (``_band_set()``), and the one materializer keeps any spec's
+table in a :class:`DenseCovariance`, which gathers the dense matrix only
+when ``.matrix`` is first read and takes its trace and Frobenius norm from
+the table; :func:`apply_cubic` applies the table to a tensor of any
+dimension by FFT circulant embedding.
 
 The dense route is intentionally exact-over-fast: operators are
 materialized up to a fixed size cap, ``DEFAULT_SIZE_CAP`` (4096 total
@@ -95,6 +96,13 @@ class OperatorSpec:
         if self.grid.dim != self.bands.dim:
             raise ValueError(
                 f"grid is {self.grid.dim}-D but bands are {self.bands.dim}-D")
+
+    def measure(self) -> float:
+        return self.bands.measure()
+
+    def _band_set(self) -> _BandSet:
+        """The band set of the box union (shape: the half-widths)."""
+        return _boxes(self.grid.dims, self.bands)
 
 
 def vec(y: np.ndarray) -> np.ndarray:
@@ -225,7 +233,7 @@ def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
     y = np.asarray(y)
     if y.shape != spec.grid.dims:
         raise ValueError(f"input shape {y.shape} does not match grid {spec.grid.dims}")
-    return _apply(_table(_boxes(spec.grid.dims, spec.bands)), y)
+    return _apply(_table(spec._band_set()), y)
 
 
 def materialize_cubic(spec: OperatorSpec) -> DenseCovariance:
@@ -237,17 +245,17 @@ def materialize_cubic(spec: OperatorSpec) -> DenseCovariance:
     first access to ``.matrix`` and is read-only.  Total sample count must
     not exceed ``DEFAULT_SIZE_CAP``.
     """
-    return _covariance(spec, _boxes(spec.grid.dims, spec.bands),
-                       "; use apply_cubic for operator action instead")
+    return _covariance(spec, "; use apply_cubic for operator action instead")
 
 
-def _covariance(spec, bands: _BandSet, advice: str = "") -> DenseCovariance:
-    """The covariance of a band set, after the size-cap check (``advice``
-    ends its message); the materializer of every geometry."""
+def _covariance(spec, advice: str = "") -> DenseCovariance:
+    """The covariance of any spec's own band set, after the size-cap check
+    (``advice`` ends its message); the one materializer of every geometry."""
     total = spec.grid.size
     if total > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"grid of {total} samples exceeds the cap "
                            f"{DEFAULT_SIZE_CAP}{advice}")
+    bands = spec._band_set()
     return DenseCovariance(table=_table(bands), dims=bands.dims, spec=spec,
                            demodulated=_demodulate(bands))
 

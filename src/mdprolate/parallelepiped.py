@@ -18,10 +18,11 @@ table demodulated to that centre (see ``prolate._demodulate``).  The
 removable singularities lie along two lattice lines (t d = s c and
 s a = t b), not only the diagonal; ``sinr`` handles them uniformly.
 
-Only that kernel is particular to parallelograms: table, demodulation and
+Only that kernel is particular to parallelograms: the spec builds its own
+band set (:meth:`PPOperatorSpec._band_set`), and table, demodulation and
 materialization are shared with boxes.  As the first module that sees both
-geometries, this one also lists a configuration's operators and maps each
-spec to its materializer.
+geometries, this one also lists a configuration's operators, each with its
+materializer.
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
 from .operator import (DenseCovariance, OperatorSpec, _covariance, _solved,
                        materialize_cubic)
-from .prolate import (_BandSet, _boxes, _frobenius_sq, _recentred, _sin_ratio,
-                      _table)
+from .prolate import _BandSet, _frobenius_sq, _recentred, _sin_ratio, _table
 
 __all__ = [
     "PPOperatorSpec",
@@ -58,12 +58,29 @@ class PPOperatorSpec:
             raise ValueError("parallelepiped operators require a 2-D grid")
         if not self.bands:
             raise ValueError("at least one band is required")
+        for i, band in enumerate(self.bands):
+            if not isinstance(band, ParallelepipedBand):
+                raise TypeError(f"band {i} is a {type(band).__name__}, "
+                                "not a ParallelepipedBand")
         bad = parallelepiped_violations(self.bands)
         if bad:
             raise BandError(bad)
 
     def measure(self) -> float:
         return float(sum(b.measure() for b in self.bands))
+
+    def _band_set(self) -> _BandSet:
+        """The band set of the parallelograms (shape: the transform and the
+        half-widths).  Its differences are formed per term, so building it
+        allocates nothing before the materializer's size-cap check."""
+        m, n = self.grid.dims
+
+        def term(i, offset):
+            t, s = np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
+            return _pp_term(self.bands[i], t, s, offset)
+        return _BandSet(self.grid.dims, np.array([b.center for b in self.bands]),
+                        [(b.a, b.b, b.c, b.d) + b.half_widths for b in self.bands],
+                        term)
 
 
 def pp_entry(band: ParallelepipedBand, m, n, p, q) -> np.ndarray:
@@ -90,19 +107,6 @@ def _pp_term(band: ParallelepipedBand, t, s, center) -> np.ndarray:
     return np.exp(2j * np.pi * c0 * t) * np.exp(2j * np.pi * c1 * s) * value
 
 
-def _parallelograms(spec: PPOperatorSpec) -> _BandSet:
-    """The band set of a parallelogram operator (shape: the transform and
-    the half-widths).  Its differences are formed per term, so building it
-    allocates nothing before the materializer's size-cap check."""
-    m, n = spec.grid.dims
-
-    def term(i, offset):
-        t, s = np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
-        return _pp_term(spec.bands[i], t, s, offset)
-    return _BandSet(spec.grid.dims, np.array([b.center for b in spec.bands]),
-                    [(b.a, b.b, b.c, b.d) + b.half_widths for b in spec.bands], term)
-
-
 def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
     """The parallelepiped operator as a covariance, kept as its difference
     table.
@@ -111,7 +115,7 @@ def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
     trace equals ``M N`` times the total band area.  ``.matrix`` is
     gathered on first access and is read-only.
     """
-    return _covariance(spec, _parallelograms(spec))
+    return _covariance(spec)
 
 
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
@@ -127,8 +131,8 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
-    moved = _parallelograms(shifted)
-    for i, (a, b) in enumerate(zip(_parallelograms(spec).shapes, moved.shapes)):
+    moved = shifted._band_set()
+    for i, (a, b) in enumerate(zip(spec._band_set().shapes, moved.shapes)):
         if a != b:
             raise ValueError(f"band {i} differs in shape, not only in center")
     return _shift_deviation(pp_materialize(spec), moved)
@@ -150,38 +154,22 @@ def _shift_deviation(cov: DenseCovariance, moved: _BandSet) -> float:
     multiplicity, bounds ``||lam - lam'||_2`` (Hoffman & Wielandt 1953).
     """
     solved = _solved(cov)
-    step = moved.centers.mean(axis=0) - _band_set(cov.spec).centers.mean(axis=0)
+    step = moved.centers.mean(axis=0) - cov.spec._band_set().centers.mean(axis=0)
     if solved.center is not None:
         step = step + solved.center
     return float(np.sqrt(_frobenius_sq(_recentred(_table(moved), step) - solved.table)))
 
 
-def _operators(config: BandConfig) -> list[tuple[str, object]]:
-    """A configuration's operators as ``(name, spec)`` pairs: the cubic
-    union as ``multiband1d`` (1-D) or ``cubic``, then ``parallelepiped``."""
+def _operators(config: BandConfig) -> list[tuple[str, object, object]]:
+    """A configuration's operators as ``(name, spec, materialize)`` triples:
+    the cubic union as ``multiband1d`` (1-D) or ``cubic``, then
+    ``parallelepiped``.  The materializers are read from this module's
+    globals when the list is made, so a wrapper bound there is called."""
     ops = []
     if config.cubic is not None:
         name = "multiband1d" if config.grid.dim == 1 else "cubic"
-        ops.append((name, OperatorSpec(grid=config.grid, bands=config.cubic)))
+        ops.append((name, OperatorSpec(config.grid, config.cubic), materialize_cubic))
     if config.parallelepiped:
-        ops.append(("parallelepiped", PPOperatorSpec(grid=config.grid,
-                                                     bands=config.parallelepiped)))
+        ops.append(("parallelepiped", PPOperatorSpec(config.grid, config.parallelepiped),
+                    pp_materialize))
     return ops
-
-
-def _band_set(spec) -> _BandSet:
-    """The band set of a box or parallelogram spec."""
-    if isinstance(spec, OperatorSpec):
-        return _boxes(spec.grid.dims, spec.bands)
-    if isinstance(spec, PPOperatorSpec):
-        return _parallelograms(spec)
-    raise TypeError(f"no band set for {type(spec).__name__}")
-
-
-def _materialize(spec) -> DenseCovariance:
-    """``materialize_cubic`` or :func:`pp_materialize`, by the type of spec."""
-    if isinstance(spec, OperatorSpec):
-        return materialize_cubic(spec)
-    if isinstance(spec, PPOperatorSpec):
-        return pp_materialize(spec)
-    raise TypeError(f"cannot materialize {type(spec).__name__}")

@@ -50,8 +50,7 @@ from .dictionary import (_sizes, build_psi, cross_band_gram_violations,
 from .operator import (OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
-from .parallelepiped import (PPOperatorSpec, _band_set, _materialize, _operators,
-                             _shift_deviation, pp_entry)
+from .parallelepiped import PPOperatorSpec, _operators, _shift_deviation, pp_entry
 from .prolate import _dense_product
 from .reports import ReportRow
 
@@ -89,15 +88,13 @@ def default_config() -> BandConfig:
     return BandConfig(grid=SamplingGrid((16, 16)), cubic=cubic, parallelepiped=pp)
 
 
-def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
-    """Every row of one operator: the shared block, the gap bound on one or
-    two axes, then the 2-D box rows or the parallelogram's Hermitian row."""
+def _suite(name: str, spec, materialize, eps: float, seed: int) -> list[ReportRow]:
+    """Every row of one operator, materialized by ``materialize``: the
+    shared block, the gap bound on one or two axes, then the 2-D box rows or
+    the parallelogram's Hermitian row."""
     grid = spec.grid
     pp = isinstance(spec, PPOperatorSpec)
-    if pp:
-        count, measure = len(spec.bands), spec.measure()
-    else:
-        count, measure = spec.bands.num_bands, spec.bands.measure()
+    count, measure = len(spec.bands), spec.measure()
     dims = "x".join(map(str, grid.dims))
     params = f"{'n' if grid.dim == 1 else 'grid'}={dims};J={count};eps={eps:g}"
 
@@ -106,7 +103,7 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
         return ReportRow(experiment, params, metric, value, tolerance,
                          tolerance is None or value <= tolerance)
 
-    cov = _materialize(spec)
+    cov = materialize(spec)
     lam = spectrum_values(cov)
     expected = cov.size * measure
     gap = cov.trace() - cov.frobenius_sq()
@@ -177,7 +174,7 @@ def _suite(name: str, spec, eps: float, seed: int) -> list[ReportRow]:
 def _translation_deviation(cov) -> float:
     """``_shift_deviation`` of ``cov`` against its own band set moved by
     :data:`_STEP` on every axis, the sign alternating from + on axis 0."""
-    bands = _band_set(cov.spec)
+    bands = cov.spec._band_set()
     step = _STEP * (-1.0) ** np.arange(bands.centers.shape[1])
     return _shift_deviation(cov, bands._replace(centers=bands.centers + step))
 
@@ -189,8 +186,8 @@ def verify_config(config: BandConfig, *, eps: float = 0.2,
     Returns the full deterministic list of report rows; the caller decides
     what a failing row means (the CLI exits 1).
     """
-    jobs = [functools.partial(_suite, name, spec, eps, seed)
-            for name, spec in _operators(config)]
+    jobs = [functools.partial(_suite, name, spec, materialize, eps, seed)
+            for name, spec, materialize in _operators(config)]
     workers = min(max_workers(), len(jobs))
     if workers <= 1:
         chunks = [job() for job in jobs]

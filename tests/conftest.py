@@ -58,15 +58,19 @@ def corrupted_verify(monkeypatch):
     trace rises by 0.37.  Nothing is gathered; the copy keeps no
     demodulated table, so it is solved from the perturbed one."""
     from mdprolate import DenseCovariance, verify
-    materialize = verify._materialize
+    operators = verify._operators
 
-    def corrupted(spec):
-        cov = materialize(spec)
-        table = cov.table.copy()
-        table[tuple(n - 1 for n in cov.dims)] += 0.37 / cov.size
-        return DenseCovariance(table=table, dims=cov.dims, spec=cov.spec)
+    def corrupt(materialize):
+        def corrupted(spec):
+            cov = materialize(spec)
+            table = cov.table.copy()
+            table[tuple(n - 1 for n in cov.dims)] += 0.37 / cov.size
+            return DenseCovariance(table=table, dims=cov.dims, spec=cov.spec)
+        return corrupted
 
-    monkeypatch.setattr(verify, "_materialize", corrupted)
+    monkeypatch.setattr(verify, "_operators", lambda config: [
+        (name, spec, corrupt(materialize))
+        for name, spec, materialize in operators(config)])
 
 
 @pytest.fixture(scope="session")

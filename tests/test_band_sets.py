@@ -22,7 +22,7 @@ from mdprolate import (BandConfig, CubicBandUnion, DenseCovariance, OperatorSpec
                        pp_materialize, separable_eigenvalues, separable_spectrum,
                        transition_count, verify_config)
 from mdprolate import verify
-from mdprolate.parallelepiped import _operators, _parallelograms, _pp_term
+from mdprolate.parallelepiped import _operators, _pp_term
 from mdprolate.prolate import (_MIRROR_TOL, _box_term, _boxes, _demodulate,
                                _hermitian, _table)
 
@@ -103,7 +103,7 @@ def _cubic_case(dims, union):
 
 def _pp_case(dims, bands):
     spec = PPOperatorSpec(grid=SamplingGrid(dims), bands=bands)
-    return _parallelograms(spec), ref_pp_table(spec), ref_pp_demodulated(spec)
+    return spec._band_set(), ref_pp_table(spec), ref_pp_demodulated(spec)
 
 
 CASES = {
@@ -162,13 +162,15 @@ CONFIGS = {
 @pytest.mark.parametrize("config, names", CONFIGS.values(), ids=CONFIGS.keys())
 def test_operator_list_names(config, names):
     ops = _operators(config)
-    assert [name for name, _ in ops] == names
-    for name, spec in ops:
+    assert [name for name, _, _ in ops] == names
+    for name, spec, materialize in ops:
         assert spec.grid == config.grid
         if name == "parallelepiped":
             assert isinstance(spec, PPOperatorSpec) and spec.bands == config.parallelepiped
+            assert materialize is pp_materialize
         else:
             assert isinstance(spec, OperatorSpec) and spec.bands is config.cubic
+            assert materialize is materialize_cubic
     assert set(names) <= {r.experiment for r in verify_config(config)}
 
 

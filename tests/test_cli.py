@@ -314,6 +314,12 @@ OVERFLOW_DOC = {"dim": 2, "parallelepiped": [{"a": 1e200, "b": 0.4, "c": 0.0, "d
 UNDERFLOW_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1],
                                       "half_widths": [1e-170, 1e-170]}],
                  "grid": [8, 8]}
+PP_ONLY_DOC = {"dim": 2, "parallelepiped": [{"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0,
+                                             "half_widths": [0.1, 0.1]}],
+               "grid": [8, 8]}
+NO_GRID_DOC = {"dim": 2, "cubic": TWOD_DOC["cubic"]}
+NO_HALF_WIDTHS_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1]}], "grid": [8, 8]}
+PP_MISSING_DOC = {"dim": 2, "parallelepiped": [{"a": 1.0, "b": 0.4}], "grid": [8, 8]}
 
 
 @pytest.mark.parametrize("argv, env", [
@@ -337,6 +343,16 @@ UNDERFLOW_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1],
     (["verify", "--config", "{overflow}"], None),
     (["spectrum", "--config", "{underflow}"], None),
     (["verify", "--config", "{underflow}"], None),
+    (["dict", "--config", "{pponly}"], None),
+    (["approx", "--config", "{pponly}"], None),
+    (["dict", "--config", "{twod}", "--q", "1,2"], None),
+    (["dict", "--config", "{twod}", "--q", "0"], None),
+    (["approx", "--config", "{twod}", "--p", "65"], None),
+    (["approx", "--config", "{twod}", "--p", "-1"], None),
+    (["spectrum", "--config", "{nogrid}"], None),
+    (["spectrum", "--config", "{nohalfwidths}"], None),
+    (["spectrum", "--config", "{ppmissing}"], None),
+    (["spectrum", "--config", "{folder}/absent.json"], None),
 ], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
         "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap",
         "config-is-a-directory", "config-not-utf8", "validate-config-not-utf8",
@@ -344,7 +360,11 @@ UNDERFLOW_DOC = {"dim": 2, "cubic": [{"center": [0.1, 0.1],
         "spectrum-out-through-a-file", "verify-out-through-a-file",
         "dict-out-through-a-file", "spectrum-determinant-overflows",
         "verify-determinant-overflows", "spectrum-measure-underflows",
-        "verify-measure-underflows"])
+        "verify-measure-underflows", "dict-parallelogram-only",
+        "approx-parallelogram-only", "dict-q-count-mismatch", "dict-q-zero",
+        "approx-p-past-grid", "approx-p-negative", "config-without-grid",
+        "cubic-without-half-widths", "parallelogram-missing-keys",
+        "config-missing"])
 def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
                                             capsys):
     if env is not None:
@@ -356,6 +376,11 @@ def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
              "oned": write_config(tmp_path, ONED_DOC, "oned.json"),
              "overflow": write_config(tmp_path, OVERFLOW_DOC, "overflow.json"),
              "underflow": write_config(tmp_path, UNDERFLOW_DOC, "underflow.json"),
+             "pponly": write_config(tmp_path, PP_ONLY_DOC, "pponly.json"),
+             "nogrid": write_config(tmp_path, NO_GRID_DOC, "nogrid.json"),
+             "nohalfwidths": write_config(tmp_path, NO_HALF_WIDTHS_DOC,
+                                          "nohalfwidths.json"),
+             "ppmissing": write_config(tmp_path, PP_MISSING_DOC, "ppmissing.json"),
              "folder": str(tmp_path / "folder"), "taken": str(tmp_path / "taken"),
              "latin1": str(tmp_path / "latin1.json")}
     argv = [a.format(**paths) for a in argv]

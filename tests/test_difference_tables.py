@@ -17,7 +17,6 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        apply_cubic, decompose, dpss, materialize_cubic,
                        multiband_kernel, pp_entry, pp_materialize, sinc_kernel,
                        spectrum, spectrum_values, vec)
-from mdprolate.parallelepiped import _parallelograms
 from mdprolate.prolate import (_apply, _axis_table, _boxes, _demodulate,
                                _dense_product, _gather, _hermitian, _pivot_scale,
                                _table)
@@ -139,7 +138,7 @@ def test_cubic_apply_matches_dense(dims, union):
 def test_pp_apply_matches_dense():
     spec = PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)
     matrix = pp_materialize(spec).matrix
-    table = _table(_parallelograms(spec))
+    table = _table(spec._band_set())
     rng = np.random.default_rng(5)
     for _ in range(5):
         y = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
@@ -152,8 +151,8 @@ BANDED_TABLES = {
         (511,), CubicBandUnion.from_intervals(pinned.REF_INTERVALS))),
     "readme-32x32": lambda: _table(_boxes((32, 32), README)),
     "readme-real-41x39": lambda: _demodulate(_boxes((41, 39), README)).table,
-    "pp-9x7": lambda: _table(_parallelograms(
-        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS))),
+    "pp-9x7": lambda: _table(
+        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)._band_set()),
     "box-4x5x6": lambda: _table(_boxes((4, 5, 6), BOX_3D)),
     "box-12x12x12": lambda: _table(_boxes((12, 12, 12), BOX_3D)),
 }

@@ -79,6 +79,12 @@ def test_spec_dim_mismatch(ref_union_2d):
         OperatorSpec(grid=SamplingGrid((8,)), bands=ref_union_2d)
 
 
+def test_spec_rejects_analog_bands():
+    analog = CubicBandUnion([[10.0, 10.0]], [[5.0, 5.0]], analog=True)
+    with pytest.raises(ValueError, match="digital"):
+        OperatorSpec(grid=SamplingGrid((8, 8)), bands=analog)
+
+
 def test_materialization_trace_identity(ref_cov_8, ref_union_2d):
     expected = 64 * ref_union_2d.measure()
     assert ref_cov_8.trace() == pytest.approx(expected, rel=1e-10)

@@ -127,3 +127,36 @@ def test_spec_requires_disjoint_bands(matched_pp_band):
 def test_spec_requires_2d_grid(matched_pp_band):
     with pytest.raises(ValueError, match="2-D"):
         PPOperatorSpec(grid=SamplingGrid((8,)), bands=(matched_pp_band,))
+
+
+def test_spec_requires_a_band():
+    with pytest.raises(ValueError, match="at least one band"):
+        PPOperatorSpec(grid=SamplingGrid((8, 8)), bands=())
+
+
+def test_spec_rejects_raw_mappings(matched_pp_band):
+    """A raw mapping passes the geometry check, which reads mappings too,
+    but is no band the kernel can read."""
+    raw = {"a": 1.0, "b": 0.0, "c": 0.0, "d": 1.0, "half_widths": (0.1, 0.1),
+           "center": (0.3, 0.3)}
+    with pytest.raises(TypeError, match="band 1 is a dict"):
+        PPOperatorSpec(grid=SamplingGrid((8, 8)), bands=[matched_pp_band, raw])
+
+
+@pytest.mark.parametrize("half_widths, center", [
+    ((0.1, 0.1, 0.3), (0.0, 0.0)), ((0.1, 0.1), (0.0, 0.0, 0.4)),
+    ((0.1,), (0.0, 0.0)), ((0.1, 0.1), (0.0,)), (0.1, (0.0, 0.0)),
+], ids=["long-half-widths", "long-center", "short-half-widths", "short-center",
+        "scalar-half-widths"])
+def test_band_requires_pairs(half_widths, center):
+    with pytest.raises(BandError) as err:
+        ParallelepipedBand(1.0, 0.0, 0.0, 1.0, half_widths, center)
+    assert [(v.code, v.bands) for v in err.value.violations] == [("malformed", (0,))]
+    assert "exactly two numbers" in str(err.value)
+
+
+def test_center_invariance_needs_one_grid(matched_pp_band):
+    a = PPOperatorSpec(grid=SamplingGrid((8, 8)), bands=(matched_pp_band,))
+    b = PPOperatorSpec(grid=SamplingGrid((8, 9)), bands=(matched_pp_band,))
+    with pytest.raises(ValueError, match="share grid"):
+        pp_center_invariance(a, b)

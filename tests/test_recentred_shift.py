@@ -22,7 +22,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        pp_center_invariance, spectrum_values)
 from mdprolate import parallelepiped, prolate
 from mdprolate.bands import BandError
-from mdprolate.parallelepiped import _band_set, _materialize, _shift_deviation
+from mdprolate.operator import _covariance
+from mdprolate.parallelepiped import _shift_deviation
 
 from conftest import random_cubic_union, random_pp_bands
 import pinned
@@ -63,7 +64,7 @@ def _corners(spec):
 def _translated(spec):
     """``spec``'s band set with every band moved by verify's fixed step,
     0.02 with its sign alternating by axis."""
-    bands = _band_set(spec)
+    bands = spec._band_set()
     step = 0.02 * (-1.0) ** np.arange(spec.grid.dim)
     return bands._replace(centers=bands.centers + step)
 
@@ -91,7 +92,7 @@ def _dropped(recentred):
     ((41, 39), "readme"),
 ], ids=["511", "512", "9x7", "32x32", "32x32-readme", "41x39", "41x39-readme"])
 def test_split_spectrum_matches_the_full_real_form(dims, geometry):
-    cov = _materialize(_spec(dims, geometry))
+    cov = _covariance(_spec(dims, geometry))
     assert cov.demodulated is not None
     recentred = _recentred(cov)
     n = cov.size
@@ -112,7 +113,7 @@ def test_the_value_bounds_the_full_size_deviation(dims, geometry, solver_sizes):
     complex table: the value bounds the deviation, up to the two solves'
     roundoff, and is itself of roundoff size."""
     spec = _spec(dims, geometry)
-    cov = _materialize(spec)
+    cov = _covariance(spec)
     lam = spectrum_values(cov)
     shifted = _translated(spec)
     del solver_sizes[:]
@@ -129,7 +130,7 @@ def test_a_centre_off_by_a_thousandth_is_caught(dims, geometry):
     """The solved table's centre, which the shifted table is recentred by,
     moved by 1e-3 on every axis."""
     spec = _spec(dims, geometry)
-    cov = _materialize(spec)
+    cov = _covariance(spec)
     demodulated = cov.demodulated
     off = DenseCovariance(table=cov.table, dims=cov.dims, spec=spec,
                           demodulated=demodulated._replace(
@@ -145,7 +146,7 @@ def test_a_perturbed_table_entry_is_caught(dims, geometry, offset, monkeypatch):
     """One entry of the shifted table, with its Hermitian mirror, moved by
     1e-7."""
     spec = _spec(dims, geometry)
-    cov = _materialize(spec)
+    cov = _covariance(spec)
     table_of = parallelepiped._table
 
     def perturbed(bands):
@@ -165,9 +166,9 @@ def test_a_centred_real_box_reads_zero():
     """A centred real box recentres to its own table, with ``Im M`` zero,
     and that is the table it is solved from."""
     spec = OperatorSpec(SamplingGrid((65,)), CubicBandUnion([0.0], [0.1]))
-    cov = _materialize(spec)
+    cov = _covariance(spec)
     assert _dropped(_recentred(cov)) == 0.0
-    assert _shift_deviation(cov, _band_set(spec)) == 0.0
+    assert _shift_deviation(cov, spec._band_set()) == 0.0
 
 
 def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
@@ -175,9 +176,9 @@ def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
     recentred by the step alone, and nothing is solved."""
     union = CubicBandUnion.from_intervals([(-0.3, -0.2), (0.05, 0.1)])
     spec = OperatorSpec(SamplingGrid((48,)), union)
-    cov = _materialize(spec)
+    cov = _covariance(spec)
     assert cov.demodulated is None
-    assert _shift_deviation(cov, _band_set(spec)) == 0.0
+    assert _shift_deviation(cov, spec._band_set()) == 0.0
     assert 0.0 < _shift_deviation(cov, _translated(spec)) <= 1e-13
     assert solver_sizes == []
 
@@ -201,7 +202,7 @@ def _random_spec(rng, kind):
 def _random_move(rng, spec, common):
     """``spec`` moved by one random step inside Nyquist (``common``), or
     each band by its own step of up to 0.05 per axis."""
-    count, dim = len(_band_set(spec).centers), spec.grid.dim
+    count, dim = len(spec._band_set().centers), spec.grid.dim
     for _ in range(1000):
         if common:
             corners = _corners(spec)
@@ -226,10 +227,10 @@ def test_the_value_bounds_the_dense_deviation(seed, kind, common):
     rng = np.random.default_rng([seed, KINDS.index(kind), int(common)])
     spec = _random_spec(rng, kind)
     shifted = _random_move(rng, spec, common)
-    cov, moved = _materialize(spec), _materialize(shifted)
+    cov, moved = _covariance(spec), _covariance(shifted)
     lam = np.linalg.eigvalsh(prolate._gather(cov.table))
     lam_moved = np.linalg.eigvalsh(prolate._gather(moved.table))
-    value = _shift_deviation(cov, _band_set(shifted))
+    value = _shift_deviation(cov, shifted._band_set())
     assert np.max(np.abs(lam - lam_moved)) - 2 * cov.size * EPS <= value
     if common:
         assert value <= 1e-12

@@ -1,7 +1,8 @@
 """Every dense eigensolve goes through ``prolate._eigh`` and reads only the
 lower triangle, only the dense references gather a matrix, only
-``verify.max_workers`` reads the environment, and ``verify`` builds no
-configuration beyond its default and one single-box spec.
+``verify.max_workers`` reads the environment, ``verify`` builds no
+configuration beyond its default and one single-box spec, and no code
+outside two row choices asks which geometry a spec has.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
 call anywhere else in the package would silently bypass it.  Its real
@@ -11,7 +12,9 @@ a ``.matrix`` read or a ``_gather`` call is allowed only where a dense
 matrix is the point: the hand-built covariance and the public dense
 kernels.  The translation rows move the solved band set itself, so
 ``verify`` constructs no band union or spec for them and calls no
-``.shifted``.
+``.shifted``.  Every spec builds its own band set, so a dispatch on the
+spec's type is allowed only where the rows differ by geometry: the gap
+bound proved for boxes and verify's choice of closing rows.
 """
 
 import ast
@@ -22,6 +25,7 @@ import mdprolate
 SOLVERS = {"eigh", "eigvalsh"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 BUILDERS = {"CubicBandUnion", "OperatorSpec", "PPOperatorSpec", "shifted"}
+SPECS = {"OperatorSpec", "PPOperatorSpec"}
 PACKAGE = Path(mdprolate.__file__).parent
 
 
@@ -102,6 +106,21 @@ def builder_calls(source: str) -> list[str]:
     return _references(source, hit)
 
 
+def spec_dispatches(source: str) -> list[str]:
+    """``function:line`` of every ``isinstance`` call in ``source`` whose
+    class argument names a spec class, bare, as an attribute, or inside a
+    tuple or a ``|`` union."""
+    def hit(node):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            return False
+        named = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(node.args[1])
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        return bool(named & SPECS)
+    return _references(source, hit)
+
+
 # Where the package may read a dense matrix: (module, function) -> count.
 DENSE_ALLOWED = {
     # The covariance itself: the gather and the hand-built trace and norm.
@@ -113,6 +132,15 @@ DENSE_ALLOWED = {
     # The public dense kernels.
     ("prolate.py", "sinc_kernel"): 1,
     ("prolate.py", "multiband_kernel"): 1,
+}
+
+
+# Where the package may ask a spec's geometry: (module, function) -> count.
+DISPATCH_ALLOWED = {
+    # The closed-form gap bound is proved for boxes only.
+    ("operator.py", "trace_frobenius_gap"): 1,
+    # The closing rows: 2-D boxes or the parallelogram's Hermitian row.
+    ("verify.py", "_suite"): 1,
 }
 
 
@@ -215,4 +243,24 @@ def test_verify_builds_no_configuration_for_the_translation_rows():
         found[scope] = found.get(scope, 0) + 1
     stray = {scope: count for scope, count in found.items()
              if count > VERIFY_BUILDS_ALLOWED.get(scope, 0)}
+    assert stray == {}
+
+
+def test_dispatch_finder_sees_every_spelling():
+    source = ("from . import operator\n"
+              "def f(spec, x):\n"
+              "    isinstance(spec, OperatorSpec), isinstance(x, int)\n"
+              "    return (isinstance(spec, (int, operator.OperatorSpec)),\n"
+              "            isinstance(spec, PPOperatorSpec | OperatorSpec))\n")
+    assert spec_dispatches(source) == ["f:3", "f:4", "f:5"]
+
+
+def test_only_the_row_choices_ask_a_spec_its_geometry():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for ref in spec_dispatches(path.read_text()):
+            key = (path.name, ref.rsplit(":", 1)[0])
+            found[key] = found.get(key, 0) + 1
+    stray = {key: count for key, count in found.items()
+             if count > DISPATCH_ALLOWED.get(key, 0)}
     assert stray == {}

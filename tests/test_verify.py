@@ -185,7 +185,6 @@ def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
     passes."""
     from mdprolate import (BandConfig, CubicBandUnion, ParallelepipedBand,
                            SamplingGrid)
-    from mdprolate.parallelepiped import _band_set
     if case == "full-1-D-band":
         config = BandConfig(grid=SamplingGrid((64,)),
                             cubic=CubicBandUnion([[0.0]], [[0.5]]))
@@ -198,7 +197,7 @@ def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
     deviation = verify._shift_deviation
 
     def recording(cov, moved):
-        moves.append(moved.centers - _band_set(cov.spec).centers)
+        moves.append(moved.centers - cov.spec._band_set().centers)
         return deviation(cov, moved)
 
     monkeypatch.setattr(verify, "_shift_deviation", recording)
