@@ -41,6 +41,7 @@ zero-difference value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -133,7 +134,8 @@ class DenseCovariance:
     from ``table`` too: nothing in the package reads a table-backed
     ``matrix``.  A hand-built covariance passes ``matrix`` instead of
     ``table``, and is decomposed from the matrix's own table when it has
-    one, as every gathered kernel does.
+    one, as every gathered kernel does.  The matrix must be ``n x n`` with
+    ``n = prod(dims)``, the table ``(2 dims - 1)`` per axis.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
@@ -142,9 +144,15 @@ class DenseCovariance:
                  demodulated: _Demodulated | None = None):
         if (matrix is None) == (table is None):
             raise ValueError("a covariance needs exactly one of matrix and table")
+        self.dims = tuple(dims)
+        name, shape, want = (
+            ("matrix", np.shape(matrix), (self.size,) * 2) if table is None
+            else ("table", np.shape(table), tuple(2 * n - 1 for n in self.dims)))
+        if shape != want:
+            raise ValueError(f"{name} of shape {shape} does not fit dims "
+                             f"{self.dims}: expected {want}")
         self._matrix = matrix
         self.table = table
-        self.dims = tuple(dims)
         self.spec = spec
         self.demodulated = demodulated
 
@@ -346,25 +354,25 @@ class GapReport(NamedTuple):
 def gap_bound(dims: tuple[int, ...], num_bands: int) -> float:
     """Closed-form upper bound on ``trace - ||.||_F^2`` for cubic operators.
 
-    For a 2-D grid (M, N) with J bands the bound is
-    ``(4 M J / pi^2)(3 + ln N) + (4 N J / pi^2)(3 + ln M)``; the 1-D form is
-    ``J (4 / pi^2)(3 + ln n)``, the per-band lemma the 2-D form rests on
-    (a band union's gap is at most the sum of its bands' gaps, each band's
-    operator being positive semidefinite).  Natural logarithm throughout.
+    On grid (n_0, ..., n_{d-1}) with J bands the bound is
+    ``sum_j (4 J / pi^2)(3 + ln n_j) prod_{i != j} n_i``: ``J (4 / pi^2)(3 +
+    ln n)`` in 1-D, the per-band lemma, and ``(4 M J / pi^2)(3 + ln N) +
+    (4 N J / pi^2)(3 + ln M)`` in 2-D.  For PSD factors with eigenvalues in
+    [0, 1], ``gap(A (x) B) = tr A gap(B) + ||B||_F^2 gap(A) <= n_A gap(B) +
+    n_B gap(A)``, so one box's gap is bounded by induction over the axes,
+    and a union's gap by the sum of its boxes' (each box's operator being
+    positive semidefinite).  Natural logarithm throughout.
     """
-    if len(dims) == 1:
-        return num_bands * 4.0 / np.pi**2 * (3.0 + np.log(dims[0]))
-    if len(dims) == 2:
-        m, n = dims
-        return (4.0 * m * num_bands / np.pi**2 * (3.0 + np.log(n))
-                + 4.0 * n * num_bands / np.pi**2 * (3.0 + np.log(m)))
-    raise ValueError("gap bound is defined for 1-D and 2-D grids only")
+    total, size = 0.0, math.prod(dims)
+    for n in dims:
+        total += 4.0 * (size // n) * num_bands / np.pi**2 * (3.0 + np.log(n))
+    return total
 
 
 def trace_frobenius_gap(cov: DenseCovariance) -> GapReport:
     """Trace, squared Frobenius norm, and their gap ``sum lambda (1-lambda)``.
 
-    For cubic operators on 1-D or 2-D grids the gap is checked against its
+    For cubic operators in any dimension the gap is checked against its
     logarithmic upper bound (:func:`gap_bound`); a violation raises
     :class:`VerificationError` because it can only come from a kernel bug.
     Parallelepiped covariances get the same triple with no hard bound (only
@@ -374,7 +382,7 @@ def trace_frobenius_gap(cov: DenseCovariance) -> GapReport:
     fsq = cov.frobenius_sq()
     gap = tr - fsq
     spec = cov.spec
-    if isinstance(spec, OperatorSpec) and len(cov.dims) <= 2:
+    if isinstance(spec, OperatorSpec):
         bound = gap_bound(cov.dims, spec.bands.num_bands)
         if gap > bound:
             raise VerificationError(

@@ -492,6 +492,13 @@ def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
     return full[(...,) + tuple(slice(0, n) for n in y.shape[-table.ndim:])]
 
 
+def _check_length(n) -> None:
+    """Reject a 1-D length that is not an integer of at least 1 (numpy
+    integers are integers)."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"length must be an integer >= 1, got {n!r}")
+
+
 def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
     """Covariance kernel of one band ``[f_c - W, f_c + W]``.
 
@@ -499,8 +506,7 @@ def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
     with diagonal ``2 W``.  Returned matrix is exactly Hermitian and PSD up
     to roundoff.
     """
-    if n < 1:
-        raise ValueError("kernel size must be positive")
+    _check_length(n)
     _check_band(f_c, half_width)
     return _gather(_hermitian(_axis_table(n, f_c, half_width).astype(complex)))
 
@@ -508,6 +514,7 @@ def sinc_kernel(n: int, f_c: float, half_width: float) -> np.ndarray:
 def multiband_kernel(n: int, union: CubicBandUnion) -> np.ndarray:
     """Covariance kernel of a 1-D multiband union: entrywise sum of
     modulated sinc kernels.  Trace equals ``n * union.measure()``."""
+    _check_length(n)
     if union.dim != 1:
         raise ValueError(f"expected a 1-D band union, got dim {union.dim}")
     return _gather(_table(_boxes((n,), union)))
@@ -1046,14 +1053,17 @@ class Spectrum1D:
 def decompose(kernel: np.ndarray) -> Spectrum1D:
     """Full dense Hermitian eigendecomposition, descending order.
 
-    Input that is not exactly Hermitian is replaced by its Hermitian part
-    first.  A complex kernel that is multilevel Toeplitz over the grid its
-    rows show, as a gathered kernel of any dimension is, is solved through
-    its real form; any other by the dense complex solve.
+    A kernel with a non-finite entry is rejected; input that is not
+    exactly Hermitian is replaced by its Hermitian part first.  A complex
+    kernel that is multilevel Toeplitz over the grid its rows show, as a
+    gathered kernel of any dimension is, is solved through its real form;
+    any other by the dense complex solve.
     """
     kernel = np.asarray(kernel)
     if kernel.ndim != 2 or not 0 < kernel.shape[0] == kernel.shape[1]:
         raise ValueError("kernel must be a non-empty square matrix")
+    if not np.isfinite(kernel).all():
+        raise ValueError("kernel has a non-finite entry")
     if not _hermitian_exactly(kernel):
         kernel = _hermitize(kernel)
     vals, vecs = _eigh(kernel, True)
@@ -1068,8 +1078,7 @@ def dpss(n: int, half_width: float) -> Spectrum1D:
     table, which needs no copy; eigenvectors are real with the
     largest-magnitude entry positive.
     """
-    if n < 1:
-        raise ValueError("sequence length must be positive")
+    _check_length(n)
     _check_band(0.0, half_width)
     kernel = _strided(_hermitian(_axis_table(n, 0.0, half_width)))
     vals, vecs = _eigh(kernel, True)

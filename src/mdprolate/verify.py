@@ -19,9 +19,9 @@ translation row is certified from the tables with no second eigensolve
 (``parallelepiped._shift_deviation``): the moved set's complex table,
 recentred by the step and the solved table's centre, minus the table the
 shared block solved, has a Frobenius norm that bounds the 2-norm of the
-two spectra's difference (1-D n = 512 reads about 2.7e-14).  On one or two
-axes the logarithmic gap bound follows, enforced for boxes and only
-compared for parallelograms.  Two geometry groups close the suite: on
+two spectra's difference (1-D n = 512 reads about 2.7e-14).  The
+logarithmic gap bound follows in every dimension, enforced for boxes and
+only compared for parallelograms.  Two geometry groups close the suite: on
 2-D boxes, FFT apply against the dense product, the separable
 factorization of the first box and residual/coherence bounds on
 modulated-DPSS dictionaries; on parallelograms, Hermitian symmetry of
@@ -90,8 +90,8 @@ def default_config() -> BandConfig:
 
 def _suite(name: str, spec, materialize, eps: float, seed: int) -> list[ReportRow]:
     """Every row of one operator, materialized by ``materialize``: the
-    shared block, the gap bound on one or two axes, then the 2-D box rows or
-    the parallelogram's Hermitian row."""
+    shared block with the gap bound, then the 2-D box rows or the
+    parallelogram's Hermitian row."""
     grid = spec.grid
     pp = isinstance(spec, PPOperatorSpec)
     count, measure = len(spec.bands), spec.measure()
@@ -125,19 +125,17 @@ def _suite(name: str, spec, materialize, eps: float, seed: int) -> list[ReportRo
             # above 0.95; approaches 1 as the grid grows but has no usable
             # fixed floor at small sizes.
             row("near_one_fraction_at_0.95",
-                np.count_nonzero(lam > 0.95) / expected, None)]
-    if grid.dim <= 2:
-        # The closed-form bound is proved for boxes; a parallelogram's gap
-        # is only compared with it (informational).
-        ratio = gap / gap_bound(grid.dims, count)
-        rows.append(row("gap_vs_cubic_bound_ratio", ratio, None) if pp
-                    else row("gap_log_bound_ratio", ratio, 1.0))
+                np.count_nonzero(lam > 0.95) / expected, None),
+            # The closed-form bound is proved for boxes; a parallelogram's
+            # gap is only compared with it (informational).
+            row("gap_vs_cubic_bound_ratio" if pp else "gap_log_bound_ratio",
+                gap / gap_bound(grid.dims, count), None if pp else 1.0)]
     if pp:
         # Hermitian symmetry of sampled parallelogram entries.
         rng = np.random.default_rng(7)
         worst = 0.0
         for band in spec.bands:
-            idx = rng.integers(0, min(grid.dims), size=(8, 4))
+            idx = rng.integers(0, np.tile(grid.dims, 2), size=(8, 4))
             fwd = pp_entry(band, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
             rev = pp_entry(band, idx[:, 2], idx[:, 3], idx[:, 0], idx[:, 1])
             worst = max(worst, float(np.max(np.abs(fwd - np.conj(rev)))))

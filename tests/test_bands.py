@@ -64,6 +64,22 @@ def test_validate_reference_ok(ref_intervals):
     assert validate(ref_intervals) == []
 
 
+def test_validate_accepts_a_valid_mapping_and_refuses_other_types():
+    assert validate({"centers": [[0.1, 0.2]], "half_widths": [[0.05, 0.05]]}) == []
+    with pytest.raises(TypeError, match="cannot validate int"):
+        validate(3)
+
+
+def test_intervals_round_trip_and_are_one_dimensional(ref_intervals):
+    again = CubicBandUnion.from_intervals(ref_intervals.intervals())
+    np.testing.assert_allclose(again.centers, ref_intervals.centers, atol=1e-16)
+    np.testing.assert_allclose(again.half_widths, ref_intervals.half_widths,
+                               atol=1e-16)
+    square = CubicBandUnion(centers=[[0.0, 0.0]], half_widths=[[0.1, 0.1]])
+    with pytest.raises(ValueError, match="1-D unions"):
+        square.intervals()
+
+
 def test_validate_identical_bands_overlap():
     bad = cubic_violations([[0.1], [0.1]], [[0.05], [0.05]])
     assert any(v.code == "overlap" and v.bands == (0, 1) for v in bad)
@@ -114,6 +130,14 @@ def test_empty_or_non_numeric_arrays_are_reported_malformed(centers, half_widths
 def test_nonpositive_half_width_rejected():
     bad = cubic_violations([[0.1]], [[0.0]])
     assert any(v.code == "half_width" for v in bad)
+
+
+@pytest.mark.parametrize("half_widths", [(0.0, 0.1), (0.1, -0.05)])
+def test_pp_nonpositive_half_width_rejected(half_widths):
+    raw = {"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0, "half_widths": half_widths}
+    assert [v.code for v in parallelepiped_violations([raw])] == ["half_width"]
+    with pytest.raises(BandError, match="strictly positive"):
+        ParallelepipedBand(**raw)
 
 
 @pytest.mark.parametrize("half_widths", [
@@ -181,6 +205,14 @@ def test_scale_analog_nyquist_violation():
     analog = CubicBandUnion(centers=[[300.0]], half_widths=[[20.0]], analog=True)
     with pytest.raises(NyquistError, match="axis 0"):
         scale_analog(analog, 1.0 / 400.0)
+
+
+@pytest.mark.parametrize("ts", [0.0, -1.0, (1.0, 0.0)])
+def test_scale_analog_rejects_a_non_positive_period(ts):
+    analog = CubicBandUnion(centers=[[0.1, 0.1]], half_widths=[[0.05, 0.05]],
+                            analog=True)
+    with pytest.raises(ValueError, match="must be positive"):
+        scale_analog(analog, ts)
 
 
 def test_grid_validation():

@@ -353,6 +353,7 @@ PP_MISSING_DOC = {"dim": 2, "parallelepiped": [{"a": 1.0, "b": 0.4}], "grid": [8
     (["spectrum", "--config", "{nohalfwidths}"], None),
     (["spectrum", "--config", "{ppmissing}"], None),
     (["spectrum", "--config", "{folder}/absent.json"], None),
+    (["spectrum", "--config", "{pponly}", "--grid", "8x8x8"], None),
 ], ids=["spectrum-size-cap", "verify-size-cap", "dict-bad-q", "dict-1d",
         "bad-threads", "spectrum-1d-size-cap", "verify-1d-size-cap",
         "config-is-a-directory", "config-not-utf8", "validate-config-not-utf8",
@@ -364,7 +365,7 @@ PP_MISSING_DOC = {"dim": 2, "parallelepiped": [{"a": 1.0, "b": 0.4}], "grid": [8
         "approx-parallelogram-only", "dict-q-count-mismatch", "dict-q-zero",
         "approx-p-past-grid", "approx-p-negative", "config-without-grid",
         "cubic-without-half-widths", "parallelogram-missing-keys",
-        "config-missing"])
+        "config-missing", "parallelogram-on-3d-grid"])
 def test_malformed_input_exits_2_with_json(argv, env, tmp_path, monkeypatch,
                                             capsys):
     if env is not None:

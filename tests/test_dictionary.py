@@ -178,3 +178,28 @@ def test_approx_mse_zero_rank_tail(spec8, spectrum8, ref_union_2d):
     rep = approx_mse(basis, spec8, 5, 42, spec_spectrum=spectrum8)
     assert rep.analytic_tail == pytest.approx(64 * ref_union_2d.measure(),
                                               rel=1e-9)
+
+
+def _spec(dims, bands):
+    return OperatorSpec(grid=SamplingGrid(dims), bands=bands)
+
+
+CUBE = CubicBandUnion(centers=[[0.0, 0.0, 0.0]], half_widths=[[0.1, 0.1, 0.1]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda spec, sp: build_phi(spec, 65), "outside"),
+    (lambda spec, sp: build_phi(spec, -1), "outside"),
+    (lambda spec, sp: build_psi(_spec((4, 4, 4), CUBE), [1]), "2-D grids"),
+    (lambda spec, sp: pseudo_eigen_residuals(
+        spec, build_psi(_spec((6, 6), spec.bands), [1, 1])), "does not match grid"),
+    (lambda spec, sp: subspace_cos_theta(
+        build_phi(spec, 4, spec_spectrum=sp), build_phi(_spec((6, 6), spec.bands), 4)),
+     "different grids"),
+    (lambda spec, sp: approx_mse(orthonormalize(build_phi(spec, 4, spec_spectrum=sp)),
+                                 spec, 0, 1, spec_spectrum=sp), "trials"),
+], ids=["phi-p-past-grid", "phi-p-negative", "psi-on-3d", "residuals-wrong-shape",
+        "cos-theta-across-grids", "approx-no-trials"])
+def test_malformed_library_calls_are_rejected(call, message, spec8, spectrum8):
+    with pytest.raises(ValueError, match=message):
+        call(spec8, spectrum8)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdprolate import (CubicBandUnion, OperatorSpec, SamplingGrid, SizeCapError,
                        apply_cubic, dpss, ivec, materialize_cubic,
@@ -10,6 +12,7 @@ from mdprolate.operator import gap_bound
 
 import oracles
 import pinned
+from conftest import random_cubic_union
 
 
 @pytest.fixture(scope="module")
@@ -139,6 +142,15 @@ def test_separable_modulation_leaves_eigenvalues():
     np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, atol=0)
 
 
+@pytest.mark.parametrize("band", [
+    CubicBandUnion(centers=pinned.REF_2D_CENTERS, half_widths=pinned.REF_2D_HALF_WIDTHS),
+    CubicBandUnion(centers=[[0.1]], half_widths=[[0.05]]),
+], ids=["two-bands", "1-D"])
+def test_separable_route_needs_one_2d_band(band):
+    with pytest.raises(ValueError, match="exactly one 2-D band"):
+        separable_eigenvalues(8, 8, band)
+
+
 def test_modulated_separable_eigen_relation():
     band = CubicBandUnion(centers=[[0.2, -0.15]], half_widths=[[0.05, 0.08]])
     spec = OperatorSpec(grid=SamplingGrid((12, 10)), bands=band)
@@ -201,13 +213,30 @@ def test_gap_pinned_at_32(ref_spec_32):
 
 def test_oned_gap_bound_is_the_per_band_lemma():
     """In 1-D the bound is J (4 / pi^2)(3 + ln n), the per-band lemma the
-    2-D bound rests on: M J g(N) + N J g(M) with g(n) = (4 / pi^2)(3 + ln n)."""
+    bound in d axes rests on: J sum_j g(n_j) prod_{i != j} n_i with g(n) =
+    (4 / pi^2)(3 + ln n), so M J g(N) + N J g(M) in 2-D."""
     def g(n):
         return 4.0 / np.pi**2 * (3.0 + np.log(n))
     for n, j in ((8, 1), (256, 2), (4096, 3)):
         assert gap_bound((n,), j) == pytest.approx(j * g(n), rel=1e-15)
     assert gap_bound((24, 40), 2) == pytest.approx(2 * (24 * g(40) + 40 * g(24)),
                                                    rel=1e-15)
+    assert gap_bound((4, 5, 6), 3) == pytest.approx(
+        3 * (30 * g(4) + 24 * g(5) + 20 * g(6)), rel=1e-15)
+
+
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_trace_frobenius_gap_holds_in_every_dimension(dim, num_bands, seed):
+    """Every box union, on any number of axes, stays under the bound that
+    ``trace_frobenius_gap`` enforces: it returns, never raises."""
+    rng = np.random.default_rng(seed)
+    dims = tuple(int(n) for n in rng.integers(2, int(4096 ** (1 / dim)) + 1,
+                                              size=dim))
+    bands = random_cubic_union(rng, dim, num_bands)
+    rep = trace_frobenius_gap(materialize_cubic(
+        OperatorSpec(grid=SamplingGrid(dims), bands=bands)))
+    assert 0.0 <= rep.gap <= gap_bound(dims, num_bands)
 
 
 @pytest.mark.parametrize("n", [8, 64, 512, 4096])

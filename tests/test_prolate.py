@@ -127,6 +127,29 @@ def test_decompose_rejects_a_kernel_that_is_not_a_square_matrix(shape, dtype):
         decompose(np.zeros(shape, dtype=dtype))
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_decompose_rejects_a_non_finite_kernel(entry, dtype):
+    # Full of the entry, or with one: no NaN spectrum, no solver failure.
+    for kernel in (np.full((4, 4), entry, dtype=dtype), np.eye(4, dtype=dtype)):
+        kernel[1, 2] = entry
+        with pytest.raises(ValueError, match="non-finite"):
+            decompose(kernel)
+
+
+@pytest.mark.parametrize("build", [
+    lambda n: sinc_kernel(n, 0.1, 0.05),
+    lambda n: multiband_kernel(n, CubicBandUnion.from_intervals(pinned.REF_INTERVALS)),
+    lambda n: dpss(n, 0.1).eigenvalues,
+], ids=["sinc_kernel", "multiband_kernel", "dpss"])
+def test_lengths_are_integers_of_at_least_one(build):
+    for n in (4.5, 4.0, 0, -3, "4"):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            build(n)
+    # numpy integers are integers.
+    assert np.array_equal(build(np.int64(6)), build(6))
+
+
 def test_modulate_zero_frequency_identity():
     v = np.arange(5.0)
     np.testing.assert_allclose(modulate(v, 0.0), v, atol=0)
@@ -173,6 +196,12 @@ def test_cluster_counts_partition(values, eps):
     counts = cluster_counts(eigs, eps)
     assert sum(counts) == len(values)
     assert min(counts) >= 0
+
+
+@pytest.mark.parametrize("eps", [0.0, -0.1, 0.6])
+def test_cluster_counts_requires_eps_in_range(eps):
+    with pytest.raises(ValueError, match="eps must be in"):
+        cluster_counts(np.array([0.9, 0.1]), eps)
 
 
 def test_cluster_counts_requires_sorted():

@@ -91,6 +91,15 @@ def test_a_covariance_needs_a_matrix_or_a_table():
     with pytest.raises(ValueError):
         operator.DenseCovariance(matrix=cov.matrix, dims=(4, 4), spec=None,
                                  table=cov.table)
+    # The matrix or table must fit the grid: a 16 x 16 kernel over (3, 3)
+    # would be read as a corner of its table.
+    for kwargs in ({"matrix": prolate.sinc_kernel(16, 0.1, 0.1), "dims": (3, 3)},
+                   {"matrix": cov.matrix, "dims": (4, 5)},
+                   {"matrix": cov.matrix[:, :8], "dims": (2, 4)},
+                   {"table": cov.table, "dims": (4, 5)},
+                   {"table": cov.table[:5], "dims": (4, 4)}):
+        with pytest.raises(ValueError, match="does not fit dims"):
+            operator.DenseCovariance(**kwargs)
 
 
 @pytest.mark.parametrize("name", ["readme-8x8", "readme-41x39", "default-pp-16x16",

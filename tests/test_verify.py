@@ -65,8 +65,8 @@ def test_rows_deterministic_order():
     assert [r.key() for r in a] == sorted(r.key() for r in a)
 
 
-# Every operator writes the shared block; beside it, the gap bound on one or
-# two axes and the two geometry groups.
+# Every operator writes the shared block and the gap bound row; beside them,
+# the two geometry groups.
 SHARED = ("trace_rel_err", "eigenvalue_range_excess", "gap_identity_abs_err",
           "center_shift_max_dev", "transition_count_at_0.05",
           "near_one_fraction_at_0.95")
@@ -105,7 +105,7 @@ PP_32 = "grid=32x32;J=1;eps=0.2"
 
 
 @pytest.mark.parametrize("case, experiments", [
-    ("3-D", {"cubic": ("grid=4x5x6;J=1;eps=0.2", ())}),
+    ("3-D", {"cubic": ("grid=4x5x6;J=1;eps=0.2", ("gap_log_bound_ratio",))}),
     ("1-D-128", {"multiband1d": ("n=128;J=2;eps=0.2", ("gap_log_bound_ratio",))}),
     ("2-D-cubic", {"cubic": (GRID_16, BOX_2D), "dictionary": (GRID_16, DICTIONARY)}),
     ("parallelogram-only-16", {"parallelepiped": (PP_16, PARALLELOGRAM)}),
@@ -237,7 +237,7 @@ def test_every_row_passes_on_random_2d_unions():
 
 @pytest.mark.parametrize("dim, sizes", [(1, (4, 97)), (3, (3, 8))], ids=["1-D", "3-D"])
 def test_every_row_passes_on_random_unions_off_two_axes(dim, sizes):
-    """The translation and count rows hold on 1-D and 3-D unions too."""
+    """The translation, count and gap rows hold on 1-D and 3-D unions too."""
     from mdprolate import BandConfig, SamplingGrid
     rng = np.random.default_rng(3)
     for _ in range(20):
@@ -250,6 +250,23 @@ def test_every_row_passes_on_random_unions_off_two_axes(dim, sizes):
 def test_corruption_hook_fails(corrupted_verify):
     rows = verify_config(default_config())
     assert any(not r.passed for r in rows)
+
+
+def test_hermitian_row_samples_every_axis_over_its_own_length(monkeypatch):
+    """An entry wrong only where the axis-0 difference is 12 or more is seen
+    on a 48 x 12 grid: the samples are not confined to a square corner."""
+    from mdprolate import BandConfig, ParallelepipedBand, SamplingGrid
+    entry = verify.pp_entry
+
+    def skewed(band, m, n, p, q):
+        return entry(band, m, n, p, q) + 1e-6 * (np.asarray(m) - p >= 12)
+
+    monkeypatch.setattr(verify, "pp_entry", skewed)
+    config = BandConfig(grid=SamplingGrid((48, 12)), parallelepiped=(
+        ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1)),))
+    [row] = [r for r in verify_config(config)
+             if r.metric == "hermitian_symmetry_max_err"]
+    assert not row.passed and row.value >= 1e-6
 
 
 def test_max_workers_env(monkeypatch):
