@@ -35,7 +35,8 @@ from . import dictionary as dct
 from .bands import (BandConfig, BandError, ConfigError, SamplingGrid,
                     load_band_config)
 from .operator import (DenseCovariance, OperatorSpec, SizeCapError,
-                       materialize_cubic, spectrum, spectrum_values)
+                       _draw_spectrum, materialize_cubic, spectrum,
+                       spectrum_values)
 from .parallelepiped import _operators
 from .prolate import cluster_counts
 from .reports import (ReportRow, export_dictionary, report_rows_csv,
@@ -237,7 +238,7 @@ def cmd_approx(args) -> int:
     p = args.p if args.p is not None else min(total, dct._sizes(spec, args.eps)[0])
     if not 0 <= p <= total:
         raise ConfigError(f"p = {p} outside [0, {total}]")
-    sp = spectrum(materialize_cubic(spec))
+    sp = _draw_spectrum(materialize_cubic(spec), p)
     basis = _phi_basis(dct.build_phi(spec, p, spec_spectrum=sp))
     report = dct.approx_mse(basis, spec, args.trials, args.seed, spec_spectrum=sp)
     empirical, tail = report.empirical_mean, report.analytic_tail

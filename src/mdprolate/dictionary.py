@@ -30,9 +30,9 @@ import numpy as np
 
 from .bands import CubicBandUnion, SamplingGrid
 from .operator import (OperatorSpec, SpectrumND, VerificationError, _covariance,
-                       _decompose, _dpss_products, ivec, materialize_cubic,
-                       spectrum, vec)
-from .prolate import _apply, _table, dpss
+                       _decompose, _dpss_products, _draw_spectrum, ivec,
+                       materialize_cubic, vec)
+from .prolate import _apply, _table, _transfer, dpss
 
 __all__ = [
     "Atom",
@@ -61,8 +61,11 @@ RANK_TOL = 1e-10
 # samples its block-sized scratch is about six (_TRIAL_BLOCK, P) complex
 # arrays, 6144 P bytes: the weights, combine's block-order coefficients and
 # products, the unfold scratch, the signals and their projections (5.4 arrays
-# measured at 32 x 32).  From P = 768 up that is within the 8 P^2 bytes that
-# P real eigenvectors of length P take; below, it is under 4.7 MB.
+# measured at 32 x 32).  The K real eigenvectors of length P the draws keep
+# (those of positive eigenvalues, see operator._draw_spectrum) take 8 P K
+# bytes: for the README union, K = 754 of 1024 at 32 x 32, about the same as
+# the scratch, and K = 2560 of 4096 at 64 x 64, 3.3 times it.  Below P = 768
+# the scratch is under 4.7 MB.
 _TRIAL_BLOCK = 64
 
 # pseudo_eigen_residuals applies the operator to as many atoms at once as fit
@@ -215,11 +218,13 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
 
     residual^2 = ||B(psi) - lam psi||_F^2 where B is the full multiband
     operator and lam the atom's per-band eigenvalue product; the bound
-    ``1 - lam^2`` holds exactly at every size.  The operator's table is
-    built once and applied to blocks of stacked atoms by batched FFT.
+    ``1 - lam^2`` holds exactly at every size.  The operator's table and
+    its circulant transfer are built once and applied to blocks of stacked
+    atoms by batched FFT.
     """
     dims = spec.grid.dims
     table = _table(spec._band_set())
+    transfer = _transfer(table)
     lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
     rows[:, 1] = 1.0 - lam * lam
@@ -229,7 +234,7 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
         if y.shape[1:] != dims:
             raise ValueError(f"input shape {y.shape[1:]} does not match grid {dims}")
         scale = lam[start:start + len(y)].reshape((-1,) + (1,) * len(dims))
-        resid = (_apply(table, y) - scale * y).reshape(len(y), -1)
+        resid = (_apply(table, y, transfer) - scale * y).reshape(len(y), -1)
         rows[start:start + len(y), 0] = np.linalg.norm(resid, axis=1) ** 2
     return rows
 
@@ -271,13 +276,16 @@ def subspace_cos_theta(a, b) -> float:
     Defined as the infimum over unit tensors of the smaller span of the
     projected norm onto the other span, i.e. the smallest singular value of
     ``Q_a^H Q_b`` with ``a`` the smaller-rank side.  1 when the smaller
-    span is contained in the larger, 0 when some direction is orthogonal.
+    span is contained in the larger, as the empty span of a rank-0 basis
+    is in every span; 0 when some direction is orthogonal.
     """
     qa, qb = _as_basis(a), _as_basis(b)
     if qa.dims != qb.dims:
         raise ValueError("dictionaries live on different grids")
     if qa.rank > qb.rank:
         qa, qb = qb, qa
+    if qa.rank == 0:
+        return 1.0
     sv = np.linalg.svd(qa.q.conj().T @ qb.q, compute_uv=False)
     return float(np.clip(sv[-1], 0.0, 1.0))
 
@@ -317,8 +325,12 @@ def sample_signal(spec, seed: int, *,
     deterministic per seed.  Accepts cubic or parallelepiped operator
     specs; pass ``spec_spectrum`` to amortize the decomposition.  Drawn
     through ``SpectrumND.combine``, as in ``approx_mse``: no eigen-tensor.
+    Without ``spec_spectrum`` the operator is solved for the draw alone
+    (``operator._draw_spectrum``): each block keeps only the eigenvectors
+    of positive eigenvalues, as the weights of the others are exactly
+    zero, and the draw is bitwise that from a full :func:`spectrum`.
     """
-    sp = spec_spectrum or spectrum(_covariance(spec))
+    sp = spec_spectrum or _draw_spectrum(_covariance(spec))
     return sp.combine(_weights(_roots(sp.eigenvalues), seed)[None])[0]
 
 
@@ -342,11 +354,13 @@ def approx_mse(basis: SubspaceBasis, spec, trials: int, seed: int, *,
     a block's signals from the solver's real eigenvector blocks,
     without any eigen-tensor, and one GEMM pair projects them, so the
     residual stays an explicit, empirical one.  The signals equal
-    ``sample_signal``'s up to roundoff.
+    ``sample_signal``'s up to roundoff.  Without ``spec_spectrum`` the
+    operator is solved for the draws alone, as ``sample_signal`` does, and
+    the report is bitwise that from a full :func:`spectrum`.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    sp = spec_spectrum or spectrum(_covariance(spec))
+    sp = spec_spectrum or _draw_spectrum(_covariance(spec))
     if tuple(basis.dims) != sp.dims:
         raise ValueError(f"input shape {sp.dims} does not match basis dims "
                          f"{basis.dims}")

@@ -192,9 +192,13 @@ class SpectrumND:
     then written from them on first access and cached, one C-contiguous
     ``(P, *dims)`` array; :meth:`leading` writes only the first few, and
     :meth:`combine` forms linear combinations without any eigen-tensor.
-    A spectrum built from ``tensors`` directly reads them in both.  Every
-    spectrum holds all its eigenvectors: only ``build_phi``, which reads
-    the leading p, solves for those alone, and it makes no spectrum.
+    A spectrum built from ``tensors`` directly reads them in both.  A
+    spectrum from :func:`spectrum` holds all its eigenvectors.  One from
+    :func:`_draw_spectrum` (approx's) holds only those of positive
+    eigenvalues and each block's leading p: :meth:`leading` reads up to
+    them, :meth:`combine` takes zero coefficients past them, and
+    ``tensors`` raises.  ``build_phi``, which reads the leading p, solves
+    for those alone and makes no spectrum.
     """
 
     def __init__(self, eigenvalues: np.ndarray, tensors: np.ndarray | None = None,
@@ -289,12 +293,23 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
     return _decompose(cov, False)[0]
 
 
-def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None):
+def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None,
+               positive: bool = False):
     """``_eigh`` of :func:`_solved`, or of a hand-built covariance's matrix;
     ``leading`` keeps only the eigenvectors the first ``leading``
-    eigen-tensors need."""
+    eigen-tensors need, and with ``positive`` those of positive
+    eigenvalues too."""
     a = cov.matrix if cov.table is None else _solved(cov)
-    return _eigh(a, vectors, cov.dims, leading)
+    return _eigh(a, vectors, cov.dims, leading, positive)
+
+
+def _draw_spectrum(cov: DenseCovariance, p: int = 0) -> SpectrumND:
+    """The spectrum random draws read: every eigenvalue, and only the
+    eigenvectors with a nonzero draw weight (positive eigenvalue) or among
+    a block's leading p, cut right after each block is solved, so phi's
+    first p are read from the same solve."""
+    vals, vectors = _decompose(cov, True, p, positive=True)
+    return SpectrumND(vals, vectors=vectors)
 
 
 def _solved(cov: DenseCovariance) -> _Demodulated:

@@ -478,15 +478,24 @@ def _toeplitz_table(a: np.ndarray, dims: tuple[int, ...]) -> np.ndarray | None:
     return table if equal else None
 
 
-def _apply(table: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _transfer(table: np.ndarray) -> np.ndarray:
+    """The spectrum of a table's circulant embedding, for :func:`_apply`."""
+    return np.fft.fftn(np.fft.ifftshift(table))
+
+
+def _apply(table: np.ndarray, y: np.ndarray,
+           transfer: np.ndarray | None = None) -> np.ndarray:
     """Matrix-free product of a table's matrix with a tensor y, through a
     circulant embedding of size ``table.shape`` (any d).
 
     Axes of y before its last ``table.ndim`` are batch axes: every tensor
-    in the batch is multiplied by the same matrix, in one batched FFT.
+    in the batch is multiplied by the same matrix, in one batched FFT.  A
+    caller applying one table to many batches passes its ``transfer``
+    (:func:`_transfer`), formed once.
     """
     axes = tuple(range(y.ndim - table.ndim, y.ndim))
-    transfer = np.fft.fftn(np.fft.ifftshift(table))
+    if transfer is None:
+        transfer = _transfer(table)
     padded = np.fft.fftn(y, s=table.shape, axes=axes)
     full = np.fft.ifftn(transfer * padded, axes=axes)
     return full[(...,) + tuple(slice(0, n) for n in y.shape[-table.ndim:])]
@@ -711,7 +720,7 @@ _ASSEMBLY_CHUNK = 1 << 17
 
 
 def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
-          leading: int | None = None):
+          leading: int | None = None, positive: bool = False):
     """Descending eigenvalues of a Hermitian operator and, when ``vectors``,
     its phase-fixed eigenvectors as an :class:`_Eigenvectors`; the one
     place the package calls a dense eigensolver.
@@ -742,10 +751,12 @@ def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
     eigenvalue is at least the block's min(p, m)-th largest, m its size
     (:func:`_leading_columns`; an exact tie at the cut is kept whole), so
     the next solve runs beside p columns of each block solved before it.
-    Each of the global first p is among its block's first p.  All
+    Each of the global first p is among its block's first p.  With
+    ``positive`` (approx's draws) the columns of positive eigenvalues are
+    kept too, so the leading ``max(p, #{lambda > 0})`` can be read.  All
     eigenvalues are kept and the same blocks are solved by the same calls,
-    so the first p eigen-tensors are bitwise those of a full solve; only
-    they can be read (:class:`_Eigenvectors`).
+    so the readable eigen-tensors and combinations are bitwise those of a
+    full solve (:class:`_Eigenvectors`).
     """
     dims = (a.shape[0],) if dims is None else tuple(dims)
     if not isinstance(a, _Demodulated) and np.iscomplexobj(a):
@@ -763,7 +774,7 @@ def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
         # their partners' or never written.
         if vectors:
             # The full eigenvectors are dropped as soon as they are cut.
-            parts = [_leading_columns(np.linalg.eigh(b, UPLO="L"), leading)
+            parts = [_leading_columns(np.linalg.eigh(b, UPLO="L"), leading, positive)
                      for b in blocks]
         else:
             parts = [(np.linalg.eigvalsh(b, UPLO="L"), None) for b in blocks]
@@ -776,22 +787,26 @@ def _eigh(a, vectors: bool, dims: tuple[int, ...] | None = None,
     if not vectors:
         return vals[order], None
     kept = n if leading is None else min(leading, n)
+    if positive:
+        kept = max(kept, int(np.count_nonzero(vals > 0)))
     return vals[order], _Eigenvectors(
         [w for _, w in parts], order, dims, phase, orbits,
         [vals.size - w.shape[1] for vals, w in parts], kept)
 
 
-def _leading_columns(solved, count: int | None):
+def _leading_columns(solved, count: int | None, positive: bool = False):
     """A block's eigenvalues (ascending, as the solver returns them) and
     eigenvectors ``solved``, the eigenvectors cut to the columns whose
     eigenvalue is at least the ``count``-th largest, so an exact tie at the
-    cut is kept whole (None keeps all).  The cut is a copy, so the full
-    array can be freed."""
+    cut is kept whole, or with ``positive`` is above zero (None keeps
+    all).  The cut is a copy, so the full array can be freed."""
     vals, w = solved
     if count is None:
         return vals, w
     m = vals.size
     lo = m if count <= 0 else int(np.searchsorted(vals, vals[max(m - count, 0)]))
+    if positive:
+        lo = min(lo, int(np.searchsorted(vals, 0.0, side="right")))
     return vals, w if lo == 0 else w[:, lo:].copy()
 
 
@@ -823,12 +838,12 @@ class _Eigenvectors:
     :meth:`combine` forms linear combinations of them with block-size real
     products.
 
-    A solve for the leading ``kept`` vectors only (``_eigh``'s
-    ``leading``) keeps each block without its first ``dropped[b]``
-    columns, those of its lowest eigenvalues, and the column indices are
-    mapped through that.  It reads out ``tensors(count)`` and the pivots
-    for ``count <= kept`` only: :meth:`combine` and a full
-    :meth:`tensors` raise on it.
+    A cut solve (``_eigh``'s ``leading``) keeps each block without its
+    first ``dropped[b]`` columns, those of its lowest eigenvalues, and the
+    column indices are mapped through that.  Only the leading ``kept``
+    vectors are read: ``tensors(count)`` and the pivots for ``count <=
+    kept``, and :meth:`combine` with zero coefficients past them; a full
+    :meth:`tensors` raises.
     """
 
     def __init__(self, blocks: list[np.ndarray], order: np.ndarray,
@@ -977,21 +992,27 @@ class _Eigenvectors:
         coupled R multiplied by i first.  An unreduced block is one plain
         product.  The centre phase multiplies the result last.
         """
-        coef = np.asarray(c, dtype=complex).T[self.inverse]
-        coef *= self.pivots(self.n)[self.inverse, None]
+        c = np.asarray(c, dtype=complex)
+        if c[:, self.kept:].any():
+            raise ValueError(f"only the leading {self.kept} of {self.n} eigenvectors "
+                             "were kept, and a coefficient past them is nonzero")
+        coef = c.T[self.inverse]
+        coef *= np.pad(self.pivots(self.kept), (0, self.n - self.kept),
+                       constant_values=1)[self.inverse, None]
         out = np.empty(coef.shape, dtype=complex)
         if np.iscomplexobj(self.blocks[0]):
-            np.matmul(self.blocks[0], coef, out=out)
+            np.matmul(self.blocks[0], coef[self.dropped[0]:], out=out)
         else:
             real_coef, real_out = coef.view(float), out.view(float)
-            for w, lo in zip(self.blocks, self.starts):
-                # Leading rows that are exactly zero add nothing.  A draw's
-                # weights are zero for eigenvalues <= 0, and those lead each
-                # block, whose eigenvalues ascend.
-                rows = real_coef[lo:lo + w.shape[1]]
+            for w, lo, dropped in zip(self.blocks, self.starts, self.dropped):
+                # Leading rows that are exactly zero add nothing, and those
+                # of a cut's dropped columns are.  A draw's weights are zero
+                # for eigenvalues <= 0, and those lead each block, whose
+                # eigenvalues ascend.
+                rows = real_coef[lo:lo + len(w)]
                 skip = len(rows) - len(np.trim_zeros(rows.any(axis=1), "f"))
-                np.matmul(w[:, skip:], rows[skip:],
-                          out=real_out[lo:lo + w.shape[1]])
+                np.matmul(w[:, skip - dropped:], rows[skip:],
+                          out=real_out[lo:lo + len(w)])
             if self.coupled:
                 out[self.starts[1]:] *= 1j
             if self.reduced:

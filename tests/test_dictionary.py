@@ -7,7 +7,7 @@ from mdprolate import (CubicBandUnion, OperatorSpec, PPOperatorSpec,
                        orthonormalize, pp_materialize, project,
                        pseudo_eigen_residuals, sample_signal, separable_spectrum,
                        spectrum, subspace_cos_theta, vec)
-from mdprolate.dictionary import SubspaceBasis
+from mdprolate.dictionary import Atom, Dictionary, SubspaceBasis
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,48 @@ def test_cos_theta_self_and_orthogonal(spec8, spectrum8):
         q=np.column_stack([vec(spectrum8.tensors[k]) for k in range(5, 12)]),
         dims=(8, 8), rank=7, tolerance=0.0)
     assert subspace_cos_theta(top, rest) <= 1e-10
+
+
+def test_cos_theta_of_a_rank_0_basis_is_1(spec8, spectrum8):
+    """The empty span lies in every span, the containment case."""
+    from mdprolate.cli import _phi_basis
+    empty = _phi_basis(build_phi(spec8, 0, spec_spectrum=spectrum8))
+    assert (empty.rank, empty.q.shape) == (0, (64, 0))
+    psi = build_psi(spec8, [3, 3])
+    assert subspace_cos_theta(empty, psi) == 1.0
+    assert subspace_cos_theta(psi, empty) == 1.0
+    zero = orthonormalize(Dictionary(
+        atoms=(Atom(tensor=np.zeros((8, 8)), source="phi", eigenvalue=0.0),),
+        grid=spec8.grid, bands=spec8.bands, source="phi"))
+    assert zero.rank == 0
+    assert subspace_cos_theta(empty, zero) == 1.0
+
+
+def test_pseudo_eigen_residuals_form_the_transfer_once(monkeypatch):
+    """Rows bitwise those of one ``_apply(table, y)`` per batch, with the
+    transfer formed once per call, not once per batch."""
+    from mdprolate import dictionary
+    from mdprolate.prolate import _apply, _table
+    spec = OperatorSpec(grid=SamplingGrid((32, 32)), bands=CubicBandUnion(
+        centers=[[-0.15, -0.10], [0.20, 0.15]], half_widths=[[0.10, 0.10]] * 2))
+    psi = build_psi(spec, [40, 40])
+    table = _table(spec._band_set())
+    block = max(1, dictionary._APPLY_BLOCK_BYTES // (16 * table.size))
+    assert len(psi) > 2 * block
+    want = np.empty(len(psi))
+    for start in range(0, len(psi), block):
+        atoms = psi.atoms[start:start + block]
+        y = np.stack([a.tensor for a in atoms])
+        lam = np.array([a.eigenvalue for a in atoms])[:, None, None]
+        want[start:start + len(y)] = np.linalg.norm(
+            (_apply(table, y) - lam * y).reshape(len(y), -1), axis=1) ** 2
+    calls = []
+    transfer = dictionary._transfer
+    monkeypatch.setattr(dictionary, "_transfer",
+                        lambda t: calls.append(1) or transfer(t))
+    rows = pseudo_eigen_residuals(spec, psi)
+    assert calls == [1]
+    assert rows[:, 0].tobytes() == want.tobytes()
 
 
 def test_cos_theta_single_band_phi_equals_psi():

@@ -14,7 +14,10 @@ kernels.  The translation rows move the solved band set itself, so
 ``verify`` constructs no band union or spec for them and calls no
 ``.shifted``.  Every spec builds its own band set, so a dispatch on the
 spec's type is allowed only where the rows differ by geometry: the gap
-bound proved for boxes and verify's choice of closing rows.
+bound proved for boxes and verify's choice of closing rows.  Only
+``spectrum --vectors`` writes every eigenvector, so ``cli.cmd_spectrum``
+is the one caller of the full-vector ``spectrum()``: the draws solve
+through ``operator._draw_spectrum`` and phi through ``build_phi``'s cut.
 """
 
 import ast
@@ -119,6 +122,17 @@ def spec_dispatches(source: str) -> list[str]:
                  if isinstance(n, (ast.Name, ast.Attribute))}
         return bool(named & SPECS)
     return _references(source, hit)
+
+
+def spectrum_references(source: str) -> list[str]:
+    """``function:line`` of every read of the name ``spectrum``, bare or as
+    an attribute (``operator.spectrum``): a call, or the function passed
+    on.  ``spectrum_values`` and other names containing it do not count."""
+    return _references(source, lambda node: (
+        (isinstance(node, ast.Name) and node.id == "spectrum"
+         and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "spectrum"
+            and isinstance(node.ctx, ast.Load))))
 
 
 # Where the package may read a dense matrix: (module, function) -> count.
@@ -264,3 +278,20 @@ def test_only_the_row_choices_ask_a_spec_its_geometry():
     stray = {key: count for key, count in found.items()
              if count > DISPATCH_ALLOWED.get(key, 0)}
     assert stray == {}
+
+
+def test_spectrum_finder_sees_every_spelling():
+    source = ("from .operator import spectrum, spectrum_values\n"
+              "def f(cov, covs, spec_spectrum):\n"
+              "    spectrum_values(cov), spec_spectrum, operator.spectrum(cov)\n"
+              "    return spectrum(cov), list(map(spectrum, covs))\n")
+    assert spectrum_references(source) == ["f:3", "f:4", "f:4"]
+
+
+def test_only_cmd_spectrum_solves_for_every_eigenvector():
+    found = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for ref in spectrum_references(path.read_text()):
+            key = (path.name, ref.rsplit(":", 1)[0])
+            found[key] = found.get(key, 0) + 1
+    assert found == {("cli.py", "cmd_spectrum.run"): 1}
