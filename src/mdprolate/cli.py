@@ -7,7 +7,9 @@ dict            build the exact and modulated-DPSS dictionaries, export both,
                 report subspace angle / coherence / projection residuals
 approx          Monte-Carlo approximation error against the eigenvalue tail
 verify          run the invariant property suite, exit 1 on any failure
-bands validate  report band-geometry violations without building anything
+bands validate  report band-geometry violations, and bands whose kernel
+                is not finite on the grid: the tables a solve reads are
+                built, after the size cap, and nothing is solved
 
 Flags shared by the four data commands: ``--config <path>``, ``--out <dir>``,
 ``--format csv|json``, ``--seed <u64>``, ``--eps <f>``, ``--grid MxN``.  Each
@@ -133,8 +135,9 @@ def cmd_spectrum(args) -> int:
     jobs = _operators(config)
 
     def run(job):
-        # Summarize inside the job so only its spectrum outlives it: the
-        # covariance's tables are freed before the next job builds its own.
+        # Summarize inside the job so that, besides the spec's O(n) tables,
+        # only its spectrum outlives it: the solve's blocks are freed before
+        # the next job builds its own.
         name, spec, materialize = job
         cov = materialize(spec)
         if args.vectors:
@@ -276,7 +279,11 @@ def cmd_verify(args) -> int:
 
 def cmd_bands_validate(args) -> int:
     try:
-        load_band_config(args.config)  # constructors reject every violation
+        config = load_band_config(args.config)  # constructors reject every violation
+        for _, spec, materialize in _operators(config):
+            # The size cap, then the table a solve reads, each band term
+            # checked finite as it is built.
+            materialize(spec).tables.solved
     except BandError as exc:
         for v in exc.violations:
             print(f"[FAIL] {v.code} bands={list(v.bands)}: {v.message}")

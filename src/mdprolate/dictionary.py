@@ -32,7 +32,7 @@ from .bands import CubicBandUnion, SamplingGrid
 from .operator import (OperatorSpec, SpectrumND, VerificationError, _covariance,
                        _decompose, _dpss_products, _draw_spectrum, ivec,
                        materialize_cubic, vec)
-from .prolate import _apply, _table, _transfer, dpss
+from .prolate import dpss
 
 __all__ = [
     "Atom",
@@ -140,7 +140,7 @@ def build_phi(spec: OperatorSpec, p: int, *,
     first p eigen-tensors are written (``SpectrumND.leading``).  Without
     it the operator is solved for those p alone: each symmetry block keeps
     only the eigenvectors the first p need, cut right after it is solved
-    (``prolate._eigh``'s ``leading``), so the next block is solved beside
+    (``_solver._eigh``'s ``leading``), so the next block is solved beside
     them and not beside all of them.  The atoms are bitwise those read
     from a full :func:`spectrum`.
     """
@@ -218,23 +218,22 @@ def pseudo_eigen_residuals(spec: OperatorSpec, d: Dictionary) -> np.ndarray:
 
     residual^2 = ||B(psi) - lam psi||_F^2 where B is the full multiband
     operator and lam the atom's per-band eigenvalue product; the bound
-    ``1 - lam^2`` holds exactly at every size.  The operator's table and
-    its circulant transfer are built once and applied to blocks of stacked
-    atoms by batched FFT.
+    ``1 - lam^2`` holds exactly at every size.  The spec's table and its
+    circulant transfer, formed once per spec, are applied to blocks of
+    stacked atoms by batched FFT.
     """
     dims = spec.grid.dims
-    table = _table(spec._band_set())
-    transfer = _transfer(table)
+    tables = spec._tables
     lam = np.array([a.eigenvalue for a in d.atoms], dtype=float)
     rows = np.empty((len(d.atoms), 2))
     rows[:, 1] = 1.0 - lam * lam
-    block = max(1, _APPLY_BLOCK_BYTES // (16 * table.size))
+    block = max(1, _APPLY_BLOCK_BYTES // (16 * tables.table.size))
     for start in range(0, len(d.atoms), block):
         y = np.stack([a.tensor for a in d.atoms[start:start + block]])
         if y.shape[1:] != dims:
             raise ValueError(f"input shape {y.shape[1:]} does not match grid {dims}")
         scale = lam[start:start + len(y)].reshape((-1,) + (1,) * len(dims))
-        resid = (_apply(table, y, transfer) - scale * y).reshape(len(y), -1)
+        resid = (tables.apply(y) - scale * y).reshape(len(y), -1)
         rows[start:start + len(y), 0] = np.linalg.norm(resid, axis=1) ** 2
     return rows
 

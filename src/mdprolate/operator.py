@@ -8,27 +8,29 @@ process whose power spectrum is the indicator of the band union, so its
 eigenvalues lie in [0, 1], sum to ``M N ||bands||``, and cluster sharply
 near 1 and 0.
 
-Every entry depends only on the index difference, so the operator is built
-once as a difference table (see :mod:`mdprolate.prolate`): a band-sum of
-outer products of per-axis 1-D sinc tables.  Every spec builds its own
-band set (``_band_set()``), and the one materializer keeps any spec's
-table in a :class:`DenseCovariance`, which gathers the dense matrix only
-when ``.matrix`` is first read and takes its trace and Frobenius norm from
-the table; :func:`apply_cubic` applies the table to a tensor of any
-dimension by FFT circulant embedding.
+Every entry depends only on the index difference, so the operator is one
+difference table (see :mod:`mdprolate._tables`): a band-sum of outer
+products of per-axis 1-D sinc tables.  Every spec holds one table object
+over its own band set (``spec._tables``), which builds the table, its FFT
+transfer and its demodulated table once each, when first read.  The one
+materializer wraps a spec's table object in a :class:`DenseCovariance`,
+which gathers the dense matrix only when ``.matrix`` is first read and
+takes its trace and Frobenius norm from the table; :func:`apply_cubic`
+applies the spec's table to a tensor of any dimension by FFT circulant
+embedding, forming the transfer once per spec.
 
 The dense route is intentionally exact-over-fast: operators are
 materialized up to a fixed size cap, ``DEFAULT_SIZE_CAP`` (4096 total
-samples, 1-D grids too), and decomposed through ``prolate._eigh``: a
+samples, 1-D grids too), and decomposed through ``_solver._eigh``: a
 dense real symmetric eigensolve of the same size, exact up to roundoff,
 because every operator is centro-Hermitian.  :func:`spectrum` and
 :func:`spectrum_values` fill that real form straight from the table
-(``prolate._orbit_blocks``, the one filler) and never gather the matrix.
+(``_solver._orbit_blocks``, the one filler) and never gather the matrix.
 A set without a centre is solved from its complex table as one real block
 of the same size, and so is a hand-built matrix, from its own table
-(``prolate._toeplitz_table``).  When the boxes pair up as mirrors about
-one centre, the materialization also keeps the operator's real table
-demodulated to that centre, and the real form falls apart into one block
+(``_tables._toeplitz_table``).  When the boxes pair up as mirrors about
+one centre, the solver reads the operator's real table demodulated to
+that centre, and the real form falls apart into one block
 per character of the group that J and the table's commuting axis
 symmetries generate.  A set with J alone, such as the
 README union, gives an even and an odd block of half the size.  A single
@@ -41,16 +43,17 @@ zero-difference value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
+from ._solver import _eigh, _Eigenvectors
+from ._tables import _boxes, _gather, _Tables
 from .bands import CubicBandUnion, SamplingGrid
-from .prolate import (_apply, _BandSet, _boxes, _demodulate, _Demodulated, _eigh,
-                      _Eigenvectors, _frobenius_sq, _gather, _table, cluster_counts,
-                      dpss, modulate)
+from .prolate import cluster_counts, dpss, modulate
 
 __all__ = [
     "OperatorSpec",
@@ -101,9 +104,11 @@ class OperatorSpec:
     def measure(self) -> float:
         return self.bands.measure()
 
-    def _band_set(self) -> _BandSet:
-        """The band set of the box union (shape: the half-widths)."""
-        return _boxes(self.grid.dims, self.bands)
+    @functools.cached_property
+    def _tables(self) -> _Tables:
+        """The table object of the box union (band shape: the half-widths),
+        made on first read and kept."""
+        return _Tables(_boxes(self.grid.dims, self.bands))
 
 
 def vec(y: np.ndarray) -> np.ndarray:
@@ -117,49 +122,43 @@ def ivec(v: np.ndarray, dims: tuple[int, ...]) -> np.ndarray:
 
 
 class DenseCovariance:
-    """Materialized operator: its difference table, or a dense Hermitian
+    """Materialized operator: a spec's table object, or a dense Hermitian
     matrix built by hand, plus its provenance.
 
     ``spec`` is the :class:`OperatorSpec` (or the parallelepiped analogue)
     the operator came from; ``dims`` fixes the vec/ivec tensor shape.  The
-    materializers keep the operator's difference ``table``, and ``matrix``
-    is gathered from it on first access, then cached (read-only, so it
-    cannot drift from the table).  :meth:`trace` and :meth:`frobenius_sq`
-    are always computed from the table when there is one, so their bits do
-    not depend on whether ``matrix`` was ever read.  ``demodulated`` is set
-    for point-symmetric band sets: the real table of the same operator
-    shifted to the centre.  The eigensolver reads that table, or ``table``
-    itself for a set without a centre, so a table-backed operator is
-    decomposed without gathering, and ``verify`` forms its dense reference
-    from ``table`` too: nothing in the package reads a table-backed
-    ``matrix``.  A hand-built covariance passes ``matrix`` instead of
-    ``table``, and is decomposed from the matrix's own table when it has
-    one, as every gathered kernel does.  The matrix must be ``n x n`` with
-    ``n = prod(dims)``, the table ``(2 dims - 1)`` per axis.
+    materializers keep the spec's table object, ``tables``
+    (``_tables._Tables``), and ``matrix`` is gathered from its table on
+    first access, then cached (read-only, so it cannot drift from the
+    table).  :meth:`trace` and :meth:`frobenius_sq` are always computed from
+    the table when there is one, so their bits do not depend on whether
+    ``matrix`` was ever read.  The eigensolver reads the table object's
+    ``solved`` table, demodulated to the centre of a point-symmetric band
+    set, so a table-backed operator is decomposed without gathering, and
+    ``verify`` forms its dense reference from the table too: nothing in the
+    package reads a table-backed ``matrix``.  A hand-built covariance
+    passes ``matrix`` and ``dims`` instead of ``tables``, and is decomposed
+    from the matrix's own table when it has one, as every gathered kernel
+    does.  The matrix must be ``n x n`` with ``n = prod(dims)``.
     """
 
     def __init__(self, matrix: np.ndarray | None = None, *,
-                 dims: tuple[int, ...], spec: object = None,
-                 table: np.ndarray | None = None,
-                 demodulated: _Demodulated | None = None):
-        if (matrix is None) == (table is None):
-            raise ValueError("a covariance needs exactly one of matrix and table")
-        self.dims = tuple(dims)
-        name, shape, want = (
-            ("matrix", np.shape(matrix), (self.size,) * 2) if table is None
-            else ("table", np.shape(table), tuple(2 * n - 1 for n in self.dims)))
-        if shape != want:
-            raise ValueError(f"{name} of shape {shape} does not fit dims "
-                             f"{self.dims}: expected {want}")
+                 dims: tuple[int, ...] = (), spec: object = None,
+                 tables: _Tables | None = None):
+        if (matrix is None) == (tables is None):
+            raise ValueError("a covariance needs exactly one of matrix and tables")
+        self.dims = tuple(dims) if tables is None else tables.dims
+        if matrix is not None and np.shape(matrix) != (self.size,) * 2:
+            raise ValueError(f"matrix of shape {np.shape(matrix)} does not fit dims "
+                             f"{self.dims}: expected {(self.size,) * 2}")
         self._matrix = matrix
-        self.table = table
+        self.tables = tables
         self.spec = spec
-        self.demodulated = demodulated
 
     @property
     def matrix(self) -> np.ndarray:
         if self._matrix is None:
-            self._matrix = _gather(self.table)
+            self._matrix = _gather(self.tables.table)
         return self._matrix
 
     @property
@@ -167,15 +166,15 @@ class DenseCovariance:
         return int(np.prod(self.dims))
 
     def trace(self) -> float:
-        if self.table is None:
+        if self.tables is None:
             return float(np.trace(self.matrix).real)
         # Every diagonal entry is the zero-difference entry.
-        return float(self.size * self.table[tuple(n - 1 for n in self.dims)].real)
+        return float(self.size * self.tables.table[tuple(n - 1 for n in self.dims)].real)
 
     def frobenius_sq(self) -> float:
-        if self.table is None:
+        if self.tables is None:
             return float(np.vdot(self.matrix, self.matrix).real)
-        return _frobenius_sq(self.table)
+        return self.tables.frobenius_sq()
 
 
 class SpectrumND:
@@ -186,7 +185,7 @@ class SpectrumND:
     ``<A, B> = trace(B^H A)``.
 
     A spectrum from :func:`spectrum` holds the eigenvectors as the solver
-    returned them (``prolate._Eigenvectors``: one real block per
+    returned them (``_solver._Eigenvectors``: one real block per
     character of the symmetry group, or one full-size block, with their
     order, pivot factors and centre phase).  ``tensors`` is
     then written from them on first access and cached, one C-contiguous
@@ -241,11 +240,13 @@ def apply_cubic(spec: OperatorSpec, y: np.ndarray) -> np.ndarray:
     without materializing it.
 
     Matches ``materialize_cubic(spec).matrix @ vec(y)`` under :func:`vec`.
+    The spec's table and its transfer are formed on its first apply and
+    kept for the next.
     """
     y = np.asarray(y)
     if y.shape != spec.grid.dims:
         raise ValueError(f"input shape {y.shape} does not match grid {spec.grid.dims}")
-    return _apply(_table(spec._band_set()), y)
+    return spec._tables.apply(y)
 
 
 def materialize_cubic(spec: OperatorSpec) -> DenseCovariance:
@@ -261,15 +262,14 @@ def materialize_cubic(spec: OperatorSpec) -> DenseCovariance:
 
 
 def _covariance(spec, advice: str = "") -> DenseCovariance:
-    """The covariance of any spec's own band set, after the size-cap check
-    (``advice`` ends its message); the one materializer of every geometry."""
+    """The covariance of any spec's own table object, after the size-cap
+    check (``advice`` ends its message), which runs before any table is
+    built; the one materializer of every geometry."""
     total = spec.grid.size
     if total > DEFAULT_SIZE_CAP:
         raise SizeCapError(f"grid of {total} samples exceeds the cap "
                            f"{DEFAULT_SIZE_CAP}{advice}")
-    bands = spec._band_set()
-    return DenseCovariance(table=_table(bands), dims=bands.dims, spec=spec,
-                           demodulated=_demodulate(bands))
+    return DenseCovariance(tables=spec._tables, spec=spec)
 
 
 def spectrum(cov: DenseCovariance) -> SpectrumND:
@@ -295,11 +295,11 @@ def spectrum_values(cov: DenseCovariance) -> np.ndarray:
 
 def _decompose(cov: DenseCovariance, vectors: bool, leading: int | None = None,
                positive: bool = False):
-    """``_eigh`` of :func:`_solved`, or of a hand-built covariance's matrix;
-    ``leading`` keeps only the eigenvectors the first ``leading``
-    eigen-tensors need, and with ``positive`` those of positive
+    """``_eigh`` of the table object's solved table, or of a hand-built
+    covariance's matrix; ``leading`` keeps only the eigenvectors the first
+    ``leading`` eigen-tensors need, and with ``positive`` those of positive
     eigenvalues too."""
-    a = cov.matrix if cov.table is None else _solved(cov)
+    a = cov.matrix if cov.tables is None else cov.tables.solved
     return _eigh(a, vectors, cov.dims, leading, positive)
 
 
@@ -310,12 +310,6 @@ def _draw_spectrum(cov: DenseCovariance, p: int = 0) -> SpectrumND:
     first p are read from the same solve."""
     vals, vectors = _decompose(cov, True, p, positive=True)
     return SpectrumND(vals, vectors=vectors)
-
-
-def _solved(cov: DenseCovariance) -> _Demodulated:
-    """The table a table-backed covariance is decomposed from: the
-    demodulated one when there is one, else the table as it is."""
-    return cov.demodulated or _Demodulated(None, cov.table, ())
 
 
 def separable_eigenvalues(m: int, n: int, band: CubicBandUnion) -> np.ndarray:

@@ -14,28 +14,28 @@ where ``sinr(x) = sin(x)/x``.  Off-origin bands pick up the plain phase
 factor ``exp(2j pi (c0 t + c1 s))``, which shifts no eigenvalue because it
 amounts to a unitary diagonal conjugation; a band set that is
 point-symmetric about some centre is therefore decomposed from its real
-table demodulated to that centre (see ``prolate._demodulate``).  The
+table demodulated to that centre (see ``_tables._demodulate``).  The
 removable singularities lie along two lattice lines (t d = s c and
 s a = t b), not only the diagonal; ``sinr`` handles them uniformly.
 
 Only that kernel is particular to parallelograms: the spec builds its own
-band set (:meth:`PPOperatorSpec._band_set`), and table, demodulation and
-materialization are shared with boxes.  As the first module that sees both
-geometries, this one also lists a configuration's operators, each with its
-materializer.
+band set into its table object (:attr:`PPOperatorSpec._tables`), and
+tables, demodulation and materialization are shared with boxes.  As the
+first module that sees both geometries, this one also lists a
+configuration's operators, each with its materializer.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bands import (BandConfig, BandError, ParallelepipedBand, SamplingGrid,
                     parallelepiped_violations)
-from .operator import (DenseCovariance, OperatorSpec, _covariance, _solved,
-                       materialize_cubic)
-from .prolate import _BandSet, _frobenius_sq, _recentred, _sin_ratio, _table
+from ._tables import _BandSet, _sin_ratio, _Tables
+from .operator import DenseCovariance, OperatorSpec, _covariance, materialize_cubic
 
 __all__ = [
     "PPOperatorSpec",
@@ -69,18 +69,22 @@ class PPOperatorSpec:
     def measure(self) -> float:
         return float(sum(b.measure() for b in self.bands))
 
-    def _band_set(self) -> _BandSet:
-        """The band set of the parallelograms (shape: the transform and the
-        half-widths).  Its differences are formed per term, so building it
-        allocates nothing before the materializer's size-cap check."""
-        m, n = self.grid.dims
+    @functools.cached_property
+    def _tables(self) -> _Tables:
+        """The table object of the parallelograms (band shape: the transform
+        and the half-widths), made on first read and kept.  Its differences
+        are formed per term, so making it allocates nothing before the
+        materializer's size-cap check.  The kernel reads the bands, not the
+        spec, so the spec and its tables form no reference cycle and are
+        freed as soon as the spec is."""
+        (m, n), bands = self.grid.dims, self.bands
 
         def term(i, offset):
             t, s = np.arange(1 - m, m)[:, None], np.arange(1 - n, n)[None, :]
-            return _pp_term(self.bands[i], t, s, offset)
-        return _BandSet(self.grid.dims, np.array([b.center for b in self.bands]),
-                        [(b.a, b.b, b.c, b.d) + b.half_widths for b in self.bands],
-                        term)
+            return _pp_term(bands[i], t, s, offset)
+        return _Tables(_BandSet(
+            self.grid.dims, np.array([b.center for b in bands]),
+            [(b.a, b.b, b.c, b.d) + b.half_widths for b in bands], term))
 
 
 def pp_entry(band: ParallelepipedBand, m, n, p, q) -> np.ndarray:
@@ -121,7 +125,7 @@ def pp_materialize(spec: PPOperatorSpec) -> DenseCovariance:
 def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float:
     """Bound on the 2-norm distance between the sorted spectra of two specs
     that differ only in band centers, taken from their tables without any
-    eigensolve (:func:`_shift_deviation` on ``shifted``'s band set).
+    eigensolve (``_Tables.shift_deviation`` on ``shifted``'s band set).
 
     One common translation moves no eigenvalue (the center phase is a
     unitary diagonal conjugation), and the bound is then tight: a pure
@@ -131,33 +135,11 @@ def pp_center_invariance(spec: PPOperatorSpec, shifted: PPOperatorSpec) -> float
     """
     if spec.grid != shifted.grid or len(spec.bands) != len(shifted.bands):
         raise ValueError("specs must share grid and band count")
-    moved = shifted._band_set()
-    for i, (a, b) in enumerate(zip(spec._band_set().shapes, moved.shapes)):
+    moved = shifted._tables.bands
+    for i, (a, b) in enumerate(zip(spec._tables.bands.shapes, moved.shapes)):
         if a != b:
             raise ValueError(f"band {i} differs in shape, not only in center")
-    return _shift_deviation(pp_materialize(spec), moved)
-
-
-def _shift_deviation(cov: DenseCovariance, moved: _BandSet) -> float:
-    """Bound on ``||lam - lam'||_2``, lam the spectrum ``_eigh`` solves for
-    ``cov`` and lam' that of ``moved``, the band set of ``cov.spec`` with
-    its bands moved, without an eigensolve.
-
-    Moving every band by one step conjugates the operator by a unitary
-    diagonal modulation, which moves no eigenvalue.  A band term is defined
-    at any centre and is periodic in it, so the moved set need not lie
-    inside the Nyquist cube.  Its complex table, recentred
-    (``prolate._recentred``) by the step between the two sets' mean band
-    centres plus the centre of the table ``cov`` is solved from
-    (``operator._solved``), is that table up to roundoff.  The Frobenius
-    norm of the difference, summed over the table with each difference's
-    multiplicity, bounds ``||lam - lam'||_2`` (Hoffman & Wielandt 1953).
-    """
-    solved = _solved(cov)
-    step = moved.centers.mean(axis=0) - cov.spec._band_set().centers.mean(axis=0)
-    if solved.center is not None:
-        step = step + solved.center
-    return float(np.sqrt(_frobenius_sq(_recentred(_table(moved), step) - solved.table)))
+    return pp_materialize(spec).tables.shift_deviation(moved)
 
 
 def _operators(config: BandConfig) -> list[tuple[str, object, object]]:

@@ -16,7 +16,7 @@ invariance under translation of the whole band set by ``_STEP``.  No
 configuration is built for the moved set: a band term is periodic in its
 centre, so a band moved past 1/2 is the same spectrum, moved.  The
 translation row is certified from the tables with no second eigensolve
-(``parallelepiped._shift_deviation``): the moved set's complex table,
+(``_tables._Tables.shift_deviation``): the moved set's complex table,
 recentred by the step and the solved table's centre, minus the table the
 shared block solved, has a Frobenius norm that bounds the 2-norm of the
 two spectra's difference (1-D n = 512 reads about 2.7e-14).  The
@@ -28,7 +28,8 @@ modulated-DPSS dictionaries; on parallelograms, Hermitian symmetry of
 sampled entries.
 No row holds an n x n array or reads ``.matrix``: the FFT apply's dense
 reference is summed from table entries a band of rows at a time
-(``prolate._dense_product``).
+(``_tables._dense_product``).  Every row reads the one table object the
+spec holds, so each operator's table is built once per run.
 
 Operators are checked one after another, each dense solve using every
 core through BLAS; ``MDPROLATE_THREADS`` >= 2 runs up to that many at once
@@ -50,8 +51,7 @@ from .dictionary import (_sizes, build_psi, cross_band_gram_violations,
 from .operator import (OperatorSpec, apply_cubic, gap_bound,
                        materialize_cubic, separable_eigenvalues, spectrum_values,
                        transition_count, vec)
-from .parallelepiped import PPOperatorSpec, _operators, _shift_deviation, pp_entry
-from .prolate import _dense_product
+from .parallelepiped import PPOperatorSpec, _operators, pp_entry
 from .reports import ReportRow
 
 __all__ = ["verify_config", "default_config", "max_workers"]
@@ -147,8 +147,7 @@ def _suite(name: str, spec, materialize, eps: float, seed: int) -> list[ReportRo
         rng = np.random.default_rng(seed)
         ys = [rng.standard_normal(grid.dims) + 1j * rng.standard_normal(grid.dims)
               for _ in range(3)]
-        via_dense = _dense_product(cov.table,
-                                   np.stack([vec(y) for y in ys], axis=1))
+        via_dense = cov.tables.dense_product(np.stack([vec(y) for y in ys], axis=1))
         worst = max(float(np.linalg.norm(vec(apply_cubic(spec, y)) - dense)
                           / np.linalg.norm(dense))
                     for y, dense in zip(ys, via_dense.T))
@@ -170,11 +169,12 @@ def _suite(name: str, spec, materialize, eps: float, seed: int) -> list[ReportRo
 
 
 def _translation_deviation(cov) -> float:
-    """``_shift_deviation`` of ``cov`` against its own band set moved by
-    :data:`_STEP` on every axis, the sign alternating from + on axis 0."""
-    bands = cov.spec._band_set()
+    """``shift_deviation`` of ``cov``'s tables against their own band set
+    moved by :data:`_STEP` on every axis, the sign alternating from + on
+    axis 0."""
+    bands = cov.tables.bands
     step = _STEP * (-1.0) ** np.arange(bands.centers.shape[1])
-    return _shift_deviation(cov, bands._replace(centers=bands.centers + step))
+    return cov.tables.shift_deviation(bands._replace(centers=bands.centers + step))
 
 
 def verify_config(config: BandConfig, *, eps: float = 0.2,

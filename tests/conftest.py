@@ -55,17 +55,21 @@ def solver_sizes(monkeypatch):
 def corrupted_verify(monkeypatch):
     """Every operator ``verify`` materializes comes back wrong: the
     zero-difference entry of its table raised by ``0.37 / size``, so its
-    trace rises by 0.37.  Nothing is gathered; the copy keeps no
-    demodulated table, so it is solved from the perturbed one."""
+    trace rises by 0.37.  Nothing is gathered; the copy is a table object
+    of its own, apart from the spec's, solved from the perturbed table with
+    no centre."""
     from mdprolate import DenseCovariance, verify
+    from mdprolate._tables import _Demodulated, _Tables
     operators = verify._operators
 
     def corrupt(materialize):
         def corrupted(spec):
             cov = materialize(spec)
-            table = cov.table.copy()
-            table[tuple(n - 1 for n in cov.dims)] += 0.37 / cov.size
-            return DenseCovariance(table=table, dims=cov.dims, spec=cov.spec)
+            tables = _Tables(cov.tables.bands)
+            tables.table = cov.tables.table.copy()
+            tables.table[tuple(n - 1 for n in cov.dims)] += 0.37 / cov.size
+            tables.solved = _Demodulated(None, tables.table, ())
+            return DenseCovariance(tables=tables, spec=cov.spec)
         return corrupted
 
     monkeypatch.setattr(verify, "_operators", lambda config: [

@@ -16,9 +16,9 @@ import pytest
 from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
                        PPOperatorSpec, SamplingGrid, materialize_cubic,
                        pp_materialize, spectrum, spectrum_values, vec)
-from mdprolate import prolate
-from mdprolate.prolate import (_MIRROR_TOL, _gather, _orbit_blocks, _orbits,
-                               _phase)
+from mdprolate import _tables
+from mdprolate._solver import _orbit_blocks, _phase
+from mdprolate._tables import _MIRROR_TOL, _gather, _orbits
 
 import oracles
 import pinned
@@ -116,7 +116,7 @@ def test_eigenpairs_through_every_reader(name, solved):
 def test_every_eigenvector_has_a_definite_character(name, solved):
     cov, sp = solved(name)
     _, sizes, maps = CASES[name]
-    phase = _phase(cov.dims, cov.demodulated.center).conj()
+    phase = _phase(cov.dims, cov.tables.solved.center).conj()
     base = np.stack([phase.reshape(cov.dims, order="F") * t for t in sp.tensors])
     signs = []
     for g in maps:
@@ -135,12 +135,12 @@ def test_every_eigenvector_has_a_definite_character(name, solved):
 def test_solved_table_is_exactly_invariant_and_close(name, monkeypatch):
     # The demodulated table before averaging, as _demodulate builds it.
     raw = []
-    monkeypatch.setattr(prolate, "_axis_symmetries",
+    monkeypatch.setattr(_tables, "_axis_symmetries",
                         lambda table: (raw.append(table), (table, ()))[1])
-    CASES[name][0]()
+    CASES[name][0]().tables.solved  # built on first read
     monkeypatch.undo()
-    table, symmetries = prolate._axis_symmetries(raw[0])
-    assert symmetries == CASES[name][0]().demodulated.symmetries != ()
+    table, symmetries = _tables._axis_symmetries(raw[0])
+    assert symmetries == CASES[name][0]().tables.solved.symmetries != ()
     for g in symmetries:
         moved = table[tuple(slice(None, None, -1 if f else 1) for f in g.flips)]
         assert np.array_equal(moved.transpose(g.perm), table)
@@ -165,7 +165,7 @@ NEAR_MISSES = {
 def test_near_misses_keep_the_j_split(name, solver_sizes):
     cov = NEAR_MISSES[name]()
     spectrum_values(cov)
-    assert cov.demodulated.symmetries == ()
+    assert cov.tables.solved.symmetries == ()
     assert solver_sizes == [cov.size // 2] * 2
 
 
@@ -174,7 +174,7 @@ def test_a_map_that_does_not_commute_is_skipped(solver_sizes):
     # but the swap does not commute with the reversal of axis 0.
     cov = _cubic((8, 8), CubicBandUnion(centers=[[0.1, 0.1]], half_widths=[[0.2, 0.2]]))
     spectrum_values(cov)
-    assert [(g.perm, g.flips) for g in cov.demodulated.symmetries] == [
+    assert [(g.perm, g.flips) for g in cov.tables.solved.symmetries] == [
         ((0, 1), (True, False))]
     assert solver_sizes == [16] * 4
 
@@ -189,7 +189,7 @@ J_ONLY = {
 @pytest.mark.parametrize("name", list(J_ONLY))
 def test_j_only_blocks_are_the_matrix_slices_bit_for_bit(name):
     cov = J_ONLY[name]()
-    dm = cov.demodulated
+    dm = cov.tables.solved
     assert dm.symmetries == ()
     blocks = _orbit_blocks(dm.table, _orbits(cov.dims, ()))
     # The gathered matrix of the same real table.

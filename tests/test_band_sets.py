@@ -23,8 +23,8 @@ from mdprolate import (BandConfig, CubicBandUnion, DenseCovariance, OperatorSpec
                        transition_count, verify_config)
 from mdprolate import verify
 from mdprolate.parallelepiped import _operators, _pp_term
-from mdprolate.prolate import (_MIRROR_TOL, _box_term, _boxes, _demodulate,
-                               _hermitian, _table)
+from mdprolate._tables import (_MIRROR_TOL, _box_term, _boxes, _demodulate, _hermitian,
+                              _table, _Tables)
 
 import pinned
 
@@ -103,7 +103,7 @@ def _cubic_case(dims, union):
 
 def _pp_case(dims, bands):
     spec = PPOperatorSpec(grid=SamplingGrid(dims), bands=bands)
-    return spec._band_set(), ref_pp_table(spec), ref_pp_demodulated(spec)
+    return spec._tables.bands, ref_pp_table(spec), ref_pp_demodulated(spec)
 
 
 CASES = {
@@ -137,14 +137,16 @@ def test_symmetric_cases_demodulate_and_asymmetric_does_not():
 def test_materializers_keep_the_band_set_tables():
     cov = materialize_cubic(OperatorSpec(grid=SamplingGrid((16, 16)), bands=README))
     ref = ref_box_table((16, 16), README)
-    assert np.array_equal(cov.table, ref)
+    assert np.array_equal(cov.tables.table, ref)
     # The memory layout of the table sets the rounding of frobenius_sq.
-    assert cov.table.flags.c_contiguous
-    assert cov.frobenius_sq() == DenseCovariance(table=ref, dims=(16, 16)).frobenius_sq()
+    assert cov.tables.table.flags.c_contiguous
+    tables = _Tables(cov.tables.bands)
+    tables.table = ref
+    assert cov.frobenius_sq() == DenseCovariance(tables=tables).frobenius_sq()
     spec = PPOperatorSpec(grid=SamplingGrid((10, 8)), bands=MIRRORED_PP)
     cov = pp_materialize(spec)
-    assert np.array_equal(cov.table, ref_pp_table(spec))
-    assert np.array_equal(cov.demodulated.table, ref_pp_demodulated(spec)[1])
+    assert np.array_equal(cov.tables.table, ref_pp_table(spec))
+    assert np.array_equal(cov.tables.solved.table, ref_pp_demodulated(spec)[1])
 
 
 PP = default_config().parallelepiped
@@ -192,16 +194,16 @@ def _named(node, name) -> bool:
 def test_one_demodulation_and_one_table_covariance_call_site():
     assert len(_call_sites(lambda n: _named(n, "_demodulate"))) == 1
     table_built = _call_sites(lambda n: _named(n, "DenseCovariance")
-                              and any(k.arg == "table" for k in n.keywords))
+                              and any(k.arg == "tables" for k in n.keywords))
     assert len(table_built) == 1
 
 
 def test_one_real_form_filler():
     """``_orbit_parts`` reads entries for ``_orbit_blocks`` and nothing else."""
-    tree = ast.parse((Path(mdprolate.__file__).parent / "prolate.py").read_text())
+    tree = ast.parse((Path(mdprolate.__file__).parent / "_solver.py").read_text())
     [filler] = [f for f in tree.body
                 if isinstance(f, ast.FunctionDef) and f.name == "_orbit_blocks"]
-    inside = {f"prolate.py:{n.lineno}" for n in ast.walk(filler)
+    inside = {f"_solver.py:{n.lineno}" for n in ast.walk(filler)
               if isinstance(n, ast.Call)}
     sites = _call_sites(lambda n: _named(n, "_orbit_parts"))
     assert len(sites) == 1 and set(sites) <= inside

@@ -25,7 +25,7 @@ from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
 from mdprolate import dictionary
 from mdprolate.cli import main
 from mdprolate.dictionary import SubspaceBasis
-from mdprolate.prolate import _apply, _boxes, _table
+from mdprolate._tables import _apply, _boxes, _table, _transfer
 from mdprolate.reports import write_csv, write_eigenvectors_csv
 
 import pinned
@@ -206,13 +206,13 @@ def test_batched_apply_matches_single_apply():
     rng = np.random.default_rng(4)
     for dims, union in (((6, 5), README), ((40,), CubicBandUnion(
             centers=[[0.1]], half_widths=[[0.2]]))):
-        table = _table(_boxes(dims, union))
+        transfer = _transfer(_table(_boxes(dims, union)))
         y = rng.standard_normal((2, 3) + dims) + 1j * rng.standard_normal((2, 3) + dims)
-        out = _apply(table, y)
+        out = _apply(transfer, y)
         assert out.shape == y.shape
         for i in range(2):
             for j in range(3):
-                np.testing.assert_allclose(out[i, j], _apply(table, y[i, j]),
+                np.testing.assert_allclose(out[i, j], _apply(transfer, y[i, j]),
                                            rtol=0, atol=1e-14)
 
 

@@ -428,6 +428,25 @@ def test_non_finite_band_rejected(band, tmp_path, capsys):
     assert json.loads(capsys.readouterr().err.strip())["error"]
 
 
+@pytest.mark.parametrize("key", ["a", "c", "d"])
+def test_a_kernel_that_overflows_is_a_band_error(key, tmp_path, capsys):
+    """A coefficient of -1e308 passes the band checks (the determinant and
+    area are finite and positive) but overflows in the kernel, so its
+    table is not finite: validate fails the band and the solving commands
+    exit 2, with no traceback."""
+    band = {"a": 1.0, "b": 0.4, "c": 0.0, "d": 1.0, "half_widths": [0.1, 0.1],
+            "center": [0, 0], key: -1e308}
+    cfg = write_config(tmp_path, {"dim": 2, "parallelepiped": [band], "grid": [8, 8]})
+    assert main(["bands", "validate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == [
+        "[FAIL] finite bands=[0]: band 0: its kernel is not finite on the (8, 8) grid"]
+    for command in ("spectrum", "verify"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1 and "band 0" in json.loads(lines[0])["error"]
+
+
 @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf"])
 def test_approx_rejects_malformed_tolerance(tolerance, twod_config, tmp_path,
                                             monkeypatch, capsys):

@@ -19,7 +19,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        materialize_cubic, pp_center_invariance, pp_materialize,
                        sinc_kernel, spectrum, spectrum_values, vec)
 from mdprolate import prolate
-from mdprolate.prolate import _MIRROR_TOL, _phase
+from mdprolate._solver import _phase
+from mdprolate._tables import _MIRROR_TOL
 
 import pinned
 
@@ -66,7 +67,7 @@ def _columns(sp):
 @pytest.mark.parametrize("name", list(CASES))
 def test_eigenvalues_match_the_complex_solve(name, solver_sizes):
     cov = CASES[name]()
-    assert cov.demodulated is not None
+    assert cov.tables.solved.center is not None
     lam = spectrum_values(cov)
     assert solver_sizes == _split_sizes(cov.size)
     expected = np.linalg.eigvalsh(cov.matrix)[::-1]
@@ -90,7 +91,7 @@ def test_eigenvectors_have_definite_phased_parity(name):
     cov = CASES[name]()
     v = _columns(spectrum(cov))
     # K v = +-v with K = D J D^H is J (D^H v) = +-(D^H v).
-    base = _phase(cov.dims, cov.demodulated.center).conj()[:, None] * v
+    base = _phase(cov.dims, cov.tables.solved.center).conj()[:, None] * v
     mirrored = base[::-1]
     parity = np.minimum(np.max(np.abs(mirrored - base), axis=0),
                         np.max(np.abs(mirrored + base), axis=0))
@@ -129,7 +130,7 @@ ASYMMETRIC = {
 @pytest.mark.parametrize("name", list(ASYMMETRIC))
 def test_sets_without_a_centre_take_the_matrix_route(name, solver_sizes):
     cov = ASYMMETRIC[name]()
-    assert cov.demodulated is None
+    assert cov.tables.solved.center is None
     spectrum_values(cov)
     assert solver_sizes == [cov.size]
 

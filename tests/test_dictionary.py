@@ -145,14 +145,14 @@ def test_cos_theta_of_a_rank_0_basis_is_1(spec8, spectrum8):
 
 
 def test_pseudo_eigen_residuals_form_the_transfer_once(monkeypatch):
-    """Rows bitwise those of one ``_apply(table, y)`` per batch, with the
-    transfer formed once per call, not once per batch."""
-    from mdprolate import dictionary
-    from mdprolate.prolate import _apply, _table
+    """Rows bitwise those of one ``_apply(transfer, y)`` per batch, with the
+    transfer formed once per spec, not once per batch or per call."""
+    from mdprolate import _tables, dictionary
+    from mdprolate._tables import _apply, _table, _transfer
     spec = OperatorSpec(grid=SamplingGrid((32, 32)), bands=CubicBandUnion(
         centers=[[-0.15, -0.10], [0.20, 0.15]], half_widths=[[0.10, 0.10]] * 2))
     psi = build_psi(spec, [40, 40])
-    table = _table(spec._band_set())
+    table = _table(spec._tables.bands)
     block = max(1, dictionary._APPLY_BLOCK_BYTES // (16 * table.size))
     assert len(psi) > 2 * block
     want = np.empty(len(psi))
@@ -161,12 +161,13 @@ def test_pseudo_eigen_residuals_form_the_transfer_once(monkeypatch):
         y = np.stack([a.tensor for a in atoms])
         lam = np.array([a.eigenvalue for a in atoms])[:, None, None]
         want[start:start + len(y)] = np.linalg.norm(
-            (_apply(table, y) - lam * y).reshape(len(y), -1), axis=1) ** 2
+            (_apply(_transfer(table), y) - lam * y).reshape(len(y), -1), axis=1) ** 2
     calls = []
-    transfer = dictionary._transfer
-    monkeypatch.setattr(dictionary, "_transfer",
+    transfer = _tables._transfer
+    monkeypatch.setattr(_tables, "_transfer",
                         lambda t: calls.append(1) or transfer(t))
     rows = pseudo_eigen_residuals(spec, psi)
+    assert pseudo_eigen_residuals(spec, psi).tobytes() == rows.tobytes()
     assert calls == [1]
     assert rows[:, 0].tobytes() == want.tobytes()
 

@@ -17,9 +17,9 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        apply_cubic, decompose, dpss, materialize_cubic,
                        multiband_kernel, pp_entry, pp_materialize, sinc_kernel,
                        spectrum, spectrum_values, vec)
-from mdprolate.prolate import (_apply, _axis_table, _boxes, _demodulate,
-                               _dense_product, _gather, _hermitian, _pivot_scale,
-                               _table)
+from mdprolate._solver import _pivot_scale
+from mdprolate._tables import (_apply, _axis_table, _boxes, _demodulate, _dense_product,
+                              _gather, _hermitian, _table, _transfer)
 
 import oracles
 import pinned
@@ -138,11 +138,11 @@ def test_cubic_apply_matches_dense(dims, union):
 def test_pp_apply_matches_dense():
     spec = PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)
     matrix = pp_materialize(spec).matrix
-    table = _table(spec._band_set())
+    table = _table(spec._tables.bands)
     rng = np.random.default_rng(5)
     for _ in range(5):
         y = rng.standard_normal((9, 7)) + 1j * rng.standard_normal((9, 7))
-        assert _rel_err(vec(_apply(table, y)), matrix @ vec(y)) <= 1e-12
+        assert _rel_err(vec(_apply(_transfer(table), y)), matrix @ vec(y)) <= 1e-12
 
 
 BANDED_TABLES = {
@@ -152,7 +152,7 @@ BANDED_TABLES = {
     "readme-32x32": lambda: _table(_boxes((32, 32), README)),
     "readme-real-41x39": lambda: _demodulate(_boxes((41, 39), README)).table,
     "pp-9x7": lambda: _table(
-        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)._band_set()),
+        PPOperatorSpec(grid=SamplingGrid((9, 7)), bands=PP_BANDS)._tables.bands),
     "box-4x5x6": lambda: _table(_boxes((4, 5, 6), BOX_3D)),
     "box-12x12x12": lambda: _table(_boxes((12, 12, 12), BOX_3D)),
 }

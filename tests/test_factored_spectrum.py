@@ -20,7 +20,7 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        PPOperatorSpec, SamplingGrid, approx_mse, build_phi,
                        default_config, materialize_cubic, orthonormalize,
                        pp_materialize, separable_spectrum, spectrum, vec)
-from mdprolate import prolate
+from mdprolate import _solver
 from mdprolate.cli import main
 from mdprolate.dictionary import SubspaceBasis
 from mdprolate.operator import SpectrumND
@@ -120,7 +120,7 @@ def ref_tensors(vectors):
     for lo in range(0, n, step):
         sel = order[lo:lo + step]
         rows = ref_rows(ws, sel, n, mapped)
-        scale = prolate._pivot_scale(rows, phase)
+        scale = _solver._pivot_scale(rows, phase)
         if phase is None:
             factor = scale.reshape((-1,) + (1,) * len(dims))
         else:
@@ -199,7 +199,7 @@ def test_build_phi_atoms_are_bitwise_the_reference(name, solved, no_tensors):
 def _unread(sp):
     """A spectrum over the same solved blocks with no pivot factor known."""
     v = sp._vectors
-    return SpectrumND(sp.eigenvalues, vectors=prolate._Eigenvectors(
+    return SpectrumND(sp.eigenvalues, vectors=_solver._Eigenvectors(
         v.blocks, v.order, v.dims, v.phase, v.orbits))
 
 
@@ -211,7 +211,7 @@ def test_pivot_factors_are_computed_for_the_vectors_read(name, solved):
     bitwise what they were with eager factors."""
     _, sp = solved(name)
     v = sp._vectors
-    eager = prolate._pivot_scale(v._rows(v.order), v.phase)
+    eager = _solver._pivot_scale(v._rows(v.order), v.phase)
     rng = np.random.default_rng(4)
     c = rng.standard_normal((3, sp.size)) + 1j * rng.standard_normal((3, sp.size))
     full = _unread(sp)

@@ -26,7 +26,7 @@ import pytest
 from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec, SamplingGrid,
                        approx_mse, build_phi, materialize_cubic, sample_signal,
                        spectrum)
-from mdprolate import cli, prolate
+from mdprolate import _solver, cli
 from mdprolate.cli import _phi_basis, main
 from mdprolate.operator import _decompose, _draw_spectrum
 
@@ -92,9 +92,9 @@ def test_pivots_from_representatives_are_those_of_the_rows(name, leading, covari
     assert v.coupled == coupled
     assert v.kept == (v.n if leading is None else leading)
     for sel in v._chunks(v.kept):
-        assert _same_bits(v._scale(sel), prolate._pivot_scale(v._rows(sel), v.phase))
+        assert _same_bits(v._scale(sel), _solver._pivot_scale(v._rows(sel), v.phase))
     assert _same_bits(v.pivots(v.kept),
-                      prolate._pivot_scale(v._rows(v.order[:v.kept]), v.phase))
+                      _solver._pivot_scale(v._rows(v.order[:v.kept]), v.phase))
 
 
 @pytest.mark.parametrize("name", ["readme-32x32", "two-box-12x12x12",
@@ -166,10 +166,10 @@ def test_an_exact_tie_at_the_cut_is_kept_whole():
     values = np.array([0.9, 0.7, 0.3, 0.7, 0.1, 0.7, 0.5, 0.2])
     order = np.random.default_rng(2).permutation(values.size)
     a = np.diag(values[order])
-    vals, full = prolate._eigh(a, True)
+    vals, full = _solver._eigh(a, True)
     assert np.array_equal(vals, np.sort(values)[::-1])  # the tie is exact
     for p in (2, 3):  # cuts inside the tie of three 0.7s
-        cut_vals, cut = prolate._eigh(a, True, leading=p)
+        cut_vals, cut = _solver._eigh(a, True, leading=p)
         assert _same_bits(cut_vals, vals)
         assert cut.blocks[0].shape[1] == 4
         assert cut.dropped == [values.size - 4]

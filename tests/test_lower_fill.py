@@ -1,7 +1,7 @@
 """Every real form is written below its diagonal only.
 
 The solver reads only the lower triangle of what it solves (``UPLO="L"``),
-so ``prolate._orbit_blocks`` writes nothing above the diagonal of the
+so ``_solver._orbit_blocks`` writes nothing above the diagonal of the
 coupled block R of a set without a centre or of a hand-built complex
 matrix either: the coupling is written below it, from the same band of
 rows, by the exact Hermitian symmetry of the operator.  A buffer handed
@@ -16,7 +16,7 @@ import pytest
 from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        SamplingGrid, materialize_cubic, sinc_kernel, spectrum,
                        spectrum_values)
-from mdprolate import prolate
+from mdprolate import _solver, prolate
 
 import oracles
 
@@ -47,7 +47,7 @@ CASES = {
 def poisoned(monkeypatch):
     """Float and complex ``np.empty`` results come NaN-filled while
     ``_orbit_blocks`` runs; the list of the blocks it returned."""
-    filled, empty, fill = [], np.empty, prolate._orbit_blocks
+    filled, empty, fill = [], np.empty, _solver._orbit_blocks
 
     def nan_empty(*args, **kwargs):
         out = empty(*args, **kwargs)
@@ -61,7 +61,7 @@ def poisoned(monkeypatch):
             blocks = fill(*args, **kwargs)
         filled.append(blocks)
         return blocks
-    monkeypatch.setattr(prolate, "_orbit_blocks", poisoned_fill)
+    monkeypatch.setattr(_solver, "_orbit_blocks", poisoned_fill)
     return filled
 
 

@@ -1,7 +1,7 @@
 """A real table's blocks are packed two lower triangles to an array.
 
 The solver reads only the lower triangle of each block (``UPLO="L"``), so
-``prolate._orbit_blocks`` writes nothing else: the blocks of characters 2p
+``_solver._orbit_blocks`` writes nothing else: the blocks of characters 2p
 and 2p + 1 share one ``(m + 1) x m`` array, m the larger size, one strictly
 below its diagonal and the other, turned a half turn, on and above it.
 Solving the packed views must give bit for bit the eigenvalues and
@@ -18,8 +18,9 @@ import pytest
 from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
                        PPOperatorSpec, SamplingGrid, materialize_cubic,
                        pp_materialize)
-from mdprolate.prolate import (_boxes, _gather, _mirror_pairs, _orbit_blocks,
-                               _orbits, _recentred, _table)
+from mdprolate._solver import _orbit_blocks
+from mdprolate._tables import (_boxes, _gather, _mirror_pairs, _orbits, _recentred,
+                              _table)
 
 import oracles
 import pinned
@@ -33,7 +34,7 @@ README_PP = ParallelepipedBand(1.0, 0.4, 0.0, 1.0, (0.1, 0.1))
 
 
 def _demodulated(cov):
-    dm = cov.demodulated
+    dm = cov.tables.solved
     return dm.table, _orbits(cov.dims, dm.symmetries)
 
 

@@ -2,10 +2,10 @@
 
 Every Hermitian multilevel Toeplitz operator is centro-Hermitian, so it is
 unitarily similar to a real symmetric form of the same size, and
-``prolate._orbit_blocks`` is the one code that fills it: from a real table
+``_solver._orbit_blocks`` is the one code that fills it: from a real table
 (one block per character of its symmetry group) or from a complex table:
 a band set's without a centre, or a hand-built covariance's, read from its
-matrix by ``prolate._toeplitz_table``.  The fill must be bit for bit the
+matrix by ``_tables._toeplitz_table``.  The fill must be bit for bit the
 package's former matrix filler (``oracles.matrix_blocks``) on matrices and
 complex tables, and the fancy-indexed character sums of
 ``oracles.character_blocks`` on real tables.  Every block holds only its
@@ -24,7 +24,8 @@ from mdprolate import (CubicBandUnion, OperatorSpec, ParallelepipedBand,
                        pp_materialize, sinc_kernel, spectrum, spectrum_values,
                        vec)
 from mdprolate import operator, prolate
-from mdprolate.prolate import _gather, _orbit_blocks, _orbits, _toeplitz_table
+from mdprolate._solver import _orbit_blocks
+from mdprolate._tables import _gather, _orbits, _toeplitz_table
 
 import oracles
 import pinned
@@ -69,13 +70,13 @@ def _from_matrix(a, dims):
 def _from_table(cov):
     """The operator's own complex table, as a set without a centre and the
     centre-shift check solve it."""
-    assert np.iscomplexobj(cov.table)
-    return _coupled(cov.table, cov.matrix, cov.dims)
+    assert np.iscomplexobj(cov.tables.table)
+    return _coupled(cov.tables.table, cov.matrix, cov.dims)
 
 
 def _from_real_table(cov):
     """The packed blocks, completed from their lower triangles."""
-    dm = cov.demodulated
+    dm = cov.tables.solved
     orbits = _orbits(cov.dims, dm.symmetries)
     ref = oracles.character_blocks(_gather(dm.table), orbits.images,
                                    orbits.stab, orbits.keep)
@@ -143,7 +144,7 @@ def test_sets_without_a_centre_are_solved_without_a_gather(name, monkeypatch):
     for module in (operator, prolate):
         monkeypatch.setattr(module, "_gather", refuse)
     cov = NO_CENTRE[name]()
-    assert cov.demodulated is None
+    assert cov.tables.solved.center is None
     lam = spectrum_values(cov)
     sp = spectrum(cov)
     assert np.max(np.abs(lam - expected)) <= 1e-13

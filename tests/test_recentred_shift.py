@@ -2,9 +2,9 @@
 
 Moving every band by one step conjugates the operator by a unitary
 diagonal modulation, so the shifted operator's complex table, recentred
-(``prolate._recentred``) by the step between the two band sets' mean
+(``_tables._recentred``) by the step between the two band sets' mean
 centres plus the centre of the table the original is solved from, is that
-table up to roundoff.  ``_shift_deviation`` returns the Frobenius norm of
+table up to roundoff.  ``_Tables.shift_deviation`` returns the Frobenius norm of
 the difference, summed over the table with each difference's multiplicity:
 by Hoffman and Wielandt a bound on the 2-norm of the difference of the two
 sorted spectra, reached with no eigensolve.  It takes the moved band set
@@ -17,13 +17,13 @@ full-size real form.
 import numpy as np
 import pytest
 
-from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
+from mdprolate import (CubicBandUnion, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
                        pp_center_invariance, spectrum_values)
-from mdprolate import parallelepiped, prolate
+from mdprolate import _solver, _tables
+from mdprolate._tables import _Tables
 from mdprolate.bands import BandError
 from mdprolate.operator import _covariance
-from mdprolate.parallelepiped import _shift_deviation
 
 from conftest import random_cubic_union, random_pp_bands
 import pinned
@@ -64,26 +64,26 @@ def _corners(spec):
 def _translated(spec):
     """``spec``'s band set with every band moved by verify's fixed step,
     0.02 with its sign alternating by axis."""
-    bands = spec._band_set()
+    bands = spec._tables.bands
     step = 0.02 * (-1.0) ** np.arange(spec.grid.dim)
     return bands._replace(centers=bands.centers + step)
 
 
 def _full_r(table):
     """The full-size real form R of a complex table."""
-    [r] = prolate._orbit_blocks(table, prolate._orbits(
+    [r] = _solver._orbit_blocks(table, _tables._orbits(
         tuple((s + 1) // 2 for s in table.shape), ()))
     return r
 
 
 def _recentred(cov):
     """The operator's table recentred to its band set's centre."""
-    return prolate._recentred(cov.table, cov.demodulated.center)
+    return _tables._recentred(cov.tables.table, cov.tables.solved.center)
 
 
 def _dropped(recentred):
     """The Frobenius norm of the matrix of ``Im M``."""
-    return np.sqrt(prolate._frobenius_sq(recentred.imag))
+    return np.sqrt(_tables._frobenius_sq(recentred.imag))
 
 
 @pytest.mark.parametrize("dims, geometry", [
@@ -93,15 +93,15 @@ def _dropped(recentred):
 ], ids=["511", "512", "9x7", "32x32", "32x32-readme", "41x39", "41x39-readme"])
 def test_split_spectrum_matches_the_full_real_form(dims, geometry):
     cov = _covariance(_spec(dims, geometry))
-    assert cov.demodulated is not None
+    assert cov.tables.solved.center is not None
     recentred = _recentred(cov)
     n = cov.size
-    even, odd = prolate._orbit_blocks(np.ascontiguousarray(recentred.real),
-                                      prolate._orbits(cov.dims, ()))
+    even, odd = _solver._orbit_blocks(np.ascontiguousarray(recentred.real),
+                                      _tables._orbits(cov.dims, ()))
     assert (even.shape, odd.shape) == (((n + 1) // 2,) * 2, ((n // 2),) * 2)
     split = np.sort(np.concatenate([np.linalg.eigvalsh(even),
                                     np.linalg.eigvalsh(odd)]))
-    full = np.linalg.eigvalsh(_full_r(cov.table))
+    full = np.linalg.eigvalsh(_full_r(cov.tables.table))
     assert np.max(np.abs(split - full)) <= 1e-13
     assert _dropped(recentred) <= 1e-12
 
@@ -117,9 +117,9 @@ def test_the_value_bounds_the_full_size_deviation(dims, geometry, solver_sizes):
     lam = spectrum_values(cov)
     shifted = _translated(spec)
     del solver_sizes[:]
-    value = _shift_deviation(cov, shifted)
+    value = cov.tables.shift_deviation(shifted)
     assert solver_sizes == []
-    full = np.sort(np.linalg.eigvalsh(_full_r(prolate._table(shifted))))[::-1]
+    full = np.sort(np.linalg.eigvalsh(_full_r(_tables._table(shifted))))[::-1]
     assert np.max(np.abs(lam - full)) - 2 * cov.size * EPS <= value <= 1e-13
     assert value > 0.0
 
@@ -130,13 +130,12 @@ def test_a_centre_off_by_a_thousandth_is_caught(dims, geometry):
     """The solved table's centre, which the shifted table is recentred by,
     moved by 1e-3 on every axis."""
     spec = _spec(dims, geometry)
-    cov = _covariance(spec)
-    demodulated = cov.demodulated
-    off = DenseCovariance(table=cov.table, dims=cov.dims, spec=spec,
-                          demodulated=demodulated._replace(
-                              center=np.add(demodulated.center, 1e-3)))
-    assert _shift_deviation(cov, _translated(spec)) <= 1e-13
-    assert _shift_deviation(off, _translated(spec)) > 1e-9
+    tables = _covariance(spec).tables
+    off = _Tables(tables.bands)
+    off.solved = tables.solved._replace(
+        center=np.add(tables.solved.center, 1e-3))
+    assert tables.shift_deviation(_translated(spec)) <= 1e-13
+    assert off.shift_deviation(_translated(spec)) > 1e-9
 
 
 @pytest.mark.parametrize("offset", [0, 1], ids=["zero-difference", "next-difference"])
@@ -147,7 +146,7 @@ def test_a_perturbed_table_entry_is_caught(dims, geometry, offset, monkeypatch):
     1e-7."""
     spec = _spec(dims, geometry)
     cov = _covariance(spec)
-    table_of = parallelepiped._table
+    table_of = _tables._table
 
     def perturbed(bands):
         table = table_of(bands)
@@ -158,8 +157,8 @@ def test_a_perturbed_table_entry_is_caught(dims, geometry, offset, monkeypatch):
         table[mirror] = np.conj(table[at])
         return table
 
-    monkeypatch.setattr(parallelepiped, "_table", perturbed)
-    assert _shift_deviation(cov, _translated(spec)) > 1e-9
+    monkeypatch.setattr(_tables, "_table", perturbed)
+    assert cov.tables.shift_deviation(_translated(spec)) > 1e-9
 
 
 def test_a_centred_real_box_reads_zero():
@@ -168,7 +167,7 @@ def test_a_centred_real_box_reads_zero():
     spec = OperatorSpec(SamplingGrid((65,)), CubicBandUnion([0.0], [0.1]))
     cov = _covariance(spec)
     assert _dropped(_recentred(cov)) == 0.0
-    assert _shift_deviation(cov, spec._band_set()) == 0.0
+    assert cov.tables.shift_deviation(spec._tables.bands) == 0.0
 
 
 def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
@@ -177,9 +176,9 @@ def test_a_set_without_a_centre_is_compared_with_its_own_table(solver_sizes):
     union = CubicBandUnion.from_intervals([(-0.3, -0.2), (0.05, 0.1)])
     spec = OperatorSpec(SamplingGrid((48,)), union)
     cov = _covariance(spec)
-    assert cov.demodulated is None
-    assert _shift_deviation(cov, spec._band_set()) == 0.0
-    assert 0.0 < _shift_deviation(cov, _translated(spec)) <= 1e-13
+    assert cov.tables.solved.center is None
+    assert cov.tables.shift_deviation(spec._tables.bands) == 0.0
+    assert 0.0 < cov.tables.shift_deviation(_translated(spec)) <= 1e-13
     assert solver_sizes == []
 
 
@@ -202,7 +201,7 @@ def _random_spec(rng, kind):
 def _random_move(rng, spec, common):
     """``spec`` moved by one random step inside Nyquist (``common``), or
     each band by its own step of up to 0.05 per axis."""
-    count, dim = len(spec._band_set().centers), spec.grid.dim
+    count, dim = len(spec._tables.bands.centers), spec.grid.dim
     for _ in range(1000):
         if common:
             corners = _corners(spec)
@@ -228,9 +227,9 @@ def test_the_value_bounds_the_dense_deviation(seed, kind, common):
     spec = _random_spec(rng, kind)
     shifted = _random_move(rng, spec, common)
     cov, moved = _covariance(spec), _covariance(shifted)
-    lam = np.linalg.eigvalsh(prolate._gather(cov.table))
-    lam_moved = np.linalg.eigvalsh(prolate._gather(moved.table))
-    value = _shift_deviation(cov, shifted._band_set())
+    lam = np.linalg.eigvalsh(_tables._gather(cov.tables.table))
+    lam_moved = np.linalg.eigvalsh(_tables._gather(moved.tables.table))
+    value = cov.tables.shift_deviation(shifted._tables.bands)
     assert np.max(np.abs(lam - lam_moved)) - 2 * cov.size * EPS <= value
     if common:
         assert value <= 1e-12

@@ -1,8 +1,9 @@
-"""Every dense eigensolve goes through ``prolate._eigh`` and reads only the
+"""Every dense eigensolve goes through ``_solver._eigh`` and reads only the
 lower triangle, only the dense references gather a matrix, only
 ``verify.max_workers`` reads the environment, ``verify`` builds no
-configuration beyond its default and one single-box spec, and no code
-outside two row choices asks which geometry a spec has.
+configuration beyond its default and one single-box spec, no code
+outside two row choices asks which geometry a spec has, and only the
+table module builds a table.
 
 The real-symmetric reduction lives there, so a direct ``eigh``/``eigvalsh``
 call anywhere else in the package would silently bypass it.  Its real
@@ -18,6 +19,9 @@ bound proved for boxes and verify's choice of closing rows.  Only
 ``spectrum --vectors`` writes every eigenvector, so ``cli.cmd_spectrum``
 is the one caller of the full-vector ``spectrum()``: the draws solve
 through ``operator._draw_spectrum`` and phi through ``build_phi``'s cut.
+Every layer reads a spec's tables through its one table object
+(``_tables._Tables``), so no module but ``_tables`` calls a table builder
+or imports the table helpers the object wraps.
 """
 
 import ast
@@ -29,6 +33,9 @@ SOLVERS = {"eigh", "eigvalsh"}
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
 BUILDERS = {"CubicBandUnion", "OperatorSpec", "PPOperatorSpec", "shifted"}
 SPECS = {"OperatorSpec", "PPOperatorSpec"}
+TABLE_BUILDERS = {"_table", "_transfer", "_demodulate"}
+TABLE_HELPERS = TABLE_BUILDERS | {"_apply", "_recentred", "_frobenius_sq",
+                                  "_dense_product"}
 PACKAGE = Path(mdprolate.__file__).parent
 
 
@@ -135,6 +142,20 @@ def spectrum_references(source: str) -> list[str]:
             and isinstance(node.ctx, ast.Load))))
 
 
+def table_builds(source: str) -> list[str]:
+    """``function:line`` of every call in ``source`` to a table builder,
+    bare or as an attribute, and every import of a table helper."""
+    def hit(node):
+        if isinstance(node, ast.ImportFrom):
+            return any(alias.name in TABLE_HELPERS for alias in node.names)
+        if not isinstance(node, ast.Call):
+            return False
+        f = node.func
+        name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+        return name in TABLE_BUILDERS
+    return _references(source, hit)
+
+
 # Where the package may read a dense matrix: (module, function) -> count.
 DENSE_ALLOWED = {
     # The covariance itself: the gather and the hand-built trace and norm.
@@ -179,8 +200,8 @@ def test_only_the_reducing_entry_point_calls_a_solver():
     stray = {}
     for path in sorted(PACKAGE.glob("*.py")):
         refs = solver_references(path.read_text())
-        if path.name == "prolate.py":
-            assert refs, "prolate._eigh no longer calls a solver"
+        if path.name == "_solver.py":
+            assert refs, "_solver._eigh no longer calls a solver"
             refs = [r for r in refs if not r.startswith("_eigh:")]
         if refs:
             stray[path.name] = refs
@@ -295,3 +316,18 @@ def test_only_cmd_spectrum_solves_for_every_eigenvector():
             key = (path.name, ref.rsplit(":", 1)[0])
             found[key] = found.get(key, 0) + 1
     assert found == {("cli.py", "cmd_spectrum.run"): 1}
+
+
+def test_table_finder_sees_every_spelling():
+    source = ("from ._tables import _gather, _recentred\n"
+              "def f(bands, t):\n"
+              "    _table(bands), _tables._transfer(t), _gather(t)\n"
+              "    return _demodulate(bands), _table\n")
+    assert table_builds(source) == ["<module>:1", "f:3", "f:3", "f:4"]
+
+
+def test_only_the_table_module_builds_a_table():
+    found = {path.name: table_builds(path.read_text())
+             for path in sorted(PACKAGE.glob("*.py"))}
+    assert found.pop("_tables.py"), "_tables no longer builds a table"
+    assert {name: refs for name, refs in found.items() if refs} == {}

@@ -1,7 +1,7 @@
 """The even/odd split of the real-symmetric reduction.
 
 A point-symmetric band set has a real difference table, so the reduced
-matrix ``R`` of ``prolate._eigh`` is block diagonal: an even block of size
+matrix ``R`` of ``_solver._eigh`` is block diagonal: an even block of size
 ``k + n % 2`` and an odd block of size ``k`` (``k = n // 2``), solved
 separately.  The split must give the complex solve's spectrum and true
 orthonormal eigenpairs, be taken exactly when the coupling is zero, leave
@@ -16,9 +16,9 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
                        decompose, dpss, materialize_cubic, pp_materialize,
                        sinc_kernel, spectrum, spectrum_values, vec)
-from mdprolate import prolate
-from mdprolate.prolate import (_axis_table, _gather, _hermitian, _pivot_scale,
-                               _toeplitz_table)
+from mdprolate import _solver
+from mdprolate._solver import _pivot_scale
+from mdprolate._tables import _axis_table, _gather, _hermitian, _toeplitz_table
 
 import oracles
 import pinned
@@ -130,12 +130,12 @@ def test_nonzero_coupling_takes_the_full_solve(name, solver_sizes, monkeypatch):
     table[(zero[0] - 1,) + zero[1:]] -= 1e-300j
     a = _gather(table)
     assert oracles.centro_hermitian(a) and np.array_equal(a, a.conj().T)
-    filled, fill = [], prolate._orbit_blocks
+    filled, fill = [], _solver._orbit_blocks
 
     def recording(*args):
         filled.append(fill(*args))
         return filled[-1]
-    monkeypatch.setattr(prolate, "_orbit_blocks", recording)
+    monkeypatch.setattr(_solver, "_orbit_blocks", recording)
     lam = spectrum_values(DenseCovariance(matrix=a, dims=cov.dims, spec=None))
     n = cov.size
     # One coupled R, filled from the matrix's table.

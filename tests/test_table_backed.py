@@ -1,7 +1,8 @@
 """Covariances backed by their difference table.
 
-``materialize_cubic`` and ``pp_materialize`` keep the operator's table and
-gather the dense matrix only when ``.matrix`` is first read.  Trace and
+``materialize_cubic`` and ``pp_materialize`` keep the spec's table object,
+check the size cap before any table is built, and gather the dense matrix
+only when ``.matrix`` is first read.  Trace and
 squared Frobenius norm come from the table, so they must match the dense
 matrix and must not change when the matrix is gathered.  Point-symmetric
 band sets are decomposed from the demodulated table without gathering at
@@ -17,9 +18,9 @@ import numpy as np
 import pytest
 
 from mdprolate import (CubicBandUnion, OperatorSpec, PPOperatorSpec,
-                       SamplingGrid, default_config, materialize_cubic,
+                       SamplingGrid, SizeCapError, default_config, materialize_cubic,
                        pp_materialize, spectrum, spectrum_values, vec)
-from mdprolate import operator, prolate
+from mdprolate import _tables, operator, prolate
 from mdprolate.cli import main
 
 import pinned
@@ -66,7 +67,7 @@ def _rel(a, b):
 @pytest.mark.parametrize("name", list(CASES))
 def test_table_trace_and_frobenius_match_the_dense_matrix(name):
     cov = CASES[name]()
-    assert cov.table is not None
+    assert cov.tables is not None
     assert _rel(cov.trace(), np.trace(cov.matrix).real) <= 1e-13
     assert _rel(cov.frobenius_sq(), np.vdot(cov.matrix, cov.matrix).real) <= 1e-12
 
@@ -84,20 +85,55 @@ def test_matrix_is_gathered_once():
     assert cov.matrix is cov.matrix
 
 
+@pytest.mark.parametrize("dims", [(65, 64), (2**31, 2**31)], ids=["4160", "2**62"])
+def test_past_the_cap_no_table_is_built(dims, monkeypatch):
+    """The size cap is checked before any table is built, so a grid past
+    it allocates nothing: every table builder refuses to run."""
+    def refuse(*args):
+        raise AssertionError("a table was built past the size cap")
+    for name in ("_table", "_demodulate", "_transfer"):
+        monkeypatch.setattr(_tables, name, refuse)
+    grid = SamplingGrid(dims)
+    with pytest.raises(SizeCapError, match="exceeds the cap"):
+        materialize_cubic(OperatorSpec(grid=grid, bands=README))
+    with pytest.raises(SizeCapError, match="exceeds the cap"):
+        pp_materialize(PPOperatorSpec(grid=grid, bands=default_config().parallelepiped))
+
+
+@pytest.mark.parametrize("geometry", ["cubic", "parallelogram"])
+def test_a_spec_and_its_tables_are_freed_without_the_cycle_collector(geometry):
+    """A spec keeps its tables, and nothing in them refers back to the
+    spec, so dropping the spec frees them at once: a reference cycle would
+    hold every table of a run until the cycle collector ran."""
+    import gc
+    import weakref
+    grid = SamplingGrid((8, 8))
+    spec = (OperatorSpec(grid=grid, bands=README) if geometry == "cubic" else
+            PPOperatorSpec(grid=grid, bands=default_config().parallelepiped))
+    tables = spec._tables
+    tables.table, tables.solved, tables.transfer  # each built on first read
+    refs = [weakref.ref(spec), weakref.ref(tables)]
+    del tables
+    gc.disable()
+    try:
+        del spec
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()
+
+
 def test_a_covariance_needs_a_matrix_or_a_table():
     cov = _cubic((4, 4))
     with pytest.raises(ValueError):
         operator.DenseCovariance(dims=(4, 4), spec=None)
     with pytest.raises(ValueError):
         operator.DenseCovariance(matrix=cov.matrix, dims=(4, 4), spec=None,
-                                 table=cov.table)
-    # The matrix or table must fit the grid: a 16 x 16 kernel over (3, 3)
-    # would be read as a corner of its table.
+                                 tables=cov.tables)
+    # The matrix must fit the grid: a 16 x 16 kernel over (3, 3) would be
+    # read as a corner of its table.  A table object carries its own dims.
     for kwargs in ({"matrix": prolate.sinc_kernel(16, 0.1, 0.1), "dims": (3, 3)},
                    {"matrix": cov.matrix, "dims": (4, 5)},
-                   {"matrix": cov.matrix[:, :8], "dims": (2, 4)},
-                   {"table": cov.table, "dims": (4, 5)},
-                   {"table": cov.table[:5], "dims": (4, 4)}):
+                   {"matrix": cov.matrix[:, :8], "dims": (2, 4)}):
         with pytest.raises(ValueError, match="does not fit dims"):
             operator.DenseCovariance(**kwargs)
 
@@ -106,7 +142,7 @@ def test_a_covariance_needs_a_matrix_or_a_table():
                                   "ref-intervals-n512"])
 def test_point_symmetric_spectra_never_gather(name, no_gather):
     cov = CASES[name]()
-    assert cov.demodulated is not None
+    assert cov.tables.solved.center is not None
     lam = spectrum_values(cov)
     sp = spectrum(cov)
     assert np.max(np.abs(sp.eigenvalues - lam)) <= 1e-13

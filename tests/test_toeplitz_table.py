@@ -1,11 +1,11 @@
 """A hand-built matrix is solved from its own difference table.
 
-``prolate._toeplitz_table`` reads a matrix at one entry per index
+``_tables._toeplitz_table`` reads a matrix at one entry per index
 difference and returns that table only when the table is exactly Hermitian
 and its matrix is the input, entry for entry.  A gathered table comes back
 bit for bit; a matrix one entry off, a Toeplitz matrix that is not
 Hermitian, a multilevel matrix read over the wrong grid and a non-square
-input give None.  ``prolate._toeplitz_grid`` finds a gathered matrix's own
+input give None.  ``_tables._toeplitz_grid`` finds a gathered matrix's own
 grid in its rows, so ``decompose`` reduces a 2-D or 3-D matrix too; a
 table with a tie where the grid is read gives a grid the table check
 rejects.  A Hermitian, centro-Hermitian matrix that is not Toeplitz has no
@@ -19,8 +19,8 @@ from mdprolate import (CubicBandUnion, DenseCovariance, OperatorSpec,
                        ParallelepipedBand, PPOperatorSpec, SamplingGrid,
                        decompose, materialize_cubic, pp_materialize,
                        sinc_kernel, spectrum_values)
-from mdprolate import prolate
-from mdprolate.prolate import _gather, _toeplitz_grid, _toeplitz_table
+from mdprolate import _solver
+from mdprolate._tables import _gather, _toeplitz_grid, _toeplitz_table
 
 import oracles
 import pinned
@@ -56,8 +56,8 @@ GATHERED = {
 def test_a_gathered_table_is_read_back_bitwise(name):
     cov = GATHERED[name]()
     got = _toeplitz_table(np.array(cov.matrix), cov.dims)
-    assert got.dtype == cov.table.dtype and got.shape == cov.table.shape
-    assert got.tobytes() == cov.table.tobytes()
+    assert got.dtype == cov.tables.table.dtype and got.shape == cov.tables.table.shape
+    assert got.tobytes() == cov.tables.table.tobytes()
 
 
 @pytest.mark.parametrize("name", list(GATHERED))
@@ -70,14 +70,14 @@ def test_a_gathered_matrix_reads_its_own_grid(name):
                                   "asymmetric-4x5x6"])
 def test_decompose_reduces_a_multilevel_matrix(name, solver_sizes, monkeypatch):
     cov = GATHERED[name]()
-    filled, fill = [], prolate._orbit_blocks
+    filled, fill = [], _solver._orbit_blocks
 
     def recording(table, orbits):
         filled.append(table.shape)
         return fill(table, orbits)
-    monkeypatch.setattr(prolate, "_orbit_blocks", recording)
+    monkeypatch.setattr(_solver, "_orbit_blocks", recording)
     sp = decompose(cov.matrix)
-    assert filled == [cov.table.shape] and sum(solver_sizes) == cov.size
+    assert filled == [cov.tables.table.shape] and sum(solver_sizes) == cov.size
     expected = np.linalg.eigvalsh(cov.matrix)[::-1]
     assert np.max(np.abs(sp.eigenvalues - expected)) <= 1e-13
 
@@ -142,7 +142,7 @@ def test_a_centro_hermitian_matrix_without_a_table_takes_the_plain_solve(
 
     def refuse(*args):
         raise AssertionError("a matrix without a table was reduced")
-    monkeypatch.setattr(prolate, "_orbit_blocks", refuse)
+    monkeypatch.setattr(_solver, "_orbit_blocks", refuse)
     lam = spectrum_values(DenseCovariance(matrix=a, dims=(30,)))
     assert solver_sizes == [30]
     assert np.max(np.abs(lam - np.linalg.eigvalsh(a)[::-1])) <= 1e-13

@@ -5,6 +5,8 @@ import pytest
 
 from mdprolate import (DenseCovariance, default_config, operator, prolate,
                        verify, verify_config)
+from mdprolate import _solver, _tables
+from mdprolate._tables import _Tables
 from mdprolate.verify import THREADS_ENV, max_workers
 
 import oracles
@@ -43,6 +45,48 @@ def test_no_row_gathers_a_matrix(case, monkeypatch):
     config = _readme_config((32, 32)) if case == "readme-32x32" else default_config()
     rows = verify_config(config)
     assert rows and [r for r in rows if not r.passed] == []
+
+
+def _key(bands):
+    """A band set by value: its grid, band centres and band shapes."""
+    return bands.dims, bands.centers.tobytes(), tuple(bands.shapes)
+
+
+@pytest.mark.parametrize("case", ["readme-32x32", "3-D-12"])
+def test_each_spec_table_is_built_once(case, monkeypatch):
+    """Every row reads the table object its spec holds, so each operator's
+    table, demodulated table and transfer are built once per run; the
+    only other tables are the translation rows' moved sets and the
+    separable row's first box, which is solved from its demodulated table
+    alone."""
+    from mdprolate import BandConfig, CubicBandUnion, SamplingGrid
+    if case == "readme-32x32":
+        config = _readme_config((32, 32))
+    else:
+        config = BandConfig(grid=SamplingGrid((12, 12, 12)), cubic=CubicBandUnion(
+            centers=[[-0.15, -0.10, -0.10], [0.20, 0.15, 0.15]],
+            half_widths=[[0.10, 0.10, 0.10]] * 2))
+    built = {name: [] for name in ("_table", "_demodulate", "_transfer")}
+
+    def counting(name, builder):
+        def build(arg):
+            built[name].append(arg)
+            return builder(arg)
+        return build
+    for name in built:
+        monkeypatch.setattr(_tables, name, counting(name, getattr(_tables, name)))
+    verify_config(config)
+    specs = {_key(spec._tables.bands) for _, spec, _ in verify._operators(config)}
+    tables = [_key(bands) for bands in built["_table"]]
+    demodulated = [_key(bands) for bands in built["_demodulate"]]
+    two_d = case == "readme-32x32"
+    # Each operator's table and its moved copy.
+    assert len(set(tables)) == len(tables) == 2 * len(specs) and specs <= set(tables)
+    # Each operator's, and on 2-D the separable row's first box.
+    assert len(set(demodulated)) == len(demodulated) == len(specs) + two_d
+    assert specs <= set(demodulated)
+    # The three FFT applies and the residual rows share one transfer.
+    assert len(built["_transfer"]) == two_d
 
 
 def test_readme_run_holds_no_more_than_four_half_blocks():
@@ -148,7 +192,7 @@ def test_oned_verify_solves_once(widths, monkeypatch):
     union = CubicBandUnion(centers=[[-0.10], [0.20]],
                            half_widths=[[w] for w in widths])
     calls = []
-    eigh = prolate._eigh
+    eigh = _solver._eigh
 
     def counting(a, *args, **kwargs):
         calls.append(a.table.shape)
@@ -194,13 +238,13 @@ def test_a_band_set_spanning_an_axis_is_moved_on_every_axis(case, monkeypatch):
             ParallelepipedBand(1.0, 0.0, 0.0, 1.0, (0.5, 0.5)),))
         step = [0.02, -0.02]
     moves = []
-    deviation = verify._shift_deviation
+    deviation = _Tables.shift_deviation
 
-    def recording(cov, moved):
-        moves.append(moved.centers - cov.spec._band_set().centers)
-        return deviation(cov, moved)
+    def recording(tables, moved):
+        moves.append(moved.centers - tables.bands.centers)
+        return deviation(tables, moved)
 
-    monkeypatch.setattr(verify, "_shift_deviation", recording)
+    monkeypatch.setattr(_Tables, "shift_deviation", recording)
     rows = verify_config(config)
     [row] = [r for r in rows if r.metric == "center_shift_max_dev"]
     assert row.passed

@@ -12,8 +12,8 @@ by 1 - 1e-6 fail no row on any of these configs.
 import numpy as np
 import pytest
 
-from mdprolate import (BandConfig, CubicBandUnion, SamplingGrid, default_config,
-                       parallelepiped, prolate, verify_config)
+from mdprolate import (BandConfig, CubicBandUnion, SamplingGrid, _solver, _tables,
+                       default_config, parallelepiped, verify_config)
 
 CONFIGS = {
     "default": default_config,
@@ -27,9 +27,9 @@ CONFIGS = {
                              half_widths=[[0.10, 0.10, 0.10]] * 2)),
 }
 
-_axis_table = prolate._axis_table
+_axis_table = _tables._axis_table
 _pp_term = parallelepiped._pp_term
-_orbit_blocks = prolate._orbit_blocks
+_orbit_blocks = _solver._orbit_blocks
 
 
 def _axis_table_scaled(n, f_c, half_width):
@@ -62,11 +62,11 @@ def _last_block_flipped(*args, **kwargs):
 
 
 MUTATIONS = {
-    "axis-table-scaled": (prolate, "_axis_table", _axis_table_scaled),
-    "axis-centre-sign": (prolate, "_axis_table", _axis_centre_sign),
+    "axis-table-scaled": (_tables, "_axis_table", _axis_table_scaled),
+    "axis-centre-sign": (_tables, "_axis_table", _axis_centre_sign),
     "pp-term-scaled": (parallelepiped, "_pp_term", _pp_term_scaled),
     "pp-centre-sign": (parallelepiped, "_pp_term", _pp_centre_sign),
-    "last-block-flipped": (prolate, "_orbit_blocks", _last_block_flipped),
+    "last-block-flipped": (_solver, "_orbit_blocks", _last_block_flipped),
 }
 
 # (mutation, config, a row that must be among the failures or None).  The
